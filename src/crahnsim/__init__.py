@@ -3,13 +3,13 @@ system: MLP disaster detection over a clustered sensor field, learned
 spectrum-hole selection, AODV-backed service and gateway discovery, and XML
 situation interchange, with a seeded experiment harness."""
 
-from .kernel import Kernel, PastTimeError, SimEvent
+from .kernel import Kernel, PastTimeError
 from .mlp import DISASTER_HAPPENED, DISASTER_NOT_HAPPENED, Mlp, TrainConfig, train
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "Kernel", "PastTimeError", "SimEvent",
+    "Kernel", "PastTimeError",
     "Mlp", "TrainConfig", "train",
     "DISASTER_HAPPENED", "DISASTER_NOT_HAPPENED",
 ]

@@ -5,11 +5,13 @@
     crahn-sim validate --scenario S
     crahn-sim render-situation --db RECORDS.csv --out FILE
 
-Exit codes: 0 ok, 1 configuration error, 2 runtime error.
+Exit codes: 0 ok, 1 configuration error, 2 runtime error (including a `run`
+in which any replication failed; its outputs are still written).
 """
 
 import argparse
 import csv
+import json
 import sys
 
 from .experiments import EXPERIMENTS, run_experiment
@@ -89,6 +91,12 @@ def main(argv=None) -> int:
         for report in reports:
             print(f"{report.experiment}: {len(report.rows)} rows, "
                   f"{len(report.errors)} failed replications -> {args.out}")
+        failed = [(r.experiment, e) for r in reports for e in r.errors]
+        if failed:
+            experiment, first = failed[0]
+            print(f"{len(failed)} replications failed; first ({experiment}): "
+                  f"{json.dumps(first, sort_keys=True)}", file=sys.stderr)
+            return 2
         return 0
     if args.command == "render-situation":
         try:

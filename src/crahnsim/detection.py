@@ -109,53 +109,87 @@ def deploy(sensor_count: int, cluster_count: int, area: Area,
 
 
 # -- synthetic signal ---------------------------------------------------------
+#
+# One path from sensor window to feature rows: `sensor_magnitudes` synthesizes
+# an (instants x sensors) block, `window_features` reduces a stack of blocks to
+# per-cluster (mean, max, count) rows. Both keep the scalar arithmetic of a
+# per-reading loop: noise comes from one batched draw (the same values as
+# sequential draws), each event's gain uses scalar math.hypot/math.exp (their
+# numpy counterparts differ in the last bit), and a cluster's readings are
+# reduced instant-major, in the order a sink would receive them.
 
-def sensor_magnitudes(dep: Deployment, t: float, events: list[DisasterEvent],
+SAMPLES_PER_WINDOW = 5
+TRAINING_CHUNK_RECORDS = 100  # records reduced at once while building a training set
+
+
+def window_times(t: float, samples_per_window: int = SAMPLES_PER_WINDOW) -> list[float]:
+    """Sampling instants of the 10 s window ending at t."""
+    return [t - POLL_PERIOD_S + (i + 1) * POLL_PERIOD_S / samples_per_window
+            for i in range(samples_per_window)]
+
+
+def sensor_magnitudes(dep: Deployment, times: list[float], events: list[DisasterEvent],
                       noise_rng: np.random.Generator) -> np.ndarray:
-    mags = noise_rng.normal(0.0, NOISE_SIGMA, len(dep.sensors))
+    """(len(times) x sensors) readings: noise plus the gain of every event
+    active at each instant, added in event order."""
+    mags = noise_rng.normal(0.0, NOISE_SIGMA, (len(times), len(dep.sensors)))
     for ev in events:
-        if ev.time <= t < ev.time + ev.duration_s:
+        rows = [j for j, ts in enumerate(times) if ev.time <= ts < ev.time + ev.duration_s]
+        if rows:
             ex, ey = ev.epicenter
-            for i, s in enumerate(dep.sensors):
-                d = math.hypot(s.x - ex, s.y - ey)
-                mags[i] += ev.intensity * math.exp(-d / SIGNAL_DECAY_M)
+            mags[rows] += [ev.intensity * math.exp(-math.hypot(s.x - ex, s.y - ey)
+                                                   / SIGNAL_DECAY_M)
+                           for s in dep.sensors]
     return mags
+
+
+def window_features(dep: Deployment, blocks: np.ndarray) -> np.ndarray:
+    """(records x instants x sensors) readings -> (records x 3*clusters) rows of
+    per-cluster (mean, max, count); a cluster without sensors stays zero."""
+    records = blocks.shape[0]
+    out = np.zeros((records, FEATURES_PER_CLUSTER * dep.cluster_count))
+    for c in range(dep.cluster_count):
+        vals = blocks[:, :, dep.membership == c].reshape(records, -1)
+        if vals.shape[1]:
+            base = FEATURES_PER_CLUSTER * c
+            out[:, base] = np.mean(vals, axis=1)
+            out[:, base + 1] = np.max(vals, axis=1)
+            out[:, base + 2] = vals.shape[1]
+    return out
 
 
 def context_record(dep: Deployment, t: float, events: list[DisasterEvent],
                    noise_rng: np.random.Generator,
-                   samples_per_window: int = 5) -> np.ndarray:
+                   samples_per_window: int = SAMPLES_PER_WINDOW) -> np.ndarray:
     """One detector input: per-cluster (mean, max, count) over the 10 s window
     ending at t, from `samples_per_window` sampling instants per sensor."""
-    times = [t - POLL_PERIOD_S + (i + 1) * POLL_PERIOD_S / samples_per_window
-             for i in range(samples_per_window)]
-    per_cluster: dict[int, list[float]] = {}
-    for ts in times:
-        mags = sensor_magnitudes(dep, ts, events, noise_rng)
-        for i, m in enumerate(mags):
-            per_cluster.setdefault(int(dep.membership[i]), []).append(float(m))
-    reports = []
-    for cid, vals in sorted(per_cluster.items()):
-        reports.append(ClusterReport(cid, t - POLL_PERIOD_S, t, float(np.mean(vals)),
-                                     float(np.max(vals)), len(vals)))
-    return sink_collect(reports, dep.cluster_count)
+    mags = sensor_magnitudes(dep, window_times(t, samples_per_window), events, noise_rng)
+    return window_features(dep, mags[np.newaxis])[0]
 
 
 # -- detector training --------------------------------------------------------
 
 def make_training_set(dep: Deployment, rng: np.random.Generator, area: Area,
                       intensity: float, positives: int = 500, negatives: int = 500):
-    xs, ys = [], []
-    for _ in range(positives):
-        ev = DisasterEvent(time=0.0,
-                           epicenter=(rng.uniform(0, area.width), rng.uniform(0, area.height)),
-                           intensity=rng.uniform(0.5 * intensity, 1.25 * intensity))
-        xs.append(context_record(dep, POLL_PERIOD_S, [ev], rng))
-        ys.append([1.0])
-    for _ in range(negatives):
-        xs.append(context_record(dep, POLL_PERIOD_S, [], rng))
-        ys.append([0.0])
-    return np.array(xs), np.array(ys)
+    """Positive records (one random event each, drawn before its noise) then
+    quiet ones; the same draws, in the same order, as one record at a time."""
+    times = window_times(POLL_PERIOD_S)
+    shape = (len(times), len(dep.sensors))
+    chunks = [np.zeros((0, FEATURES_PER_CLUSTER * dep.cluster_count))]
+    for start in range(0, positives, TRAINING_CHUNK_RECORDS):
+        blocks = []
+        for _ in range(min(TRAINING_CHUNK_RECORDS, positives - start)):
+            ev = DisasterEvent(time=0.0,
+                               epicenter=(rng.uniform(0, area.width),
+                                          rng.uniform(0, area.height)),
+                               intensity=rng.uniform(0.5 * intensity, 1.25 * intensity))
+            blocks.append(sensor_magnitudes(dep, times, [ev], rng))
+        chunks.append(window_features(dep, np.array(blocks)))
+    for start in range(0, negatives, TRAINING_CHUNK_RECORDS):
+        k = min(TRAINING_CHUNK_RECORDS, negatives - start)
+        chunks.append(window_features(dep, rng.normal(0.0, NOISE_SIGMA, (k,) + shape)))
+    y = np.concatenate([np.ones((positives, 1)), np.zeros((negatives, 1))])
+    return np.concatenate(chunks), y
 
 
 def train_detector(dep: Deployment, rng_init: np.random.Generator,

@@ -91,7 +91,6 @@ class DiscoveryResult:
     latency_s: float
     cache_hit: bool
     timed_out: bool = False
-    messages_sent: int = 0
 
 
 def matches(descriptor: ServiceDescriptor, service_id: Optional[str],

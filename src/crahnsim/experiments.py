@@ -216,7 +216,7 @@ def run_discovery_replication(cfg: ScenarioConfig, seed: int,
                           role="rescue-SU")
     for node in nodes:
         node.radio_range_m = sim.radio_range_m
-    net = Network(kernel, nodes, beacon_interval_s=sim.beacon_interval_s)
+    net = Network(kernel, nodes)
     protos = {node.id: DiscoveryNode(node.id, net,
                                      advert_interval_s=dc.advert_interval_s,
                                      advert_hops=dc.advert_hops,

@@ -1,8 +1,12 @@
-"""Deterministic discrete-event engine: event queue, clock, named random streams."""
+"""Deterministic discrete-event engine: event queue, clock, named random streams.
+
+The queue is a binary heap of plain tuples `(at, id, fn, target, kind)`.
+Tuples compare element by element and ids are unique, so the heap orders by
+`(at, id)` and never compares the handler or its labels.
+"""
 
 import hashlib
 import heapq
-from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
@@ -12,15 +16,6 @@ DEFAULT_SIM_TIME_S = 500.0
 
 class PastTimeError(ValueError):
     """Raised when an event is scheduled before the current clock."""
-
-
-@dataclass(order=True)
-class SimEvent:
-    at: float
-    id: int
-    target: str = field(compare=False, default="system")
-    kind: str = field(compare=False, default="event")
-    fn: Optional[Callable[[], None]] = field(compare=False, default=None, repr=False)
 
 
 def stream_seed(seed: int, label: str) -> int:
@@ -41,7 +36,7 @@ class Kernel:
         self.now = 0.0
         self.end = float(end)
         self.seed = int(seed)
-        self._heap: list[SimEvent] = []
+        self._heap: list[tuple] = []  # (at, id, fn, target, kind)
         self._next_id = 1
         self._pending: set[int] = set()
         self._streams: dict[str, np.random.Generator] = {}
@@ -60,11 +55,11 @@ class Kernel:
         if at < self.now:
             raise PastTimeError(
                 f"cannot schedule at t={at} (clock is at t={self.now})")
-        ev = SimEvent(at=float(at), id=self._next_id, target=target, kind=kind, fn=fn)
-        self._next_id += 1
-        heapq.heappush(self._heap, ev)
-        self._pending.add(ev.id)
-        return ev.id
+        eid = self._next_id
+        self._next_id = eid + 1
+        heapq.heappush(self._heap, (float(at), eid, fn, target, kind))
+        self._pending.add(eid)
+        return eid
 
     def schedule_in(self, delay: float, fn: Callable[[], None], *,
                     target: str = "system", kind: str = "event") -> int:
@@ -83,17 +78,18 @@ class Kernel:
         if t_end < self.now:
             raise PastTimeError(
                 f"cannot run backwards to t={t_end} (clock is at t={self.now})")
+        heap, pending, pop, trace = self._heap, self._pending, heapq.heappop, self.trace
         executed = 0
-        while self._heap and self._heap[0].at <= t_end:
-            ev = heapq.heappop(self._heap)
-            if ev.id not in self._pending:
+        while heap and heap[0][0] <= t_end:
+            at, eid, fn, target, kind = pop(heap)
+            if eid not in pending:
                 continue  # cancelled
-            self._pending.discard(ev.id)
-            self.now = ev.at
-            if self.trace is not None:
-                self.trace.append(f"{ev.at:.6f},{ev.id},{ev.target},{ev.kind}")
-            if ev.fn is not None:
-                ev.fn()
+            pending.remove(eid)
+            self.now = at
+            if trace is not None:
+                trace.append(f"{at:.6f},{eid},{target},{kind}")
+            if fn is not None:
+                fn()
             executed += 1
         self.now = t_end
         return executed

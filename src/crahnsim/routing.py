@@ -16,7 +16,6 @@ from .mobility import NodeState, neighbor_graph
 DEFAULT_HOP_DELAY_S = (0.001, 0.005)
 DEFAULT_TTL = 20
 DEFAULT_ROUTE_LIFETIME_S = 30.0
-DEFAULT_BEACON_INTERVAL_S = 1.0
 
 
 @dataclass
@@ -59,13 +58,11 @@ class Network:
     """Owns node positions, the beacon-derived neighbor graph, and message delivery."""
 
     def __init__(self, kernel: Kernel, nodes: list[NodeState],
-                 hop_delay_s: tuple = DEFAULT_HOP_DELAY_S, loss_rate: float = 0.0,
-                 beacon_interval_s: float = DEFAULT_BEACON_INTERVAL_S):
+                 hop_delay_s: tuple = DEFAULT_HOP_DELAY_S, loss_rate: float = 0.0):
         self.k = kernel
         self.nodes = {n.id: n for n in nodes}
         self.hop_delay_s = hop_delay_s
         self.loss_rate = loss_rate
-        self.beacon_interval_s = beacon_interval_s
         self.adjacency = neighbor_graph(nodes)
         self.protocols: dict[int, "AodvNode"] = {}
         self.delivered_msgs = 0
@@ -75,13 +72,6 @@ class Network:
 
     def refresh_beacons(self) -> None:
         self.adjacency = neighbor_graph(list(self.nodes.values()))
-
-    def start_beaconing(self) -> None:
-        def tick():
-            self.refresh_beacons()
-            if self.k.now + self.beacon_interval_s <= self.k.end:
-                self.k.schedule(self.k.now + self.beacon_interval_s, tick, kind="beacon")
-        self.k.schedule(self.k.now + self.beacon_interval_s, tick, kind="beacon")
 
     def _delay(self) -> float:
         lo, hi = self.hop_delay_s
@@ -100,13 +90,22 @@ class Network:
                         target=f"n{dst}", kind=type(msg).__name__.lower())
 
     def broadcast(self, src: int, msg) -> None:
-        for nbr in sorted(self.adjacency.get(src, ())):
-            if self._lost():
-                continue
-            delay = self._delay()
-            self.k.schedule(self.k.now + delay,
-                            lambda d=nbr: self._deliver(d, src, msg),
-                            target=f"n{nbr}", kind=type(msg).__name__.lower())
+        """Deliver to each current neighbor that the loss draw spares, in id
+        order. Loss and delay have their own streams, so drawing each stream's
+        values in one call keeps both sequences unchanged."""
+        nbrs = sorted(self.adjacency.get(src, ()))
+        if self.loss_rate > 0:
+            draws = self.k.stream("mac-loss").random(len(nbrs))
+            nbrs = [nbr for nbr, r in zip(nbrs, draws.tolist()) if not r < self.loss_rate]
+        if not nbrs:
+            return
+        lo, hi = self.hop_delay_s
+        delays = self.k.stream("mac-delay").uniform(lo, hi, size=len(nbrs)).tolist()
+        kind = type(msg).__name__.lower()
+        k, now = self.k, self.k.now
+        for nbr, delay in zip(nbrs, delays):
+            k.schedule(now + delay, lambda d=nbr: self._deliver(d, src, msg),
+                       target=f"n{nbr}", kind=kind)
 
     def _deliver(self, dst: int, src: int, msg) -> None:
         proto = self.protocols.get(dst)

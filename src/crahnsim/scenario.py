@@ -6,6 +6,7 @@ is a valid scenario. Unknown sections or keys are rejected.
 """
 
 import configparser
+import math
 from dataclasses import asdict, dataclass, field, fields
 
 
@@ -67,6 +68,11 @@ class ScenarioConfig:
     discovery: DiscoveryConfig = field(default_factory=DiscoveryConfig)
 
     def validate(self) -> None:
+        for block in (self.simulation, self.detection, self.spectrum, self.discovery):
+            for f in fields(block):
+                value = getattr(block, f.name)
+                if isinstance(value, float) and not math.isfinite(value):
+                    raise ScenarioError(f"{f.name}: must be finite, got {value}")
         s = self.simulation
         _positive("sim_time_s", s.sim_time_s)
         _positive("area_width_m", s.area_width_m)
@@ -84,6 +90,8 @@ class ScenarioConfig:
             raise ScenarioError(f"replications: must be >= 1, got {s.replications}")
         if not 0 <= s.v_min_mps <= s.v_max_mps:
             raise ScenarioError(f"v_min_mps/v_max_mps: need 0 <= min <= max")
+        if s.pause_max_s < 0:
+            raise ScenarioError(f"pause_max_s: must be >= 0, got {s.pause_max_s}")
         d = self.detection
         _at_least_one("sensor_count", d.sensor_count)
         _at_least_one("disaster_count", d.disaster_count)

@@ -57,6 +57,8 @@ class SuAssignment:
     assigned_at: float
     evicted_at: Optional[float] = None
     policy: str = "mlp-history"
+    # features of the hole when it was chosen; the scorer learns from them at eviction
+    selection_features: Optional[np.ndarray] = field(default=None, repr=False, compare=False)
 
 
 def record_session(log: PuUsageLog, start: float, end: float) -> PuUsageLog:
@@ -314,14 +316,13 @@ class SpectrumSim:
             raw = self.model._forward_acts(batch)[-1][:, 0]
             scores = {ci: max(0.0, float(r)) for ci, r in zip(feats, raw)}
             chosen = select_hole(holes, scores, "mlp-history")
-            self._pending_features = feats[chosen]
+            features = feats[chosen]
         else:
             chosen = select_hole(holes, None, "random-baseline", self.choice_rng)
-            self._pending_features = self._hole_features(
+            features = self._hole_features(
                 su_id, next(h for h in holes if h.channel_index == chosen), now)
         a = SuAssignment(su_id=su_id, channel_index=chosen, assigned_at=now,
-                         policy=self.p.policy)
-        a.selection_features = self._pending_features
+                         policy=self.p.policy, selection_features=features)
         self.assignments.append(a)
         self.open_by_channel.setdefault(chosen, []).append(a)
 
@@ -344,18 +345,8 @@ class SpectrumSim:
 
     # -- results --------------------------------------------------------------
 
-    def closed_assignments(self) -> list[SuAssignment]:
-        return [a for a in self.assignments]
-
     def metric(self) -> dict:
         return switching_time_metric(self.assignments, self.k.end)
-
-    def assignment_csv_rows(self) -> list[str]:
-        rows = ["su_id,channel,assigned_at_s,evicted_at_s,policy"]
-        for a in self.assignments:
-            ev = f"{a.evicted_at:.6f}" if a.evicted_at is not None else ""
-            rows.append(f"{a.su_id},{a.channel_index},{a.assigned_at:.6f},{ev},{a.policy}")
-        return rows
 
 
 def run_spectrum_replication(seed: int, params: SpectrumParams, sim_time_s: float = 500.0,

@@ -75,7 +75,7 @@ def test_signal_decays_with_distance_from_epicenter():
     dep.sensors[0].x, dep.sensors[0].y = 100.0, 100.0
     dep.sensors[1].x, dep.sensors[1].y = 700.0, 700.0
     ev = DisasterEvent(time=0.0, epicenter=(100.0, 100.0), intensity=8.0)
-    mags = sensor_magnitudes(dep, 1.0, [ev], _rng(4))
+    mags = sensor_magnitudes(dep, [1.0], [ev], _rng(4))[0]
     assert mags[0] > mags[1]
 
 

@@ -126,6 +126,36 @@ def test_cli_run_writes_report_files(small_cfg, tmp_path):
     assert len(report.seeds) == 1
 
 
+def test_cli_run_exits_2_when_a_replication_fails(small_cfg, tmp_path, monkeypatch,
+                                                 capsys):
+    import crahnsim.experiments as experiments
+    real = experiments.run_discovery_replication
+    poisoned = replication_seed(7, 1)
+
+    def run_or_raise(cfg, seed, *args, **kwargs):
+        if seed == poisoned:
+            raise RuntimeError("poisoned replication")
+        return real(cfg, seed, *args, **kwargs)
+    monkeypatch.setattr(experiments, "run_discovery_replication", run_or_raise)
+    out = tmp_path / "out"
+    code = main(["run", "--scenario", str(small_cfg), "--experiment", "discovery",
+                 "--out", str(out)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "poisoned replication" in err
+    assert f'"seed": {poisoned}' in err
+    report = load_report(out / "discovery_report.json")
+    assert [r["replication"] for r in report.rows] == [0]
+    assert [e["replication"] for e in report.errors] == [1]
+
+
+def test_cli_validate_rejects_nan(tmp_path, capsys):
+    bad = tmp_path / "nan.ini"
+    bad.write_text("[simulation]\nsim_time_s = nan\n")
+    assert main(["validate", "--scenario", str(bad)]) == 1
+    assert "sim_time_s: must be finite" in capsys.readouterr().err
+
+
 def test_cli_run_rejects_bad_scenario(tmp_path):
     bad = tmp_path / "bad.ini"
     bad.write_text("[simulation]\nrouting = dsr\n")

@@ -1,5 +1,7 @@
 """Scenario file loading: defaults, validation, key rejection."""
 
+from dataclasses import fields
+
 import pytest
 
 from crahnsim.scenario import ScenarioConfig, ScenarioError, load_scenario
@@ -87,3 +89,27 @@ def test_echo_reports_every_effective_parameter():
     assert echo["spectrum"]["n_window"] == 5
     assert echo["discovery"]["advert_hops"] == 2
     assert set(echo) == {"simulation", "detection", "spectrum", "discovery"}
+
+
+_FLOAT_KEYS = [(section, f.name)
+               for section, block in ScenarioConfig().__dict__.items()
+               for f in fields(block) if isinstance(getattr(block, f.name), float)]
+
+
+def test_float_key_list_covers_every_section():
+    assert {section for section, _ in _FLOAT_KEYS} == {
+        "simulation", "detection", "spectrum", "discovery"}
+    assert ("simulation", "sim_time_s") in _FLOAT_KEYS
+
+
+@pytest.mark.parametrize("raw", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("section,key", _FLOAT_KEYS)
+def test_non_finite_float_is_rejected_naming_the_key(tmp_path, section, key, raw):
+    with pytest.raises(ScenarioError, match=rf"^{key}: must be finite"):
+        _load(tmp_path, f"[{section}]\n{key} = {raw}\n")
+
+
+def test_negative_pause_is_rejected(tmp_path):
+    with pytest.raises(ScenarioError, match="pause_max_s"):
+        _load(tmp_path, "[simulation]\npause_max_s = -1\n")
+    assert _load(tmp_path, "[simulation]\npause_max_s = 0\n").simulation.pause_max_s == 0.0
