@@ -105,6 +105,8 @@ class ScenarioConfig:
             raise ScenarioError("pu_counts: all entries must be >= 1")
         if not 0 < sp.scale_min <= sp.scale_max:
             raise ScenarioError("scale_min/scale_max: need 0 < min <= max")
+        if sp.su_start_s < 0:
+            raise ScenarioError(f"su_start_s: must be >= 0, got {sp.su_start_s}")
         for pol in sp.policies:
             if pol not in ("mlp-history", "random-baseline"):
                 raise ScenarioError(f"policies: unknown policy {pol!r}")

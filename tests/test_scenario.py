@@ -109,7 +109,9 @@ def test_non_finite_float_is_rejected_naming_the_key(tmp_path, section, key, raw
         _load(tmp_path, f"[{section}]\n{key} = {raw}\n")
 
 
-def test_negative_pause_is_rejected(tmp_path):
-    with pytest.raises(ScenarioError, match="pause_max_s"):
-        _load(tmp_path, "[simulation]\npause_max_s = -1\n")
-    assert _load(tmp_path, "[simulation]\npause_max_s = 0\n").simulation.pause_max_s == 0.0
+@pytest.mark.parametrize("section,key", [("simulation", "pause_max_s"),
+                                         ("spectrum", "su_start_s")])
+def test_negative_time_is_rejected_but_zero_allowed(tmp_path, section, key):
+    with pytest.raises(ScenarioError, match=rf"^{key}: must be >= 0"):
+        _load(tmp_path, f"[{section}]\n{key} = -1\n")
+    assert getattr(getattr(_load(tmp_path, f"[{section}]\n{key} = 0\n"), section), key) == 0.0
