@@ -94,8 +94,9 @@ def main(argv=None) -> int:
         failed = [(r.experiment, e) for r in reports for e in r.errors]
         if failed:
             experiment, first = failed[0]
-            print(f"{len(failed)} replications failed; first ({experiment}): "
-                  f"{json.dumps(first, sort_keys=True)}", file=sys.stderr)
+            print(f"{len(failed)} replications failed; first ({experiment}, "
+                  f"{first['error_type']}): {json.dumps(first, sort_keys=True)}",
+                  file=sys.stderr)
             return 2
         return 0
     if args.command == "render-situation":

@@ -9,7 +9,7 @@ quiet background is noise only.
 
 import csv
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -27,56 +27,11 @@ PROCESSING_DELAY_PER_CLUSTER_S = 0.020  # kappa
 
 
 @dataclass
-class SensorReading:
-    sensor_id: int
-    time: float
-    magnitude: float
-
-
-@dataclass
-class ClusterReport:
-    cluster_id: int
-    window_start: float
-    window_end: float
-    mean: float
-    max: float
-    count: int
-
-
-@dataclass
 class DisasterEvent:
     time: float
     epicenter: tuple[float, float]
     intensity: float
     duration_s: float = DEFAULT_EVENT_DURATION_S
-
-
-def aggregate_cluster(cluster_id: int, readings: list[SensorReading],
-                      window_start: float, window_end: float) -> Optional[ClusterReport]:
-    """Mean/max/count over the window; an empty window yields no report."""
-    if window_end <= window_start:
-        raise ValueError("window_end must exceed window_start")
-    if not readings:
-        return None
-    mags = [r.magnitude for r in readings]
-    return ClusterReport(cluster_id=cluster_id, window_start=window_start,
-                         window_end=window_end, mean=float(np.mean(mags)),
-                         max=float(np.max(mags)), count=len(mags))
-
-
-def sink_collect(reports: list[ClusterReport], cluster_count: int) -> np.ndarray:
-    """Fixed-order concatenation of (mean, max, count) blocks; silent clusters zero."""
-    vec = np.zeros(FEATURES_PER_CLUSTER * cluster_count)
-    seen = set()
-    for rep in reports:
-        if not 0 <= rep.cluster_id < cluster_count:
-            raise ValueError(f"cluster id {rep.cluster_id} out of range")
-        if rep.cluster_id in seen:
-            raise ValueError(f"duplicate report for cluster {rep.cluster_id} in one window")
-        seen.add(rep.cluster_id)
-        base = FEATURES_PER_CLUSTER * rep.cluster_id
-        vec[base:base + 3] = (rep.mean, rep.max, rep.count)
-    return vec
 
 
 def detect(record: np.ndarray, model: Mlp) -> int:
@@ -192,8 +147,7 @@ def make_training_set(dep: Deployment, rng: np.random.Generator, area: Area,
     return np.concatenate(chunks), y
 
 
-def train_detector(dep: Deployment, rng_init: np.random.Generator,
-                   x: np.ndarray, y: np.ndarray,
+def train_detector(rng_init: np.random.Generator, x: np.ndarray, y: np.ndarray,
                    hidden_units: int = 8, epochs: int = 300,
                    learning_rate: float = 0.5, seed: int = 0) -> tuple[Mlp, dict]:
     model = Mlp.init([x.shape[1], hidden_units, 1], rng_init, output_activation="sigmoid")

@@ -85,7 +85,7 @@ def train_detection_model(cfg: ScenarioConfig, base_seed: int, cluster_count: in
     x, y = make_training_set(dep, data_rng, area, cfg.detection.intensity)
     init_rng = np.random.Generator(np.random.PCG64(
         stream_seed(base_seed, f"detector-init-{cluster_count}")))
-    model, stats = train_detector(dep, init_rng, x, y,
+    model, stats = train_detector(init_rng, x, y,
                                   seed=stream_seed(base_seed, f"detector-train-{cluster_count}"))
     return dep, model, stats, area
 
@@ -119,7 +119,8 @@ def run_detection_experiment(cfg: ScenarioConfig, base_seed: int,
                 })
             except Exception as exc:  # recorded, remaining replications continue
                 errors.append({"cluster_count": c, "replication": rep,
-                               "seed": seed, "error": str(exc)})
+                               "seed": seed, "error": str(exc),
+                               "error_type": type(exc).__name__})
     aggregates = []
     for c in cfg.detection.cluster_counts:
         sub = [r for r in rows if r["cluster_count"] == c]
@@ -169,7 +170,8 @@ def run_spectrum_experiment(cfg: ScenarioConfig, base_seed: int,
                                  "mean_switching_time_s": m["mean"]})
                 except Exception as exc:
                     errors.append({"pu_count": pu_count, "policy": policy,
-                                   "replication": rep, "seed": seed, "error": str(exc)})
+                                   "replication": rep, "seed": seed, "error": str(exc),
+                                   "error_type": type(exc).__name__})
     aggregates = []
     for pu_count in cfg.spectrum.pu_counts:
         for policy in cfg.spectrum.policies:
@@ -289,7 +291,8 @@ def run_discovery_experiment(cfg: ScenarioConfig, base_seed: int,
                 "mean_miss_latency_s": miss_m if misses else None,
             })
         except Exception as exc:
-            errors.append({"replication": rep, "seed": seed, "error": str(exc)})
+            errors.append({"replication": rep, "seed": seed, "error": str(exc),
+                           "error_type": type(exc).__name__})
     miss_all, miss_std = _mean_std([r["mean_miss_latency_s"] for r in rows])
     hit_all, _ = _mean_std([r["mean_hit_latency_s"] for r in rows])
     aggregates = [{"node_count": cfg.discovery.node_count,

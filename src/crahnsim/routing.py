@@ -168,8 +168,7 @@ class AodvNode:
                     dest_sequence_known=known)
         self.net.broadcast(self.id, rreq)
 
-    def send_data(self, destination: int, payload, kind: str = "data",
-                  _via_discovery: bool = True) -> None:
+    def send_data(self, destination: int, payload, kind: str = "data") -> None:
         if destination == self.id:
             self.delivered.append((payload, self.id, kind))
             return

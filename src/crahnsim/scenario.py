@@ -168,7 +168,8 @@ def _convert(name: str, raw: str, default):
 
 
 def load_scenario(path) -> ScenarioConfig:
-    parser = configparser.ConfigParser()
+    # no interpolation: a '%' in a value is plain text, rejected by conversion
+    parser = configparser.ConfigParser(interpolation=None)
     try:
         with open(path, "r", encoding="utf-8") as fh:
             parser.read_file(fh)

@@ -1,13 +1,25 @@
 """Primary-user activity modeling, spectrum-hole detection and selection.
 
-Each channel is licensed to one primary user (PU). PUs alternate transmitting
-and idle periods (exponential durations, per-PU mean scale). Secondary users
-occupy holes and are evicted the instant the licensed PU resumes. Hole
-selection is either a history-blind uniform pick or an MLP score trained
-online on (hole features -> realized remaining idle time).
+Each channel is licensed to one primary user (PU). PUs start idle at t = 0
+and alternate idle and transmitting periods (exponential durations, per-PU
+mean scale). Secondary users occupy holes and are evicted the instant the
+licensed PU resumes. Hole selection is either a history-blind uniform pick or
+an MLP score trained online on (hole features -> realized remaining idle time).
+
+A PU's activity does not depend on the SUs, so it is drawn up front as a
+timeline: the PU's sorted toggle times, the first one idle -> transmitting.
+Whether a channel is a hole, since when, and its last n busy durations are
+read from the timeline with `bisect`. The kernel runs a `pu-toggle` event
+only for a transition that changes an outcome: a busy start on a channel an
+SU holds, the close of a warm-up sample still open when SUs start, and an
+idle start while SUs wait. The draws, samples and assignments are bit for bit
+those of one kernel event per toggle; `tests/test_fast_paths.py` keeps that
+simulation as reference code and checks it.
 """
 
+import heapq
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -19,6 +31,7 @@ from .mobility import Area, NodeState, friis_received_power, place_uniform, step
 
 DEFAULT_N_WINDOW = 5
 EPSILON_DBM_DISTANCE = 1.0  # clamp for co-located nodes when deriving dBm
+EXPONENTIAL_BLOCK = 1024  # activity draws taken from the stream at once
 
 
 class NoSpectrumError(RuntimeError):
@@ -29,19 +42,6 @@ class NoSpectrumError(RuntimeError):
 class Channel:
     index: int
     licensed_pu: int
-
-
-@dataclass
-class PuUsageLog:
-    pu_id: int
-    channel_index: int
-    n: int = DEFAULT_N_WINDOW
-    durations: list[float] = field(default_factory=list)  # oldest -> newest
-    signal_strength_dbm: float = -60.0
-    mobility_mps: float = 0.0
-    state: str = "idle"  # "transmitting" | "idle"
-    state_since: float = 0.0
-    last_session_end: float = 0.0
 
 
 @dataclass
@@ -61,40 +61,78 @@ class SuAssignment:
     selection_features: Optional[np.ndarray] = field(default=None, repr=False, compare=False)
 
 
-def record_session(log: PuUsageLog, start: float, end: float) -> PuUsageLog:
-    """Append one transmission-session duration, keeping only the newest n."""
-    if end <= start:
-        raise ValueError(f"reversed or empty session interval ({start}, {end})")
-    if start < log.last_session_end:
-        raise ValueError(
-            f"session ({start}, {end}) overlaps recorded history ending at {log.last_session_end}")
-    log.durations.append(end - start)
-    if len(log.durations) > log.n:
-        del log.durations[:len(log.durations) - log.n]
-    log.last_session_end = end
-    return log
+# -- PU timelines ---------------------------------------------------------------
+#
+# A timeline is a sorted list of toggle times. Toggles at even indices start a
+# transmission, toggles at odd indices end one; a toggle at exactly t has
+# happened by t. Busy period j is (times[2j], times[2j + 1]).
+
+def draw_toggle_times(rng: np.random.Generator, scales: list[float],
+                      end: float) -> list[list[float]]:
+    """Each PU's toggle times up to `end`, every duration ~ Exp(the PU's scale).
+
+    The draws are those of one kernel event per toggle: one per PU in PU
+    order, then one per toggle at or before `end`, in (time, scheduling
+    order), each giving the time from that toggle to the PU's next one.
+    """
+    def exponentials():
+        while True:
+            yield from rng.standard_exponential(EXPONENTIAL_BLOCK).tolist()
+
+    draw = exponentials()
+    times: list[list[float]] = [[] for _ in scales]
+    heap = [(0.0 + next(draw) * scale, i, i) for i, scale in enumerate(scales)]
+    heapq.heapify(heap)
+    order = len(scales)
+    while heap and heap[0][0] <= end:
+        t, _, i = heap[0]
+        times[i].append(t)
+        heapq.heapreplace(heap, (t + next(draw) * scales[i], order, i))
+        order += 1
+    return times
 
 
-def spectrum_holes(channels: list[Channel], logs: dict[int, PuUsageLog],
+def schedule_toggle_times(durations: list[float], end: float) -> list[float]:
+    """Toggle times of a hand-written [idle, busy, idle, ...] duration list up
+    to `end`; an infinite duration ends the list."""
+    times = []
+    t = 0.0
+    for dur in durations:
+        if math.isinf(dur):
+            break
+        if not dur > 0:
+            raise ValueError(f"PU period durations must be positive, got {dur}")
+        t = float(t + dur)
+        if t > end:
+            break
+        times.append(t)
+    return times
+
+
+def spectrum_holes(channels: list[Channel], timelines: dict[int, list[float]],
                    t: float) -> list[SpectrumHole]:
-    """Channels whose PU is not transmitting at t. A channel with no PU log is
-    vacuously a hole (idle since the beginning)."""
+    """Channels whose PU is not transmitting at t, with the start of the idle
+    period (0.0 for the one the PU starts in)."""
     holes = []
     for ch in channels:
-        log = logs.get(ch.licensed_pu)
-        if log is None:
-            holes.append(SpectrumHole(ch.index, 0.0))
-        elif log.state == "idle":
-            holes.append(SpectrumHole(ch.index, log.state_since))
+        times = timelines[ch.licensed_pu]
+        k = bisect_right(times, t)
+        if k % 2 == 0:
+            holes.append(SpectrumHole(ch.index, times[k - 1] if k else 0.0))
     return holes
 
 
-def extract_features(log: PuUsageLog, t: float) -> np.ndarray:
-    """[n session durations zero-padded oldest-first, signal dBm, mobility, idle elapsed]."""
-    if log.state != "idle":
-        raise ValueError(f"PU {log.pu_id} is transmitting at t={t}; no hole features")
-    padded = [0.0] * (log.n - len(log.durations)) + list(log.durations)
-    return np.array(padded + [log.signal_strength_dbm, log.mobility_mps, t - log.state_since])
+def extract_features(times: list[float], t: float, n: int, signal_dbm: float,
+                     mobility_mps: float) -> list[float]:
+    """[last n busy durations zero-padded oldest-first, signal dBm, mobility,
+    idle elapsed] of a PU idle at t."""
+    k = bisect_right(times, t)
+    if k % 2:
+        raise ValueError(f"PU is transmitting at t={t}; no hole features")
+    ended = k // 2
+    durations = [times[2 * j + 1] - times[2 * j] for j in range(max(0, ended - n), ended)]
+    since = times[k - 1] if k else 0.0
+    return [0.0] * (n - len(durations)) + durations + [signal_dbm, mobility_mps, t - since]
 
 
 def score_hole(model: Mlp, features: np.ndarray) -> float:
@@ -149,7 +187,28 @@ class SpectrumParams:
 
 
 class SpectrumSim:
-    """Event-driven spectrum management run on one kernel instance."""
+    """Spectrum management on one kernel instance.
+
+    `start` draws every PU's timeline up to the kernel's horizon `Kernel.end`
+    (`pu_schedules`, {pu_id: [idle, busy, idle, ...] durations}, replaces the
+    draws); past the horizon every PU reads as idle. PU i licenses channel i.
+
+    Before SUs start, each idle period a PU begins is a warm-up sample: its
+    features at the idle start, labeled with the idle time realized until the
+    next busy start. Features are taken at each mobility tick and at SU start,
+    for the idle periods begun since the last one, from the positions that
+    held over that interval. Samples closed by SU start enter the buffer then,
+    in close-time order; a sample still open enters it at its busy start.
+
+    Ties: a toggle at exactly t has happened for every event at t. A toggle
+    that needs handling is a kernel event scheduled when the need arises (an
+    SU assigned, SUs starting, the first SU waiting), and events at one time
+    run in scheduling order: a busy start exactly on a mobility tick evicts
+    after the tick moved the nodes if its event was scheduled after the tick
+    was (one mobility step earlier), and before the tick otherwise. A warm-up
+    idle start on a tick takes the positions from before the tick. Drawn
+    toggle times never tie.
+    """
 
     def __init__(self, kernel: Kernel, params: SpectrumParams, area: Optional[Area] = None,
                  pu_schedules: Optional[dict[int, list[float]]] = None):
@@ -161,8 +220,6 @@ class SpectrumSim:
         self.sus = place_uniform(params.su_count, self.area, place_rng,
                                  role="rescue-SU", start_id=params.pu_count)
         self.channels = [Channel(i, self.pus[i].id) for i in range(params.pu_count)]
-        self.logs = {pu.id: PuUsageLog(pu.id, i, n=params.n_window)
-                     for i, pu in enumerate(self.pus)}
         scale_rng = kernel.stream("pu-params")
         self.scales = {pu.id: scale_rng.uniform(*params.scale_range) for pu in self.pus}
         self.activity_rng = kernel.stream("pu-activity")
@@ -176,87 +233,120 @@ class SpectrumSim:
         self.buffer_x: list[np.ndarray] = []
         self.buffer_y: list[float] = []
         self._since_refit = 0
-        self._passive_open: dict[int, np.ndarray] = {}  # pu_id -> features at idle start
-        self._busy_start: dict[int, float] = {}
-        self._schedules = pu_schedules  # pu_id -> alternating durations [idle, busy, ...]
-        self._sched_pos = {pu.id: 0 for pu in self.pus}
+        self._schedules = pu_schedules
+        self.timelines: dict[int, list[float]] = {}  # pu_id -> toggle times
+        self._armed: set[int] = set()  # PUs whose next busy start has an event
+        # warm-up samples (close time, pu_id, idle start, features) before SU start;
+        # then pu_id -> (idle start, features) of those still open
+        self._warmup: list[tuple[float, int, float, np.ndarray]] = []
+        self._warm_open: dict[int, tuple[float, np.ndarray]] = {}
+        self._observed_to = 0.0
+        # values that hold until the next mobility tick: (pu_id, su_id) -> signal,
+        # and the last hole scan
+        self._dbm: dict[tuple[int, int], float] = {}
+        self._scan_at: Optional[float] = None
+        self._scanned: tuple[list[SpectrumHole], list[Optional[list[float]]]] = ([], [])
         self._su_started = False
 
     # -- wiring ---------------------------------------------------------------
 
     def start(self) -> None:
-        for pu in self.pus:
-            self._schedule_toggle(pu.id, first=True)
+        if self._schedules is None:
+            drawn = draw_toggle_times(self.activity_rng,
+                                      [self.scales[pu.id] for pu in self.pus], self.k.end)
+            self.timelines = {pu.id: times for pu, times in zip(self.pus, drawn)}
+        else:
+            self.timelines = {pu.id: schedule_toggle_times(self._schedules[pu.id], self.k.end)
+                              for pu in self.pus}
         self.k.schedule(self.p.su_start_s, self._start_sus, kind="su-start")
         self.k.schedule(self.p.mobile_step_s, self._mobility_step, kind="mobility")
 
-    def _next_duration(self, pu_id: int) -> float:
-        if self._schedules is not None:
-            seq = self._schedules[pu_id]
-            pos = self._sched_pos[pu_id]
-            self._sched_pos[pu_id] = pos + 1
-            return seq[pos] if pos < len(seq) else float("inf")
-        return float(self.activity_rng.exponential(self.scales[pu_id]))
-
-    def _schedule_toggle(self, pu_id: int, first: bool = False) -> None:
-        dur = self._next_duration(pu_id)
-        if math.isinf(dur):
-            return
-        self.k.schedule(self.k.now + dur, lambda p=pu_id: self._toggle(p),
-                        target=f"pu{pu_id}", kind="pu-toggle")
-
     def _mobility_step(self) -> None:
+        if not self._su_started:
+            self._observe_idle_starts(self.k.now)
         rng = self.k.stream("mobility")
         for node in self.pus + self.sus:
             step_waypoint(node, self.k.now, self.p.mobile_step_s, rng, self.area)
+        self._dbm.clear()
+        self._scan_at = None
         if self.k.now + self.p.mobile_step_s <= self.k.end:
             self.k.schedule(self.k.now + self.p.mobile_step_s, self._mobility_step,
                             kind="mobility")
 
-    # -- PU process -----------------------------------------------------------
-
-    def _toggle(self, pu_id: int) -> None:
-        log = self.logs[pu_id]
-        now = self.k.now
-        if log.state == "idle":
-            # idle -> transmitting; evictions happen after the state flips so a
-            # reselecting SU can never land back on this channel
-            self._close_passive(pu_id, now)
-            log.state = "transmitting"
-            log.state_since = now
-            self._busy_start[pu_id] = now
-            self._evict_channel(log.channel_index, pu_id, now)
-        else:
-            # transmitting -> idle
-            record_session(log, self._busy_start[pu_id], now)
-            log.state = "idle"
-            log.state_since = now
-            self._update_pu_observables(pu_id)
-            self._open_passive(pu_id, now)
-            self._serve_waiting(now)
-        self._schedule_toggle(pu_id)
-
-    def _update_pu_observables(self, pu_id: int) -> None:
-        log = self.logs[pu_id]
-        pu = self.pus[log.channel_index]
-        su = self.sus[0] if self.sus else None
-        if su is not None:
+    def _received_dbm(self, pu: NodeState, su: NodeState) -> float:
+        """PU signal at the SU; nodes only move at mobility ticks, so each
+        pair's value is kept until the next one."""
+        dbm = self._dbm.get((pu.id, su.id))
+        if dbm is None:
             d = max(pu.distance_to(su), EPSILON_DBM_DISTANCE)
             p_w = friis_received_power(pu.tx_power_w, 1.0, 1.0, self.p.wavelength_m, d)
-            log.signal_strength_dbm = 10.0 * math.log10(p_w * 1000.0)
-        log.mobility_mps = pu.speed
+            dbm = self._dbm[pu.id, su.id] = 10.0 * math.log10(p_w * 1000.0)
+        return dbm
 
-    # -- passive observation (scorer warm-up and background data) -------------
+    # -- PU transitions that change an outcome ---------------------------------
 
-    def _open_passive(self, pu_id: int, now: float) -> None:
-        if self._su_started:
-            return  # passive observation is warm-up only
-        self._passive_open[pu_id] = extract_features(self.logs[pu_id], now)
+    def _arm(self, pu_id: int, at: float) -> None:
+        self.k.schedule(at, lambda p=pu_id: self._toggle(p),
+                        target=f"pu{pu_id}", kind="pu-toggle")
 
-    def _close_passive(self, pu_id: int, now: float) -> None:
-        feats = self._passive_open.pop(pu_id, None)
-        if feats is not None:
-            self._add_sample(feats, now - self.logs[pu_id].state_since)
+    def _arm_busy_start(self, pu_id: int, now: float) -> None:
+        """Event at the end of the idle period PU `pu_id` is in at `now`."""
+        if pu_id in self._armed:
+            return
+        times = self.timelines[pu_id]
+        k = bisect_right(times, now)
+        if k < len(times):
+            self._armed.add(pu_id)
+            self._arm(pu_id, times[k])
+
+    def _arm_idle_start(self, now: float) -> None:
+        """Event at the first idle start after `now`, when every PU transmits."""
+        first = None
+        for pu in self.pus:
+            times = self.timelines[pu.id]
+            k = bisect_right(times, now)
+            if k < len(times) and (first is None or times[k] < first[0]):
+                first = (times[k], pu.id)
+        if first is not None:
+            self._arm(first[1], first[0])
+
+    def _toggle(self, pu_id: int) -> None:
+        now = self.k.now
+        k = bisect_right(self.timelines[pu_id], now)
+        if k % 2:
+            # idle -> transmitting; evictions happen after the state flips so a
+            # reselecting SU can never land back on this channel
+            self._armed.discard(pu_id)
+            warm = self._warm_open.pop(pu_id, None)
+            if warm is not None:
+                since, features = warm
+                self._add_sample(features, now - since)
+            self._evict_channel(pu_id, now)
+        else:
+            # transmitting -> idle
+            self._serve_waiting(now)
+
+    # -- passive observation (scorer warm-up) -----------------------------------
+
+    def _observe_idle_starts(self, now: float) -> None:
+        """Warm-up samples of the idle periods begun in (last observation, now],
+        with the signal at the first SU and the speed the PU had over it."""
+        su = self.sus[0]
+        for pu in self.pus:
+            times = self.timelines[pu.id]
+            first = bisect_right(times, self._observed_to)
+            first += first % 2 == 0  # idle starts are at odd indices
+            last = bisect_right(times, now)
+            if first >= last:
+                continue
+            dbm = self._received_dbm(pu, su)
+            for i in range(first, last, 2):
+                since = times[i]
+                close = times[i + 1] if i + 1 < len(times) else math.inf
+                features = np.array(
+                    extract_features(times, since, self.p.n_window, dbm, pu.speed))
+                self._warmup.append((close, pu.id, since, features))
+        self._observed_to = now
 
     def _add_sample(self, features: np.ndarray, realized_idle: float) -> None:
         self.buffer_x.append(features)
@@ -288,47 +378,70 @@ class SpectrumSim:
     # -- SU behavior ----------------------------------------------------------
 
     def _start_sus(self) -> None:
+        now = self.k.now
+        self._observe_idle_starts(now)
+        self._warmup.sort(key=lambda sample: sample[0])
+        for close, pu_id, since, features in self._warmup:
+            if close <= now:
+                self._add_sample(features, close - since)
+            else:
+                self._warm_open[pu_id] = (since, features)
+                self._arm_busy_start(pu_id, now)
+        self._warmup = []
         self._su_started = True
         self._refit()
         for su in self.sus:
-            self._select_for(su.id, self.k.now)
+            self._select_for(su.id, now)
 
-    def _hole_features(self, su_id: int, hole: SpectrumHole, now: float) -> np.ndarray:
-        log = self.logs[self.channels[hole.channel_index].licensed_pu]
-        pu = self.pus[hole.channel_index]
-        su = self.sus[su_id - self.p.pu_count]
-        d = max(pu.distance_to(su), EPSILON_DBM_DISTANCE)
-        p_w = friis_received_power(pu.tx_power_w, 1.0, 1.0, self.p.wavelength_m, d)
-        feats = extract_features(log, now)
-        feats[log.n] = 10.0 * math.log10(p_w * 1000.0)
-        feats[log.n + 1] = pu.speed
-        return feats
+    def _scan(self, now: float) -> list[SpectrumHole]:
+        """Holes at `now`; the same for every SU selecting at one instant, so
+        they and their features are kept until the time or the positions change."""
+        if self._scan_at != now:
+            holes = spectrum_holes(self.channels, self.timelines, now)
+            self._scan_at, self._scanned = now, (holes, [None] * len(holes))
+        return self._scanned[0]
+
+    def _hole_features(self, su: NodeState, i: int, now: float) -> list[float]:
+        """Features of the i-th hole of the scan at `now`, as seen by `su`."""
+        holes, rows = self._scanned
+        pu = self.pus[holes[i].channel_index]
+        if rows[i] is None:
+            rows[i] = extract_features(self.timelines[pu.id], now, self.p.n_window,
+                                       0.0, pu.speed)
+        features = rows[i].copy()
+        features[self.p.n_window] = self._received_dbm(pu, su)
+        return features
 
     def _select_for(self, su_id: int, now: float) -> None:
-        holes = spectrum_holes(self.channels, self.logs, now)
+        holes = self._scan(now)
         if not holes:
+            if not self.waiting:
+                self._arm_idle_start(now)
             if su_id not in self.waiting:
                 self.waiting.append(su_id)
             return
+        su = self.sus[su_id - self.p.pu_count]
         if self.p.policy == "mlp-history":
-            feats = {h.channel_index: self._hole_features(su_id, h, now) for h in holes}
-            batch = self.model._standardize(np.array(list(feats.values())))
-            raw = self.model._forward_acts(batch)[-1][:, 0]
-            scores = {ci: max(0.0, float(r)) for ci, r in zip(feats, raw)}
+            # one batch per select, rows in channel order: stacking several SUs'
+            # rows into one forward pass changes the last bit of some scores
+            batch = np.array([self._hole_features(su, i, now) for i in range(len(holes))])
+            raw = self.model._forward_acts(self.model._standardize(batch))[-1][:, 0]
+            scores = {h.channel_index: max(0.0, float(r)) for h, r in zip(holes, raw)}
             chosen = select_hole(holes, scores, "mlp-history")
-            features = feats[chosen]
+            features = batch[next(i for i, h in enumerate(holes) if h.channel_index == chosen)]
         else:
             chosen = select_hole(holes, None, "random-baseline", self.choice_rng)
-            features = self._hole_features(
-                su_id, next(h for h in holes if h.channel_index == chosen), now)
+            features = np.array(self._hole_features(
+                su, next(i for i, h in enumerate(holes) if h.channel_index == chosen), now))
         a = SuAssignment(su_id=su_id, channel_index=chosen, assigned_at=now,
                          policy=self.p.policy, selection_features=features)
         self.assignments.append(a)
-        self.open_by_channel.setdefault(chosen, []).append(a)
+        if chosen not in self.open_by_channel:
+            self.open_by_channel[chosen] = []
+            self._arm_busy_start(self.channels[chosen].licensed_pu, now)
+        self.open_by_channel[chosen].append(a)
 
-    def _evict_channel(self, channel_index: Optional[int], pu_id: int, now: float) -> None:
-        if channel_index is None:
-            return
+    def _evict_channel(self, channel_index: int, now: float) -> None:
         open_list = self.open_by_channel.pop(channel_index, [])
         for a in open_list:
             a.evicted_at = now
@@ -337,8 +450,6 @@ class SpectrumSim:
             self._select_for(a.su_id, now)
 
     def _serve_waiting(self, now: float) -> None:
-        if not self._su_started:
-            return
         waiting, self.waiting = self.waiting, []
         for su_id in waiting:
             self._select_for(su_id, now)

@@ -1,60 +1,58 @@
-"""Detection pipeline: aggregation, sink layout, trained-detector fixtures,
+"""Detection pipeline: per-cluster window features, trained-detector fixtures,
 polling cadence, and response-time accounting."""
 
 import numpy as np
 import pytest
 
-from crahnsim.detection import (ClusterReport, DisasterEvent, Deployment,
-                                DetectionRunResult, POLL_PERIOD_S,
-                                aggregate_cluster, context_record, deploy,
+from crahnsim.detection import (DisasterEvent, Deployment, DetectionRunResult,
+                                POLL_PERIOD_S, context_record, deploy,
                                 load_trace_csv, make_training_set,
                                 run_detection_replication, sensor_magnitudes,
-                                sink_collect, synthesize_trace, train_detector)
+                                synthesize_trace, train_detector, window_features)
 from crahnsim.kernel import Kernel
 from crahnsim.mlp import DISASTER_HAPPENED, DISASTER_NOT_HAPPENED, Mlp
-from crahnsim.mobility import Area
-from crahnsim.detection import SensorReading
+from crahnsim.mobility import Area, NodeState
 
 
 def _rng(seed):
     return np.random.Generator(np.random.PCG64(seed))
 
 
-def _readings(values):
-    return [SensorReading(sensor_id=i, time=1.0, magnitude=v)
-            for i, v in enumerate(values)]
+def _deployment(membership, cluster_count):
+    sensors = [NodeState(id=i, x=0.0, y=0.0, role="sensor") for i in range(len(membership))]
+    heads = [NodeState(id=len(membership) + c, x=0.0, y=0.0, role="cluster-head")
+             for c in range(cluster_count)]
+    return Deployment(sensors=sensors, heads=heads, membership=np.array(membership))
+
+
+def _features(membership, cluster_count, readings):
+    """window_features of one window: readings is (instants x sensors)."""
+    return window_features(_deployment(membership, cluster_count),
+                           np.array(readings, dtype=float)[np.newaxis])[0]
 
 
 def test_aggregate_hand_arithmetic():
-    rep = aggregate_cluster(0, _readings([1.0, 3.0]), 0.0, 10.0)
-    assert (rep.mean, rep.max, rep.count) == (2.0, 3.0, 2)
+    assert _features([0, 0], 1, [[1.0, 3.0]]).tolist() == [2.0, 3.0, 2.0]
 
 
 def test_aggregate_singleton():
-    rep = aggregate_cluster(3, _readings([5.0]), 0.0, 10.0)
-    assert rep.mean == rep.max == 5.0 and rep.count == 1
+    assert _features([0], 1, [[5.0]]).tolist() == [5.0, 5.0, 1.0]
 
 
 def test_aggregate_empty_window_gives_no_report():
-    assert aggregate_cluster(0, [], 0.0, 10.0) is None
-    with pytest.raises(ValueError):
-        aggregate_cluster(0, _readings([1.0]), 10.0, 10.0)
+    # a window without sampling instants, and a cluster without sensors, report zeros
+    assert _features([0, 1], 2, np.zeros((0, 2))).tolist() == [0.0] * 6
+    assert _features([1], 2, [[4.0]]).tolist() == [0.0, 0.0, 0.0, 4.0, 4.0, 1.0]
 
 
-def test_sink_collect_layout():
-    assert sink_collect([], 4).tolist() == [0.0] * 12
-    reps = [ClusterReport(0, 0, 10, 1.0, 2.0, 3),
-            ClusterReport(2, 0, 10, 4.0, 5.0, 6)]
-    vec = sink_collect(reps, 3)
-    assert vec.tolist() == [1.0, 2.0, 3.0, 0.0, 0.0, 0.0, 4.0, 5.0, 6.0]
-
-
-def test_sink_collect_rejects_duplicates_and_out_of_range():
-    rep = ClusterReport(0, 0, 10, 1.0, 1.0, 1)
-    with pytest.raises(ValueError):
-        sink_collect([rep, rep], 2)
-    with pytest.raises(ValueError):
-        sink_collect([ClusterReport(5, 0, 10, 1.0, 1.0, 1)], 2)
+def test_window_features_layout():
+    # per-cluster (mean, max, count) blocks in cluster order; silent clusters zero
+    assert _features([], 4, np.zeros((1, 0))).tolist() == [0.0] * 12
+    vec = _features([0, 2, 0, 2, 0, 2], 3, [[1.0, 4.0, 2.0, 5.0, 3.0, 6.0]])
+    assert vec.tolist() == [2.0, 3.0, 3.0, 0.0, 0.0, 0.0, 5.0, 6.0, 3.0]
+    # readings of all instants pool per cluster
+    vec = _features([0, 1], 2, [[1.0, 8.0], [3.0, 2.0]])
+    assert vec.tolist() == [2.0, 3.0, 2.0, 5.0, 8.0, 2.0]
 
 
 def test_context_record_dimensionality():
@@ -85,7 +83,7 @@ def trained():
     dep = deploy(15, 2, area, _rng(10))
     x, y = make_training_set(dep, _rng(11), area, intensity=8.0,
                              positives=150, negatives=150)
-    model, stats = train_detector(dep, _rng(12), x, y, epochs=200, seed=5)
+    model, stats = train_detector(_rng(12), x, y, epochs=200, seed=5)
     return dep, model, stats, area
 
 

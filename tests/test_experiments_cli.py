@@ -144,9 +144,33 @@ def test_cli_run_exits_2_when_a_replication_fails(small_cfg, tmp_path, monkeypat
     err = capsys.readouterr().err
     assert "poisoned replication" in err
     assert f'"seed": {poisoned}' in err
+    assert "first (discovery, RuntimeError)" in err
     report = load_report(out / "discovery_report.json")
     assert [r["replication"] for r in report.rows] == [0]
     assert [e["replication"] for e in report.errors] == [1]
+    assert report.errors[0]["error_type"] == "RuntimeError"
+
+
+@pytest.mark.parametrize("experiment,target,error", [
+    ("detection", "synthesize_trace", KeyError),
+    ("spectrum", "SpectrumSim", ZeroDivisionError),
+    ("discovery", "run_discovery_replication", OverflowError),
+])
+def test_every_runner_records_the_error_type(small_cfg, tmp_path, monkeypatch, experiment,
+                                             target, error):
+    import crahnsim.experiments as experiments
+
+    def fail(*args, **kwargs):
+        raise error("injected")
+    monkeypatch.setattr(experiments, target, fail)
+    # the detector is trained outside the per-replication guard; skip the training
+    monkeypatch.setattr(experiments, "train_detection_model",
+                        lambda cfg, seed, c: (None, None, {}, None))
+    cfg = load_scenario(small_cfg)
+    (report,) = run_experiment(cfg, experiment, replications=1, out_dir=str(tmp_path))
+    assert report.errors and not report.rows
+    loaded = load_report(tmp_path / f"{experiment}_report.json")
+    assert [e["error_type"] for e in loaded.errors] == [error.__name__] * len(report.errors)
 
 
 def test_cli_validate_rejects_nan(tmp_path, capsys):

@@ -3,7 +3,8 @@
 The reference functions below are the scalar, one-record-at-a-time and
 per-neighbour forms: sensor synthesis one instant and one sensor at a time,
 per-cluster reduction over Python lists, an `order=True` dataclass event
-heap, and one MAC delay draw per neighbour. The fast paths must give the same
+heap, one MAC delay draw per neighbour, and a spectrum simulation with one
+kernel event per primary-user toggle. The fast paths must give the same
 floats, the same draw order and the same event trace.
 """
 
@@ -15,13 +16,17 @@ from typing import Callable, Optional
 import numpy as np
 import pytest
 
-from crahnsim.detection import (POLL_PERIOD_S, ClusterReport, Deployment, DisasterEvent,
-                                NOISE_SIGMA, SIGNAL_DECAY_M, context_record, deploy,
-                                make_training_set, sensor_magnitudes, sink_collect,
-                                window_times)
+from crahnsim import spectrum
+from crahnsim.detection import (POLL_PERIOD_S, Deployment, DisasterEvent, NOISE_SIGMA,
+                                SIGNAL_DECAY_M, context_record, deploy, make_training_set,
+                                sensor_magnitudes, window_times)
 from crahnsim.kernel import Kernel, PastTimeError
-from crahnsim.mobility import Area, NodeState
+from crahnsim.mlp import Mlp, TrainConfig, train
+from crahnsim.mobility import (Area, NodeState, friis_received_power, place_uniform,
+                               step_waypoint)
 from crahnsim.routing import Network
+from crahnsim.spectrum import (EPSILON_DBM_DISTANCE, Channel, SpectrumHole, SpectrumParams,
+                               SpectrumSim, SuAssignment, select_hole, switching_time_metric)
 
 
 def _rng(seed):
@@ -49,11 +54,10 @@ def ref_context_record(dep, t, events, noise_rng, samples_per_window=5):
         mags = ref_sensor_magnitudes(dep, ts, events, noise_rng)
         for i, m in enumerate(mags):
             per_cluster.setdefault(int(dep.membership[i]), []).append(float(m))
-    reports = []
-    for cid, vals in sorted(per_cluster.items()):
-        reports.append(ClusterReport(cid, t - POLL_PERIOD_S, t, float(np.mean(vals)),
-                                     float(np.max(vals)), len(vals)))
-    return sink_collect(reports, dep.cluster_count)
+    vec = np.zeros(3 * dep.cluster_count)
+    for cid, vals in per_cluster.items():
+        vec[3 * cid:3 * cid + 3] = (float(np.mean(vals)), float(np.max(vals)), len(vals))
+    return vec
 
 
 def ref_make_training_set(dep, rng, area, intensity, positives=500, negatives=500):
@@ -297,3 +301,343 @@ def test_broadcast_matches_per_neighbour_draws(loss_rate):
     ref = _broadcast_run(loss_rate, ref_broadcast)
     assert len(ref[0]) > 100
     assert fast == ref
+
+
+# -- reference: one kernel event per primary-user toggle ------------------------
+
+@dataclass
+class RefUsageLog:
+    channel_index: int
+    n: int
+    durations: list = field(default_factory=list)  # oldest -> newest busy durations
+    signal_strength_dbm: float = -60.0
+    mobility_mps: float = 0.0
+    state: str = "idle"
+    state_since: float = 0.0
+    last_session_end: float = 0.0
+
+
+def ref_record_session(log, start, end):
+    if end <= start or start < log.last_session_end:
+        raise ValueError((start, end))
+    log.durations.append(end - start)
+    del log.durations[:max(0, len(log.durations) - log.n)]
+    log.last_session_end = end
+
+
+def ref_extract_features(log, t):
+    if log.state != "idle":
+        raise ValueError(t)
+    padded = [0.0] * (log.n - len(log.durations)) + list(log.durations)
+    return np.array(padded + [log.signal_strength_dbm, log.mobility_mps, t - log.state_since])
+
+
+def ref_received_dbm(pu, su, wavelength_m):
+    d = max(pu.distance_to(su), EPSILON_DBM_DISTANCE)
+    p_w = friis_received_power(pu.tx_power_w, 1.0, 1.0, wavelength_m, d)
+    return 10.0 * math.log10(p_w * 1000.0)
+
+
+def ref_spectrum_holes(channels, logs, t):
+    return [SpectrumHole(ch.index, logs[ch.licensed_pu].state_since) for ch in channels
+            if logs[ch.licensed_pu].state == "idle"]
+
+
+class RefSpectrumSim:
+    """Every PU toggle is a kernel event that draws the next duration, updates
+    a usage log, opens or closes a warm-up sample and evicts or serves SUs."""
+
+    def __init__(self, kernel, params, pu_schedules=None):
+        self.k = kernel
+        self.p = params
+        self.area = Area()
+        place_rng = kernel.stream("spectrum-placement")
+        self.pus = place_uniform(params.pu_count, self.area, place_rng, role="primary-user")
+        self.sus = place_uniform(params.su_count, self.area, place_rng,
+                                 role="rescue-SU", start_id=params.pu_count)
+        self.channels = [Channel(i, self.pus[i].id) for i in range(params.pu_count)]
+        self.logs = {pu.id: RefUsageLog(i, params.n_window) for i, pu in enumerate(self.pus)}
+        scale_rng = kernel.stream("pu-params")
+        self.scales = {pu.id: scale_rng.uniform(*params.scale_range) for pu in self.pus}
+        self.activity_rng = kernel.stream("pu-activity")
+        self.choice_rng = kernel.stream("hole-choice")
+        self.model = Mlp.init([params.n_window + 3, params.hidden_units, 1],
+                              kernel.stream("scorer-init"), output_activation="identity")
+        self.model_trained = False
+        self.refits = 0
+        self.assignments = []
+        self.open_by_channel = {}
+        self.waiting = []
+        self.buffer_x = []
+        self.buffer_y = []
+        self._since_refit = 0
+        self._passive_open = {}
+        self._busy_start = {}
+        self._schedules = pu_schedules
+        self._sched_pos = {pu.id: 0 for pu in self.pus}
+        self._su_started = False
+
+    def start(self):
+        for pu in self.pus:
+            self._schedule_toggle(pu.id)
+        self.k.schedule(self.p.su_start_s, self._start_sus, kind="su-start")
+        self.k.schedule(self.p.mobile_step_s, self._mobility_step, kind="mobility")
+
+    def _next_duration(self, pu_id):
+        if self._schedules is not None:
+            seq = self._schedules[pu_id]
+            pos = self._sched_pos[pu_id]
+            self._sched_pos[pu_id] = pos + 1
+            return seq[pos] if pos < len(seq) else float("inf")
+        return float(self.activity_rng.exponential(self.scales[pu_id]))
+
+    def _schedule_toggle(self, pu_id):
+        dur = self._next_duration(pu_id)
+        if not math.isinf(dur):
+            self.k.schedule(self.k.now + dur, lambda p=pu_id: self._toggle(p),
+                            target=f"pu{pu_id}", kind="pu-toggle")
+
+    def _mobility_step(self):
+        rng = self.k.stream("mobility")
+        for node in self.pus + self.sus:
+            step_waypoint(node, self.k.now, self.p.mobile_step_s, rng, self.area)
+        if self.k.now + self.p.mobile_step_s <= self.k.end:
+            self.k.schedule(self.k.now + self.p.mobile_step_s, self._mobility_step,
+                            kind="mobility")
+
+    def _toggle(self, pu_id):
+        log = self.logs[pu_id]
+        now = self.k.now
+        if log.state == "idle":
+            feats = self._passive_open.pop(pu_id, None)
+            if feats is not None:
+                self._add_sample(feats, now - log.state_since)
+            log.state = "transmitting"
+            log.state_since = now
+            self._busy_start[pu_id] = now
+            open_list = self.open_by_channel.pop(log.channel_index, [])
+            for a in open_list:
+                a.evicted_at = now
+                self._add_sample(a.selection_features, now - a.assigned_at)
+            for a in open_list:
+                self._select_for(a.su_id, now)
+        else:
+            ref_record_session(log, self._busy_start[pu_id], now)
+            log.state = "idle"
+            log.state_since = now
+            pu = self.pus[log.channel_index]
+            if self.sus:
+                log.signal_strength_dbm = ref_received_dbm(pu, self.sus[0], self.p.wavelength_m)
+            log.mobility_mps = pu.speed
+            if not self._su_started:
+                self._passive_open[pu_id] = ref_extract_features(log, now)
+            else:
+                waiting, self.waiting = self.waiting, []
+                for su_id in waiting:
+                    self._select_for(su_id, now)
+        self._schedule_toggle(pu_id)
+
+    def _add_sample(self, features, realized_idle):
+        self.buffer_x.append(features)
+        self.buffer_y.append(realized_idle)
+        if len(self.buffer_x) > self.p.buffer_cap:
+            del self.buffer_x[0]
+            del self.buffer_y[0]
+        self._since_refit += 1
+        if self._su_started and self._since_refit >= self.p.refit_interval:
+            self._refit()
+
+    def _refit(self):
+        self._since_refit = 0
+        if self.p.policy != "mlp-history" or len(self.buffer_x) < 10:
+            return
+        self.refits += 1
+        x = np.array(self.buffer_x)
+        y = np.array(self.buffer_y)[:, None]
+        epochs = self.p.refit_epochs if self.model_trained else self.p.train_epochs
+        cfg = TrainConfig(learning_rate=self.p.learning_rate, epochs=epochs,
+                          seed=self.k.seed, loss="squared")
+        train(self.model, (x, y), cfg, standardize=not self.model_trained)
+        self.model_trained = True
+
+    def _start_sus(self):
+        self._su_started = True
+        self._refit()
+        for su in self.sus:
+            self._select_for(su.id, self.k.now)
+
+    def _hole_features(self, su_id, hole, now):
+        log = self.logs[self.channels[hole.channel_index].licensed_pu]
+        pu = self.pus[hole.channel_index]
+        feats = ref_extract_features(log, now)
+        feats[log.n] = ref_received_dbm(pu, self.sus[su_id - self.p.pu_count],
+                                        self.p.wavelength_m)
+        feats[log.n + 1] = pu.speed
+        return feats
+
+    def _select_for(self, su_id, now):
+        holes = ref_spectrum_holes(self.channels, self.logs, now)
+        if not holes:
+            if su_id not in self.waiting:
+                self.waiting.append(su_id)
+            return
+        if self.p.policy == "mlp-history":
+            feats = {h.channel_index: self._hole_features(su_id, h, now) for h in holes}
+            batch = self.model._standardize(np.array(list(feats.values())))
+            raw = self.model._forward_acts(batch)[-1][:, 0]
+            scores = {ci: max(0.0, float(r)) for ci, r in zip(feats, raw)}
+            chosen = select_hole(holes, scores, "mlp-history")
+            features = feats[chosen]
+        else:
+            chosen = select_hole(holes, None, "random-baseline", self.choice_rng)
+            features = self._hole_features(
+                su_id, next(h for h in holes if h.channel_index == chosen), now)
+        a = SuAssignment(su_id=su_id, channel_index=chosen, assigned_at=now,
+                         policy=self.p.policy, selection_features=features)
+        self.assignments.append(a)
+        self.open_by_channel.setdefault(chosen, []).append(a)
+
+    def metric(self):
+        return switching_time_metric(self.assignments, self.k.end)
+
+
+def _run_spectrum(make, seed, params, end, schedules=None, until=None):
+    kernel = Kernel(seed=seed, end=end)
+    sim = make(kernel, params, pu_schedules=schedules)
+    sim.start()
+    kernel.run_until(end if until is None else until)
+    return sim
+
+
+def _run_timeline(monkeypatch, seed, params, end, schedules=None, until=None):
+    """The timeline `SpectrumSim`, counting its scorer trainings."""
+    refits = []
+
+    def counting_train(*args, **kwargs):
+        refits.append(1)
+        return train(*args, **kwargs)
+    monkeypatch.setattr(spectrum, "train", counting_train)
+    sim = _run_spectrum(SpectrumSim, seed, params, end, schedules, until)
+    monkeypatch.undo()
+    return sim, len(refits)
+
+
+def _outcome(sim, refits):
+    metric = sim.metric()
+    return {
+        "assignments": [(a.su_id, a.channel_index, a.assigned_at, a.evicted_at,
+                         np.asarray(a.selection_features, dtype=float).tobytes())
+                        for a in sim.assignments],
+        "buffer_x": [np.asarray(x, dtype=float).tobytes() for x in sim.buffer_x],
+        "buffer_y": np.array(sim.buffer_y, dtype=float).tobytes(),
+        "refits": refits,
+        "metric": (metric["count"], np.float64(metric["mean"]).tobytes(),
+                   np.array(metric["samples"], dtype=float).tobytes()),
+        "model": [w.tobytes() for w in sim.model.weights + sim.model.biases],
+    }
+
+
+def _assert_same_outcome(monkeypatch, seed, params, end, schedules=None):
+    copy = None if schedules is None else {k: list(v) for k, v in schedules.items()}
+    ref = _run_spectrum(RefSpectrumSim, seed, params, end, copy)
+    fast = _outcome(*_run_timeline(monkeypatch, seed, params, end, schedules))
+    expected = _outcome(ref, ref.refits)
+    assert fast == expected
+    return fast
+
+
+@pytest.mark.parametrize("su_start_s", [0.0, 37.3, 100.0])
+@pytest.mark.parametrize("pu_count", [1, 5, 25])
+@pytest.mark.parametrize("policy", ["mlp-history", "random-baseline"])
+def test_spectrum_timeline_matches_event_per_toggle(monkeypatch, policy, pu_count, su_start_s):
+    params = SpectrumParams(pu_count=pu_count, su_count=4, policy=policy,
+                            su_start_s=su_start_s, refit_interval=40)
+    evictions = 0
+    for seed in (3, 17, 29):
+        out = _assert_same_outcome(monkeypatch, seed, params, 240.0)
+        evictions += sum(a[3] is not None for a in out["assignments"])
+    assert evictions > 0
+    if policy == "mlp-history" and pu_count > 1:
+        assert out["refits"] > 1
+
+
+EDGE_SCHEDULES = {
+    # off the 5 s mobility grid and free of ties, so every order is the same
+    "exhausted": {0: [12.3, 4.1, 7.7, math.inf, 3.0], 1: [2.2, 30.9, 11.1],
+                  2: [0.7, 1.3, 2.9, 8.6, 14.2, 3.3, 6.1, 9.9]},
+    "pu-without-toggles": {0: [], 1: [3.3, 11.9, 21.9, 42.1], 2: [6.6, 1.2]},
+}
+
+
+@pytest.mark.parametrize("su_start_s", [0.0, 37.3, 100.0])
+@pytest.mark.parametrize("policy", ["mlp-history", "random-baseline"])
+@pytest.mark.parametrize("name", sorted(EDGE_SCHEDULES))
+def test_spectrum_hand_schedules_match_event_per_toggle(monkeypatch, name, policy,
+                                                        su_start_s):
+    params = SpectrumParams(pu_count=3, su_count=2, policy=policy, su_start_s=su_start_s,
+                            refit_interval=2)
+    for seed in (4, 9):
+        out = _assert_same_outcome(monkeypatch, seed, params, 300.0, EDGE_SCHEDULES[name])
+        assert out["assignments"]
+
+
+def test_spectrum_su_start_past_horizon(monkeypatch):
+    # no SU ever starts: nothing is assigned and the scorer never trains. The
+    # reference fills its buffer with warm-up samples nothing reads; the
+    # timeline adds warm-up samples at SU start, so its buffer stays empty.
+    params = SpectrumParams(pu_count=5, su_count=3, su_start_s=400.0)
+    ref = _run_spectrum(RefSpectrumSim, 8, params, 300.0)
+    sim, refits = _run_timeline(monkeypatch, 8, params, 300.0)
+    fast, expected = _outcome(sim, refits), _outcome(ref, ref.refits)
+    assert ref.buffer_x and not sim.buffer_x
+    for key in ("assignments", "refits", "metric", "model"):
+        assert fast[key] == expected[key]
+    assert fast["assignments"] == [] and fast["refits"] == 0
+
+
+@pytest.mark.parametrize("scale", [0.2, 1.37, 2.6])
+def test_block_exponentials_equal_scalar_draws(scale):
+    block, scalar = _rng(31), _rng(31)
+    drawn = (block.standard_exponential(2500) * scale).tolist()
+    assert drawn == [float(scalar.exponential(scale)) for _ in range(2500)]
+    assert block.random() == scalar.random()
+
+
+def test_spectrum_tie_order_on_hand_schedules():
+    """Drawn toggle times never tie; hand-written ones can. Two ties, pinned.
+
+    1. A busy start on a mobility tick (t = 5). The reference's toggle event
+       was scheduled at t = 0, before the tick, so it evicts with the old
+       positions. The timeline arms the event when the SU is assigned (t = 1),
+       after the tick at 5 was scheduled (t = 0, at start), so the evicted SU
+       reselects with the positions and speeds the tick set.
+    2. Two toggles at one instant (t = 41): the SU's channel goes busy while
+       the only other channel also goes busy. The reference runs the two
+       toggles one after the other, and between them it assigns the SU to the
+       second channel and evicts it at once. On the timeline both toggles have
+       happened for every event at 41: the SU waits until t = 61.
+    """
+    params = SpectrumParams(pu_count=2, su_count=1, policy="random-baseline", su_start_s=1.0)
+    n = params.n_window
+    tick = {0: [5.0, 50.0], 1: [0.5, 2.0]}
+    ref = _run_spectrum(RefSpectrumSim, 5, params, 60.0, {k: list(v) for k, v in tick.items()},
+                        until=5.0)
+    sim = _run_spectrum(SpectrumSim, 5, params, 60.0, tick, until=5.0)
+    for s in (ref, sim):
+        assert [(a.channel_index, a.assigned_at, a.evicted_at) for a in s.assignments] == [
+            (0, 1.0, 5.0), (1, 5.0, None)]
+    moved_speed = sim.pus[1].speed
+    assert moved_speed > 0.0  # the tick at 5 started the PU moving
+    assert ref.assignments[1].selection_features[n + 1] == 0.0
+    assert sim.assignments[1].selection_features[n + 1] == moved_speed
+    assert sim.assignments[1].selection_features[n] == ref_received_dbm(
+        sim.pus[1], sim.sus[0], params.wavelength_m)
+
+    same_instant = {0: [41.0, 20.0], 1: [0.5, 1.0, 39.5, 30.0]}
+    ref = _run_spectrum(RefSpectrumSim, 5, params, 100.0,
+                        {k: list(v) for k, v in same_instant.items()})
+    sim = _run_spectrum(SpectrumSim, 5, params, 100.0, same_instant)
+    assert [(a.channel_index, a.assigned_at, a.evicted_at) for a in ref.assignments] == [
+        (0, 1.0, 41.0), (1, 41.0, 41.0), (0, 61.0, None)]
+    assert [(a.channel_index, a.assigned_at, a.evicted_at) for a in sim.assignments] == [
+        (0, 1.0, 41.0), (0, 61.0, None)]

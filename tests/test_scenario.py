@@ -1,8 +1,11 @@
 """Scenario file loading: defaults, validation, key rejection."""
 
+import string
 from dataclasses import fields
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from crahnsim.scenario import ScenarioConfig, ScenarioError, load_scenario
 
@@ -115,3 +118,70 @@ def test_negative_time_is_rejected_but_zero_allowed(tmp_path, section, key):
     with pytest.raises(ScenarioError, match=rf"^{key}: must be >= 0"):
         _load(tmp_path, f"[{section}]\n{key} = -1\n")
     assert getattr(getattr(_load(tmp_path, f"[{section}]\n{key} = 0\n"), section), key) == 0.0
+
+
+# what `validate` requires of each numeric key, the other keys at their defaults
+_RULES = {
+    "positive": ("sim_time_s", "area_width_m", "area_height_m", "radio_range_m",
+                 "beacon_interval_s", "v_max_mps", "intensity", "scale_min", "scale_max",
+                 "advert_interval_s", "service_ttl_s"),
+    "non-negative": ("v_min_mps", "pause_max_s", "su_start_s"),
+    "at-least-one": ("replications", "sensor_count", "disaster_count", "su_count",
+                     "n_window", "node_count", "service_count", "query_count",
+                     "advert_hops"),
+    "entries-at-least-one": ("cluster_counts", "pu_counts"),
+    "any-integer": ("seed",),
+}
+_RULE_OF = {key: rule for rule, keys in _RULES.items() for key in keys}
+_SECTION_OF = {f.name: section for section, block in ScenarioConfig().__dict__.items()
+               for f in fields(block)}
+
+
+def test_invalid_value_rules_cover_every_numeric_key():
+    numeric = {f.name for block in ScenarioConfig().__dict__.values() for f in fields(block)
+               if not isinstance(getattr(block, f.name), (str, tuple))
+               or f.name in ("cluster_counts", "pu_counts")}
+    assert set(_RULE_OF) == numeric
+
+
+def _is_number(text):
+    try:
+        float(text)
+    except ValueError:
+        return False
+    return True
+
+
+_NON_NUMERIC = st.text(alphabet=string.ascii_letters + string.digits + string.punctuation + " ",
+                       max_size=12).filter(lambda t: not _is_number(t))
+_NON_FINITE = st.sampled_from(["nan", "NaN", "inf", "-inf", "+Infinity", "-infinity"])
+_NEGATIVE_FLOAT = st.floats(min_value=1e-300, max_value=1e300).map(lambda x: repr(-x))
+_NEGATIVE_INT = st.integers(max_value=-1).map(str)
+
+
+def _invalid_values(rule):
+    if rule == "any-integer":
+        return st.one_of(_NON_NUMERIC, _NON_FINITE)
+    if rule == "entries-at-least-one":
+        # empty entries are skipped, as after a trailing comma
+        bad_entry = st.one_of(_NON_NUMERIC.filter(lambda t: t.strip() and "," not in t),
+                              _NON_FINITE, _NEGATIVE_INT, st.just("0"))
+        return st.tuples(st.lists(st.integers(1, 30).map(str), max_size=3), bad_entry).map(
+            lambda parts: ", ".join(parts[0] + [parts[1]]))
+    if rule == "at-least-one":
+        return st.one_of(_NON_NUMERIC, _NON_FINITE, _NEGATIVE_INT, st.just("0"))
+    bad = [_NON_NUMERIC, _NON_FINITE, _NEGATIVE_FLOAT]
+    if rule == "positive":
+        bad.append(st.sampled_from(["0", "0.0", "-0.0"]))
+    return st.one_of(bad)
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_invalid_numeric_value_is_rejected_naming_the_key(tmp_path, data):
+    key = data.draw(st.sampled_from(sorted(_RULE_OF)), label="key")
+    raw = data.draw(_invalid_values(_RULE_OF[key]), label="value")
+    with pytest.raises(ScenarioError) as err:
+        _load(tmp_path, f"[{_SECTION_OF[key]}]\n{key} = {raw}\n")
+    assert key in str(err.value).split(":")[0]

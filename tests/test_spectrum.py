@@ -1,17 +1,15 @@
-"""Spectrum management: usage logs, hole detection, selection policies,
+"""Spectrum management: PU timelines, hole detection, selection policies,
 switching-time metric, and the event-driven simulation against schedule oracles."""
 
 import numpy as np
 import pytest
 
-from crahnsim.kernel import Kernel
 from crahnsim.mlp import Mlp, TrainConfig, train
-from crahnsim.spectrum import (Channel, NoSpectrumError, PuUsageLog,
-                               SpectrumHole, SpectrumParams, SpectrumSim,
-                               SuAssignment, extract_features, record_session,
-                               run_spectrum_replication, score_hole,
-                               select_hole, spectrum_holes,
-                               switching_time_metric)
+from crahnsim.spectrum import (Channel, NoSpectrumError, SpectrumHole,
+                               SpectrumParams, SuAssignment,
+                               extract_features, run_spectrum_replication,
+                               schedule_toggle_times, score_hole, select_hole,
+                               spectrum_holes, switching_time_metric)
 
 
 def _rng(seed):
@@ -19,64 +17,64 @@ def _rng(seed):
 
 
 def test_session_window_slides_to_newest_n():
-    log = PuUsageLog(pu_id=0, channel_index=0, n=3)
-    log.durations = [2.0, 4.0, 6.0]
-    log.last_session_end = 20.0
-    record_session(log, 21.0, 29.0)
-    assert log.durations == [4.0, 6.0, 8.0]
+    # busy periods of 2, 4, 6 and 8 s; a window of 3 keeps the newest three
+    times = [1.0, 3.0, 5.0, 9.0, 10.0, 16.0, 21.0, 29.0]
+    assert extract_features(times, 30.0, 3, -60.0, 0.0)[:3] == [4.0, 6.0, 8.0]
+    assert extract_features(times, 20.0, 3, -60.0, 0.0)[:3] == [2.0, 4.0, 6.0]
 
 
 def test_session_on_empty_log():
-    log = PuUsageLog(pu_id=0, channel_index=0)
-    record_session(log, 10.0, 12.5)
-    assert log.durations == [2.5]
-    assert log.last_session_end == 12.5
+    assert extract_features([10.0, 12.5], 13.0, 5, -60.0, 0.0)[:5] == [0.0] * 4 + [2.5]
+    assert extract_features([], 7.0, 5, -60.0, 0.0) == [0.0] * 5 + [-60.0, 0.0, 7.0]
 
 
 def test_reversed_and_overlapping_sessions_rejected():
-    log = PuUsageLog(pu_id=0, channel_index=0)
-    with pytest.raises(ValueError):
-        record_session(log, 5.0, 3.0)
-    record_session(log, 0.0, 4.0)
-    with pytest.raises(ValueError):
-        record_session(log, 3.0, 6.0)  # starts inside recorded history
+    # a period that does not move time forward would end a session before it
+    # starts, or start one inside recorded history
+    for durations in ([5.0, -2.0], [5.0, 0.0, 3.0], [float("nan")]):
+        with pytest.raises(ValueError):
+            schedule_toggle_times(durations, 100.0)
+    assert schedule_toggle_times([5.0, 2.0, float("inf"), 1.0], 100.0) == [5.0, 7.0]
+    assert schedule_toggle_times([5.0, 2.0, 90.0, 4.0], 97.0) == [5.0, 7.0, 97.0]
 
 
 def test_holes_empty_when_all_pus_transmit():
     channels = [Channel(0, 0), Channel(1, 1)]
-    logs = {i: PuUsageLog(pu_id=i, channel_index=i, state="transmitting")
-            for i in range(2)}
-    assert spectrum_holes(channels, logs, 5.0) == []
+    timelines = {0: [1.0], 1: [2.0, 3.0, 4.0]}
+    assert spectrum_holes(channels, timelines, 5.0) == []
 
 
 def test_channel_without_log_is_vacuously_a_hole():
-    holes = spectrum_holes([Channel(0, 9)], {}, 7.0)
+    # a PU that never toggles is idle since the beginning
+    holes = spectrum_holes([Channel(0, 9)], {9: []}, 7.0)
     assert holes == [SpectrumHole(channel_index=0, idle_since=0.0)]
 
 
 def test_holes_hand_schedule():
-    # PU0 busy 0-5 then idle from 5; PU1 idle from 0; queried at t=6
-    logs = {
-        0: PuUsageLog(pu_id=0, channel_index=0, state="idle", state_since=5.0),
-        1: PuUsageLog(pu_id=1, channel_index=1, state="idle", state_since=0.0),
-    }
-    holes = spectrum_holes([Channel(0, 0), Channel(1, 1)], logs, 6.0)
-    assert holes == [SpectrumHole(0, 5.0), SpectrumHole(1, 0.0)]
+    # PU0 busy 1-5 then idle from 5; PU1 idle from 0 until 8; queried at t=6
+    timelines = {0: [1.0, 5.0], 1: [8.0]}
+    channels = [Channel(0, 0), Channel(1, 1)]
+    assert spectrum_holes(channels, timelines, 6.0) == [SpectrumHole(0, 5.0),
+                                                        SpectrumHole(1, 0.0)]
+    # a toggle at exactly t has happened by t
+    assert spectrum_holes(channels, timelines, 5.0) == [SpectrumHole(0, 5.0),
+                                                        SpectrumHole(1, 0.0)]
+    assert spectrum_holes(channels, timelines, 8.0) == [SpectrumHole(0, 5.0)]
 
 
 def test_feature_layout_matches_definition():
-    log = PuUsageLog(pu_id=0, channel_index=0, n=5, state="idle", state_since=7.0,
-                     signal_strength_dbm=-60.0, mobility_mps=2.0)
-    log.durations = [4.0, 6.0, 8.0]
-    feats = extract_features(log, 10.0)
-    assert feats.tolist() == [0.0, 0.0, 4.0, 6.0, 8.0, -60.0, 2.0, 3.0]
-    assert feats.shape == (log.n + 3,)
+    # busy 1-5, 10-16 and 17-25: durations 4, 6, 8; idle since 25
+    times = [1.0, 5.0, 10.0, 16.0, 17.0, 25.0]
+    feats = extract_features(times, 28.0, 5, -60.0, 2.0)
+    assert feats == [0.0, 0.0, 4.0, 6.0, 8.0, -60.0, 2.0, 3.0]
+    assert len(feats) == 5 + 3
 
 
 def test_features_undefined_while_transmitting():
-    log = PuUsageLog(pu_id=0, channel_index=0, state="transmitting")
     with pytest.raises(ValueError):
-        extract_features(log, 1.0)
+        extract_features([1.0], 2.0, 5, -60.0, 0.0)
+    with pytest.raises(ValueError):
+        extract_features([1.0, 3.0, 4.0], 4.0, 5, -60.0, 0.0)
 
 
 def test_zero_model_scores_zero():
@@ -188,9 +186,17 @@ def test_simulation_window_discipline_and_alternation():
     params = SpectrumParams(pu_count=6, su_count=3, n_window=4,
                             policy="random-baseline", su_start_s=50.0)
     sim = run_spectrum_replication(seed=9, params=params, sim_time_s=400.0)
-    for log in sim.logs.values():
-        assert len(log.durations) <= log.n
-        assert all(d > 0 for d in log.durations)
+    for times in sim.timelines.values():
+        # toggles alternate idle -> busy -> idle at strictly increasing times
+        assert all(b > a for a, b in zip(times, times[1:]))
+        assert times and times[-1] <= 400.0
+    assert sim.assignments and sim.buffer_x
+    for feats in [a.selection_features for a in sim.assignments] + sim.buffer_x:
+        durations = list(feats[:params.n_window])
+        assert len(feats) == params.n_window + 3
+        # at most n durations, zero-padded oldest-first, each positive
+        padding = next((i for i, d in enumerate(durations) if d != 0.0), len(durations))
+        assert all(d > 0 for d in durations[padding:])
 
 
 def test_policy_runs_are_seed_deterministic():
@@ -206,19 +212,13 @@ def test_policy_runs_are_seed_deterministic():
 
 def test_mlp_policy_never_selects_busy_channel():
     params = SpectrumParams(pu_count=10, su_count=4, policy="mlp-history")
-    kernel = Kernel(seed=6, end=300.0)
-    sim = SpectrumSim(kernel, params)
-    checked = []
-    original = sim._select_for
-
-    def guarded(su_id, now):
-        original(su_id, now)
-        if sim.assignments and sim.assignments[-1].assigned_at == now:
-            a = sim.assignments[-1]
-            pu = sim.channels[a.channel_index].licensed_pu
-            checked.append(sim.logs[pu].state)
-
-    sim._select_for = guarded
-    sim.start()
-    kernel.run_until(300.0)
-    assert checked and all(state == "idle" for state in checked)
+    rng = _rng(6)
+    # alternating exponential periods, like the drawn activity, as a schedule
+    schedule = {pu: list(rng.exponential(rng.uniform(0.2, 2.6), 600)) for pu in range(10)}
+    sim = run_spectrum_replication(seed=6, params=params, sim_time_s=300.0,
+                                   pu_schedules=schedule)
+    busy = {pu: _busy_intervals(seq) for pu, seq in schedule.items()}
+    assert sim.model_trained and len(sim.assignments) > 100
+    for a in sim.assignments:
+        pu = sim.channels[a.channel_index].licensed_pu
+        assert not any(s <= a.assigned_at < e for s, e in busy[pu])
