@@ -98,7 +98,7 @@ def schedule_toggle_times(durations: list[float], end: float) -> list[float]:
     times = []
     t = 0.0
     for dur in durations:
-        if math.isinf(dur):
+        if dur == math.inf:
             break
         if not dur > 0:
             raise ValueError(f"PU period durations must be positive, got {dur}")
@@ -314,8 +314,8 @@ class SpectrumSim:
         now = self.k.now
         k = bisect_right(self.timelines[pu_id], now)
         if k % 2:
-            # idle -> transmitting; evictions happen after the state flips so a
-            # reselecting SU can never land back on this channel
+            # idle -> transmitting: the toggle at `now` counts, so SUs evicted
+            # here can never reselect this channel
             self._armed.discard(pu_id)
             warm = self._warm_open.pop(pu_id, None)
             if warm is not None:

@@ -31,7 +31,7 @@ def test_session_on_empty_log():
 def test_reversed_and_overlapping_sessions_rejected():
     # a period that does not move time forward would end a session before it
     # starts, or start one inside recorded history
-    for durations in ([5.0, -2.0], [5.0, 0.0, 3.0], [float("nan")]):
+    for durations in ([5.0, -2.0], [5.0, 0.0, 3.0], [float("nan")], [float("-inf")]):
         with pytest.raises(ValueError):
             schedule_toggle_times(durations, 100.0)
     assert schedule_toggle_times([5.0, 2.0, float("inf"), 1.0], 100.0) == [5.0, 7.0]
