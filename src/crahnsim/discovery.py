@@ -5,7 +5,7 @@ RREQ duplicate/improvement discipline so the reply also installs a usable
 route toward the provider (no separate route discovery afterwards).
 """
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 from .routing import AodvNode, Network
@@ -115,6 +115,8 @@ class DiscoveryNode(AodvNode):
         self._sreq_best: dict[int, int] = {}  # query_id -> best hop count seen
         self._next_qid = 0
         self._open_queries: dict[int, dict] = {}
+        self._app_handlers = {AdvertMsg: self._on_advert, SreqMsg: self._on_sreq,
+                              SrepMsg: self._on_srep}
 
     # -- hosting and advertisement -------------------------------------------
 
@@ -134,7 +136,10 @@ class DiscoveryNode(AodvNode):
     def advertise(self) -> None:
         for base in self.hosted.values():
             base.provider_seq += 1
-            desc = replace(base, advertised_route=[self.id], issued_at=self.net.k.now)
+            desc = ServiceDescriptor(
+                service_id=base.service_id, provider=base.provider,
+                ontology_tag=base.ontology_tag, advertised_route=[self.id],
+                issued_at=self.net.k.now, ttl_s=base.ttl_s, provider_seq=base.provider_seq)
             self.net.broadcast(self.id, AdvertMsg(descriptor=desc, hops_left=self.advert_hops))
 
     # -- cache ----------------------------------------------------------------
@@ -142,16 +147,24 @@ class DiscoveryNode(AodvNode):
     def lookup_local(self, service_id: Optional[str] = None,
                      ontology_tag: Optional[str] = None) -> Optional[ServiceCacheEntry]:
         """Unexpired match: exact service-id first, ontology tag as fallback;
-        ties broken by fewest route hops. Sends zero network messages."""
+        ties broken by fewest route hops, then lowest provider, then cache
+        order. Sends zero network messages."""
         now = self.net.k.now
-        live = [e for e in self.cache.values() if e.expires_at > now]
-        for predicate in ((lambda e: service_id is not None and e.descriptor.service_id == service_id),
-                          (lambda e: ontology_tag is not None and e.descriptor.ontology_tag == ontology_tag)):
-            hits = [e for e in live if predicate(e)]
-            if hits:
-                return min(hits, key=lambda e: (len(e.descriptor.advertised_route),
-                                                e.descriptor.provider))
-        return None
+        best, best_key = None, None
+        for entry in self.cache.values():
+            desc = entry.descriptor
+            if service_id is not None and desc.service_id == service_id:
+                rank = 0
+            elif ontology_tag is not None and desc.ontology_tag == ontology_tag:
+                rank = 1
+            else:
+                continue
+            if entry.expires_at <= now:
+                continue
+            key = (rank, len(desc.advertised_route), desc.provider)
+            if best_key is None or key < best_key:
+                best, best_key = entry, key
+        return best
 
     # -- discovery ------------------------------------------------------------
 
@@ -175,8 +188,7 @@ class DiscoveryNode(AodvNode):
             if callback:
                 callback(result)
             return query
-        timeout_id = self.net.k.schedule(query.deadline,
-                                         lambda: self._query_timeout(qid),
+        timeout_id = self.net.k.schedule(query.deadline, self._query_timeout, args=(qid,),
                                          target=f"n{self.id}", kind="query-timeout")
         self.sequence += 1
         self._open_queries[qid] = {"query": query, "callback": callback,
@@ -205,12 +217,10 @@ class DiscoveryNode(AodvNode):
     # -- message handling ------------------------------------------------------
 
     def app_receive(self, msg, from_id: int) -> None:
-        if isinstance(msg, AdvertMsg):
-            self._on_advert(msg, from_id)
-        elif isinstance(msg, SreqMsg):
-            self._on_sreq(msg, from_id)
-        elif isinstance(msg, SrepMsg):
-            self._on_srep(msg, from_id)
+        """Dispatch on the exact message type; other types are dropped."""
+        handler = self._app_handlers.get(type(msg))
+        if handler is not None:
+            handler(msg, from_id)
 
     def _on_advert(self, msg: AdvertMsg, from_id: int) -> None:
         desc = msg.descriptor
@@ -218,7 +228,10 @@ class DiscoveryNode(AodvNode):
         if key in self._advert_seen or desc.provider == self.id:
             return
         self._advert_seen.add(key)
-        desc = replace(desc, advertised_route=desc.advertised_route + [self.id])
+        desc = ServiceDescriptor(
+            service_id=desc.service_id, provider=desc.provider, ontology_tag=desc.ontology_tag,
+            advertised_route=desc.advertised_route + [self.id], issued_at=desc.issued_at,
+            ttl_s=desc.ttl_s, provider_seq=desc.provider_seq)
         self.cache[(desc.service_id, desc.provider)] = ServiceCacheEntry(
             descriptor=desc, learned_at=self.net.k.now)
         # the carried route doubles as a route to the provider
@@ -250,8 +263,10 @@ class DiscoveryNode(AodvNode):
                 dist_to_provider=dist, hop_count=0))
             return
         if msg.ttl > 1:
-            self.net.broadcast(self.id, replace(
-                msg, hop_count=msg.hop_count + 1, ttl=msg.ttl - 1))
+            self.net.broadcast(self.id, SreqMsg(
+                query_id=msg.query_id, requester=msg.requester, requester_seq=msg.requester_seq,
+                service_id=msg.service_id, ontology_tag=msg.ontology_tag,
+                hop_count=msg.hop_count + 1, ttl=msg.ttl - 1))
 
     def _send_srep(self, requester: int, msg: SrepMsg) -> None:
         entry = self.routes.get(requester)
@@ -274,5 +289,6 @@ class DiscoveryNode(AodvNode):
             if state["callback"]:
                 state["callback"](result)
             return
-        self._send_srep(msg.requester, replace(msg, dist_to_provider=dist,
-                                               hop_count=msg.hop_count + 1))
+        self._send_srep(msg.requester, SrepMsg(
+            query_id=msg.query_id, requester=msg.requester, descriptor=msg.descriptor,
+            dist_to_provider=dist, hop_count=msg.hop_count + 1))

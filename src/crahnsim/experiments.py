@@ -9,6 +9,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import mobility
 from .detection import (DisasterEvent, deploy, make_training_set,
                         run_detection_replication, synthesize_trace, train_detector)
 from .discovery import DiscoveryNode
@@ -200,14 +201,11 @@ def run_spectrum_experiment(cfg: ScenarioConfig, base_seed: int,
 @dataclass
 class DiscoveryRun:
     results: list
-    components: list
     providers: dict
 
 
 def run_discovery_replication(cfg: ScenarioConfig, seed: int,
                               node_count: int = None, area: Area = None) -> DiscoveryRun:
-    from .mobility import connectivity_components, neighbor_graph
-
     sim = cfg.simulation
     dc = cfg.discovery
     n = node_count or dc.node_count
@@ -249,25 +247,32 @@ def run_discovery_replication(cfg: ScenarioConfig, seed: int,
             kernel.schedule(offset, protos[pid].start_advertising, kind="advert-start")
 
     results = []
+    # component label per node id, computed from the adjacency object
+    # `labelled`; refresh_beacons replaces that object, so the labels are
+    # recomputed at most once per mobility tick
+    labelled, label = None, {}
+
+    def issue(requester, service):
+        nonlocal labelled, label
+        if labelled is not net.adjacency:
+            labelled = net.adjacency
+            label = {v: i for i, comp in enumerate(mobility.connectivity_components(labelled))
+                     for v in comp}
+        reachable = label[requester] == label[providers[service]]
+        protos[requester].discover(
+            service_id=service,
+            callback=lambda res, reach=reachable: results.append((res, reach)))
+
     query_rng = kernel.stream("queries")
     services = sorted(providers)
     for q in range(dc.query_count):
         at = float(query_rng.uniform(0.15 * sim_time, 0.9 * sim_time))
         requester = int(query_rng.choice([node.id for node in nodes]))
         service = services[int(query_rng.integers(0, len(services)))]
-
-        def issue(requester=requester, service=service, at=at):
-            snapshot = connectivity_components(net.adjacency)
-            comp = next(c for c in snapshot if requester in c)
-            reachable = providers[service] in comp
-            protos[requester].discover(
-                service_id=service,
-                callback=lambda res, reach=reachable: results.append((res, reach)))
-        kernel.schedule(at, issue, kind="query")
+        kernel.schedule(at, issue, args=(requester, service), kind="query")
 
     kernel.run_until(sim_time)
-    comps = connectivity_components(net.adjacency)
-    return DiscoveryRun(results=results, components=comps, providers=providers)
+    return DiscoveryRun(results=results, providers=providers)
 
 
 def run_discovery_experiment(cfg: ScenarioConfig, base_seed: int,

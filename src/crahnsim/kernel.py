@@ -1,8 +1,11 @@
 """Deterministic discrete-event engine: event queue, clock, named random streams.
 
-The queue is a binary heap of plain tuples `(at, id, fn, target, kind)`.
-Tuples compare element by element and ids are unique, so the heap orders by
-`(at, id)` and never compares the handler or its labels.
+The queue is a binary heap of plain tuples `(at, id, fn, args, target, kind)`;
+running an event calls `fn(*args)`, as in the standard library's
+`sched.enterabs(time, priority, action, argument=())`, so a caller passes its
+handler and arguments rather than building a closure per event. Tuples compare
+element by element and ids are unique, so the heap orders by `(at, id)` and
+never compares the handler, its arguments or its labels.
 """
 
 import hashlib
@@ -36,7 +39,7 @@ class Kernel:
         self.now = 0.0
         self.end = float(end)
         self.seed = int(seed)
-        self._heap: list[tuple] = []  # (at, id, fn, target, kind)
+        self._heap: list[tuple] = []  # (at, id, fn, args, target, kind)
         self._next_id = 1
         self._pending: set[int] = set()
         self._streams: dict[str, np.random.Generator] = {}
@@ -50,14 +53,15 @@ class Kernel:
             self._streams[label] = gen
         return gen
 
-    def schedule(self, at: float, fn: Callable[[], None], *,
+    def schedule(self, at: float, fn: Callable[..., None], *, args: tuple = (),
                  target: str = "system", kind: str = "event") -> int:
-        if at < self.now:
+        """Run `fn(*args)` at time `at`; returns the event id."""
+        if not at >= self.now:  # also rejects NaN, which no ordering could place
             raise PastTimeError(
                 f"cannot schedule at t={at} (clock is at t={self.now})")
         eid = self._next_id
         self._next_id = eid + 1
-        heapq.heappush(self._heap, (float(at), eid, fn, target, kind))
+        heapq.heappush(self._heap, (float(at), eid, fn, args, target, kind))
         self._pending.add(eid)
         return eid
 
@@ -75,13 +79,13 @@ class Kernel:
         """Execute all events with at <= t_end (closed interval); advance clock to t_end."""
         if t_end is None:
             t_end = self.end
-        if t_end < self.now:
+        if not t_end >= self.now:
             raise PastTimeError(
                 f"cannot run backwards to t={t_end} (clock is at t={self.now})")
         heap, pending, pop, trace = self._heap, self._pending, heapq.heappop, self.trace
         executed = 0
         while heap and heap[0][0] <= t_end:
-            at, eid, fn, target, kind = pop(heap)
+            at, eid, fn, args, target, kind = pop(heap)
             if eid not in pending:
                 continue  # cancelled
             pending.remove(eid)
@@ -89,7 +93,7 @@ class Kernel:
             if trace is not None:
                 trace.append(f"{at:.6f},{eid},{target},{kind}")
             if fn is not None:
-                fn()
+                fn(*args)
             executed += 1
         self.now = t_end
         return executed

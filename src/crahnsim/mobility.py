@@ -118,38 +118,34 @@ def friis_received_power(tx_power_w: float, gain_tx: float, gain_rx: float,
 
 def neighbor_graph(nodes: list[NodeState]) -> dict[int, set[int]]:
     """Symmetric, irreflexive adjacency: edge iff within both radios' range."""
-    adj: dict[int, set[int]] = {n.id: set() for n in nodes}
     if len(nodes) < 2:
-        return adj
+        return {n.id: set() for n in nodes}
+    ids = np.array([n.id for n in nodes])
     pos = np.array([[n.x, n.y] for n in nodes])
     rng_m = np.array([n.radio_range_m for n in nodes])
     d2 = np.sum((pos[:, None, :] - pos[None, :, :]) ** 2, axis=2)
     limit = np.minimum(rng_m[:, None], rng_m[None, :]) ** 2
-    ii, jj = np.nonzero(np.triu(d2 <= limit, k=1))
-    for i, j in zip(ii.tolist(), jj.tolist()):
-        adj[nodes[i].id].add(nodes[j].id)
-        adj[nodes[j].id].add(nodes[i].id)
-    return adj
+    # (a - b)**2 == (b - a)**2 exactly, so `within` is symmetric bit for bit
+    within = d2 <= limit
+    np.fill_diagonal(within, False)
+    rows, cols = np.nonzero(within)  # row-major: each row's neighbours are contiguous
+    nbr_ids = ids[cols].tolist()
+    ends = np.cumsum(np.bincount(rows, minlength=len(nodes))).tolist()
+    return {n.id: set(nbr_ids[start:end])
+            for n, start, end in zip(nodes, [0] + ends[:-1], ends)}
 
 
 def connectivity_components(graph: dict[int, set[int]]) -> list[set[int]]:
-    """Connected components via union-find; returns a partition of node ids."""
-    parent = {v: v for v in graph}
-
-    def find(v):
-        root = v
-        while parent[root] != root:
-            root = parent[root]
-        while parent[v] != root:
-            parent[v], v = root, parent[v]
-        return root
-
-    for a, nbrs in graph.items():
-        for b in nbrs:
-            ra, rb = find(a), find(b)
-            if ra != rb:
-                parent[rb] = ra
-    comps: dict[int, set[int]] = {}
-    for v in graph:
-        comps.setdefault(find(v), set()).add(v)
-    return sorted(comps.values(), key=lambda c: min(c))
+    """Connected components by graph search; a partition of node ids, sorted
+    by each component's smallest id."""
+    comps = []
+    unseen = set(graph)
+    while unseen:
+        comp = {unseen.pop()}
+        frontier = comp
+        while frontier:
+            frontier = set().union(*(graph[v] for v in frontier)) - comp
+            comp |= frontier
+        unseen -= comp
+        comps.append(comp)
+    return sorted(comps, key=min)

@@ -61,6 +61,7 @@ class Network:
                  hop_delay_s: tuple = DEFAULT_HOP_DELAY_S, loss_rate: float = 0.0):
         self.k = kernel
         self.nodes = {n.id: n for n in nodes}
+        self._targets = {n.id: f"n{n.id}" for n in nodes}  # event target label per node
         self.hop_delay_s = hop_delay_s
         self.loss_rate = loss_rate
         self.adjacency = neighbor_graph(nodes)
@@ -85,9 +86,8 @@ class Network:
         if dst not in self.adjacency.get(src, ()) or self._lost():
             return
         delay = self._delay()
-        self.k.schedule(self.k.now + delay,
-                        lambda: self._deliver(dst, src, msg),
-                        target=f"n{dst}", kind=type(msg).__name__.lower())
+        self.k.schedule(self.k.now + delay, self._deliver, args=(dst, src, msg),
+                        target=self._targets[dst], kind=type(msg).__name__.lower())
 
     def broadcast(self, src: int, msg) -> None:
         """Deliver to each current neighbor that the loss draw spares, in id
@@ -102,10 +102,9 @@ class Network:
         lo, hi = self.hop_delay_s
         delays = self.k.stream("mac-delay").uniform(lo, hi, size=len(nbrs)).tolist()
         kind = type(msg).__name__.lower()
-        k, now = self.k, self.k.now
+        schedule, now, deliver, targets = self.k.schedule, self.k.now, self._deliver, self._targets
         for nbr, delay in zip(nbrs, delays):
-            k.schedule(now + delay, lambda d=nbr: self._deliver(d, src, msg),
-                       target=f"n{nbr}", kind=kind)
+            schedule(now + delay, deliver, args=(nbr, src, msg), target=targets[nbr], kind=kind)
 
     def _deliver(self, dst: int, src: int, msg) -> None:
         proto = self.protocols.get(dst)
@@ -133,6 +132,7 @@ class AodvNode:
         self.rreq_forwards: dict[tuple, int] = {}
         self.dropped_rreps = 0
         self.delivered: list[tuple] = []  # (payload, origin, kind)
+        self._handlers = {Rreq: self._on_rreq, Rrep: self._on_rrep, DataMsg: self._on_data}
         network.attach(self)
 
     # -- route table ----------------------------------------------------------
@@ -182,14 +182,12 @@ class AodvNode:
     # -- receive dispatch -----------------------------------------------------
 
     def receive(self, msg, from_id: int) -> None:
-        if isinstance(msg, Rreq):
-            self._on_rreq(msg, from_id)
-        elif isinstance(msg, Rrep):
-            self._on_rrep(msg, from_id)
-        elif isinstance(msg, DataMsg):
-            self._on_data(msg, from_id)
-        else:
+        """Dispatch on the exact message type; any other type goes to `app_receive`."""
+        handler = self._handlers.get(type(msg))
+        if handler is None:
             self.app_receive(msg, from_id)
+        else:
+            handler(msg, from_id)
 
     def app_receive(self, msg, from_id: int) -> None:
         """Hook for higher layers (service discovery); default drops."""

@@ -157,7 +157,9 @@ def _convert(name: str, raw: str, default):
         if isinstance(default, float):
             return float(raw)
         if isinstance(default, tuple):
-            parts = [p.strip() for p in raw.split(",") if p.strip()]
+            parts = [p.strip() for p in raw.split(",")]
+            if not all(parts):
+                raise ValueError("empty entry")  # e.g. `1, , 2` or a trailing comma
             elem = default[0] if default else ""
             if isinstance(elem, int):
                 return tuple(int(p) for p in parts)

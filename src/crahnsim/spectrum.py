@@ -286,8 +286,7 @@ class SpectrumSim:
     # -- PU transitions that change an outcome ---------------------------------
 
     def _arm(self, pu_id: int, at: float) -> None:
-        self.k.schedule(at, lambda p=pu_id: self._toggle(p),
-                        target=f"pu{pu_id}", kind="pu-toggle")
+        self.k.schedule(at, self._toggle, args=(pu_id,), target=f"pu{pu_id}", kind="pu-toggle")
 
     def _arm_busy_start(self, pu_id: int, now: float) -> None:
         """Event at the end of the idle period PU `pu_id` is in at `now`."""

@@ -16,15 +16,18 @@ from typing import Callable, Optional
 import numpy as np
 import pytest
 
-from crahnsim import spectrum
+from crahnsim import experiments, mobility, routing, spectrum
 from crahnsim.detection import (POLL_PERIOD_S, Deployment, DisasterEvent, NOISE_SIGMA,
                                 SIGNAL_DECAY_M, context_record, deploy, make_training_set,
                                 sensor_magnitudes, window_times)
+from crahnsim.discovery import (AdvertMsg, DiscoveryNode, ServiceCacheEntry,
+                                ServiceDescriptor, SreqMsg, SrepMsg)
 from crahnsim.kernel import Kernel, PastTimeError
 from crahnsim.mlp import Mlp, TrainConfig, train
-from crahnsim.mobility import (Area, NodeState, friis_received_power, place_uniform,
-                               step_waypoint)
-from crahnsim.routing import Network
+from crahnsim.mobility import (Area, NodeState, connectivity_components, friis_received_power,
+                               neighbor_graph, place_uniform, step_waypoint)
+from crahnsim.routing import AodvNode, DataMsg, Network, Rrep, Rreq
+from crahnsim.scenario import ScenarioConfig
 from crahnsim.spectrum import (EPSILON_DBM_DISTANCE, Channel, SpectrumHole, SpectrumParams,
                                SpectrumSim, SuAssignment, select_hole, switching_time_metric)
 
@@ -184,7 +187,8 @@ class RefEvent:
     id: int
     target: str = field(compare=False, default="system")
     kind: str = field(compare=False, default="event")
-    fn: Optional[Callable[[], None]] = field(compare=False, default=None, repr=False)
+    fn: Optional[Callable[..., None]] = field(compare=False, default=None, repr=False)
+    args: tuple = field(compare=False, default=(), repr=False)
 
 
 class RefKernel:
@@ -195,10 +199,11 @@ class RefKernel:
         self._pending = set()
         self.trace = trace
 
-    def schedule(self, at, fn, *, target="system", kind="event"):
+    def schedule(self, at, fn, *, args=(), target="system", kind="event"):
         if at < self.now:
             raise PastTimeError(at)
-        ev = RefEvent(at=float(at), id=self._next_id, target=target, kind=kind, fn=fn)
+        ev = RefEvent(at=float(at), id=self._next_id, target=target, kind=kind, fn=fn,
+                      args=args)
         self._next_id += 1
         heapq.heappush(self._heap, ev)
         self._pending.add(ev.id)
@@ -220,7 +225,7 @@ class RefKernel:
             self.now = ev.at
             self.trace.append(f"{ev.at:.6f},{ev.id},{ev.target},{ev.kind}")
             if ev.fn is not None:
-                ev.fn()
+                ev.fn(*ev.args)
             executed += 1
         self.now = t_end
         return executed
@@ -228,25 +233,33 @@ class RefKernel:
 
 def _kernel_workload(k, seed):
     """Random schedules, children scheduled from handlers, ties, and cancels of
-    pending, already-run and already-cancelled events."""
+    pending, already-run and already-cancelled events. Half the events are
+    closures, half a shared handler with `args=`."""
     rng = _rng(seed)
     ids = []
     log = []
 
-    def handler(n):
-        def fire():
-            log.append(n)
-            r = rng.random()
-            if r < 0.4:
-                ids.append(k.schedule(k.now + float(rng.integers(0, 3)), handler(n * 10),
+    def fire(n, *extra):
+        log.append((n, extra) if extra else n)
+        r = rng.random()
+        if r < 0.4:
+            at = k.now + float(rng.integers(0, 3))
+            if n % 2:
+                ids.append(k.schedule(at, fire, args=(n * 10, "arg"),
                                       target=f"n{n % 7}", kind="child"))
-            elif r < 0.7 and ids:
-                log.append(("cancel", k.cancel(ids[int(rng.integers(0, len(ids)))])))
-        return fire
+            else:
+                ids.append(k.schedule(at, lambda m=n * 10: fire(m),
+                                      target=f"n{n % 7}", kind="child"))
+        elif r < 0.7 and ids:
+            log.append(("cancel", k.cancel(ids[int(rng.integers(0, len(ids)))])))
 
     for i in range(300):
         at = float(rng.integers(0, 50)) if i % 3 == 0 else float(rng.uniform(0, 50))
-        ids.append(k.schedule(at, handler(i), target=f"n{i % 5}", kind=f"k{i % 4}"))
+        if i % 2:
+            ids.append(k.schedule(at, fire, args=(i,), target=f"n{i % 5}", kind=f"k{i % 4}"))
+        else:
+            ids.append(k.schedule(at, lambda m=i: fire(m), target=f"n{i % 5}",
+                                  kind=f"k{i % 4}"))
     for _ in range(40):
         log.append(("cancel", k.cancel(ids[int(rng.integers(0, len(ids)))])))
     log.append(("run", k.run_until(25.0)))
@@ -301,6 +314,214 @@ def test_broadcast_matches_per_neighbour_draws(loss_rate):
     ref = _broadcast_run(loss_rate, ref_broadcast)
     assert len(ref[0]) > 100
     assert fast == ref
+
+
+# -- reference: edge-loop neighbour graph, union-find components, two-pass
+# -- cache lookup, isinstance dispatch ------------------------------------------
+
+def ref_neighbor_graph(nodes):
+    adj = {n.id: set() for n in nodes}
+    if len(nodes) < 2:
+        return adj
+    pos = np.array([[n.x, n.y] for n in nodes])
+    rng_m = np.array([n.radio_range_m for n in nodes])
+    d2 = np.sum((pos[:, None, :] - pos[None, :, :]) ** 2, axis=2)
+    limit = np.minimum(rng_m[:, None], rng_m[None, :]) ** 2
+    ii, jj = np.nonzero(np.triu(d2 <= limit, k=1))
+    for i, j in zip(ii.tolist(), jj.tolist()):
+        adj[nodes[i].id].add(nodes[j].id)
+        adj[nodes[j].id].add(nodes[i].id)
+    return adj
+
+
+def ref_connectivity_components(graph):
+    parent = {v: v for v in graph}
+
+    def find(v):
+        root = v
+        while parent[root] != root:
+            root = parent[root]
+        while parent[v] != root:
+            parent[v], v = root, parent[v]
+        return root
+
+    for a, nbrs in graph.items():
+        for b in nbrs:
+            ra, rb = find(a), find(b)
+            if ra != rb:
+                parent[rb] = ra
+    comps = {}
+    for v in graph:
+        comps.setdefault(find(v), set()).add(v)
+    return sorted(comps.values(), key=lambda c: min(c))
+
+
+def ref_lookup_local(node, service_id=None, ontology_tag=None):
+    now = node.net.k.now
+    live = [e for e in node.cache.values() if e.expires_at > now]
+    for predicate in ((lambda e: service_id is not None and e.descriptor.service_id == service_id),
+                      (lambda e: ontology_tag is not None
+                       and e.descriptor.ontology_tag == ontology_tag)):
+        hits = [e for e in live if predicate(e)]
+        if hits:
+            return min(hits, key=lambda e: (len(e.descriptor.advertised_route),
+                                            e.descriptor.provider))
+    return None
+
+
+def ref_receive(node, msg, from_id):
+    if isinstance(msg, Rreq):
+        node._on_rreq(msg, from_id)
+    elif isinstance(msg, Rrep):
+        node._on_rrep(msg, from_id)
+    elif isinstance(msg, DataMsg):
+        node._on_data(msg, from_id)
+    else:
+        node.app_receive(msg, from_id)
+
+
+def ref_app_receive(node, msg, from_id):
+    if isinstance(msg, AdvertMsg):
+        node._on_advert(msg, from_id)
+    elif isinstance(msg, SreqMsg):
+        node._on_sreq(msg, from_id)
+    elif isinstance(msg, SrepMsg):
+        node._on_srep(msg, from_id)
+
+
+def _scattered_nodes(rng, count, side=600.0):
+    """Nodes with non-contiguous ids in shuffled order and unequal radio ranges."""
+    ids = rng.choice(10 * count + 10, size=count, replace=False).tolist()
+    return [NodeState(id=int(i), x=float(rng.uniform(0, side)), y=float(rng.uniform(0, side)),
+                      radio_range_m=float(rng.uniform(40.0, 300.0))) for i in ids]
+
+
+@pytest.mark.parametrize("count", [0, 1, 2, 3, 17, 60])
+@pytest.mark.parametrize("seed", range(4))
+def test_neighbor_graph_matches_edge_loop(seed, count):
+    nodes = _scattered_nodes(_rng(seed), count)
+    got, ref = neighbor_graph(nodes), ref_neighbor_graph(nodes)
+    assert got == ref
+    assert list(got) == [n.id for n in nodes]
+    if count == 60:
+        assert 0 < sum(map(len, got.values())) < 60 * 59  # neither empty nor complete
+
+
+def _random_graph(rng, count, p):
+    ids = rng.choice(5 * count + 5, size=count, replace=False).tolist()
+    graph = {int(v): set() for v in ids}
+    for a in range(count):
+        for b in range(a + 1, count):
+            if rng.random() < p:
+                graph[ids[a]].add(ids[b])
+                graph[ids[b]].add(ids[a])
+    return graph
+
+
+@pytest.mark.parametrize("seed", range(30))
+def test_components_match_union_find(seed):
+    rng = _rng(seed)
+    count = int(rng.integers(0, 60))
+    graph = _random_graph(rng, count, float(rng.choice([0.0, 0.01, 0.03, 0.08, 0.5])))
+    assert connectivity_components(graph) == ref_connectivity_components(graph)
+    nodes = _scattered_nodes(rng, count)
+    graph = neighbor_graph(nodes)
+    assert connectivity_components(graph) == ref_connectivity_components(graph)
+
+
+def test_lookup_local_matches_two_pass():
+    """Random caches with expired entries, route-length ties between providers,
+    ties on (route length, provider) between services of one tag, and tag-only
+    hits; the very same entry must come back."""
+    rng = _rng(41)
+    seen = {"expired-skipped": 0, "tag-only": 0, "tie": 0, "none": 0}
+    for trial in range(150):
+        k = Kernel(seed=trial, end=1000.0)
+        net = Network(k, [NodeState(id=0, x=0.0, y=0.0)])
+        node = DiscoveryNode(0, net)
+        for _ in range(int(rng.integers(0, 25))):
+            provider = int(rng.integers(1, 5))
+            sid = f"svc-{int(rng.integers(0, 6))}"
+            desc = ServiceDescriptor(
+                service_id=sid, provider=provider, ontology_tag=f"tag-{int(rng.integers(0, 3))}",
+                advertised_route=[provider] + [9] * int(rng.integers(0, 3)),
+                ttl_s=float(rng.choice([5.0, 30.0])))
+            node.cache[(sid, provider)] = ServiceCacheEntry(
+                descriptor=desc, learned_at=float(rng.integers(0, 40)))
+        for _ in range(12):
+            k.now = float(rng.integers(0, 50))
+            sid = [None, "svc-0", "svc-3", "svc-5", "missing"][int(rng.integers(0, 5))]
+            tag = [None, "tag-0", "tag-2", "nothing"][int(rng.integers(0, 4))]
+            got, ref = node.lookup_local(sid, tag), ref_lookup_local(node, sid, tag)
+            assert got is ref
+            matching = [e for e in node.cache.values()
+                        if e.descriptor.service_id == sid or e.descriptor.ontology_tag == tag]
+            seen["expired-skipped"] += any(e.expires_at <= k.now for e in matching)
+            if ref is None:
+                seen["none"] += 1
+                continue
+            seen["tag-only"] += ref.descriptor.service_id != sid
+            key = (len(ref.descriptor.advertised_route), ref.descriptor.provider)
+            seen["tie"] += sum(
+                (len(e.descriptor.advertised_route), e.descriptor.provider) == key
+                and e.expires_at > k.now and e.descriptor.ontology_tag == tag
+                for e in node.cache.values()) > 1
+    assert min(seen.values()) > 5, seen
+
+
+def _discovery_replication(monkeypatch, seed, cfg):
+    traces = []
+
+    def traced_kernel(*args, **kwargs):
+        traces.append([])
+        return Kernel(*args, trace=traces[-1], **kwargs)
+    with monkeypatch.context() as m:
+        m.setattr(experiments, "Kernel", traced_kernel)
+        run = experiments.run_discovery_replication(cfg, seed)
+    return run, traces
+
+
+@pytest.mark.parametrize("seed", [3, 17, 29])
+def test_discovery_replication_matches_reference_paths(monkeypatch, seed):
+    """The whole replication with every replaced path swapped back in: the
+    per-neighbour broadcast, the edge-loop neighbour graph, union-find
+    components, the two-pass cache lookup and isinstance dispatch. Each query's
+    reachable flag is also checked against components computed at issue time,
+    not read from the labels cached per mobility tick."""
+    cfg = ScenarioConfig()
+    cfg.simulation.sim_time_s = 200.0
+    cfg.simulation.radio_range_m = 170.0  # sparse enough for unreachable providers
+    cfg.discovery.query_count = 60
+    fast, fast_traces = _discovery_replication(monkeypatch, seed, cfg)
+
+    at_issue = {}
+    real_discover = DiscoveryNode.discover
+
+    def recording_discover(node, service_id=None, **kwargs):
+        query = real_discover(node, service_id=service_id, **kwargs)
+        comp = next(c for c in ref_connectivity_components(node.net.adjacency) if node.id in c)
+        at_issue[query.query_id] = (service_id, comp)
+        return query
+    with monkeypatch.context() as m:
+        m.setattr(mobility, "connectivity_components", ref_connectivity_components)
+        m.setattr(mobility, "neighbor_graph", ref_neighbor_graph)
+        m.setattr(routing, "neighbor_graph", ref_neighbor_graph)
+        m.setattr(Network, "broadcast", ref_broadcast)
+        m.setattr(AodvNode, "receive", ref_receive)
+        m.setattr(DiscoveryNode, "app_receive", ref_app_receive)
+        m.setattr(DiscoveryNode, "lookup_local", ref_lookup_local)
+        m.setattr(DiscoveryNode, "discover", recording_discover)
+        ref, ref_traces = _discovery_replication(monkeypatch, seed, cfg)
+
+    assert fast.providers == ref.providers
+    assert fast.results == ref.results
+    assert fast_traces == ref_traces
+    assert len(ref.results) == len(at_issue) == cfg.discovery.query_count
+    for result, reachable in ref.results:
+        service_id, comp = at_issue[result.query.query_id]
+        assert reachable == (ref.providers[service_id] in comp)
+    flags = [reachable for _, reachable in fast.results]
+    assert any(flags) and not all(flags)
 
 
 # -- reference: one kernel event per primary-user toggle ------------------------

@@ -129,6 +129,31 @@ def test_past_scheduling_rejected():
         k.run_until(3.0)
 
 
+def test_nan_times_rejected_without_touching_the_queue_or_clock():
+    k = Kernel(seed=0)
+    fired = []
+    k.schedule(1.0, lambda: fired.append(1))
+    with pytest.raises(PastTimeError):
+        k.schedule(float("nan"), lambda: fired.append("nan"))
+    with pytest.raises(PastTimeError):
+        k.schedule_in(float("nan"), lambda: fired.append("nan"))
+    with pytest.raises(PastTimeError):
+        k.run_until(float("nan"))
+    assert k.now == 0.0
+    assert k.run_until(2.0) == 1
+    assert fired == [1]
+    assert k.schedule(3.0, lambda: None) == 2  # the rejected calls used no id
+
+
+def test_args_are_passed_to_the_handler():
+    k = Kernel(seed=0)
+    got = []
+    k.schedule(1.0, lambda *a: got.append(a), args=(7, "x"))
+    k.schedule(2.0, lambda *a: got.append(a))
+    k.run_until(2.0)
+    assert got == [(7, "x"), ()]
+
+
 def test_trace_is_identical_across_identical_runs():
     def run():
         trace = []

@@ -41,6 +41,15 @@ def test_overrides_and_tuple_parsing(tmp_path):
     assert cfg.detection.cluster_counts == (2, 3)
 
 
+@pytest.mark.parametrize("section,line", [
+    ("detection", "cluster_counts = 1, , 2"), ("spectrum", "pu_counts = 5,"),
+    ("detection", "cluster_counts ="), ("spectrum", "policies = mlp-history,,random-baseline")])
+def test_empty_list_entry_is_rejected_naming_the_key(tmp_path, section, line):
+    key = line.split("=")[0].strip()
+    with pytest.raises(ScenarioError, match=rf"^{key}: .*empty entry"):
+        _load(tmp_path, f"[{section}]\n{line}\n")
+
+
 def test_negative_sim_time_names_the_key(tmp_path):
     with pytest.raises(ScenarioError, match="sim_time_s"):
         _load(tmp_path, "[simulation]\nsim_time_s = -5\n")
@@ -163,11 +172,12 @@ def _invalid_values(rule):
     if rule == "any-integer":
         return st.one_of(_NON_NUMERIC, _NON_FINITE)
     if rule == "entries-at-least-one":
-        # empty entries are skipped, as after a trailing comma
-        bad_entry = st.one_of(_NON_NUMERIC.filter(lambda t: t.strip() and "," not in t),
+        # one bad entry among valid ones; an empty or blank entry is bad too
+        bad_entry = st.one_of(_NON_NUMERIC.filter(lambda t: "," not in t),
                               _NON_FINITE, _NEGATIVE_INT, st.just("0"))
-        return st.tuples(st.lists(st.integers(1, 30).map(str), max_size=3), bad_entry).map(
-            lambda parts: ", ".join(parts[0] + [parts[1]]))
+        return st.tuples(st.lists(st.integers(1, 30).map(str), max_size=3), bad_entry,
+                         st.integers(0, 3)).map(
+            lambda parts: ", ".join(parts[0][:parts[2]] + [parts[1]] + parts[0][parts[2]:]))
     if rule == "at-least-one":
         return st.one_of(_NON_NUMERIC, _NON_FINITE, _NEGATIVE_INT, st.just("0"))
     bad = [_NON_NUMERIC, _NON_FINITE, _NEGATIVE_FLOAT]
