@@ -136,8 +136,6 @@ def test_nan_times_rejected_without_touching_the_queue_or_clock():
     with pytest.raises(PastTimeError):
         k.schedule(float("nan"), lambda: fired.append("nan"))
     with pytest.raises(PastTimeError):
-        k.schedule_in(float("nan"), lambda: fired.append("nan"))
-    with pytest.raises(PastTimeError):
         k.run_until(float("nan"))
     assert k.now == 0.0
     assert k.run_until(2.0) == 1
