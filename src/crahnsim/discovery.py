@@ -113,10 +113,14 @@ class DiscoveryNode(AodvNode):
         self.cache: dict[tuple, ServiceCacheEntry] = {}  # (service_id, provider)
         self._advert_seen: set[tuple] = set()
         self._sreq_best: dict[int, int] = {}  # query_id -> best hop count seen
+        self._advert_due: dict[tuple, float] = {}  # advert key -> earliest in-flight arrival
+        self._sreq_due: dict[int, tuple] = {}  # query_id -> in-flight copy, see ignores
         self._next_qid = 0
         self._open_queries: dict[int, dict] = {}
         self._app_handlers = {AdvertMsg: self._on_advert, SreqMsg: self._on_sreq,
                               SrepMsg: self._on_srep}
+        self._ignore_tests.update({AdvertMsg: self._ignores_advert,
+                                   SreqMsg: self._ignores_sreq})
 
     # -- hosting and advertisement -------------------------------------------
 
@@ -222,12 +226,34 @@ class DiscoveryNode(AodvNode):
         if handler is not None:
             handler(msg, from_id)
 
+    def _ignores_advert(self, msg: AdvertMsg, at: float) -> bool:
+        """No-op if this node is the provider, has seen the advert, or has a
+        copy of it scheduled to arrive no later than `at` (which marks it
+        seen). `_advert_due` keeps the earliest such arrival until one of the
+        copies is delivered."""
+        desc = msg.descriptor
+        if desc.provider == self.id:
+            return True
+        key = (desc.provider, desc.service_id, desc.issued_at)
+        if key in self._advert_seen:
+            return True
+        due = self._advert_due.get(key)
+        if due is not None and due <= at:
+            return True
+        self._advert_due[key] = at
+        return False
+
+    def _ignores_sreq(self, msg: SreqMsg, at: float) -> bool:
+        return self._ignores_flood(self._sreq_best, self._sreq_due, msg.query_id,
+                                   msg.requester, msg.requester_seq, msg.hop_count, at)
+
     def _on_advert(self, msg: AdvertMsg, from_id: int) -> None:
         desc = msg.descriptor
         key = (desc.provider, desc.service_id, desc.issued_at)
         if key in self._advert_seen or desc.provider == self.id:
             return
         self._advert_seen.add(key)
+        self._advert_due.pop(key, None)
         desc = ServiceDescriptor(
             service_id=desc.service_id, provider=desc.provider, ontology_tag=desc.ontology_tag,
             advertised_route=desc.advertised_route + [self.id], issued_at=desc.issued_at,
@@ -252,6 +278,7 @@ class DiscoveryNode(AodvNode):
 
     def _on_sreq(self, msg: SreqMsg, from_id: int) -> None:
         self._maybe_install(msg.requester, from_id, msg.hop_count, msg.requester_seq)
+        self._drop_arrived(self._sreq_due, msg.query_id)
         best = self._sreq_best.get(msg.query_id)
         if best is not None and msg.hop_count >= best:
             return

@@ -65,10 +65,6 @@ class Kernel:
         self._pending.add(eid)
         return eid
 
-    def schedule_in(self, delay: float, fn: Callable[[], None], *,
-                    target: str = "system", kind: str = "event") -> int:
-        return self.schedule(self.now + delay, fn, target=target, kind=kind)
-
     def cancel(self, event_id: int) -> bool:
         if event_id in self._pending:
             self._pending.discard(event_id)

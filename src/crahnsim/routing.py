@@ -5,6 +5,15 @@ The MAC layer is a delay/loss contract: each hop delivers after a uniform
 duplicate suppression; a duplicate carrying a strictly better hop count
 updates routes and is re-forwarded, so installed routes converge to minimum
 hop counts on static topologies.
+
+A broadcast copy that its receiver would provably handle as a no-op is never
+scheduled (`AodvNode.ignores`): the proof rests on state that only moves one
+way. Duplicate-suppression records only grow and their best hop counts only
+fall; a route's `expires_at` never falls, since every write sets it to
+`now + route_lifetime_s`; and while a route is not stale its
+`(dest_sequence, -hop_count)` only rises. Dropping such copies changes no
+handler's inputs and, as event ids stay increasing in scheduling order, does
+not reorder the events that are left.
 """
 
 from dataclasses import dataclass, field
@@ -67,6 +76,9 @@ class Network:
         self.adjacency = neighbor_graph(nodes)
         self.protocols: dict[int, "AodvNode"] = {}
         self.delivered_msgs = 0
+        self.suppressed_msgs = 0  # broadcast copies not scheduled: see AodvNode.ignores
+        self._delay_rng = kernel.stream("mac-delay")
+        self._loss_rng = kernel.stream("mac-loss")
 
     def attach(self, proto: "AodvNode") -> None:
         self.protocols[proto.id] = proto
@@ -76,10 +88,10 @@ class Network:
 
     def _delay(self) -> float:
         lo, hi = self.hop_delay_s
-        return float(self.k.stream("mac-delay").uniform(lo, hi))
+        return float(self._delay_rng.uniform(lo, hi))
 
     def _lost(self) -> bool:
-        return self.loss_rate > 0 and self.k.stream("mac-loss").random() < self.loss_rate
+        return self.loss_rate > 0 and self._loss_rng.random() < self.loss_rate
 
     def send(self, src: int, dst: int, msg) -> None:
         """Unicast to a current neighbor; silently dropped if out of range or lost."""
@@ -92,19 +104,27 @@ class Network:
     def broadcast(self, src: int, msg) -> None:
         """Deliver to each current neighbor that the loss draw spares, in id
         order. Loss and delay have their own streams, so drawing each stream's
-        values in one call keeps both sequences unchanged."""
+        values in one call keeps both sequences unchanged. Every copy gets its
+        draws; a copy whose receiving protocol `ignores` it is counted in
+        `suppressed_msgs` instead of being scheduled."""
         nbrs = sorted(self.adjacency.get(src, ()))
         if self.loss_rate > 0:
-            draws = self.k.stream("mac-loss").random(len(nbrs))
+            draws = self._loss_rng.random(len(nbrs))
             nbrs = [nbr for nbr, r in zip(nbrs, draws.tolist()) if not r < self.loss_rate]
         if not nbrs:
             return
         lo, hi = self.hop_delay_s
-        delays = self.k.stream("mac-delay").uniform(lo, hi, size=len(nbrs)).tolist()
+        delays = self._delay_rng.uniform(lo, hi, size=len(nbrs)).tolist()
         kind = type(msg).__name__.lower()
         schedule, now, deliver, targets = self.k.schedule, self.k.now, self._deliver, self._targets
+        protocols = self.protocols
         for nbr, delay in zip(nbrs, delays):
-            schedule(now + delay, deliver, args=(nbr, src, msg), target=targets[nbr], kind=kind)
+            at = now + delay
+            proto = protocols.get(nbr)
+            if proto is not None and proto.ignores(msg, at):
+                self.suppressed_msgs += 1
+                continue
+            schedule(at, deliver, args=(nbr, src, msg), target=targets[nbr], kind=kind)
 
     def _deliver(self, dst: int, src: int, msg) -> None:
         proto = self.protocols.get(dst)
@@ -126,6 +146,7 @@ class AodvNode:
         self.sequence = 0
         self._bid = 0
         self._rreq_best: dict[tuple, int] = {}  # (origin, bid) -> best hop count seen
+        self._rreq_due: dict[tuple, tuple] = {}  # (origin, bid) -> in-flight copy, see ignores
         self._replied_bids: dict[tuple, int] = {}  # dest only: bid -> seq used
         self._pending: dict[int, list] = {}  # dest -> queued (payload, kind)
         self.rreq_originations = 0
@@ -133,6 +154,7 @@ class AodvNode:
         self.dropped_rreps = 0
         self.delivered: list[tuple] = []  # (payload, origin, kind)
         self._handlers = {Rreq: self._on_rreq, Rrep: self._on_rrep, DataMsg: self._on_data}
+        self._ignore_tests = {Rreq: self._ignores_rreq}
         network.attach(self)
 
     # -- route table ----------------------------------------------------------
@@ -189,6 +211,55 @@ class AodvNode:
         else:
             handler(msg, from_id)
 
+    def ignores(self, msg, at: float) -> bool:
+        """Whether a broadcast copy of `msg` arriving here at `at` would be a
+        no-op, so that `Network.broadcast` need not schedule it. A False answer
+        means the copy will be scheduled, and the node notes it as in flight."""
+        test = self._ignore_tests.get(type(msg))
+        return test is not None and test(msg, at)
+
+    def _ignores_flood(self, best: dict, due: dict, key, origin: int, seq: int,
+                       hops: int, at: float) -> bool:
+        """The flood-copy rule shared by RREQ and SREQ. The handler does
+        `_maybe_install(origin, ., hops, seq)`, then returns if `best[key] <=
+        hops`. The copy is a no-op if, with the route to `origin` (if any)
+        still live at `at` and any route installed from now on lasting until
+        `at`: the duplicate test holds already and the install would do
+        nothing, or an earlier-scheduled copy with the same origin and
+        sequence and no more hops arrives no later (once delivered, it leaves
+        both tests holding). `due[key]` holds one scheduled copy,
+        `(at, hops, origin, seq)`, until the handler sees it arrive, so a
+        record present is always still in flight."""
+        now = self.net.k.now
+        entry = self.routes.get(origin)
+        if now + self.route_lifetime_s < at or (entry is not None and entry.expires_at < at):
+            return False
+        b = best.get(key)
+        if (b is not None and b <= hops and entry is not None
+                and (seq < entry.dest_sequence
+                     or (seq == entry.dest_sequence and hops >= entry.hop_count))):
+            return True
+        d = due.get(key)
+        if d is None:
+            due[key] = (at, hops, origin, seq)
+        elif d[2] == origin and d[3] == seq:
+            if d[0] <= at and d[1] <= hops:
+                return True
+            if at <= d[0] and hops <= d[1]:
+                due[key] = (at, hops, origin, seq)
+        return False
+
+    def _drop_arrived(self, due: dict, key) -> None:
+        """Forget the in-flight record for `key` once its copy has arrived."""
+        d = due.get(key)
+        if d is not None and d[0] <= self.net.k.now:
+            del due[key]
+
+    def _ignores_rreq(self, rreq: Rreq, at: float) -> bool:
+        return self._ignores_flood(self._rreq_best, self._rreq_due,
+                                   (rreq.origin, rreq.broadcast_id), rreq.origin,
+                                   rreq.origin_sequence, rreq.hop_count, at)
+
     def app_receive(self, msg, from_id: int) -> None:
         """Hook for higher layers (service discovery); default drops."""
 
@@ -201,6 +272,7 @@ class AodvNode:
         h = rreq.hop_count
         self._maybe_install(rreq.origin, from_id, h, rreq.origin_sequence)
         key = (rreq.origin, rreq.broadcast_id)
+        self._drop_arrived(self._rreq_due, key)
         best = self._rreq_best.get(key)
         if best is not None and h >= best:
             return  # duplicate with no better hop count

@@ -469,30 +469,106 @@ def test_lookup_local_matches_two_pass():
     assert min(seen.values()) > 5, seen
 
 
-def _discovery_replication(monkeypatch, seed, cfg):
-    traces = []
+# -- reference: every broadcast copy scheduled -----------------------------------
 
-    def traced_kernel(*args, **kwargs):
-        traces.append([])
-        return Kernel(*args, trace=traces[-1], **kwargs)
+def _node_state(node):
+    """What a delivery may change at its receiver, as plain comparable values."""
+    state = [{d: (e.next_hop, e.hop_count, e.dest_sequence, e.expires_at)
+              for d, e in node.routes.items()},
+             dict(node._rreq_best), node.sequence, node.net.k._next_id]
+    if isinstance(node, DiscoveryNode):
+        state += [dict(node._sreq_best), frozenset(node._advert_seen),
+                  {key: (e.learned_at, e.descriptor.issued_at,
+                         tuple(e.descriptor.advertised_route))
+                   for key, e in node.cache.items()},
+                  {qid: st["timeout"] for qid, st in node._open_queries.items()}]
+    return state
+
+
+def _eid(line):
+    return int(line.split(",")[1])
+
+
+def _strip(line):
+    at, _, target, kind = line.split(",")
+    return at, target, kind
+
+
+def _flood_runs(monkeypatch, run, ref_patches=()):
+    """`run(trace)` builds a `Kernel(trace=trace)`, runs a scenario on it and
+    returns its outcome. It is run three times: as is; with a no-op
+    placeholder event scheduled for each copy that `Network.broadcast`
+    suppresses, at the copy's time and target; and with `ref_broadcast`,
+    which schedules every copy, snapshotting the receiver around every
+    delivery. The placeholders must stand exactly where the reference
+    delivers (same event ids), the plain trace must be the reference trace
+    with those deliveries removed, and each of them must have left its
+    receiver's state unchanged in the reference run. Returns the plain and
+    reference outcomes, the suppressed copies as (at, target, kind) and the
+    number of reference deliveries that were no-ops."""
+    fast_trace = []
+    fast = run(fast_trace)
+
+    marks, mark_trace = [], []
+    real_ignores = AodvNode.ignores
+
+    def marking_ignores(node, msg, at):
+        if not real_ignores(node, msg, at):
+            return False
+        marks.append(node.net.k.schedule(at, None, target=f"n{node.id}",
+                                         kind=type(msg).__name__.lower()))
+        return True
     with monkeypatch.context() as m:
-        m.setattr(experiments, "Kernel", traced_kernel)
-        run = experiments.run_discovery_replication(cfg, seed)
-    return run, traces
+        m.setattr(AodvNode, "ignores", marking_ignores)
+        run(mark_trace)
+
+    noops, ref_trace = set(), []
+    real_deliver = Network._deliver
+
+    def snapshotting_deliver(net, dst, src, msg):
+        proto = net.protocols.get(dst)
+        before = None if proto is None else _node_state(proto)
+        real_deliver(net, dst, src, msg)
+        if proto is not None and _node_state(proto) == before:
+            noops.add(_eid(net.k.trace[-1]))
+    with monkeypatch.context() as m:
+        m.setattr(Network, "broadcast", ref_broadcast)
+        m.setattr(Network, "_deliver", snapshotting_deliver)
+        for obj, name, value in ref_patches:
+            m.setattr(obj, name, value)
+        ref = run(ref_trace)
+
+    marked = set(marks)
+    assert mark_trace == ref_trace
+    assert [_strip(line) for line in fast_trace] == [
+        _strip(line) for line in ref_trace if _eid(line) not in marked]
+    assert marked <= noops
+    suppressed = [_strip(line) for line in ref_trace if _eid(line) in marked]
+    return fast, ref, suppressed, len(noops)
+
+
+def _traced_replication(cfg, seed):
+    def run(trace):
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(experiments, "Kernel",
+                      lambda *args, **kwargs: Kernel(*args, trace=trace, **kwargs))
+            return experiments.run_discovery_replication(cfg, seed)
+    return run
 
 
 @pytest.mark.parametrize("seed", [3, 17, 29])
 def test_discovery_replication_matches_reference_paths(monkeypatch, seed):
     """The whole replication with every replaced path swapped back in: the
-    per-neighbour broadcast, the edge-loop neighbour graph, union-find
-    components, the two-pass cache lookup and isinstance dispatch. Each query's
-    reachable flag is also checked against components computed at issue time,
-    not read from the labels cached per mobility tick."""
+    per-neighbour broadcast that schedules every copy, the edge-loop
+    neighbour graph, union-find components, the two-pass cache lookup and
+    isinstance dispatch. Same results; the trace differs only by the
+    suppressed copies, each a no-op in the reference run. Each query's
+    reachable flag is also checked against components computed at issue
+    time, not read from the labels cached per mobility tick."""
     cfg = ScenarioConfig()
     cfg.simulation.sim_time_s = 200.0
     cfg.simulation.radio_range_m = 170.0  # sparse enough for unreachable providers
     cfg.discovery.query_count = 60
-    fast, fast_traces = _discovery_replication(monkeypatch, seed, cfg)
 
     at_issue = {}
     real_discover = DiscoveryNode.discover
@@ -502,26 +578,238 @@ def test_discovery_replication_matches_reference_paths(monkeypatch, seed):
         comp = next(c for c in ref_connectivity_components(node.net.adjacency) if node.id in c)
         at_issue[query.query_id] = (service_id, comp)
         return query
-    with monkeypatch.context() as m:
-        m.setattr(mobility, "connectivity_components", ref_connectivity_components)
-        m.setattr(mobility, "neighbor_graph", ref_neighbor_graph)
-        m.setattr(routing, "neighbor_graph", ref_neighbor_graph)
-        m.setattr(Network, "broadcast", ref_broadcast)
-        m.setattr(AodvNode, "receive", ref_receive)
-        m.setattr(DiscoveryNode, "app_receive", ref_app_receive)
-        m.setattr(DiscoveryNode, "lookup_local", ref_lookup_local)
-        m.setattr(DiscoveryNode, "discover", recording_discover)
-        ref, ref_traces = _discovery_replication(monkeypatch, seed, cfg)
+    fast, ref, suppressed, noops = _flood_runs(monkeypatch, _traced_replication(cfg, seed), [
+        (mobility, "connectivity_components", ref_connectivity_components),
+        (mobility, "neighbor_graph", ref_neighbor_graph),
+        (routing, "neighbor_graph", ref_neighbor_graph),
+        (AodvNode, "receive", ref_receive),
+        (DiscoveryNode, "app_receive", ref_app_receive),
+        (DiscoveryNode, "lookup_local", ref_lookup_local),
+        (DiscoveryNode, "discover", recording_discover)])
 
     assert fast.providers == ref.providers
     assert fast.results == ref.results
-    assert fast_traces == ref_traces
+    kinds = {kind for _, _, kind in suppressed}
+    assert kinds == {"sreqmsg", "advertmsg"}
+    assert len(suppressed) > noops / 2  # most no-op deliveries are never scheduled
     assert len(ref.results) == len(at_issue) == cfg.discovery.query_count
     for result, reachable in ref.results:
         service_id, comp = at_issue[result.query.query_id]
         assert reachable == (ref.providers[service_id] in comp)
     flags = [reachable for _, reachable in fast.results]
     assert any(flags) and not all(flags)
+
+
+# -- flood suppression on hand-built networks ---------------------------------------
+
+def _sreq(hops, ttl):
+    return SreqMsg(query_id=1, requester=7, requester_seq=1, service_id="svc",
+                   ontology_tag=None, hop_count=hops, ttl=ttl)
+
+
+def _line_run(copies, route_lifetime_s=30.0):
+    """Receiver 0 between senders 1 and 2, which do not hear each other. Each
+    copy `(t, sender, delay, hops, ttl)` is an SREQ of one query broadcast by
+    the sender at `t` with a fixed hop delay. The outcome is the receiver's
+    route to the requester, its best hop count and the hop counts it
+    forwarded."""
+    def run(trace):
+        k = Kernel(seed=5, end=1.0, trace=trace)
+        nodes = [NodeState(id=0, x=0.0, y=0.0, radio_range_m=250.0),
+                 NodeState(id=1, x=-200.0, y=0.0, radio_range_m=250.0),
+                 NodeState(id=2, x=200.0, y=0.0, radio_range_m=250.0)]
+        net = Network(k, nodes)
+        protos = [DiscoveryNode(n.id, net, route_lifetime_s=route_lifetime_s) for n in nodes]
+        forwarded = []
+        real_broadcast = net.broadcast
+
+        def broadcast(src, msg):
+            if src == 0:
+                forwarded.append(msg.hop_count)
+            real_broadcast(src, msg)
+        net.broadcast = broadcast
+
+        def send(src, delay, msg):
+            net.hop_delay_s = (delay, delay)
+            real_broadcast(src, msg)
+        for t, src, delay, hops, ttl in copies:
+            k.schedule(t, send, args=(src, delay, _sreq(hops, ttl)))
+        k.run_until(1.0)
+        route = protos[0].routes[7]
+        return ((route.next_hop, route.hop_count, route.expires_at),
+                protos[0]._sreq_best[1], forwarded)
+    return run
+
+
+def test_copy_scheduled_later_but_arriving_earlier_is_delivered(monkeypatch):
+    # sender 1's copy is recorded as in flight (arrives 0.005); sender 2's,
+    # scheduled later, arrives at 0.002 and must install the route; a third
+    # copy broadcast after that arrival is the only one suppressed
+    fast, ref, suppressed, _ = _flood_runs(monkeypatch, _line_run(
+        [(0.0, 1, 0.005, 3, 1), (0.001, 2, 0.001, 3, 1), (0.003, 1, 0.002, 3, 1)]))
+    assert fast == ref
+    assert fast[0][0] == 2
+    assert suppressed == [("0.005000", "n0", "sreqmsg")]
+
+
+def test_equal_arrival_times(monkeypatch):
+    assert 0.0 + 0.002 == 0.001 + 0.001
+    # no more hops: the earlier-scheduled copy runs first, the other is suppressed
+    fast, ref, suppressed, _ = _flood_runs(monkeypatch, _line_run(
+        [(0.0, 1, 0.002, 3, 1), (0.001, 2, 0.001, 3, 1)]))
+    assert fast == ref and fast[0][0] == 1
+    assert suppressed == [("0.002000", "n0", "sreqmsg")]
+    # fewer hops: delivered second, it wins and is forwarded again
+    fast, ref, suppressed, _ = _flood_runs(monkeypatch, _line_run(
+        [(0.0, 1, 0.002, 3, 2), (0.001, 2, 0.001, 2, 2)]))
+    assert fast == ref
+    assert fast[0][:2] == (2, 2) and fast[1] == 2 and fast[2] == [4, 3]
+    assert ("0.002000", "n0", "sreqmsg") not in suppressed
+
+
+def test_later_copy_with_fewer_hops_is_delivered_and_forwarded(monkeypatch):
+    fast, ref, suppressed, _ = _flood_runs(monkeypatch, _line_run(
+        [(0.0, 1, 0.001, 4, 2), (0.002, 2, 0.001, 2, 2), (0.004, 1, 0.001, 3, 2)]))
+    assert fast == ref
+    assert fast[0][:2] == (2, 2) and fast[2] == [5, 3]
+    assert [s for s in suppressed if s[1] == "n0"] == [("0.005000", "n0", "sreqmsg")]
+
+
+@pytest.mark.parametrize("copies", [
+    # the route installed by the first copy expires at 0.003, before 0.0035
+    [(0.0, 1, 0.001, 3, 1), (0.0015, 2, 0.002, 3, 1)],
+    # no route yet, the first copy is in flight; what it installs expires
+    # at 0.003, before the second copy arrives at 0.0045
+    [(0.0, 1, 0.001, 3, 1), (0.0005, 2, 0.004, 3, 1)]])
+def test_route_expiring_before_arrival_keeps_the_copy(monkeypatch, copies):
+    fast, ref, suppressed, _ = _flood_runs(monkeypatch, _line_run(copies, route_lifetime_s=0.002))
+    assert fast == ref
+    assert fast[0][0] == 2  # the second copy re-installed the stale route
+    assert suppressed == []
+    # with a lifetime that outlasts the arrival, the same copy is a no-op
+    fast, ref, suppressed, _ = _flood_runs(monkeypatch, _line_run(copies))
+    assert fast == ref and fast[0][0] == 1
+    assert len(suppressed) == 1
+
+
+def test_stale_route_replaced_by_a_worse_one_can_improve_again(monkeypatch):
+    # the first copy's route (3 hops) expires at 0.003; the second copy
+    # arrives at 0.0035 and installs a 5-hop route over the stale one; a
+    # 4-hop copy is a duplicate (best is 3) but improves that route, so it
+    # must be delivered
+    fast, ref, suppressed, _ = _flood_runs(monkeypatch, _line_run(
+        [(0.0, 1, 0.001, 3, 1), (0.003, 2, 0.0005, 5, 1), (0.004, 1, 0.001, 4, 1)],
+        route_lifetime_s=0.002))
+    assert fast == ref
+    assert fast[0][:2] == (1, 4) and fast[1] == 3
+    assert suppressed == []
+
+
+class _LossCounter:
+    """Stands in for the MAC loss stream and counts the copies it drops."""
+
+    def __init__(self, gen, rate):
+        self.gen, self.rate, self.lost = gen, rate, 0
+
+    def random(self, size=None):
+        draws = self.gen.random(size)
+        if size is not None:
+            self.lost += int(np.count_nonzero(draws < self.rate))
+        return draws
+
+
+def _run_to_end(build):
+    """`build(trace) -> (kernel, network, outcome)` as a `_flood_runs` scenario."""
+    def run(trace):
+        k, _, outcome = build(trace)
+        k.run_until(k.end)
+        return outcome()
+    return run
+
+
+def _assert_conservation(build):
+    """Every neighbour that a broadcast's loss draw spares is either scheduled
+    or counted in `suppressed_msgs`, and some are suppressed."""
+    k, net, _ = build(None)
+    counts = {"copies": 0, "scheduled": 0}
+    net._loss_rng = _LossCounter(net._loss_rng, net.loss_rate)
+    real_broadcast, real_schedule = net.broadcast, k.schedule
+
+    def broadcast(src, msg):
+        counts["copies"] += len(net.adjacency.get(src, ()))
+        real_broadcast(src, msg)
+
+    def schedule(at, fn, **kwargs):
+        counts["scheduled"] += kwargs.get("kind") in ("rreq", "sreqmsg", "advertmsg")
+        return real_schedule(at, fn, **kwargs)
+    net.broadcast, k.schedule = broadcast, schedule
+    k.run_until(k.end)
+    assert net.suppressed_msgs > 0
+    assert counts["copies"] - net._loss_rng.lost == counts["scheduled"] + net.suppressed_msgs
+    assert (net._loss_rng.lost > 0) == (net.loss_rate > 0)
+    # in-flight records are dropped on arrival: only copies due after the end remain
+    for p in net.protocols.values():
+        due = list(p._rreq_due.values()) + list(getattr(p, "_sreq_due", {}).values())
+        assert all(at > k.end for at, *_ in due)
+        assert all(at > k.end for at in getattr(p, "_advert_due", {}).values())
+
+
+def _aodv_flood(seed, loss_rate):
+    def build(trace):
+        k = Kernel(seed=seed, end=8.0, trace=trace)
+        nodes = place_uniform(25, Area(700.0, 700.0), _rng(seed))
+        net, protos = routing.build_aodv_network(k, nodes, loss_rate=loss_rate)
+        rng = _rng(seed + 100)
+        for i in range(12):  # overlapping floods from several origins
+            src, dst = (int(v) for v in rng.choice(len(nodes), size=2, replace=False))
+            k.schedule(0.002 * i, protos[src].send_data, args=(dst, f"p{i}"))
+
+        def outcome():
+            return [({d: (e.next_hop, e.hop_count, e.dest_sequence)
+                      for d, e in p.routes.items()},
+                     p.delivered, p.rreq_forwards, p.dropped_rreps)
+                    for p in protos.values()]
+        return k, net, outcome
+    return build
+
+
+@pytest.mark.parametrize("loss_rate", [0.0, 0.3])
+@pytest.mark.parametrize("seed", [1, 2])
+def test_aodv_rreq_floods_match_reference(monkeypatch, seed, loss_rate):
+    fast, ref, suppressed, _ = _flood_runs(monkeypatch, _run_to_end(_aodv_flood(seed, loss_rate)))
+    assert fast == ref
+    assert suppressed and {kind for _, _, kind in suppressed} == {"rreq"}
+    assert any(delivered for _, delivered, _, _ in fast)
+    _assert_conservation(_aodv_flood(seed, loss_rate))
+
+
+def _discovery_flood(seed, loss_rate):
+    def build(trace):
+        k = Kernel(seed=seed, end=30.0, trace=trace)
+        nodes = place_uniform(30, Area(600.0, 600.0), _rng(seed))
+        net = Network(k, nodes, loss_rate=loss_rate)
+        protos = [DiscoveryNode(n.id, net, advert_interval_s=5.0) for n in nodes]
+        for i, p in enumerate(protos[:3]):
+            p.host_service(f"svc-{i}")
+            k.schedule(0.5 * i, p.start_advertising)
+        results = []
+        rng = _rng(seed + 200)
+        for i in range(20):
+            node = protos[int(rng.integers(3, len(protos)))]
+            k.schedule(1.0 + 0.01 * i, node.discover,
+                       args=(f"svc-{int(rng.integers(0, 4))}", None, 2.0, results.append))
+        return k, net, lambda: results
+    return build
+
+
+@pytest.mark.parametrize("loss_rate", [0.0, 0.3])
+def test_discovery_floods_with_loss_match_reference(monkeypatch, loss_rate):
+    fast, ref, suppressed, _ = _flood_runs(monkeypatch, _run_to_end(_discovery_flood(11, loss_rate)))
+    assert fast == ref
+    assert {kind for _, _, kind in suppressed} == {"sreqmsg", "advertmsg"}
+    assert any(r.timed_out for r in fast) and any(not r.cache_hit and not r.timed_out
+                                                   for r in fast)
+    _assert_conservation(_discovery_flood(11, loss_rate))
 
 
 # -- reference: one kernel event per primary-user toggle ------------------------
