@@ -17,10 +17,6 @@ DEFAULT_QUERY_DEADLINE_S = 10.0
 GATEWAY_SERVICE_ID = "gateway"
 
 
-class DiscoveryTimeout(RuntimeError):
-    pass
-
-
 @dataclass
 class ServiceDescriptor:
     service_id: str
@@ -130,12 +126,10 @@ class DiscoveryNode(AodvNode):
             advertised_route=[self.id], ttl_s=self.service_ttl_s)
 
     def start_advertising(self) -> None:
-        def tick():
-            self.advertise()
-            if self.net.k.now + self.advert_interval_s <= self.net.k.end:
-                self.net.k.schedule(self.net.k.now + self.advert_interval_s, tick,
-                                    target=f"n{self.id}", kind="advert")
-        tick()
+        self.advertise()
+        k = self.net.k
+        if k.now + self.advert_interval_s <= k.end:
+            k.every(self.advert_interval_s, self.advertise, target=f"n{self.id}", kind="advert")
 
     def advertise(self) -> None:
         for base in self.hosted.values():

@@ -1,16 +1,17 @@
-"""Seeded experiment orchestration: detection, spectrum, and discovery runs,
-CSV metric emission, JSON reports, and SVG figure generation."""
+"""Seeded experiment orchestration: one `ExperimentSpec` per experiment (detection,
+spectrum, discovery) drives its runs, CSV/JSON reports, report checks and SVG figures."""
 
 import json
 import math
 import os
 import statistics
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
+from typing import Callable, Optional
 
 import numpy as np
 
 from . import mobility
-from .detection import (DisasterEvent, deploy, make_training_set,
+from .detection import (deploy, make_training_set,
                         run_detection_replication, synthesize_trace, train_detector)
 from .discovery import DiscoveryNode
 from .kernel import Kernel, stream_seed
@@ -19,8 +20,6 @@ from .routing import Network
 from .scenario import ScenarioConfig
 from .spectrum import SpectrumParams, SpectrumSim
 from .svgplot import line_chart
-
-EXPERIMENTS = ("detection", "spectrum", "discovery")
 
 
 @dataclass
@@ -35,22 +34,17 @@ class MetricsReport:
     errors: list[dict] = field(default_factory=list)
 
     def to_json(self) -> str:
-        return json.dumps({
-            "experiment": self.experiment,
-            "columns": self.columns,
-            "rows": self.rows,
-            "aggregates": self.aggregates,
-            "config": self.config,
-            "seeds": self.seeds,
-            "notes": self.notes,
-            "errors": self.errors,
-        }, indent=2, sort_keys=True)
+        return json.dumps(asdict(self), indent=2, sort_keys=True)
 
     def csv_text(self) -> str:
-        lines = [",".join(self.columns)]
-        for row in self.rows:
-            lines.append(",".join(_csv_cell(row.get(c)) for c in self.columns))
-        return "\n".join(lines) + "\n"
+        return _csv(self.columns, self.rows)
+
+
+def _csv(columns: list[str], rows: list[dict]) -> str:
+    lines = [",".join(columns)]
+    for row in rows:
+        lines.append(",".join(_csv_cell(row.get(c)) for c in columns))
+    return "\n".join(lines) + "\n"
 
 
 def _csv_cell(v) -> str:
@@ -70,8 +64,98 @@ def _mean_std(values: list[float]) -> tuple[float, float]:
     return mean, std
 
 
+def _missing(v) -> bool:
+    return v is None or (isinstance(v, float) and math.isnan(v))
+
+
 def replication_seed(base_seed: int, replication: int) -> int:
     return stream_seed(base_seed, f"replication-{replication}")
+
+
+@dataclass(frozen=True)
+class ExperimentSpec:
+    """One experiment, defined once.
+
+    A grid point is a dict: the leading keys of its aggregate. Each row carries
+    the point's `group_keys`, its replication and seed, and the `metrics`
+    columns that `replicate(cfg, seed, point, prepared)` returns. `prepare(cfg,
+    base_seed, point)` runs once per point, before its replications and
+    outside their error guard. Each `stats` entry (row column, mean key, std
+    key or None) adds the mean and std over the point's rows to its aggregate.
+    """
+    name: str
+    points: Callable[[dict], list[dict]]  # config echo -> grid points, in run order
+    group_keys: tuple[str, ...]
+    metrics: tuple[str, ...]
+    stats: tuple[tuple[str, str, Optional[str]], ...]
+    replicate: Callable[..., dict]
+    notes: Callable[[ScenarioConfig, list[dict], list], dict]  # (cfg, rows, [(point, prepared)])
+    figures: Callable[["MetricsReport"], list[tuple[str, str]]]  # -> [(file, SVG)]
+    data_csv: str  # the aggregates written beside the figures
+    prepare: Callable = lambda cfg, base_seed, point: None
+
+    @property
+    def columns(self) -> list[str]:
+        return [*self.group_keys, "replication", "seed", *self.metrics]
+
+    def run(self, cfg: ScenarioConfig, base_seed: int, replications: int) -> MetricsReport:
+        """Every point's replications in order; a failed replication becomes an
+        `errors[]` entry and the others continue."""
+        rows, errors, prepared = [], [], []
+        config = cfg.echo()
+        for point in self.points(config):
+            ready = self.prepare(cfg, base_seed, point)
+            prepared.append((point, ready))
+            keys = {k: point[k] for k in self.group_keys}
+            for rep in range(replications):
+                seed = replication_seed(base_seed, rep)
+                try:
+                    metrics = self.replicate(cfg, seed, point, ready)
+                    rows.append({**keys, "replication": rep, "seed": seed, **metrics})
+                except Exception as exc:
+                    errors.append({**keys, "replication": rep, "seed": seed,
+                                   "error": str(exc), "error_type": type(exc).__name__})
+        return MetricsReport(
+            experiment=self.name, columns=self.columns, rows=rows,
+            aggregates=self.aggregates(config, rows), config=config,
+            seeds=[replication_seed(base_seed, r) for r in range(replications)],
+            notes=self.notes(cfg, rows, prepared), errors=errors)
+
+    def aggregates(self, config: dict, rows: list[dict]) -> list[dict]:
+        out = []
+        for point in self.points(config):
+            sub = [r for r in rows if all(r[k] == point[k] for k in self.group_keys)]
+            agg = dict(point)
+            for column, mean_key, std_key in self.stats:
+                agg[mean_key], std = _mean_std([r[column] for r in sub])
+                if std_key is not None:
+                    agg[std_key] = std
+            out.append(agg)
+        return out
+
+    def check(self, report: MetricsReport) -> None:
+        """Raise ValueError unless the stored aggregates are those the report's
+        config and rows give: same count, same keys, same values."""
+        points = self.points(report.config)
+        expected = self.aggregates(report.config, report.rows)
+        if len(report.aggregates) != len(expected):
+            raise ValueError(f"{len(report.aggregates)} aggregates stored, the config "
+                             f"gives {len(expected)}")
+        for point, stored, fresh in zip(points, report.aggregates, expected):
+            name = "aggregate " + ", ".join(f"{k}={v}" for k, v in point.items())
+            if stored.keys() != fresh.keys():
+                raise ValueError(f"{name}: keys {sorted(stored.keys() ^ fresh.keys())} "
+                                 f"missing or extra")
+            for key, value in fresh.items():
+                sv = stored[key]
+                if _missing(value) or _missing(sv):
+                    same = _missing(value) and _missing(sv)
+                elif isinstance(value, float):
+                    same = isinstance(sv, (int, float)) and abs(sv - value) <= 1e-9
+                else:
+                    same = sv == value
+                if not same:
+                    raise ValueError(f"{name}: {key} does not match rows ({sv} vs {value})")
 
 
 # -- detection ----------------------------------------------------------------
@@ -91,54 +175,50 @@ def train_detection_model(cfg: ScenarioConfig, base_seed: int, cluster_count: in
     return dep, model, stats, area
 
 
-def run_detection_experiment(cfg: ScenarioConfig, base_seed: int,
-                             replications: int) -> MetricsReport:
-    rows = []
-    errors = []
+def _detection_row(cfg: ScenarioConfig, seed: int, point: dict, trained) -> dict:
+    dep, model, _, area = trained
     sim_time = cfg.simulation.sim_time_s
-    train_stats = {}
-    for c in cfg.detection.cluster_counts:
-        dep, model, stats, area = train_detection_model(cfg, base_seed, c)
-        train_stats[str(c)] = stats
-        for rep in range(replications):
-            seed = replication_seed(base_seed, rep)
-            try:
-                kernel = Kernel(seed=seed, end=sim_time)
-                # the trace stream depends only on the replication, so all
-                # cluster counts score the same disasters (paired comparison)
-                events = synthesize_trace(kernel.stream("disaster-trace"), area,
-                                          cfg.detection.disaster_count,
-                                          cfg.detection.intensity, sim_time)
-                res = run_detection_replication(kernel, dep, model, events, sim_time)
-                resp = (statistics.fmean(res.response_times)
-                        if res.response_times else None)
-                rows.append({
-                    "cluster_count": c, "replication": rep, "seed": seed,
-                    "injected": res.injected, "missed": res.missed,
-                    "false_negative_rate_pct": res.false_negative_rate_pct,
-                    "response_time_s": resp,
-                })
-            except Exception as exc:  # recorded, remaining replications continue
-                errors.append({"cluster_count": c, "replication": rep,
-                               "seed": seed, "error": str(exc),
-                               "error_type": type(exc).__name__})
-    aggregates = []
-    for c in cfg.detection.cluster_counts:
-        sub = [r for r in rows if r["cluster_count"] == c]
-        fnr_m, fnr_s = _mean_std([r["false_negative_rate_pct"] for r in sub])
-        rt_m, rt_s = _mean_std([r["response_time_s"] for r in sub])
-        aggregates.append({"cluster_count": c, "mean_false_negative_rate_pct": fnr_m,
-                           "std_false_negative_rate_pct": fnr_s,
-                           "mean_response_time_s": rt_m, "std_response_time_s": rt_s})
-    return MetricsReport(
-        experiment="detection",
-        columns=["cluster_count", "replication", "seed", "injected", "missed",
-                 "false_negative_rate_pct", "response_time_s"],
-        rows=rows, aggregates=aggregates, config=cfg.echo(),
-        seeds=[replication_seed(base_seed, r) for r in range(replications)],
-        notes={"false_negative_definition": "per injected disaster event",
-               "training": train_stats},
-        errors=errors)
+    kernel = Kernel(seed=seed, end=sim_time)
+    # the trace stream depends only on the replication, so all cluster counts
+    # score the same disasters (paired comparison)
+    events = synthesize_trace(kernel.stream("disaster-trace"), area,
+                              cfg.detection.disaster_count, cfg.detection.intensity, sim_time)
+    res = run_detection_replication(kernel, dep, model, events, sim_time)
+    return {"injected": res.injected, "missed": res.missed,
+            "false_negative_rate_pct": res.false_negative_rate_pct,
+            "response_time_s": (statistics.fmean(res.response_times)
+                                if res.response_times else None)}
+
+
+def _detection_figures(report: MetricsReport) -> list[tuple[str, str]]:
+    def chart(key, label, title, ylabel):
+        pts = [(a["cluster_count"], a[key]) for a in report.aggregates]
+        return line_chart([(label, pts)], title, "cluster count", ylabel)
+    return [("fig8a_false_negative_rate.svg",
+             chart("mean_false_negative_rate_pct", "false negative rate",
+                   "False negative alarm rate", "rate (%)")),
+            ("fig8b_response_time.svg",
+             chart("mean_response_time_s", "response time", "Detection response time",
+                   "seconds"))]
+
+
+DETECTION = ExperimentSpec(
+    name="detection",
+    points=lambda config: [{"cluster_count": c}
+                           for c in config["detection"]["cluster_counts"]],
+    group_keys=("cluster_count",),
+    metrics=("injected", "missed", "false_negative_rate_pct", "response_time_s"),
+    stats=(("false_negative_rate_pct", "mean_false_negative_rate_pct",
+            "std_false_negative_rate_pct"),
+           ("response_time_s", "mean_response_time_s", "std_response_time_s")),
+    prepare=lambda cfg, base_seed, point: train_detection_model(
+        cfg, base_seed, point["cluster_count"]),
+    replicate=_detection_row,
+    notes=lambda cfg, rows, trained: {
+        "false_negative_definition": "per injected disaster event",
+        "training": {str(p["cluster_count"]): stats for p, (_, _, stats, _) in trained}},
+    figures=_detection_figures,
+    data_csv="fig8_data.csv")
 
 
 # -- spectrum -----------------------------------------------------------------
@@ -150,50 +230,46 @@ def spectrum_params(cfg: ScenarioConfig, pu_count: int, policy: str) -> Spectrum
                           su_start_s=sp.su_start_s)
 
 
-def run_spectrum_experiment(cfg: ScenarioConfig, base_seed: int,
-                            replications: int) -> MetricsReport:
-    rows = []
-    errors = []
+def _spectrum_row(cfg: ScenarioConfig, seed: int, point: dict, _) -> dict:
     sim_time = cfg.simulation.sim_time_s
-    for pu_count in cfg.spectrum.pu_counts:
-        for policy in cfg.spectrum.policies:
-            for rep in range(replications):
-                seed = replication_seed(base_seed, rep)
-                try:
-                    kernel = Kernel(seed=seed, end=sim_time)
-                    sim = SpectrumSim(kernel, spectrum_params(cfg, pu_count, policy))
-                    sim.start()
-                    kernel.run_until(sim_time)
-                    m = sim.metric()
-                    rows.append({"pu_count": pu_count, "policy": policy,
-                                 "replication": rep, "seed": seed,
-                                 "assignments": m["count"],
-                                 "mean_switching_time_s": m["mean"]})
-                except Exception as exc:
-                    errors.append({"pu_count": pu_count, "policy": policy,
-                                   "replication": rep, "seed": seed, "error": str(exc),
-                                   "error_type": type(exc).__name__})
-    aggregates = []
-    for pu_count in cfg.spectrum.pu_counts:
-        for policy in cfg.spectrum.policies:
-            sub = [r["mean_switching_time_s"] for r in rows
-                   if r["pu_count"] == pu_count and r["policy"] == policy]
-            m, s = _mean_std(sub)
-            aggregates.append({"pu_count": pu_count, "policy": policy,
-                               "mean_switching_time_s": m, "std_switching_time_s": s})
-    grand, _ = _mean_std([r["mean_switching_time_s"] for r in rows])
-    return MetricsReport(
-        experiment="spectrum",
-        columns=["pu_count", "policy", "replication", "seed", "assignments",
-                 "mean_switching_time_s"],
-        rows=rows, aggregates=aggregates, config=cfg.echo(),
-        seeds=[replication_seed(base_seed, r) for r in range(replications)],
-        notes={"grand_mean_switching_time_s": grand,
-               "averaging": "per assignment",
-               "tuning_knobs": {"scale_min": cfg.spectrum.scale_min,
-                                "scale_max": cfg.spectrum.scale_max,
-                                "su_count": cfg.spectrum.su_count}},
-        errors=errors)
+    kernel = Kernel(seed=seed, end=sim_time)
+    sim = SpectrumSim(kernel, spectrum_params(cfg, point["pu_count"], point["policy"]))
+    sim.start()
+    kernel.run_until(sim_time)
+    m = sim.metric()
+    return {"assignments": m["count"], "mean_switching_time_s": m["mean"]}
+
+
+def _spectrum_figures(report: MetricsReport) -> list[tuple[str, str]]:
+    series = [(policy, [(a["pu_count"], a["mean_switching_time_s"])
+                        for a in report.aggregates if a["policy"] == policy])
+              for policy in sorted({a["policy"] for a in report.aggregates})]
+    figures = [("fig9_switching_time.svg", line_chart(
+        series[:1], "Spectrum switching time", "primary users", "seconds"))]
+    if len(series) > 1:
+        figures.append(("fig10_policy_comparison.svg", line_chart(
+            series, "Switching time: history vs baseline", "primary users", "seconds")))
+    return figures
+
+
+SPECTRUM = ExperimentSpec(
+    name="spectrum",
+    points=lambda config: [{"pu_count": n, "policy": policy}
+                           for n in config["spectrum"]["pu_counts"]
+                           for policy in config["spectrum"]["policies"]],
+    group_keys=("pu_count", "policy"),
+    metrics=("assignments", "mean_switching_time_s"),
+    stats=(("mean_switching_time_s", "mean_switching_time_s", "std_switching_time_s"),),
+    replicate=_spectrum_row,
+    notes=lambda cfg, rows, _: {
+        "grand_mean_switching_time_s": _mean_std(
+            [r["mean_switching_time_s"] for r in rows])[0],
+        "averaging": "per assignment",
+        "tuning_knobs": {"scale_min": cfg.spectrum.scale_min,
+                         "scale_max": cfg.spectrum.scale_max,
+                         "su_count": cfg.spectrum.su_count}},
+    figures=_spectrum_figures,
+    data_csv="fig9_10_data.csv")
 
 
 # -- discovery ----------------------------------------------------------------
@@ -229,10 +305,7 @@ def run_discovery_replication(cfg: ScenarioConfig, seed: int,
             step_waypoint(node, kernel.now, sim.beacon_interval_s, rng, area,
                           sim.v_min_mps, sim.v_max_mps, sim.pause_max_s)
         net.refresh_beacons()
-        if kernel.now + sim.beacon_interval_s <= sim_time:
-            kernel.schedule(kernel.now + sim.beacon_interval_s, mobility_tick,
-                            kind="beacon")
-    kernel.schedule(sim.beacon_interval_s, mobility_tick, kind="beacon")
+    kernel.every(sim.beacon_interval_s, mobility_tick, kind="beacon")
 
     place_rng = kernel.stream("service-placement")
     provider_ids = place_rng.choice([node.id for node in nodes],
@@ -275,53 +348,50 @@ def run_discovery_replication(cfg: ScenarioConfig, seed: int,
     return DiscoveryRun(results=results, providers=providers)
 
 
-def run_discovery_experiment(cfg: ScenarioConfig, base_seed: int,
-                             replications: int) -> MetricsReport:
-    rows = []
-    errors = []
-    for rep in range(replications):
-        seed = replication_seed(base_seed, rep)
-        try:
-            run = run_discovery_replication(cfg, seed)
-            hits = [r for r, _ in run.results if r.cache_hit]
-            misses = [r for r, _ in run.results if not r.cache_hit and not r.timed_out]
-            timeouts = [r for r, _ in run.results if r.timed_out]
-            hit_m, _ = _mean_std([r.latency_s for r in hits])
-            miss_m, _ = _mean_std([r.latency_s for r in misses])
-            rows.append({
-                "replication": rep, "seed": seed,
-                "queries": len(run.results), "cache_hits": len(hits),
-                "misses_resolved": len(misses), "timeouts": len(timeouts),
-                "mean_hit_latency_s": hit_m if hits else None,
-                "mean_miss_latency_s": miss_m if misses else None,
-            })
-        except Exception as exc:
-            errors.append({"replication": rep, "seed": seed, "error": str(exc),
-                           "error_type": type(exc).__name__})
-    miss_all, miss_std = _mean_std([r["mean_miss_latency_s"] for r in rows])
-    hit_all, _ = _mean_std([r["mean_hit_latency_s"] for r in rows])
-    aggregates = [{"node_count": cfg.discovery.node_count,
-                   "service_count": cfg.discovery.service_count,
-                   "mean_hit_latency_s": hit_all,
-                   "mean_miss_latency_s": miss_all,
-                   "std_miss_latency_s": miss_std}]
-    return MetricsReport(
-        experiment="discovery",
-        columns=["replication", "seed", "queries", "cache_hits", "misses_resolved",
-                 "timeouts", "mean_hit_latency_s", "mean_miss_latency_s"],
-        rows=rows, aggregates=aggregates, config=cfg.echo(),
-        seeds=[replication_seed(base_seed, r) for r in range(replications)],
-        notes={"latency": "network time from query issue to descriptor arrival"},
-        errors=errors)
+def _discovery_row(cfg: ScenarioConfig, seed: int, point: dict, _) -> dict:
+    run = run_discovery_replication(cfg, seed)
+    hits = [r for r, _ in run.results if r.cache_hit]
+    misses = [r for r, _ in run.results if not r.cache_hit and not r.timed_out]
+    timeouts = [r for r, _ in run.results if r.timed_out]
+    hit_m, _ = _mean_std([r.latency_s for r in hits])
+    miss_m, _ = _mean_std([r.latency_s for r in misses])
+    return {"queries": len(run.results), "cache_hits": len(hits),
+            "misses_resolved": len(misses), "timeouts": len(timeouts),
+            "mean_hit_latency_s": hit_m if hits else None,
+            "mean_miss_latency_s": miss_m if misses else None}
+
+
+def _discovery_figures(report: MetricsReport) -> list[tuple[str, str]]:
+    pts = [(r["replication"], r["mean_miss_latency_s"]) for r in report.rows
+           if r["mean_miss_latency_s"] is not None]
+    if not pts:
+        return []
+    return [("fig11_discovery_latency.svg", line_chart(
+        [("miss latency", pts)], "Service discovery latency", "replication", "seconds"))]
+
+
+DISCOVERY = ExperimentSpec(
+    name="discovery",
+    # one point; its rows carry no group key
+    points=lambda config: [{"node_count": config["discovery"]["node_count"],
+                            "service_count": config["discovery"]["service_count"]}],
+    group_keys=(),
+    metrics=("queries", "cache_hits", "misses_resolved", "timeouts",
+             "mean_hit_latency_s", "mean_miss_latency_s"),
+    stats=(("mean_hit_latency_s", "mean_hit_latency_s", None),
+           ("mean_miss_latency_s", "mean_miss_latency_s", "std_miss_latency_s")),
+    replicate=_discovery_row,
+    notes=lambda cfg, rows, _: {
+        "latency": "network time from query issue to descriptor arrival"},
+    figures=_discovery_figures,
+    data_csv="fig11_data.csv")
 
 
 # -- orchestration ------------------------------------------------------------
 
-_RUNNERS = {
-    "detection": run_detection_experiment,
-    "spectrum": run_spectrum_experiment,
-    "discovery": run_discovery_experiment,
-}
+SPECS = {spec.name: spec for spec in (DETECTION, SPECTRUM, DISCOVERY)}
+EXPERIMENTS = tuple(SPECS)
+_RUNNERS = {name: spec.run for name, spec in SPECS.items()}
 
 
 def run_experiment(cfg: ScenarioConfig, which: str, seed: int = None,
@@ -337,123 +407,38 @@ def run_experiment(cfg: ScenarioConfig, which: str, seed: int = None,
         reports.append(report)
         if out_dir is not None:
             os.makedirs(out_dir, exist_ok=True)
-            with open(os.path.join(out_dir, f"{name}_rows.csv"), "w",
-                      encoding="utf-8", newline="\n") as fh:
-                fh.write(report.csv_text())
-            with open(os.path.join(out_dir, f"{name}_report.json"), "w",
-                      encoding="utf-8", newline="\n") as fh:
-                fh.write(report.to_json())
+            _write(os.path.join(out_dir, f"{name}_rows.csv"), report.csv_text())
+            _write(os.path.join(out_dir, f"{name}_report.json"), report.to_json())
             emit_plots(report, out_dir)
     return reports
 
 
 def load_report(path) -> MetricsReport:
-    """Load a report JSON and verify the aggregates against its own rows."""
+    """Load a report JSON and verify its aggregates against its own config and rows."""
     with open(path, "r", encoding="utf-8") as fh:
         raw = json.load(fh)
-    report = MetricsReport(experiment=raw["experiment"], columns=raw["columns"],
-                           rows=raw["rows"], aggregates=raw["aggregates"],
-                           config=raw["config"], seeds=raw["seeds"],
-                           notes=raw.get("notes", {}), errors=raw.get("errors", []))
-    recomputed = _recompute_aggregates(report)
-    for stored, fresh in zip(report.aggregates, recomputed):
-        for key, value in fresh.items():
-            sv = stored[key]
-            if isinstance(value, float):
-                if math.isnan(value) and (sv is None or math.isnan(sv)):
-                    continue
-                if abs(sv - value) > 1e-9:
-                    raise ValueError(f"aggregate {key} does not match rows "
-                                     f"({sv} vs {value})")
-            elif sv != value:
-                raise ValueError(f"aggregate {key} does not match rows")
+    report = MetricsReport(**raw)
+    if report.experiment not in SPECS:
+        raise ValueError(f"unknown experiment {report.experiment!r}")
+    SPECS[report.experiment].check(report)
     return report
-
-
-def _recompute_aggregates(report: MetricsReport) -> list[dict]:
-    out = []
-    if report.experiment == "detection":
-        for agg in report.aggregates:
-            sub = [r for r in report.rows if r["cluster_count"] == agg["cluster_count"]]
-            fnr_m, fnr_s = _mean_std([r["false_negative_rate_pct"] for r in sub])
-            rt_m, rt_s = _mean_std([r["response_time_s"] for r in sub])
-            out.append({"cluster_count": agg["cluster_count"],
-                        "mean_false_negative_rate_pct": fnr_m,
-                        "std_false_negative_rate_pct": fnr_s,
-                        "mean_response_time_s": rt_m, "std_response_time_s": rt_s})
-    elif report.experiment == "spectrum":
-        for agg in report.aggregates:
-            sub = [r["mean_switching_time_s"] for r in report.rows
-                   if r["pu_count"] == agg["pu_count"] and r["policy"] == agg["policy"]]
-            m, s = _mean_std(sub)
-            out.append({"pu_count": agg["pu_count"], "policy": agg["policy"],
-                        "mean_switching_time_s": m, "std_switching_time_s": s})
-    elif report.experiment == "discovery":
-        miss_all, miss_std = _mean_std([r["mean_miss_latency_s"] for r in report.rows])
-        hit_all, _ = _mean_std([r["mean_hit_latency_s"] for r in report.rows])
-        agg = report.aggregates[0]
-        out.append({"node_count": agg["node_count"],
-                    "service_count": agg["service_count"],
-                    "mean_hit_latency_s": hit_all,
-                    "mean_miss_latency_s": miss_all,
-                    "std_miss_latency_s": miss_std})
-    return out
 
 
 def emit_plots(report: MetricsReport, out_dir: str) -> list[str]:
     """One SVG per figure analogue plus the exact data behind it as CSV."""
     os.makedirs(out_dir, exist_ok=True)
+    if not report.rows:
+        return []
+    spec = SPECS[report.experiment]
+    files = spec.figures(report) + [(spec.data_csv, _csv(list(report.aggregates[0]),
+                                                         report.aggregates))]
     written = []
-
-    def write(name: str, text: str):
-        path = os.path.join(out_dir, name)
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
-        written.append(path)
-
-    if report.experiment == "detection" and report.rows:
-        pts_fnr = [(a["cluster_count"], a["mean_false_negative_rate_pct"])
-                   for a in report.aggregates]
-        pts_rt = [(a["cluster_count"], a["mean_response_time_s"])
-                  for a in report.aggregates]
-        write("fig8a_false_negative_rate.svg", line_chart(
-            [("false negative rate", pts_fnr)], "False negative alarm rate",
-            "cluster count", "rate (%)"))
-        write("fig8b_response_time.svg", line_chart(
-            [("response time", pts_rt)], "Detection response time",
-            "cluster count", "seconds"))
-        write("fig8_data.csv", _agg_csv(report.aggregates))
-    elif report.experiment == "spectrum" and report.rows:
-        series = []
-        for policy in sorted({a["policy"] for a in report.aggregates}):
-            pts = [(a["pu_count"], a["mean_switching_time_s"])
-                   for a in report.aggregates if a["policy"] == policy]
-            series.append((policy, pts))
-        if len(series) == 1:
-            write("fig9_switching_time.svg", line_chart(
-                series, "Spectrum switching time", "primary users", "seconds"))
-        else:
-            write("fig9_switching_time.svg", line_chart(
-                series[:1], "Spectrum switching time", "primary users", "seconds"))
-            write("fig10_policy_comparison.svg", line_chart(
-                series, "Switching time: history vs baseline", "primary users", "seconds"))
-        write("fig9_10_data.csv", _agg_csv(report.aggregates))
-    elif report.experiment == "discovery" and report.rows:
-        pts = [(r["replication"], r["mean_miss_latency_s"]) for r in report.rows
-               if r["mean_miss_latency_s"] is not None]
-        if pts:
-            write("fig11_discovery_latency.svg", line_chart(
-                [("miss latency", pts)], "Service discovery latency",
-                "replication", "seconds"))
-        write("fig11_data.csv", _agg_csv(report.aggregates))
+    for name, text in files:
+        written.append(os.path.join(out_dir, name))
+        _write(written[-1], text)
     return written
 
 
-def _agg_csv(aggregates: list[dict]) -> str:
-    if not aggregates:
-        return "\n"
-    cols = list(aggregates[0].keys())
-    lines = [",".join(cols)]
-    for a in aggregates:
-        lines.append(",".join(_csv_cell(a[c]) for c in cols))
-    return "\n".join(lines) + "\n"
+def _write(path: str, text: str) -> None:
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(text)

@@ -65,6 +65,18 @@ class Kernel:
         self._pending.add(eid)
         return eid
 
+    def every(self, period: float, fn: Callable[[], None], *, target: str = "system",
+              kind: str = "event") -> int:
+        """Run `fn()` at now + period, then again `period` after each run while
+        that falls at or before `end`; returns the first event's id."""
+        return self.schedule(self.now + period, self._every, args=(period, fn, target, kind),
+                             target=target, kind=kind)
+
+    def _every(self, period: float, fn: Callable[[], None], target: str, kind: str) -> None:
+        fn()
+        if self.now + period <= self.end:
+            self.every(period, fn, target=target, kind=kind)
+
     def cancel(self, event_id: int) -> bool:
         if event_id in self._pending:
             self._pending.discard(event_id)

@@ -9,6 +9,10 @@ import configparser
 import math
 from dataclasses import asdict, dataclass, field, fields
 
+# most runs of one periodic loop (mobility and beacon ticks, adverts) that a
+# scenario may ask for: sim_time_s / interval
+MAX_TICKS = 10**6
+
 
 class ScenarioError(ValueError):
     pass
@@ -119,6 +123,11 @@ class ScenarioConfig:
         _positive("service_ttl_s", dc.service_ttl_s)
         if dc.service_count > dc.node_count:
             raise ScenarioError("service_count: cannot exceed node_count")
+        for key, interval in (("beacon_interval_s", s.beacon_interval_s),
+                              ("advert_interval_s", dc.advert_interval_s)):
+            if s.sim_time_s / interval > MAX_TICKS:
+                raise ScenarioError(f"{key}: sim_time_s / {key} = {s.sim_time_s / interval:.6g}"
+                                    f" ticks, more than {MAX_TICKS}")
 
     def echo(self) -> dict:
         """Every effective parameter, defaults included."""

@@ -259,7 +259,7 @@ class SpectrumSim:
             self.timelines = {pu.id: schedule_toggle_times(self._schedules[pu.id], self.k.end)
                               for pu in self.pus}
         self.k.schedule(self.p.su_start_s, self._start_sus, kind="su-start")
-        self.k.schedule(self.p.mobile_step_s, self._mobility_step, kind="mobility")
+        self.k.every(self.p.mobile_step_s, self._mobility_step, kind="mobility")
 
     def _mobility_step(self) -> None:
         if not self._su_started:
@@ -269,9 +269,6 @@ class SpectrumSim:
             step_waypoint(node, self.k.now, self.p.mobile_step_s, rng, self.area)
         self._dbm.clear()
         self._scan_at = None
-        if self.k.now + self.p.mobile_step_s <= self.k.end:
-            self.k.schedule(self.k.now + self.p.mobile_step_s, self._mobility_step,
-                            kind="mobility")
 
     def _received_dbm(self, pu: NodeState, su: NodeState) -> float:
         """PU signal at the SU; nodes only move at mobility ticks, so each

@@ -1,6 +1,7 @@
 """Experiment orchestration and the command-line interface at small scale."""
 
 import json
+import math
 import os
 
 import pytest
@@ -72,6 +73,40 @@ def test_report_round_trip_checks_aggregates(small_cfg, tmp_path):
     path = tmp_path / "spectrum_report.json"
     raw = json.loads(path.read_text())
     raw["aggregates"][0]["mean_switching_time_s"] += 0.5
+    path.write_text(json.dumps(raw))
+    with pytest.raises(ValueError, match="aggregate"):
+        load_report(path)
+
+
+@pytest.fixture(scope="module")
+def small_reports(small_cfg, tmp_path_factory):
+    out = tmp_path_factory.mktemp("reports")
+    _run_all(small_cfg, out)
+    return out
+
+
+def _nan_first_number(raw):
+    agg = raw["aggregates"][-1]
+    key = next(k for k, v in agg.items() if k.startswith("mean_") and not math.isnan(v))
+    agg[key] = float("nan")
+
+
+CORRUPTIONS = {
+    "drop-last-aggregate": lambda raw: raw["aggregates"].pop(),
+    "empty-aggregates": lambda raw: raw["aggregates"].clear(),
+    "drop-key": lambda raw: raw["aggregates"][0].popitem(),
+    "add-key": lambda raw: raw["aggregates"][0].update(made_up_s=1.0),
+    "empty-rows": lambda raw: raw.update(rows=[]),
+    "number-to-nan": _nan_first_number,
+}
+
+
+@pytest.mark.parametrize("corruption", sorted(CORRUPTIONS))
+@pytest.mark.parametrize("name", ["detection", "spectrum", "discovery"])
+def test_load_report_rejects_corrupted_aggregates(small_reports, tmp_path, name, corruption):
+    raw = json.loads((small_reports / f"{name}_report.json").read_text())
+    CORRUPTIONS[corruption](raw)
+    path = tmp_path / "report.json"
     path.write_text(json.dumps(raw))
     with pytest.raises(ValueError, match="aggregate"):
         load_report(path)

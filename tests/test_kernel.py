@@ -143,6 +143,33 @@ def test_nan_times_rejected_without_touching_the_queue_or_clock():
     assert k.schedule(3.0, lambda: None) == 2  # the rejected calls used no id
 
 
+@pytest.mark.parametrize("start,end,expected,pending", [
+    (0.0, 10.0, ["3.000000,1,t,tick", "3.500000,2,system,child",
+                 "6.000000,3,t,tick", "6.500000,4,system,child",
+                 "9.000000,5,t,tick", "9.500000,6,system,child"], []),
+    # a run exactly at the horizon still happens; its child lies past it
+    (0.0, 9.0, ["3.000000,1,t,tick", "3.500000,2,system,child",
+                "6.000000,3,t,tick", "6.500000,4,system,child",
+                "9.000000,5,t,tick"], [6]),
+    (1.0, 7.5, ["4.000000,1,t,tick", "4.500000,2,system,child",
+                "7.000000,3,t,tick", "7.500000,4,system,child"], []),
+    # period > end: the first run is scheduled unchecked and never reached
+    (0.0, 2.0, [], [1]),
+])
+def test_every_matches_hand_written_schedule(start, end, expected, pending):
+    trace = []
+    k = Kernel(seed=0, end=end, trace=trace)
+    k.run_until(start)
+
+    def tick():
+        # an event the handler schedules takes its id before the next run's
+        k.schedule(k.now + 0.5, None, kind="child")
+    assert k.every(3.0, tick, target="t", kind="tick") == 1
+    k.run_until(end)
+    assert trace == expected
+    assert [e for e in range(1, 10) if k.cancel(e)] == pending
+
+
 def test_args_are_passed_to_the_handler():
     k = Kernel(seed=0)
     got = []

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from crahnsim.scenario import ScenarioConfig, ScenarioError, load_scenario
+from crahnsim.scenario import MAX_TICKS, ScenarioConfig, ScenarioError, load_scenario
 
 
 def _load(tmp_path, text):
@@ -127,6 +127,25 @@ def test_negative_time_is_rejected_but_zero_allowed(tmp_path, section, key):
     with pytest.raises(ScenarioError, match=rf"^{key}: must be >= 0"):
         _load(tmp_path, f"[{section}]\n{key} = -1\n")
     assert getattr(getattr(_load(tmp_path, f"[{section}]\n{key} = 0\n"), section), key) == 0.0
+
+
+@pytest.mark.parametrize("text,key", [
+    ("[simulation]\nsim_time_s = 1e12\n", "beacon_interval_s"),
+    ("[simulation]\nbeacon_interval_s = 1e-9\n", "beacon_interval_s"),
+    ("[discovery]\nadvert_interval_s = 1e-9\n", "advert_interval_s"),
+    (f"[simulation]\nsim_time_s = {MAX_TICKS + 1}\n", "beacon_interval_s"),
+    (f"[simulation]\nsim_time_s = {MAX_TICKS}\n[discovery]\nadvert_interval_s = 0.999\n",
+     "advert_interval_s"),
+])
+def test_endless_event_loop_is_rejected_naming_the_key(tmp_path, text, key):
+    # checked at validate only: such a run is never started
+    with pytest.raises(ScenarioError, match=rf"^{key}: sim_time_s / {key} = .* ticks"):
+        _load(tmp_path, text)
+
+
+def test_event_loop_cap_is_inclusive(tmp_path):
+    cfg = _load(tmp_path, f"[simulation]\nsim_time_s = {MAX_TICKS}\n")
+    assert cfg.simulation.sim_time_s / cfg.simulation.beacon_interval_s == MAX_TICKS
 
 
 # what `validate` requires of each numeric key, the other keys at their defaults
