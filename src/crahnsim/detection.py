@@ -7,7 +7,6 @@ intensity I reads I * exp(-d / 200 m) + N(0, 0.1) while the event is active;
 quiet background is noise only.
 """
 
-import csv
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -155,7 +154,7 @@ def train_detector(rng_init: np.random.Generator, x: np.ndarray, y: np.ndarray,
     split = int(0.8 * n)
     order = np.random.Generator(np.random.PCG64(seed)).permutation(n)
     tr, va = order[:split], order[split:]
-    cfg = TrainConfig(learning_rate=learning_rate, epochs=epochs, seed=seed)
+    cfg = TrainConfig(learning_rate=learning_rate, epochs=epochs)
     losses = train(model, (x[tr], y[tr]), cfg)
     val_pred = np.array([model.classify_binary(row) == DISASTER_HAPPENED for row in x[va]])
     val_acc = float(np.mean(val_pred == (y[va][:, 0] > 0.5)))
@@ -177,25 +176,6 @@ def synthesize_trace(rng: np.random.Generator, area: Area, count: int,
                                      float(rng.uniform(0, area.height))),
                           intensity=float(intensity))
             for t in times if t <= hi]
-
-
-def load_trace_csv(path) -> list[DisasterEvent]:
-    """CSV import: header time_s,epicenter_x_m,epicenter_y_m,intensity."""
-    events = []
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        expected = {"time_s", "epicenter_x_m", "epicenter_y_m", "intensity"}
-        if reader.fieldnames is None or set(reader.fieldnames) != expected:
-            raise ValueError(f"trace CSV must have header {sorted(expected)}")
-        for row in reader:
-            events.append(DisasterEvent(time=float(row["time_s"]),
-                                        epicenter=(float(row["epicenter_x_m"]),
-                                                   float(row["epicenter_y_m"])),
-                                        intensity=float(row["intensity"])))
-    times = [e.time for e in events]
-    if any(b <= a for a, b in zip(times, times[1:])):
-        raise ValueError("trace event times must be strictly increasing")
-    return events
 
 
 # -- simulation and experiment ------------------------------------------------

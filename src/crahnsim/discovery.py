@@ -1,8 +1,9 @@
 """Service discovery: periodic advertisements carrying routes, local caches,
 flood-on-miss resolution that piggybacks route establishment, and gateway
-discovery. Runs on top of the AODV layer; the resolution flood reuses the
-RREQ duplicate/improvement discipline so the reply also installs a usable
-route toward the provider (no separate route discovery afterwards).
+discovery (discovery of a `gateway` service). Runs on top of the AODV layer;
+the resolution flood reuses the RREQ duplicate/improvement discipline so the
+reply also installs a usable route toward the provider (no separate route
+discovery afterwards).
 """
 
 from dataclasses import dataclass, field
@@ -14,7 +15,6 @@ DEFAULT_ADVERT_INTERVAL_S = 10.0
 DEFAULT_ADVERT_HOPS = 2
 DEFAULT_SERVICE_TTL_S = 30.0
 DEFAULT_QUERY_DEADLINE_S = 10.0
-GATEWAY_SERVICE_ID = "gateway"
 
 
 @dataclass
@@ -197,11 +197,6 @@ class DiscoveryNode(AodvNode):
             service_id=service_id, ontology_tag=ontology_tag, hop_count=1, ttl=self.ttl))
         return query
 
-    def discover_gateway(self, deadline_s: float = DEFAULT_QUERY_DEADLINE_S,
-                         callback: Optional[Callable[[DiscoveryResult], None]] = None) -> ServiceQuery:
-        return self.discover(service_id=GATEWAY_SERVICE_ID, deadline_s=deadline_s,
-                             callback=callback)
-
     def _query_timeout(self, qid: int) -> None:
         state = self._open_queries.pop(qid, None)
         if state is None:
@@ -271,12 +266,9 @@ class DiscoveryNode(AodvNode):
         return None, 0
 
     def _on_sreq(self, msg: SreqMsg, from_id: int) -> None:
-        self._maybe_install(msg.requester, from_id, msg.hop_count, msg.requester_seq)
-        self._drop_arrived(self._sreq_due, msg.query_id)
-        best = self._sreq_best.get(msg.query_id)
-        if best is not None and msg.hop_count >= best:
+        if not self._flood_arrival(self._sreq_best, self._sreq_due, msg.query_id,
+                                   msg.requester, from_id, msg.hop_count, msg.requester_seq):
             return
-        self._sreq_best[msg.query_id] = msg.hop_count
         desc, dist = self._local_answer(msg.service_id, msg.ontology_tag)
         if desc is not None:
             self._send_srep(msg.requester, SrepMsg(

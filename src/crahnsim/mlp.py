@@ -1,5 +1,5 @@
 """From-scratch multi-layer perceptron shared by the disaster detector and the
-spectrum scorer: sigmoid hidden layers, sigmoid or identity output, plain
+spectrum scorer: sigmoid hidden layers, sigmoid or identity output, full-batch
 backpropagation gradient descent, and z-score feature standardization."""
 
 from dataclasses import dataclass, field
@@ -20,8 +20,6 @@ class DivergenceError(RuntimeError):
 class TrainConfig:
     learning_rate: float = 0.5
     epochs: int = 200
-    batch_size: int = 0  # 0 = full batch
-    seed: int = 0
     loss: str = "cross-entropy"  # or "squared"
 
     def __post_init__(self):
@@ -65,8 +63,6 @@ class Mlp:
                    feat_std=np.ones(layer_sizes[0]))
 
     def _standardize(self, x: np.ndarray) -> np.ndarray:
-        if self.feat_mean is None:
-            return x
         return (x - self.feat_mean) / self.feat_std
 
     def _forward_acts(self, x: np.ndarray) -> list[np.ndarray]:
@@ -95,39 +91,6 @@ class Mlp:
             raise ValueError("binary classification needs a single sigmoid output")
         out = self.forward(features)[0]
         return DISASTER_HAPPENED if out > 0.5 else DISASTER_NOT_HAPPENED
-
-    # -- persistence: plain text, full precision ------------------------------
-
-    def save(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(" ".join(str(s) for s in self.layer_sizes) + "\n")
-            fh.write(self.output_activation + "\n")
-            fh.write(" ".join(repr(float(v)) for v in self.feat_mean) + "\n")
-            fh.write(" ".join(repr(float(v)) for v in self.feat_std) + "\n")
-            for w, b in zip(self.weights, self.biases):
-                for row in w:
-                    fh.write(" ".join(repr(float(v)) for v in row) + "\n")
-                fh.write(" ".join(repr(float(v)) for v in b) + "\n")
-
-    @classmethod
-    def load(cls, path) -> "Mlp":
-        with open(path, "r", encoding="utf-8") as fh:
-            lines = [ln.rstrip("\n") for ln in fh]
-        sizes = [int(tok) for tok in lines[0].split()]
-        activation = lines[1].strip()
-        feat_mean = np.array([float(t) for t in lines[2].split()])
-        feat_std = np.array([float(t) for t in lines[3].split()])
-        idx = 4
-        weights, biases = [], []
-        for n_in, n_out in zip(sizes[:-1], sizes[1:]):
-            w = np.array([[float(t) for t in lines[idx + r].split()] for r in range(n_in)])
-            idx += n_in
-            b = np.array([float(t) for t in lines[idx].split()])
-            idx += 1
-            weights.append(w.reshape(n_in, n_out))
-            biases.append(b)
-        return cls(layer_sizes=sizes, weights=weights, biases=biases,
-                   output_activation=activation, feat_mean=feat_mean, feat_std=feat_std)
 
 
 def _batch_loss(model: Mlp, out: np.ndarray, y: np.ndarray, loss: str) -> float:
@@ -163,15 +126,13 @@ def gradients(model: Mlp, x: np.ndarray, y: np.ndarray, loss: str):
     return _backprop(model, model._forward_acts(xs), y)
 
 
-def train(model: Mlp, dataset, cfg: TrainConfig, standardize: bool = True) -> list[float]:
-    """Gradient-descent training in place; returns loss per epoch."""
-    if not len(dataset):
+def train(model: Mlp, dataset: tuple[np.ndarray, np.ndarray], cfg: TrainConfig,
+          standardize: bool = True) -> list[float]:
+    """Full-batch gradient descent in place on (x, y), rows = samples; returns
+    the loss per epoch."""
+    x, y = dataset
+    if not len(x):
         raise ValueError("empty training dataset")
-    if isinstance(dataset, tuple):
-        x, y = dataset
-    else:
-        x = np.array([np.asarray(f, dtype=float) for f, _ in dataset])
-        y = np.array([np.atleast_1d(np.asarray(t, dtype=float)) for _, t in dataset])
     if y.shape[1] != model.layer_sizes[-1]:
         raise ValueError("target dimension does not match output layer")
     if standardize:
@@ -179,29 +140,16 @@ def train(model: Mlp, dataset, cfg: TrainConfig, standardize: bool = True) -> li
         std = x.std(axis=0)
         std[std < 1e-9] = 1.0
         model.feat_std = std
-    rng = np.random.Generator(np.random.PCG64(cfg.seed))
-    n = x.shape[0]
-    batch = cfg.batch_size if cfg.batch_size > 0 else n
     xs = model._standardize(x)
     losses = []
     for epoch in range(cfg.epochs):
-        if batch >= n:
-            # fused full-batch pass: one forward serves loss and gradients
-            acts = model._forward_acts(xs)
-            loss = _batch_loss(model, acts[-1], y, cfg.loss)
-            gw, gb = _backprop(model, acts, y)
-            for w, b, dw, db in zip(model.weights, model.biases, gw, gb):
-                w -= cfg.learning_rate * dw
-                b -= cfg.learning_rate * db
-        else:
-            order = rng.permutation(n)
-            for start in range(0, n, batch):
-                idx = order[start:start + batch]
-                gw, gb = _backprop(model, model._forward_acts(xs[idx]), y[idx])
-                for w, b, dw, db in zip(model.weights, model.biases, gw, gb):
-                    w -= cfg.learning_rate * dw
-                    b -= cfg.learning_rate * db
-            loss = _batch_loss(model, model._forward_acts(xs)[-1], y, cfg.loss)
+        # one forward pass serves loss and gradients
+        acts = model._forward_acts(xs)
+        loss = _batch_loss(model, acts[-1], y, cfg.loss)
+        gw, gb = _backprop(model, acts, y)
+        for w, b, dw, db in zip(model.weights, model.biases, gw, gb):
+            w -= cfg.learning_rate * dw
+            b -= cfg.learning_rate * db
         if not np.isfinite(loss):
             raise DivergenceError(f"non-finite loss at epoch {epoch + 1}")
         losses.append(loss)

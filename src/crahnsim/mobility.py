@@ -35,12 +35,8 @@ class NodeState:
     waypoint: tuple[float, float] = (0.0, 0.0)
     pause_until: float = 0.0
     tx_power_w: float = 0.1
-    antenna_gain: float = 1.0
     radio_range_m: float = DEFAULT_RADIO_RANGE_M
     has_waypoint: bool = False
-
-    def position(self) -> tuple[float, float]:
-        return (self.x, self.y)
 
     def distance_to(self, other: "NodeState") -> float:
         return math.hypot(self.x - other.x, self.y - other.y)

@@ -11,7 +11,9 @@ scheduled (`AodvNode.ignores`): the proof rests on state that only moves one
 way. Duplicate-suppression records only grow and their best hop counts only
 fall; a route's `expires_at` never falls, since every write sets it to
 `now + route_lifetime_s`; and while a route is not stale its
-`(dest_sequence, -hop_count)` only rises. Dropping such copies changes no
+`(dest_sequence, -hop_count)` only rises. A copy of a node's own flood is
+always a no-op: the node recorded hop count 0 for it when it originated the
+flood, and no node installs a route to itself. Dropping such copies changes no
 handler's inputs and, as event ids stay increasing in scheduling order, does
 not reorder the events that are left.
 """
@@ -166,15 +168,17 @@ class AodvNode:
         entry.expires_at = self.net.k.now + self.route_lifetime_s
         return entry.next_hop
 
-    def _maybe_install(self, destination: int, via: int, hops: int, seq: int) -> bool:
+    def _maybe_install(self, destination: int, via: int, hops: int, seq: int) -> None:
+        """Install or improve the route to `destination`; never one to this
+        node itself (its own flood echoed back, or a reply relayed through it)."""
+        if destination == self.id:
+            return
         cur = self.routes.get(destination)
         now = self.net.k.now
         stale = cur is None or cur.expires_at < now
         if stale or seq > cur.dest_sequence or (seq == cur.dest_sequence and hops < cur.hop_count):
             self.routes[destination] = RouteEntry(destination, via, hops, seq,
                                                   now + self.route_lifetime_s)
-            return True
-        return False
 
     # -- origination ----------------------------------------------------------
 
@@ -220,16 +224,21 @@ class AodvNode:
 
     def _ignores_flood(self, best: dict, due: dict, key, origin: int, seq: int,
                        hops: int, at: float) -> bool:
-        """The flood-copy rule shared by RREQ and SREQ. The handler does
-        `_maybe_install(origin, ., hops, seq)`, then returns if `best[key] <=
-        hops`. The copy is a no-op if, with the route to `origin` (if any)
-        still live at `at` and any route installed from now on lasting until
-        `at`: the duplicate test holds already and the install would do
-        nothing, or an earlier-scheduled copy with the same origin and
-        sequence and no more hops arrives no later (once delivered, it leaves
-        both tests holding). `due[key]` holds one scheduled copy,
-        `(at, hops, origin, seq)`, until the handler sees it arrive, so a
-        record present is always still in flight."""
+        """The flood-copy rule shared by RREQ and SREQ. The handler opens
+        with `_flood_arrival`, which does `_maybe_install(origin, ., hops,
+        seq)`, then returns if `best[key] <= hops`. A copy of this node's own
+        flood is a no-op: `best[key]` is 0 from origination and no node
+        installs a route to itself. Otherwise the copy is a no-op if, with
+        the route to `origin` (if any) still live at `at` and any route
+        installed from now on lasting until `at`: the duplicate test holds
+        already and the install would do nothing, or an earlier-scheduled
+        copy with the same origin and sequence and no more hops arrives no
+        later (once delivered, it leaves both tests holding). `due[key]`
+        holds one scheduled copy, `(at, hops, origin, seq)`, until the
+        handler sees it arrive, so a record present is always still in
+        flight."""
+        if origin == self.id:
+            return True
         now = self.net.k.now
         entry = self.routes.get(origin)
         if now + self.route_lifetime_s < at or (entry is not None and entry.expires_at < at):
@@ -249,11 +258,21 @@ class AodvNode:
                 due[key] = (at, hops, origin, seq)
         return False
 
-    def _drop_arrived(self, due: dict, key) -> None:
-        """Forget the in-flight record for `key` once its copy has arrived."""
+    def _flood_arrival(self, best: dict, due: dict, key, origin: int, via: int,
+                       hops: int, seq: int) -> bool:
+        """The opening of the RREQ and SREQ handlers: install the reverse route
+        to `origin`, forget the in-flight record for `key` once its copy has
+        arrived, and record `hops` as the best seen. False for a duplicate
+        with no better hop count."""
+        self._maybe_install(origin, via, hops, seq)
         d = due.get(key)
         if d is not None and d[0] <= self.net.k.now:
             del due[key]
+        b = best.get(key)
+        if b is not None and hops >= b:
+            return False
+        best[key] = hops
+        return True
 
     def _ignores_rreq(self, rreq: Rreq, at: float) -> bool:
         return self._ignores_flood(self._rreq_best, self._rreq_due,
@@ -263,20 +282,14 @@ class AodvNode:
     def app_receive(self, msg, from_id: int) -> None:
         """Hook for higher layers (service discovery); default drops."""
 
-    def on_data(self, payload, origin: int, kind: str) -> None:
-        """Hook invoked when a data payload reaches this node."""
-
     # -- AODV handlers --------------------------------------------------------
 
     def _on_rreq(self, rreq: Rreq, from_id: int) -> None:
         h = rreq.hop_count
-        self._maybe_install(rreq.origin, from_id, h, rreq.origin_sequence)
         key = (rreq.origin, rreq.broadcast_id)
-        self._drop_arrived(self._rreq_due, key)
-        best = self._rreq_best.get(key)
-        if best is not None and h >= best:
+        if not self._flood_arrival(self._rreq_best, self._rreq_due, key, rreq.origin,
+                                   from_id, h, rreq.origin_sequence):
             return  # duplicate with no better hop count
-        self._rreq_best[key] = h
 
         if self.id == rreq.destination:
             seq = self._replied_bids.get(key)
@@ -331,7 +344,6 @@ class AodvNode:
     def _on_data(self, msg: DataMsg, from_id: int) -> None:
         if msg.destination == self.id:
             self.delivered.append((msg.payload, msg.origin, msg.kind))
-            self.on_data(msg.payload, msg.origin, msg.kind)
             return
         nh = self.next_hop(msg.destination)
         if nh is None:

@@ -159,8 +159,6 @@ _SECTIONS = {
 
 def _convert(name: str, raw: str, default):
     try:
-        if isinstance(default, bool):
-            return raw.lower() in ("1", "true", "yes")
         if isinstance(default, int):
             return int(raw)
         if isinstance(default, float):

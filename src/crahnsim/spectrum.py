@@ -56,7 +56,6 @@ class SuAssignment:
     channel_index: int
     assigned_at: float
     evicted_at: Optional[float] = None
-    policy: str = "mlp-history"
     # features of the hole when it was chosen; the scorer learns from them at eviction
     selection_features: Optional[np.ndarray] = field(default=None, repr=False, compare=False)
 
@@ -135,9 +134,11 @@ def extract_features(times: list[float], t: float, n: int, signal_dbm: float,
     return [0.0] * (n - len(durations)) + durations + [signal_dbm, mobility_mps, t - since]
 
 
-def score_hole(model: Mlp, features: np.ndarray) -> float:
-    """Predicted remaining idle seconds; negative raw outputs clamp to 0."""
-    return max(0.0, float(model.forward(features)[0]))
+def score_holes(model: Mlp, batch: np.ndarray) -> list[float]:
+    """Predicted remaining idle seconds of each feature row; negative raw
+    outputs clamp to 0."""
+    raw = model._forward_acts(model._standardize(batch))[-1][:, 0]
+    return [max(0.0, float(r)) for r in raw]
 
 
 def select_hole(holes: list[SpectrumHole], scores: Optional[dict[int, float]],
@@ -360,16 +361,11 @@ class SpectrumSim:
             return
         x = np.array(self.buffer_x)
         y = np.array(self.buffer_y)[:, None]
-        if not self.model_trained:
-            cfg = TrainConfig(learning_rate=self.p.learning_rate,
-                              epochs=self.p.train_epochs, seed=self.k.seed, loss="squared")
-            train(self.model, (x, y), cfg)
-            self.model_trained = True
-        else:
-            # warm-start with the standardization frozen at the initial fit
-            cfg = TrainConfig(learning_rate=self.p.learning_rate,
-                              epochs=self.p.refit_epochs, seed=self.k.seed, loss="squared")
-            train(self.model, (x, y), cfg, standardize=False)
+        # refits warm-start with the standardization frozen at the initial fit
+        epochs = self.p.refit_epochs if self.model_trained else self.p.train_epochs
+        cfg = TrainConfig(learning_rate=self.p.learning_rate, epochs=epochs, loss="squared")
+        train(self.model, (x, y), cfg, standardize=not self.model_trained)
+        self.model_trained = True
 
     # -- SU behavior ----------------------------------------------------------
 
@@ -421,8 +417,7 @@ class SpectrumSim:
             # one batch per select, rows in channel order: stacking several SUs'
             # rows into one forward pass changes the last bit of some scores
             batch = np.array([self._hole_features(su, i, now) for i in range(len(holes))])
-            raw = self.model._forward_acts(self.model._standardize(batch))[-1][:, 0]
-            scores = {h.channel_index: max(0.0, float(r)) for h, r in zip(holes, raw)}
+            scores = {h.channel_index: r for h, r in zip(holes, score_holes(self.model, batch))}
             chosen = select_hole(holes, scores, "mlp-history")
             features = batch[next(i for i, h in enumerate(holes) if h.channel_index == chosen)]
         else:
@@ -430,7 +425,7 @@ class SpectrumSim:
             features = np.array(self._hole_features(
                 su, next(i for i, h in enumerate(holes) if h.channel_index == chosen), now))
         a = SuAssignment(su_id=su_id, channel_index=chosen, assigned_at=now,
-                         policy=self.p.policy, selection_features=features)
+                         selection_features=features)
         self.assignments.append(a)
         if chosen not in self.open_by_channel:
             self.open_by_channel[chosen] = []

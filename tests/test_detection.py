@@ -6,7 +6,7 @@ import pytest
 
 from crahnsim.detection import (DisasterEvent, Deployment, DetectionRunResult,
                                 POLL_PERIOD_S, context_record, deploy,
-                                load_trace_csv, make_training_set,
+                                make_training_set,
                                 run_detection_replication, sensor_magnitudes,
                                 synthesize_trace, train_detector, window_features)
 from crahnsim.kernel import Kernel
@@ -163,21 +163,3 @@ def test_synthesized_trace_is_ordered_and_inside_horizon():
     assert all(b > a for a, b in zip(times, times[1:]))
     assert all(20.0 <= t <= 460.0 for t in times)
     assert all(b - a >= 60.0 for a, b in zip(times, times[1:]))
-
-
-def test_trace_csv_round_trip_and_validation(tmp_path):
-    path = tmp_path / "trace.csv"
-    path.write_text("time_s,epicenter_x_m,epicenter_y_m,intensity\n"
-                    "50.0,100.0,200.0,8.0\n120.0,300.0,400.0,6.0\n")
-    events = load_trace_csv(path)
-    assert [e.time for e in events] == [50.0, 120.0]
-    assert events[1].epicenter == (300.0, 400.0)
-    bad = tmp_path / "bad.csv"
-    bad.write_text("time_s,epicenter_x_m,epicenter_y_m,intensity\n"
-                   "120.0,1,1,1\n50.0,1,1,1\n")
-    with pytest.raises(ValueError):
-        load_trace_csv(bad)
-    wrong = tmp_path / "wrong.csv"
-    wrong.write_text("t,x,y,i\n1,1,1,1\n")
-    with pytest.raises(ValueError):
-        load_trace_csv(wrong)

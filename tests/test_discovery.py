@@ -6,8 +6,7 @@ import pytest
 from crahnsim.kernel import Kernel
 from crahnsim.mobility import NodeState
 from crahnsim.routing import Network
-from crahnsim.discovery import (DiscoveryNode, ServiceDescriptor,
-                                GATEWAY_SERVICE_ID)
+from crahnsim.discovery import DiscoveryNode, ServiceDescriptor
 
 
 def _chain(kernel, count, spacing=100.0, **kwargs):
@@ -139,9 +138,9 @@ def test_resolution_installs_route_saving_an_extra_pass():
 def test_gateway_three_hops_away_resolves_with_route():
     k = Kernel(seed=9, end=50.0)
     net, protos = _chain(k, 4)
-    protos[3].host_service(GATEWAY_SERVICE_ID)
+    protos[3].host_service("gateway")
     results = []
-    protos[0].discover_gateway(callback=results.append)
+    protos[0].discover(service_id="gateway", callback=results.append)
     k.run_until(20.0)
     (res,) = results
     assert res.descriptor.provider == 3
@@ -153,10 +152,10 @@ def test_nearer_of_two_gateways_wins_across_seeds():
     for seed in range(10):
         k = Kernel(seed=seed, end=50.0)
         net, protos = _chain(k, 5)
-        protos[1].host_service(GATEWAY_SERVICE_ID)  # 1 hop from requester
-        protos[4].host_service(GATEWAY_SERVICE_ID)  # 4 hops from requester
+        protos[1].host_service("gateway")  # 1 hop from requester
+        protos[4].host_service("gateway")  # 4 hops from requester
         results = []
-        protos[0].discover_gateway(callback=results.append)
+        protos[0].discover(service_id="gateway", callback=results.append)
         k.run_until(20.0)
         if results and results[0].descriptor.provider == 1:
             wins += 1
@@ -170,9 +169,9 @@ def test_partitioned_network_times_out():
              NodeState(id=2, x=900.0, y=900.0, radio_range_m=150.0)]
     net = Network(k, nodes)
     protos = {n.id: DiscoveryNode(n.id, net) for n in nodes}
-    protos[2].host_service(GATEWAY_SERVICE_ID)
+    protos[2].host_service("gateway")
     results = []
-    protos[0].discover_gateway(deadline_s=10.0, callback=results.append)
+    protos[0].discover(service_id="gateway", deadline_s=10.0, callback=results.append)
     k.run_until(30.0)
     (res,) = results
     assert res.timed_out and res.descriptor is None

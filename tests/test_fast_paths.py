@@ -503,11 +503,25 @@ def _flood_runs(monkeypatch, run, ref_patches=()):
     delivery. The placeholders must stand exactly where the reference
     delivers (same event ids), the plain trace must be the reference trace
     with those deliveries removed, and each of them must have left its
-    receiver's state unchanged in the reference run. Returns the plain and
-    reference outcomes, the suppressed copies as (at, target, kind) and the
-    number of reference deliveries that were no-ops."""
+    receiver's state unchanged in the reference run. In every run, no node
+    may end holding a route to itself. Returns the plain and reference
+    outcomes, the suppressed copies as (at, target, kind) and the number of
+    reference deliveries that were no-ops."""
+    protos = []
+    real_attach = Network.attach
+
+    def recording_attach(net, proto):
+        protos.append(proto)
+        real_attach(net, proto)
+
+    def no_self_routes():
+        assert [p.id for p in protos if p.id in p.routes] == []
+        protos.clear()
+
+    monkeypatch.setattr(Network, "attach", recording_attach)
     fast_trace = []
     fast = run(fast_trace)
+    no_self_routes()
 
     marks, mark_trace = [], []
     real_ignores = AodvNode.ignores
@@ -521,6 +535,7 @@ def _flood_runs(monkeypatch, run, ref_patches=()):
     with monkeypatch.context() as m:
         m.setattr(AodvNode, "ignores", marking_ignores)
         run(mark_trace)
+    no_self_routes()
 
     noops, ref_trace = set(), []
     real_deliver = Network._deliver
@@ -537,6 +552,8 @@ def _flood_runs(monkeypatch, run, ref_patches=()):
         for obj, name, value in ref_patches:
             m.setattr(obj, name, value)
         ref = run(ref_trace)
+    no_self_routes()
+    monkeypatch.setattr(Network, "attach", real_attach)
 
     marked = set(marks)
     assert mark_trace == ref_trace
@@ -964,8 +981,7 @@ class RefSpectrumSim:
         x = np.array(self.buffer_x)
         y = np.array(self.buffer_y)[:, None]
         epochs = self.p.refit_epochs if self.model_trained else self.p.train_epochs
-        cfg = TrainConfig(learning_rate=self.p.learning_rate, epochs=epochs,
-                          seed=self.k.seed, loss="squared")
+        cfg = TrainConfig(learning_rate=self.p.learning_rate, epochs=epochs, loss="squared")
         train(self.model, (x, y), cfg, standardize=not self.model_trained)
         self.model_trained = True
 
@@ -1002,7 +1018,7 @@ class RefSpectrumSim:
             features = self._hole_features(
                 su_id, next(h for h in holes if h.channel_index == chosen), now)
         a = SuAssignment(su_id=su_id, channel_index=chosen, assigned_at=now,
-                         policy=self.p.policy, selection_features=features)
+                         selection_features=features)
         self.assignments.append(a)
         self.open_by_channel.setdefault(chosen, []).append(a)
 

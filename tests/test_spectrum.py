@@ -8,7 +8,7 @@ from crahnsim.mlp import Mlp, TrainConfig, train
 from crahnsim.spectrum import (Channel, NoSpectrumError, SpectrumHole,
                                SpectrumParams, SuAssignment,
                                extract_features, run_spectrum_replication,
-                               schedule_toggle_times, score_hole, select_hole,
+                               schedule_toggle_times, score_holes, select_hole,
                                spectrum_holes, switching_time_metric)
 
 
@@ -81,16 +81,16 @@ def test_zero_model_scores_zero():
     model = Mlp.init([8, 4, 1], _rng(0), output_activation="identity")
     model.weights = [np.zeros_like(w) for w in model.weights]
     model.biases = [np.zeros_like(b) for b in model.biases]
-    feats = np.zeros(8)
-    assert score_hole(model, feats) == 0.0
-    assert score_hole(model, feats) == score_hole(model, feats)
+    feats = np.zeros((1, 8))
+    assert score_holes(model, feats) == [0.0]
+    assert score_holes(model, feats) == score_holes(model, feats)
 
 
 def test_negative_prediction_clamps_to_zero():
     model = Mlp.init([3, 2, 1], _rng(1), output_activation="identity")
     model.weights = [np.zeros_like(w) for w in model.weights]
     model.biases[-1] = np.array([-4.0])
-    assert score_hole(model, np.zeros(3)) == 0.0
+    assert score_holes(model, np.zeros((1, 3))) == [0.0]
 
 
 def test_scorer_learns_periodic_idle_schedule():
@@ -101,10 +101,10 @@ def test_scorer_learns_periodic_idle_schedule():
         xs.append([5.0] * n + [-60.0, 2.0, elapsed])
         ys.append([10.0 - elapsed])
     model = Mlp.init([n + 3, 8, 1], _rng(2), output_activation="identity")
-    cfg = TrainConfig(learning_rate=0.2, epochs=500, seed=0, loss="squared")
+    cfg = TrainConfig(learning_rate=0.2, epochs=500, loss="squared")
     train(model, (np.array(xs), np.array(ys)), cfg)
     for elapsed, want in ((2.0, 8.0), (5.0, 5.0), (9.0, 1.0)):
-        got = score_hole(model, np.array([5.0] * n + [-60.0, 2.0, elapsed]))
+        [got] = score_holes(model, np.array([[5.0] * n + [-60.0, 2.0, elapsed]]))
         assert got == pytest.approx(want, abs=2.0)
 
 
