@@ -59,6 +59,11 @@ class AdvertMsg:
     descriptor: ServiceDescriptor
     hops_left: int
 
+    def copy_fields(self) -> tuple:
+        """The advert key (provider, service id, issue time): what the copy test reads."""
+        desc = self.descriptor
+        return desc.provider, desc.service_id, desc.issued_at
+
 
 @dataclass
 class SreqMsg:
@@ -69,6 +74,10 @@ class SreqMsg:
     ontology_tag: Optional[str]
     hop_count: int
     ttl: int
+
+    def copy_fields(self) -> tuple:
+        """(flood key, origin, origin sequence, hops): what the copy test reads."""
+        return self.query_id, self.requester, self.requester_seq, self.hop_count
 
 
 @dataclass
@@ -108,15 +117,13 @@ class DiscoveryNode(AodvNode):
         self.hosted: dict[str, ServiceDescriptor] = {}
         self.cache: dict[tuple, ServiceCacheEntry] = {}  # (service_id, provider)
         self._advert_seen: set[tuple] = set()
-        self._sreq_best: dict[int, int] = {}  # query_id -> best hop count seen
-        self._advert_due: dict[tuple, float] = {}  # advert key -> earliest in-flight arrival
-        self._sreq_due: dict[int, tuple] = {}  # query_id -> in-flight copy, see ignores
+        self._advert_due: dict[tuple, tuple] = {}  # advert key -> (at, event id) of first copy
         self._next_qid = 0
         self._open_queries: dict[int, dict] = {}
         self._app_handlers = {AdvertMsg: self._on_advert, SreqMsg: self._on_sreq,
                               SrepMsg: self._on_srep}
-        self._ignore_tests.update({AdvertMsg: self._ignores_advert,
-                                   SreqMsg: self._ignores_sreq})
+        self.copy_tests.update({AdvertMsg: self._ignores_advert,
+                                SreqMsg: self._ignores_flood})
 
     # -- hosting and advertisement -------------------------------------------
 
@@ -191,7 +198,7 @@ class DiscoveryNode(AodvNode):
         self.sequence += 1
         self._open_queries[qid] = {"query": query, "callback": callback,
                                    "timeout": timeout_id}
-        self._sreq_best[qid] = 0
+        self._flood_best[qid] = 0
         self.net.broadcast(self.id, SreqMsg(
             query_id=qid, requester=self.id, requester_seq=self.sequence,
             service_id=service_id, ontology_tag=ontology_tag, hop_count=1, ttl=self.ttl))
@@ -215,26 +222,22 @@ class DiscoveryNode(AodvNode):
         if handler is not None:
             handler(msg, from_id)
 
-    def _ignores_advert(self, msg: AdvertMsg, at: float) -> bool:
-        """No-op if this node is the provider, has seen the advert, or has a
-        copy of it scheduled to arrive no later than `at` (which marks it
-        seen). `_advert_due` keeps the earliest such arrival until one of the
-        copies is delivered."""
-        desc = msg.descriptor
-        if desc.provider == self.id:
-            return True
-        key = (desc.provider, desc.service_id, desc.issued_at)
-        if key in self._advert_seen:
+    def _ignores_advert(self, key: tuple, at: float) -> bool:
+        """The copy test of adverts: a copy arriving at `at` is a no-op if this
+        node is the provider, has seen the advert, or has a copy of it in
+        flight that arrives first (the first arrival marks it seen).
+        `_advert_due` keeps the first in-flight copy, `(at, event id)`, until
+        it is delivered; a new copy due strictly earlier takes its place and
+        cancels it."""
+        if key[0] == self.id or key in self._advert_seen:
             return True
         due = self._advert_due.get(key)
-        if due is not None and due <= at:
-            return True
-        self._advert_due[key] = at
+        if due is not None:
+            if due[0] <= at:
+                return True
+            self.net.cancel_copy(due[1])
+        self._advert_due[key] = (at, self.net.k.next_id)
         return False
-
-    def _ignores_sreq(self, msg: SreqMsg, at: float) -> bool:
-        return self._ignores_flood(self._sreq_best, self._sreq_due, msg.query_id,
-                                   msg.requester, msg.requester_seq, msg.hop_count, at)
 
     def _on_advert(self, msg: AdvertMsg, from_id: int) -> None:
         desc = msg.descriptor
@@ -266,8 +269,8 @@ class DiscoveryNode(AodvNode):
         return None, 0
 
     def _on_sreq(self, msg: SreqMsg, from_id: int) -> None:
-        if not self._flood_arrival(self._sreq_best, self._sreq_due, msg.query_id,
-                                   msg.requester, from_id, msg.hop_count, msg.requester_seq):
+        if not self._flood_arrival(msg.query_id, msg.requester, from_id, msg.hop_count,
+                                   msg.requester_seq):
             return
         desc, dist = self._local_answer(msg.service_id, msg.ontology_tag)
         if desc is not None:

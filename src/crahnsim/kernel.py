@@ -53,6 +53,11 @@ class Kernel:
             self._streams[label] = gen
         return gen
 
+    @property
+    def next_id(self) -> int:
+        """The id that the next `schedule` call returns."""
+        return self._next_id
+
     def schedule(self, at: float, fn: Callable[..., None], *, args: tuple = (),
                  target: str = "system", kind: str = "event") -> int:
         """Run `fn(*args)` at time `at`; returns the event id."""

@@ -116,19 +116,24 @@ def neighbor_graph(nodes: list[NodeState]) -> dict[int, set[int]]:
     """Symmetric, irreflexive adjacency: edge iff within both radios' range."""
     if len(nodes) < 2:
         return {n.id: set() for n in nodes}
-    ids = np.array([n.id for n in nodes])
-    pos = np.array([[n.x, n.y] for n in nodes])
+    ids = [n.id for n in nodes]
+    xs = np.array([n.x for n in nodes])
+    ys = np.array([n.y for n in nodes])
     rng_m = np.array([n.radio_range_m for n in nodes])
-    d2 = np.sum((pos[:, None, :] - pos[None, :, :]) ** 2, axis=2)
-    limit = np.minimum(rng_m[:, None], rng_m[None, :]) ** 2
-    # (a - b)**2 == (b - a)**2 exactly, so `within` is symmetric bit for bit
-    within = d2 <= limit
+    # per axis, not over an (n, n, 2) array: dx*dx + dy*dy is bit for bit the
+    # sum of squares along the last axis, and (a - b)**2 == (b - a)**2
+    # exactly, so `within` is symmetric bit for bit
+    dx = xs[:, None] - xs
+    dy = ys[:, None] - ys
+    limit = np.minimum(rng_m[:, None], rng_m)
+    within = dx * dx + dy * dy <= limit * limit
     np.fill_diagonal(within, False)
-    rows, cols = np.nonzero(within)  # row-major: each row's neighbours are contiguous
-    nbr_ids = ids[cols].tolist()
-    ends = np.cumsum(np.bincount(rows, minlength=len(nodes))).tolist()
-    return {n.id: set(nbr_ids[start:end])
-            for n, start, end in zip(nodes, [0] + ends[:-1], ends)}
+    adj = {i: set() for i in ids}
+    sets = [adj[i] for i in ids]
+    rows, cols = np.nonzero(within)  # row-major: each set fills in node order
+    for i, j in zip(rows.tolist(), cols.tolist()):
+        sets[i].add(ids[j])
+    return adj
 
 
 def connectivity_components(graph: dict[int, set[int]]) -> list[set[int]]:

@@ -6,18 +6,30 @@ duplicate suppression; a duplicate carrying a strictly better hop count
 updates routes and is re-forwarded, so installed routes converge to minimum
 hop counts on static topologies.
 
-A broadcast copy that its receiver would provably handle as a no-op is never
-scheduled (`AodvNode.ignores`): the proof rests on state that only moves one
-way. Duplicate-suppression records only grow and their best hop counts only
-fall; a route's `expires_at` never falls, since every write sets it to
+Flooded messages (RREQ here; SREQ and adverts in `discovery`) never put a
+copy on the event queue that its receiver would provably handle as a no-op.
+`Network.broadcast` asks each receiver's copy test (`AodvNode.copy_tests`) and
+does not schedule a copy the test rejects; a test that keeps a copy records it
+as in flight, with its event id, and cancels (`Kernel.cancel`) each recorded
+copy that the new one proves a no-op. The rule is pairwise: copy E makes a
+later copy L of the same flood a no-op if E arrives first and leaves the
+receiver's duplicate test holding for L with nothing left for L to install
+(`AodvNode._ignores_flood`). The proofs rest on state that only moves one way.
+Duplicate-suppression records only grow and their best hop counts only fall;
+a route's `expires_at` never falls, since every write sets it to
 `now + route_lifetime_s`; and while a route is not stale its
 `(dest_sequence, -hop_count)` only rises. A copy of a node's own flood is
 always a no-op: the node recorded hop count 0 for it when it originated the
-flood, and no node installs a route to itself. Dropping such copies changes no
-handler's inputs and, as event ids stay increasing in scheduling order, does
-not reorder the events that are left.
+flood, and no node installs a route to itself.
+
+Each proof holds in the run that delivers every copy, whichever copies are
+dropped: E is delivered there even if it is itself dropped here, and then it
+is a no-op that changes no state. So dropping copies changes no handler's
+inputs, and, as event ids stay increasing in scheduling order and a cancelled
+event keeps its id, it does not reorder the events that are left.
 """
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -47,6 +59,10 @@ class Rreq:
     hop_count: int  # hops traversed from origin to the receiving node
     ttl: int
     dest_sequence_known: int = 0
+
+    def copy_fields(self) -> tuple:
+        """(flood key, origin, origin sequence, hops): what the copy test reads."""
+        return (self.origin, self.broadcast_id), self.origin, self.origin_sequence, self.hop_count
 
 
 @dataclass
@@ -78,7 +94,8 @@ class Network:
         self.adjacency = neighbor_graph(nodes)
         self.protocols: dict[int, "AodvNode"] = {}
         self.delivered_msgs = 0
-        self.suppressed_msgs = 0  # broadcast copies not scheduled: see AodvNode.ignores
+        self.suppressed_msgs = 0  # broadcast copies not scheduled: see AodvNode.copy_tests
+        self.cancelled_msgs = 0  # broadcast copies scheduled, then cancelled as no-ops
         self._delay_rng = kernel.stream("mac-delay")
         self._loss_rng = kernel.stream("mac-loss")
 
@@ -88,10 +105,6 @@ class Network:
     def refresh_beacons(self) -> None:
         self.adjacency = neighbor_graph(list(self.nodes.values()))
 
-    def _delay(self) -> float:
-        lo, hi = self.hop_delay_s
-        return float(self._delay_rng.uniform(lo, hi))
-
     def _lost(self) -> bool:
         return self.loss_rate > 0 and self._loss_rng.random() < self.loss_rate
 
@@ -99,7 +112,10 @@ class Network:
         """Unicast to a current neighbor; silently dropped if out of range or lost."""
         if dst not in self.adjacency.get(src, ()) or self._lost():
             return
-        delay = self._delay()
+        lo, hi = self.hop_delay_s
+        # numpy's own `uniform` formula, so the value and the stream state are
+        # those of `uniform(lo, hi)`, at a third of the cost
+        delay = lo + (hi - lo) * self._delay_rng.random()
         self.k.schedule(self.k.now + delay, self._deliver, args=(dst, src, msg),
                         target=self._targets[dst], kind=type(msg).__name__.lower())
 
@@ -107,8 +123,9 @@ class Network:
         """Deliver to each current neighbor that the loss draw spares, in id
         order. Loss and delay have their own streams, so drawing each stream's
         values in one call keeps both sequences unchanged. Every copy gets its
-        draws; a copy whose receiving protocol `ignores` it is counted in
-        `suppressed_msgs` instead of being scheduled."""
+        draws; a copy that its receiver's copy test rejects (`copy_tests`, fed
+        the message's `copy_fields`) is counted in `suppressed_msgs` instead
+        of being scheduled."""
         nbrs = sorted(self.adjacency.get(src, ()))
         if self.loss_rate > 0:
             draws = self._loss_rng.random(len(nbrs))
@@ -116,17 +133,28 @@ class Network:
         if not nbrs:
             return
         lo, hi = self.hop_delay_s
-        delays = self._delay_rng.uniform(lo, hi, size=len(nbrs)).tolist()
-        kind = type(msg).__name__.lower()
+        span = hi - lo  # lo + span * r is `uniform(lo, hi)`, as in `send`
+        draws = self._delay_rng.random(len(nbrs)).tolist()
+        t = type(msg)
+        kind = t.__name__.lower()
+        copy_fields = getattr(t, "copy_fields", None)
+        fields = None if copy_fields is None else copy_fields(msg)
         schedule, now, deliver, targets = self.k.schedule, self.k.now, self._deliver, self._targets
         protocols = self.protocols
-        for nbr, delay in zip(nbrs, delays):
-            at = now + delay
-            proto = protocols.get(nbr)
-            if proto is not None and proto.ignores(msg, at):
-                self.suppressed_msgs += 1
-                continue
+        for nbr, r in zip(nbrs, draws):
+            at = now + (lo + span * r)
+            if fields is not None:
+                proto = protocols.get(nbr)
+                test = None if proto is None else proto.copy_tests.get(t)
+                if test is not None and test(fields, at):
+                    self.suppressed_msgs += 1
+                    continue
             schedule(at, deliver, args=(nbr, src, msg), target=targets[nbr], kind=kind)
+
+    def cancel_copy(self, event_id: int) -> None:
+        """Cancel a scheduled copy that its receiver has proven a no-op."""
+        if self.k.cancel(event_id):
+            self.cancelled_msgs += 1
 
     def _deliver(self, dst: int, src: int, msg) -> None:
         proto = self.protocols.get(dst)
@@ -147,8 +175,10 @@ class AodvNode:
         self.routes: dict[int, RouteEntry] = {}
         self.sequence = 0
         self._bid = 0
-        self._rreq_best: dict[tuple, int] = {}  # (origin, bid) -> best hop count seen
-        self._rreq_due: dict[tuple, tuple] = {}  # (origin, bid) -> in-flight copy, see ignores
+        # flood key ((origin, bid) for RREQ, query id for SREQ) -> best hop
+        # count seen, and -> in-flight copies (see _ignores_flood)
+        self._flood_best: dict = {}
+        self._flood_due: dict[object, list] = {}
         self._replied_bids: dict[tuple, int] = {}  # dest only: bid -> seq used
         self._pending: dict[int, list] = {}  # dest -> queued (payload, kind)
         self.rreq_originations = 0
@@ -156,7 +186,9 @@ class AodvNode:
         self.dropped_rreps = 0
         self.delivered: list[tuple] = []  # (payload, origin, kind)
         self._handlers = {Rreq: self._on_rreq, Rrep: self._on_rrep, DataMsg: self._on_data}
-        self._ignore_tests = {Rreq: self._ignores_rreq}
+        # message type -> test(copy_fields, at): True if a broadcast copy
+        # arriving at `at` would be a no-op (see Network.broadcast)
+        self.copy_tests = {Rreq: self._ignores_flood}
         network.attach(self)
 
     # -- route table ----------------------------------------------------------
@@ -187,7 +219,7 @@ class AodvNode:
         self._bid += 1
         self.rreq_originations += 1
         key = (self.id, self._bid)
-        self._rreq_best[key] = 0
+        self._flood_best[key] = 0
         known = self.routes[destination].dest_sequence if destination in self.routes else 0
         rreq = Rreq(origin=self.id, destination=destination, broadcast_id=self._bid,
                     origin_sequence=self.sequence, hop_count=1, ttl=self.ttl,
@@ -215,69 +247,82 @@ class AodvNode:
         else:
             handler(msg, from_id)
 
-    def ignores(self, msg, at: float) -> bool:
-        """Whether a broadcast copy of `msg` arriving here at `at` would be a
-        no-op, so that `Network.broadcast` need not schedule it. A False answer
-        means the copy will be scheduled, and the node notes it as in flight."""
-        test = self._ignore_tests.get(type(msg))
-        return test is not None and test(msg, at)
+    def _ignores_flood(self, fields: tuple, at: float) -> bool:
+        """The copy test of RREQ and SREQ: whether a copy of flood `key` from
+        `origin` (sequence `seq`, `hops` hops) arriving at `at` is a no-op.
 
-    def _ignores_flood(self, best: dict, due: dict, key, origin: int, seq: int,
-                       hops: int, at: float) -> bool:
-        """The flood-copy rule shared by RREQ and SREQ. The handler opens
-        with `_flood_arrival`, which does `_maybe_install(origin, ., hops,
-        seq)`, then returns if `best[key] <= hops`. A copy of this node's own
-        flood is a no-op: `best[key]` is 0 from origination and no node
-        installs a route to itself. Otherwise the copy is a no-op if, with
-        the route to `origin` (if any) still live at `at` and any route
-        installed from now on lasting until `at`: the duplicate test holds
-        already and the install would do nothing, or an earlier-scheduled
-        copy with the same origin and sequence and no more hops arrives no
-        later (once delivered, it leaves both tests holding). `due[key]`
-        holds one scheduled copy, `(at, hops, origin, seq)`, until the
-        handler sees it arrive, so a record present is always still in
-        flight."""
+        The handler opens with `_flood_arrival`, which does
+        `_maybe_install(origin, ., hops, seq)`, then returns if the best hop
+        count seen is <= hops. A copy of this node's own flood is a no-op:
+        the best is 0 from origination and no node installs a route to
+        itself. Otherwise, with any route installed from now on lasting
+        until `at`, the copy L is a no-op if
+
+        - the route to `origin` is live at `at` and at least as good, and
+          the duplicate test holds already; or
+        - an in-flight copy E of the flood arrives first (due earlier, or at
+          the same instant and scheduled earlier) with no more hops, and the
+          route to `origin` is absent, expires before E arrives, or is live
+          at `at`. E then finds a stale route and installs one lasting until
+          `at`, or finds a live one that is or becomes at least as good and
+          stays live until `at`; either way it leaves both tests holding.
+
+        A kept copy is recorded in `_flood_due[key]` as `(at, hops, event
+        id)`, and each recorded copy that it proves a no-op by the same rule
+        (so due strictly later) is cancelled: the record holds the in-flight
+        copies that no other in-flight copy proves a no-op. A flood's key
+        fixes its origin and sequence."""
+        key, origin, seq, hops = fields
         if origin == self.id:
             return True
-        now = self.net.k.now
-        entry = self.routes.get(origin)
-        if now + self.route_lifetime_s < at or (entry is not None and entry.expires_at < at):
+        k = self.net.k
+        if k.now + self.route_lifetime_s < at:
             return False
-        b = best.get(key)
-        if (b is not None and b <= hops and entry is not None
-                and (seq < entry.dest_sequence
-                     or (seq == entry.dest_sequence and hops >= entry.hop_count))):
-            return True
-        d = due.get(key)
-        if d is None:
-            due[key] = (at, hops, origin, seq)
-        elif d[2] == origin and d[3] == seq:
-            if d[0] <= at and d[1] <= hops:
+        entry = self.routes.get(origin)
+        expires = -math.inf if entry is None else entry.expires_at
+        if expires >= at:
+            b = self._flood_best.get(key)
+            if (b is not None and b <= hops
+                    and (seq < entry.dest_sequence
+                         or (seq == entry.dest_sequence and hops >= entry.hop_count))):
                 return True
-            if at <= d[0] and hops <= d[1]:
-                due[key] = (at, hops, origin, seq)
+        due = self._flood_due.get(key)
+        if due is None:
+            self._flood_due[key] = [(at, hops, k.next_id)]
+            return False
+        for e_at, e_hops, _ in due:
+            if e_at <= at and e_hops <= hops and (expires < e_at or expires >= at):
+                return True
+        kept = [(at, hops, k.next_id)]
+        for copy in due:
+            l_at = copy[0]
+            if at < l_at and hops <= copy[1] and (expires < at or expires >= l_at):
+                self.net.cancel_copy(copy[2])
+            else:
+                kept.append(copy)
+        self._flood_due[key] = kept
         return False
 
-    def _flood_arrival(self, best: dict, due: dict, key, origin: int, via: int,
-                       hops: int, seq: int) -> bool:
+    def _flood_arrival(self, key, origin: int, via: int, hops: int, seq: int) -> bool:
         """The opening of the RREQ and SREQ handlers: install the reverse route
-        to `origin`, forget the in-flight record for `key` once its copy has
-        arrived, and record `hops` as the best seen. False for a duplicate
-        with no better hop count."""
+        to `origin`, forget the in-flight copies of `key` due by now, and
+        record `hops` as the best seen. False for a duplicate with no better
+        hop count."""
         self._maybe_install(origin, via, hops, seq)
-        d = due.get(key)
-        if d is not None and d[0] <= self.net.k.now:
-            del due[key]
+        due = self._flood_due.get(key)
+        if due is not None:
+            now = self.net.k.now
+            left = [copy for copy in due if copy[0] > now]
+            if left:
+                self._flood_due[key] = left
+            else:
+                del self._flood_due[key]
+        best = self._flood_best
         b = best.get(key)
         if b is not None and hops >= b:
             return False
         best[key] = hops
         return True
-
-    def _ignores_rreq(self, rreq: Rreq, at: float) -> bool:
-        return self._ignores_flood(self._rreq_best, self._rreq_due,
-                                   (rreq.origin, rreq.broadcast_id), rreq.origin,
-                                   rreq.origin_sequence, rreq.hop_count, at)
 
     def app_receive(self, msg, from_id: int) -> None:
         """Hook for higher layers (service discovery); default drops."""
@@ -287,8 +332,7 @@ class AodvNode:
     def _on_rreq(self, rreq: Rreq, from_id: int) -> None:
         h = rreq.hop_count
         key = (rreq.origin, rreq.broadcast_id)
-        if not self._flood_arrival(self._rreq_best, self._rreq_due, key, rreq.origin,
-                                   from_id, h, rreq.origin_sequence):
+        if not self._flood_arrival(key, rreq.origin, from_id, h, rreq.origin_sequence):
             return  # duplicate with no better hop count
 
         if self.id == rreq.destination:

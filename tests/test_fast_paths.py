@@ -11,7 +11,7 @@ floats, the same draw order and the same event trace.
 import heapq
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 import pytest
@@ -316,6 +316,45 @@ def test_broadcast_matches_per_neighbour_draws(loss_rate):
     assert fast == ref
 
 
+def ref_send(net, src, dst, msg):
+    if dst not in net.adjacency.get(src, ()) or net._lost():
+        return
+    lo, hi = net.hop_delay_s
+    delay = float(net.k.stream("mac-delay").uniform(lo, hi))
+    net.k.schedule(net.k.now + delay, net._deliver, args=(dst, src, msg))
+
+
+def _mac_run(hop_delay_s, send, broadcast):
+    """Unicasts (to the lowest-id neighbour, and once to a non-neighbour)
+    mixed with broadcasts; every arrival time exactly, and the next value of
+    the delay stream."""
+    k = Kernel(seed=23, end=10.0)
+    rng = _rng(24)
+    nodes = [NodeState(id=i, x=float(rng.uniform(0, 400)), y=float(rng.uniform(0, 400)),
+                       radio_range_m=200.0) for i in range(20)]
+    net = Network(k, nodes, hop_delay_s=hop_delay_s)
+    arrivals = []
+    net._deliver = lambda dst, src, msg: arrivals.append((k.now, dst, src, type(msg).__name__))
+    for step in range(40):
+        src = step % len(nodes)
+        if step % 3:
+            k.schedule(0.01 * step, broadcast, args=(net, src, Ping()))
+        else:
+            dst = min(net.adjacency[src] or {src}) if step else src
+            k.schedule(0.01 * step, send, args=(net, src, dst, DataMsg(src, dst, None)))
+    k.run_until(10.0)
+    return arrivals, k.stream("mac-delay").random()
+
+
+@pytest.mark.parametrize("hop_delay_s", [(0.001, 0.005), (0.0, 0.25), (0.002, 0.002)])
+def test_send_delays_equal_scalar_uniform_draws(hop_delay_s):
+    fast = _mac_run(hop_delay_s, Network.send, Network.broadcast)
+    ref = _mac_run(hop_delay_s, ref_send, ref_broadcast)
+    assert fast == ref
+    kinds = [kind for *_, kind in fast[0]]
+    assert kinds.count("DataMsg") >= 10 and kinds.count("Ping") > 100
+
+
 # -- reference: edge-loop neighbour graph, union-find components, two-pass
 # -- cache lookup, isinstance dispatch ------------------------------------------
 
@@ -407,6 +446,31 @@ def test_neighbor_graph_matches_edge_loop(seed, count):
         assert 0 < sum(map(len, got.values())) < 60 * 59  # neither empty nor complete
 
 
+@pytest.mark.parametrize("nodes, edges", [
+    # 3-4-5: d**2 == 25 == min(r)**2 exactly, so in range; just short of it, not
+    ([NodeState(id=0, x=0.0, y=0.0, radio_range_m=5.0),
+      NodeState(id=1, x=3.0, y=4.0, radio_range_m=7.0),
+      NodeState(id=2, x=-3.0, y=-4.0, radio_range_m=np.nextafter(5.0, 0.0))],
+     {(0, 1)}),
+    # coincident nodes, and a third in range of neither
+    ([NodeState(id=5, x=10.0, y=20.0, radio_range_m=1.0),
+      NodeState(id=6, x=10.0, y=20.0, radio_range_m=1.0),
+      NodeState(id=7, x=12.0, y=20.0, radio_range_m=1.0)],
+     {(5, 6)}),
+    # unsorted, non-contiguous ids
+    ([NodeState(id=40, x=0.0, y=0.0, radio_range_m=10.0),
+      NodeState(id=3, x=6.0, y=8.0, radio_range_m=10.0),
+      NodeState(id=17, x=0.0, y=10.0, radio_range_m=10.0),
+      NodeState(id=8, x=100.0, y=0.0, radio_range_m=300.0)],
+     {(40, 3), (40, 17), (3, 17)}),
+])
+def test_neighbor_graph_boundaries(nodes, edges):
+    got = neighbor_graph(nodes)
+    assert got == ref_neighbor_graph(nodes)
+    assert list(got) == [n.id for n in nodes]
+    assert {(a, b) for a, nbrs in got.items() for b in nbrs} == edges | {(b, a) for a, b in edges}
+
+
 def _random_graph(rng, count, p):
     ids = rng.choice(5 * count + 5, size=count, replace=False).tolist()
     graph = {int(v): set() for v in ids}
@@ -475,9 +539,9 @@ def _node_state(node):
     """What a delivery may change at its receiver, as plain comparable values."""
     state = [{d: (e.next_hop, e.hop_count, e.dest_sequence, e.expires_at)
               for d, e in node.routes.items()},
-             dict(node._rreq_best), node.sequence, node.net.k._next_id]
+             dict(node._flood_best), node.sequence, node.net.k._next_id]
     if isinstance(node, DiscoveryNode):
-        state += [dict(node._sreq_best), frozenset(node._advert_seen),
+        state += [frozenset(node._advert_seen),
                   {key: (e.learned_at, e.descriptor.issued_at,
                          tuple(e.descriptor.advertised_route))
                    for key, e in node.cache.items()},
@@ -494,19 +558,44 @@ def _strip(line):
     return at, target, kind
 
 
+def _is_duplicate(node, msg):
+    """Whether `msg` fails its receiver's duplicate test: a flood copy with no
+    fewer hops than the best seen, or an advert already seen (or the node's
+    own)."""
+    if isinstance(msg, (Rreq, SreqMsg)):
+        key = ((msg.origin, msg.broadcast_id) if isinstance(msg, Rreq) else msg.query_id)
+        best = node._flood_best.get(key)
+        return best is not None and msg.hop_count >= best
+    if isinstance(msg, AdvertMsg):
+        desc = msg.descriptor
+        return (desc.provider == node.id
+                or (desc.provider, desc.service_id, desc.issued_at) in node._advert_seen)
+    return False
+
+
+class FloodRuns(NamedTuple):
+    fast: object  # outcome of the plain run
+    ref: object  # outcome of the reference run
+    suppressed: list  # copies never scheduled, as (at, target, kind)
+    cancelled: list  # copies scheduled, then cancelled, as (at, target, kind)
+    noops: int  # reference deliveries that left their receiver unchanged
+    duplicates: dict  # kind -> plain-run deliveries that failed the duplicate test
+
+
 def _flood_runs(monkeypatch, run, ref_patches=()):
     """`run(trace)` builds a `Kernel(trace=trace)`, runs a scenario on it and
-    returns its outcome. It is run three times: as is; with a no-op
+    returns its outcome. It is run three times: as is; marking, with a no-op
     placeholder event scheduled for each copy that `Network.broadcast`
-    suppresses, at the copy's time and target; and with `ref_broadcast`,
-    which schedules every copy, snapshotting the receiver around every
-    delivery. The placeholders must stand exactly where the reference
-    delivers (same event ids), the plain trace must be the reference trace
-    with those deliveries removed, and each of them must have left its
-    receiver's state unchanged in the reference run. In every run, no node
-    may end holding a route to itself. Returns the plain and reference
-    outcomes, the suppressed copies as (at, target, kind) and the number of
-    reference deliveries that were no-ops."""
+    suppresses, at the copy's time and target, and with each copy that a
+    node cancels left in the queue but not delivered; and with
+    `ref_broadcast`, which schedules every copy, snapshotting the receiver
+    around every delivery. The placeholders and the copies left standing
+    must be exactly where the reference delivers (same event ids), the plain
+    trace must be the reference trace with those deliveries removed, and
+    each of them must have left its receiver's state unchanged in the
+    reference run. The plain run's deliveries plus its suppressed and
+    cancelled copies must be the reference run's deliveries. In every run,
+    no node may end holding a route to itself."""
     protos = []
     real_attach = Network.attach
 
@@ -514,31 +603,58 @@ def _flood_runs(monkeypatch, run, ref_patches=()):
         protos.append(proto)
         real_attach(net, proto)
 
-    def no_self_routes():
+    def finish():
+        """Check and forget the run's nodes; their networks' counters, summed."""
         assert [p.id for p in protos if p.id in p.routes] == []
+        nets = {id(p.net): p.net for p in protos}.values()
         protos.clear()
+        return [sum(getattr(net, name) for net in nets)
+                for name in ("delivered_msgs", "suppressed_msgs", "cancelled_msgs")]
 
     monkeypatch.setattr(Network, "attach", recording_attach)
-    fast_trace = []
-    fast = run(fast_trace)
-    no_self_routes()
+    duplicates, fast_trace = {}, []
+    real_deliver = Network._deliver
 
-    marks, mark_trace = [], []
-    real_ignores = AodvNode.ignores
-
-    def marking_ignores(node, msg, at):
-        if not real_ignores(node, msg, at):
-            return False
-        marks.append(node.net.k.schedule(at, None, target=f"n{node.id}",
-                                         kind=type(msg).__name__.lower()))
-        return True
+    def counting_deliver(net, dst, src, msg):
+        proto = net.protocols.get(dst)
+        if proto is not None and _is_duplicate(proto, msg):
+            kind = type(msg).__name__.lower()
+            duplicates[kind] = duplicates.get(kind, 0) + 1
+        real_deliver(net, dst, src, msg)
     with monkeypatch.context() as m:
-        m.setattr(AodvNode, "ignores", marking_ignores)
+        m.setattr(Network, "_deliver", counting_deliver)
+        fast = run(fast_trace)
+    delivered, suppressed_count, cancelled_count = finish()
+
+    marks, cancels, mark_trace, sending = [], {}, [], []
+    real_broadcast = Network.broadcast
+
+    def kind_noting_broadcast(net, src, msg):
+        sending.append(type(msg).__name__.lower())
+        real_broadcast(net, src, msg)
+        sending.pop()
+
+    def marking(test):
+        def marking_test(node, fields, at):
+            if not test(node, fields, at):
+                return False
+            marks.append(node.net.k.schedule(at, None, target=f"n{node.id}", kind=sending[-1]))
+            return True
+        return marking_test
+
+    def skipping_deliver(net, dst, src, msg):
+        if _eid(net.k.trace[-1]) not in cancels:
+            real_deliver(net, dst, src, msg)
+    with monkeypatch.context() as m:
+        m.setattr(Network, "broadcast", kind_noting_broadcast)
+        m.setattr(Network, "cancel_copy", lambda net, event_id: cancels.setdefault(event_id))
+        m.setattr(Network, "_deliver", skipping_deliver)
+        m.setattr(AodvNode, "_ignores_flood", marking(AodvNode._ignores_flood))
+        m.setattr(DiscoveryNode, "_ignores_advert", marking(DiscoveryNode._ignores_advert))
         run(mark_trace)
-    no_self_routes()
+    finish()
 
     noops, ref_trace = set(), []
-    real_deliver = Network._deliver
 
     def snapshotting_deliver(net, dst, src, msg):
         proto = net.protocols.get(dst)
@@ -552,16 +668,21 @@ def _flood_runs(monkeypatch, run, ref_patches=()):
         for obj, name, value in ref_patches:
             m.setattr(obj, name, value)
         ref = run(ref_trace)
-    no_self_routes()
+    ref_delivered = finish()[0]
     monkeypatch.setattr(Network, "attach", real_attach)
 
-    marked = set(marks)
+    marked, cancelled = set(marks), set(cancels)
+    assert (len(marked), len(cancelled)) == (suppressed_count, cancelled_count)
+    assert not marked & cancelled
     assert mark_trace == ref_trace
     assert [_strip(line) for line in fast_trace] == [
-        _strip(line) for line in ref_trace if _eid(line) not in marked]
-    assert marked <= noops
-    suppressed = [_strip(line) for line in ref_trace if _eid(line) in marked]
-    return fast, ref, suppressed, len(noops)
+        _strip(line) for line in ref_trace if _eid(line) not in marked | cancelled]
+    assert marked | cancelled <= noops
+    assert delivered + suppressed_count + cancelled_count == ref_delivered
+    return FloodRuns(fast, ref,
+                     [_strip(line) for line in ref_trace if _eid(line) in marked],
+                     [_strip(line) for line in ref_trace if _eid(line) in cancelled],
+                     len(noops), duplicates)
 
 
 def _traced_replication(cfg, seed):
@@ -595,7 +716,8 @@ def test_discovery_replication_matches_reference_paths(monkeypatch, seed):
         comp = next(c for c in ref_connectivity_components(node.net.adjacency) if node.id in c)
         at_issue[query.query_id] = (service_id, comp)
         return query
-    fast, ref, suppressed, noops = _flood_runs(monkeypatch, _traced_replication(cfg, seed), [
+    fast, ref, suppressed, cancelled, noops, duplicates = _flood_runs(
+            monkeypatch, _traced_replication(cfg, seed), [
         (mobility, "connectivity_components", ref_connectivity_components),
         (mobility, "neighbor_graph", ref_neighbor_graph),
         (routing, "neighbor_graph", ref_neighbor_graph),
@@ -608,7 +730,10 @@ def test_discovery_replication_matches_reference_paths(monkeypatch, seed):
     assert fast.results == ref.results
     kinds = {kind for _, _, kind in suppressed}
     assert kinds == {"sreqmsg", "advertmsg"}
-    assert len(suppressed) > noops / 2  # most no-op deliveries are never scheduled
+    assert {kind for _, _, kind in cancelled} <= kinds
+    assert len(suppressed) + len(cancelled) > noops / 2  # most no-op deliveries never run
+    # every copy that arrives as a duplicate is proven a no-op in time
+    assert duplicates.get("sreqmsg", 0) == duplicates.get("advertmsg", 0) == 0
     assert len(ref.results) == len(at_issue) == cfg.discovery.query_count
     for result, reachable in ref.results:
         service_id, comp = at_issue[result.query.query_id]
@@ -624,12 +749,18 @@ def _sreq(hops, ttl):
                    ontology_tag=None, hop_count=hops, ttl=ttl)
 
 
-def _line_run(copies, route_lifetime_s=30.0):
+def _advert(hops, hops_left):
+    desc = ServiceDescriptor(service_id="svc", provider=7,
+                             advertised_route=[7] + [9] * (hops - 1))
+    return AdvertMsg(descriptor=desc, hops_left=hops_left)
+
+
+def _line_run(copies, route_lifetime_s=30.0, make=_sreq):
     """Receiver 0 between senders 1 and 2, which do not hear each other. Each
-    copy `(t, sender, delay, hops, ttl)` is an SREQ of one query broadcast by
-    the sender at `t` with a fixed hop delay. The outcome is the receiver's
-    route to the requester, its best hop count and the hop counts it
-    forwarded."""
+    copy `(t, sender, delay, hops, ttl)` is `make(hops, ttl)`, by default an
+    SREQ of one query from requester 7, broadcast by the sender at `t` with
+    a fixed hop delay. The outcome is the receiver's route to node 7, its
+    best hop count for the query and the hop counts it forwarded."""
     def run(trace):
         k = Kernel(seed=5, end=1.0, trace=trace)
         nodes = [NodeState(id=0, x=0.0, y=0.0, radio_range_m=250.0),
@@ -650,11 +781,11 @@ def _line_run(copies, route_lifetime_s=30.0):
             net.hop_delay_s = (delay, delay)
             real_broadcast(src, msg)
         for t, src, delay, hops, ttl in copies:
-            k.schedule(t, send, args=(src, delay, _sreq(hops, ttl)))
+            k.schedule(t, send, args=(src, delay, make(hops, ttl)))
         k.run_until(1.0)
         route = protos[0].routes[7]
         return ((route.next_hop, route.hop_count, route.expires_at),
-                protos[0]._sreq_best[1], forwarded)
+                protos[0]._flood_best.get(1), forwarded)
     return run
 
 
@@ -662,7 +793,7 @@ def test_copy_scheduled_later_but_arriving_earlier_is_delivered(monkeypatch):
     # sender 1's copy is recorded as in flight (arrives 0.005); sender 2's,
     # scheduled later, arrives at 0.002 and must install the route; a third
     # copy broadcast after that arrival is the only one suppressed
-    fast, ref, suppressed, _ = _flood_runs(monkeypatch, _line_run(
+    fast, ref, suppressed, cancelled, *_ = _flood_runs(monkeypatch, _line_run(
         [(0.0, 1, 0.005, 3, 1), (0.001, 2, 0.001, 3, 1), (0.003, 1, 0.002, 3, 1)]))
     assert fast == ref
     assert fast[0][0] == 2
@@ -672,20 +803,21 @@ def test_copy_scheduled_later_but_arriving_earlier_is_delivered(monkeypatch):
 def test_equal_arrival_times(monkeypatch):
     assert 0.0 + 0.002 == 0.001 + 0.001
     # no more hops: the earlier-scheduled copy runs first, the other is suppressed
-    fast, ref, suppressed, _ = _flood_runs(monkeypatch, _line_run(
+    fast, ref, suppressed, cancelled, *_ = _flood_runs(monkeypatch, _line_run(
         [(0.0, 1, 0.002, 3, 1), (0.001, 2, 0.001, 3, 1)]))
     assert fast == ref and fast[0][0] == 1
     assert suppressed == [("0.002000", "n0", "sreqmsg")]
     # fewer hops: delivered second, it wins and is forwarded again
-    fast, ref, suppressed, _ = _flood_runs(monkeypatch, _line_run(
+    fast, ref, suppressed, cancelled, *_ = _flood_runs(monkeypatch, _line_run(
         [(0.0, 1, 0.002, 3, 2), (0.001, 2, 0.001, 2, 2)]))
     assert fast == ref
     assert fast[0][:2] == (2, 2) and fast[1] == 2 and fast[2] == [4, 3]
     assert ("0.002000", "n0", "sreqmsg") not in suppressed
+    assert cancelled == []  # due at the same instant, the older copy runs first
 
 
 def test_later_copy_with_fewer_hops_is_delivered_and_forwarded(monkeypatch):
-    fast, ref, suppressed, _ = _flood_runs(monkeypatch, _line_run(
+    fast, ref, suppressed, cancelled, *_ = _flood_runs(monkeypatch, _line_run(
         [(0.0, 1, 0.001, 4, 2), (0.002, 2, 0.001, 2, 2), (0.004, 1, 0.001, 3, 2)]))
     assert fast == ref
     assert fast[0][:2] == (2, 2) and fast[2] == [5, 3]
@@ -699,12 +831,12 @@ def test_later_copy_with_fewer_hops_is_delivered_and_forwarded(monkeypatch):
     # at 0.003, before the second copy arrives at 0.0045
     [(0.0, 1, 0.001, 3, 1), (0.0005, 2, 0.004, 3, 1)]])
 def test_route_expiring_before_arrival_keeps_the_copy(monkeypatch, copies):
-    fast, ref, suppressed, _ = _flood_runs(monkeypatch, _line_run(copies, route_lifetime_s=0.002))
+    fast, ref, suppressed, cancelled, *_ = _flood_runs(monkeypatch, _line_run(copies, route_lifetime_s=0.002))
     assert fast == ref
     assert fast[0][0] == 2  # the second copy re-installed the stale route
     assert suppressed == []
     # with a lifetime that outlasts the arrival, the same copy is a no-op
-    fast, ref, suppressed, _ = _flood_runs(monkeypatch, _line_run(copies))
+    fast, ref, suppressed, cancelled, *_ = _flood_runs(monkeypatch, _line_run(copies))
     assert fast == ref and fast[0][0] == 1
     assert len(suppressed) == 1
 
@@ -714,12 +846,76 @@ def test_stale_route_replaced_by_a_worse_one_can_improve_again(monkeypatch):
     # arrives at 0.0035 and installs a 5-hop route over the stale one; a
     # 4-hop copy is a duplicate (best is 3) but improves that route, so it
     # must be delivered
-    fast, ref, suppressed, _ = _flood_runs(monkeypatch, _line_run(
+    fast, ref, suppressed, cancelled, *_ = _flood_runs(monkeypatch, _line_run(
         [(0.0, 1, 0.001, 3, 1), (0.003, 2, 0.0005, 5, 1), (0.004, 1, 0.001, 4, 1)],
         route_lifetime_s=0.002))
     assert fast == ref
     assert fast[0][:2] == (1, 4) and fast[1] == 3
     assert suppressed == []
+
+
+def test_route_expired_by_scheduling_time_does_not_block_suppression(monkeypatch):
+    # the first copy's route expires at 0.003; at 0.0041 the receiver still
+    # holds it, stale, while a copy from sender 2 is in flight (due 0.005).
+    # That copy finds the route stale and installs one lasting past 0.0061,
+    # so the copy due then with no fewer hops is a no-op
+    copies = [(0.0, 1, 0.001, 3, 1), (0.004, 2, 0.001, 3, 1), (0.0041, 1, 0.002, 3, 1)]
+    fast, ref, suppressed, cancelled, *_ = _flood_runs(
+        monkeypatch, _line_run(copies, route_lifetime_s=0.002))
+    assert fast == ref and fast[0][:2] == (2, 3)
+    assert suppressed == [("0.006100", "n0", "sreqmsg")] and cancelled == []
+
+
+def test_route_expiring_between_the_two_copies_keeps_the_later(monkeypatch):
+    # a 4-hop copy installs a route (expires 0.0025); a 3-hop copy due at
+    # 0.0028 is kept; a 2-hop copy due 0.001 cannot cancel it, as the route
+    # expires between the two arrivals. The 2-hop copy installs a route
+    # expiring at 0.003, so the 3-hop copy arrives as a no-op; but a copy
+    # sent at 0.0012, due 0.0032, meets that route expiring between the
+    # in-flight 3-hop copy and itself, so it is kept: it re-installs the
+    # stale route
+    copies = [(0.0, 1, 0.0005, 4, 1), (0.0008, 2, 0.002, 3, 1), (0.0009, 1, 0.0001, 2, 1),
+              (0.0012, 2, 0.002, 3, 1)]
+    fast, ref, suppressed, cancelled, *_ = _flood_runs(
+        monkeypatch, _line_run(copies, route_lifetime_s=0.002))
+    assert fast == ref
+    assert fast[0][:2] == (2, 3) and fast[1] == 2
+    assert suppressed == cancelled == []
+
+
+def test_copy_dominated_only_by_the_second_in_flight_copy(monkeypatch):
+    # in flight: a 2-hop copy due 0.005 and a 4-hop copy due 0.003, neither
+    # a no-op given the other; a 4-hop copy due 0.004 is one given the second
+    fast, ref, suppressed, cancelled, *_ = _flood_runs(monkeypatch, _line_run(
+        [(0.0, 1, 0.005, 2, 1), (0.0005, 2, 0.0025, 4, 1), (0.001, 1, 0.003, 4, 1)]))
+    assert fast == ref and fast[0][:2] == (1, 2)
+    assert suppressed == [("0.004000", "n0", "sreqmsg")] and cancelled == []
+
+
+def test_strictly_earlier_copy_cancels_the_later(monkeypatch):
+    # due 0.002 with no more hops, the second copy makes the first (due
+    # 0.003) a no-op: it stays scheduled until then, and is cancelled
+    fast, ref, suppressed, cancelled, *_ = _flood_runs(monkeypatch, _line_run(
+        [(0.0, 1, 0.003, 3, 2), (0.001, 2, 0.001, 3, 2)]))
+    assert fast == ref and fast[0][:2] == (2, 3) and fast[2] == [4]
+    assert cancelled == [("0.003000", "n0", "sreqmsg")]
+    assert ("0.003000", "n0", "sreqmsg") not in suppressed
+    # with more hops it cancels nothing: both are delivered, the first improves
+    fast, ref, suppressed, cancelled, *_ = _flood_runs(monkeypatch, _line_run(
+        [(0.0, 1, 0.003, 3, 2), (0.001, 2, 0.001, 4, 2)]))
+    assert fast == ref and fast[0][:2] == (1, 3) and fast[2] == [5, 4]
+    assert cancelled == []
+
+
+def test_advert_cancelled_by_a_copy_due_earlier(monkeypatch):
+    # the same advert from both senders: the copy due 0.002 marks it seen,
+    # so the one due 0.003 is cancelled; one due 0.004 is never scheduled
+    copies = [(0.0, 1, 0.003, 1, 1), (0.001, 2, 0.001, 2, 1), (0.0015, 1, 0.0025, 1, 1)]
+    fast, ref, suppressed, cancelled, *_ = _flood_runs(
+        monkeypatch, _line_run(copies, make=_advert))
+    assert fast == ref and fast[0][:2] == (2, 2)
+    assert cancelled == [("0.003000", "n0", "advertmsg")]
+    assert suppressed == [("0.004000", "n0", "advertmsg")]
 
 
 class _LossCounter:
@@ -766,9 +962,9 @@ def _assert_conservation(build):
     assert (net._loss_rng.lost > 0) == (net.loss_rate > 0)
     # in-flight records are dropped on arrival: only copies due after the end remain
     for p in net.protocols.values():
-        due = list(p._rreq_due.values()) + list(getattr(p, "_sreq_due", {}).values())
+        due = [copy for copies in p._flood_due.values() for copy in copies]
+        due += getattr(p, "_advert_due", {}).values()
         assert all(at > k.end for at, *_ in due)
-        assert all(at > k.end for at in getattr(p, "_advert_due", {}).values())
 
 
 def _aodv_flood(seed, loss_rate):
@@ -793,8 +989,10 @@ def _aodv_flood(seed, loss_rate):
 @pytest.mark.parametrize("loss_rate", [0.0, 0.3])
 @pytest.mark.parametrize("seed", [1, 2])
 def test_aodv_rreq_floods_match_reference(monkeypatch, seed, loss_rate):
-    fast, ref, suppressed, _ = _flood_runs(monkeypatch, _run_to_end(_aodv_flood(seed, loss_rate)))
+    fast, ref, suppressed, cancelled, _, duplicates = _flood_runs(
+        monkeypatch, _run_to_end(_aodv_flood(seed, loss_rate)))
     assert fast == ref
+    assert cancelled and duplicates == {}
     assert suppressed and {kind for _, _, kind in suppressed} == {"rreq"}
     assert any(delivered for _, delivered, _, _ in fast)
     _assert_conservation(_aodv_flood(seed, loss_rate))
@@ -821,8 +1019,10 @@ def _discovery_flood(seed, loss_rate):
 
 @pytest.mark.parametrize("loss_rate", [0.0, 0.3])
 def test_discovery_floods_with_loss_match_reference(monkeypatch, loss_rate):
-    fast, ref, suppressed, _ = _flood_runs(monkeypatch, _run_to_end(_discovery_flood(11, loss_rate)))
+    fast, ref, suppressed, cancelled, _, duplicates = _flood_runs(
+        monkeypatch, _run_to_end(_discovery_flood(11, loss_rate)))
     assert fast == ref
+    assert cancelled and duplicates == {}
     assert {kind for _, _, kind in suppressed} == {"sreqmsg", "advertmsg"}
     assert any(r.timed_out for r in fast) and any(not r.cache_hit and not r.timed_out
                                                    for r in fast)
