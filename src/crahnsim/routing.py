@@ -248,8 +248,9 @@ class AodvNode:
             handler(msg, from_id)
 
     def _ignores_flood(self, fields: tuple, at: float) -> bool:
-        """The copy test of RREQ and SREQ: whether a copy of flood `key` from
-        `origin` (sequence `seq`, `hops` hops) arriving at `at` is a no-op.
+        """The copy test of RREQ and SREQ: whether a copy arriving at `at` is
+        a no-op. `fields` is the message's `copy_fields()`: `(key, origin,
+        seq, hops)`, for flood `key` from `origin` with sequence `seq`.
 
         The handler opens with `_flood_arrival`, which does
         `_maybe_install(origin, ., hops, seq)`, then returns if the best hop

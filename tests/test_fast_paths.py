@@ -717,7 +717,7 @@ def test_discovery_replication_matches_reference_paths(monkeypatch, seed):
         at_issue[query.query_id] = (service_id, comp)
         return query
     fast, ref, suppressed, cancelled, noops, duplicates = _flood_runs(
-            monkeypatch, _traced_replication(cfg, seed), [
+        monkeypatch, _traced_replication(cfg, seed), [
         (mobility, "connectivity_components", ref_connectivity_components),
         (mobility, "neighbor_graph", ref_neighbor_graph),
         (routing, "neighbor_graph", ref_neighbor_graph),
@@ -793,7 +793,7 @@ def test_copy_scheduled_later_but_arriving_earlier_is_delivered(monkeypatch):
     # sender 1's copy is recorded as in flight (arrives 0.005); sender 2's,
     # scheduled later, arrives at 0.002 and must install the route; a third
     # copy broadcast after that arrival is the only one suppressed
-    fast, ref, suppressed, cancelled, *_ = _flood_runs(monkeypatch, _line_run(
+    fast, ref, suppressed, *_ = _flood_runs(monkeypatch, _line_run(
         [(0.0, 1, 0.005, 3, 1), (0.001, 2, 0.001, 3, 1), (0.003, 1, 0.002, 3, 1)]))
     assert fast == ref
     assert fast[0][0] == 2
@@ -817,7 +817,7 @@ def test_equal_arrival_times(monkeypatch):
 
 
 def test_later_copy_with_fewer_hops_is_delivered_and_forwarded(monkeypatch):
-    fast, ref, suppressed, cancelled, *_ = _flood_runs(monkeypatch, _line_run(
+    fast, ref, suppressed, *_ = _flood_runs(monkeypatch, _line_run(
         [(0.0, 1, 0.001, 4, 2), (0.002, 2, 0.001, 2, 2), (0.004, 1, 0.001, 3, 2)]))
     assert fast == ref
     assert fast[0][:2] == (2, 2) and fast[2] == [5, 3]
@@ -831,12 +831,12 @@ def test_later_copy_with_fewer_hops_is_delivered_and_forwarded(monkeypatch):
     # at 0.003, before the second copy arrives at 0.0045
     [(0.0, 1, 0.001, 3, 1), (0.0005, 2, 0.004, 3, 1)]])
 def test_route_expiring_before_arrival_keeps_the_copy(monkeypatch, copies):
-    fast, ref, suppressed, cancelled, *_ = _flood_runs(monkeypatch, _line_run(copies, route_lifetime_s=0.002))
+    fast, ref, suppressed, *_ = _flood_runs(monkeypatch, _line_run(copies, route_lifetime_s=0.002))
     assert fast == ref
     assert fast[0][0] == 2  # the second copy re-installed the stale route
     assert suppressed == []
     # with a lifetime that outlasts the arrival, the same copy is a no-op
-    fast, ref, suppressed, cancelled, *_ = _flood_runs(monkeypatch, _line_run(copies))
+    fast, ref, suppressed, *_ = _flood_runs(monkeypatch, _line_run(copies))
     assert fast == ref and fast[0][0] == 1
     assert len(suppressed) == 1
 
@@ -846,7 +846,7 @@ def test_stale_route_replaced_by_a_worse_one_can_improve_again(monkeypatch):
     # arrives at 0.0035 and installs a 5-hop route over the stale one; a
     # 4-hop copy is a duplicate (best is 3) but improves that route, so it
     # must be delivered
-    fast, ref, suppressed, cancelled, *_ = _flood_runs(monkeypatch, _line_run(
+    fast, ref, suppressed, *_ = _flood_runs(monkeypatch, _line_run(
         [(0.0, 1, 0.001, 3, 1), (0.003, 2, 0.0005, 5, 1), (0.004, 1, 0.001, 4, 1)],
         route_lifetime_s=0.002))
     assert fast == ref
