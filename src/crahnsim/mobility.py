@@ -116,7 +116,7 @@ def neighbor_graph(nodes: list[NodeState]) -> dict[int, set[int]]:
     """Symmetric, irreflexive adjacency: edge iff within both radios' range."""
     if len(nodes) < 2:
         return {n.id: set() for n in nodes}
-    ids = [n.id for n in nodes]
+    ids = np.array([n.id for n in nodes])
     xs = np.array([n.x for n in nodes])
     ys = np.array([n.y for n in nodes])
     rng_m = np.array([n.radio_range_m for n in nodes])
@@ -128,12 +128,11 @@ def neighbor_graph(nodes: list[NodeState]) -> dict[int, set[int]]:
     limit = np.minimum(rng_m[:, None], rng_m)
     within = dx * dx + dy * dy <= limit * limit
     np.fill_diagonal(within, False)
-    adj = {i: set() for i in ids}
-    sets = [adj[i] for i in ids]
-    rows, cols = np.nonzero(within)  # row-major: each set fills in node order
-    for i, j in zip(rows.tolist(), cols.tolist()):
-        sets[i].add(ids[j])
-    return adj
+    rows, cols = np.nonzero(within)  # row-major: each row's neighbours are contiguous
+    nbr_ids = ids[cols].tolist()
+    ends = np.cumsum(np.bincount(rows, minlength=len(nodes))).tolist()
+    return {n.id: set(nbr_ids[start:end])
+            for n, start, end in zip(nodes, [0] + ends[:-1], ends)}
 
 
 def connectivity_components(graph: dict[int, set[int]]) -> list[set[int]]:

@@ -125,7 +125,9 @@ class Network:
         values in one call keeps both sequences unchanged. Every copy gets its
         draws; a copy that its receiver's copy test rejects (`copy_tests`, fed
         the message's `copy_fields`) is counted in `suppressed_msgs` instead
-        of being scheduled."""
+        of being scheduled. Nothing is scheduled between a copy's test and
+        its `schedule`, so a test that keeps the copy knows its event id:
+        `Kernel.next_id` at the time of the test."""
         nbrs = sorted(self.adjacency.get(src, ()))
         if self.loss_rate > 0:
             draws = self._loss_rng.random(len(nbrs))
@@ -187,7 +189,10 @@ class AodvNode:
         self.delivered: list[tuple] = []  # (payload, origin, kind)
         self._handlers = {Rreq: self._on_rreq, Rrep: self._on_rrep, DataMsg: self._on_data}
         # message type -> test(copy_fields, at): True if a broadcast copy
-        # arriving at `at` would be a no-op (see Network.broadcast)
+        # arriving at `at` would be a no-op (see Network.broadcast). A test
+        # runs only right before that copy's `schedule`, so on False it may
+        # record `Kernel.next_id` as the copy's event id; it must schedule
+        # nothing itself
         self.copy_tests = {Rreq: self._ignores_flood}
         network.attach(self)
 

@@ -730,8 +730,8 @@ def test_discovery_replication_matches_reference_paths(monkeypatch, seed):
     assert fast.results == ref.results
     kinds = {kind for _, _, kind in suppressed}
     assert kinds == {"sreqmsg", "advertmsg"}
+    assert len(suppressed) > noops / 2  # most no-op deliveries are never scheduled
     assert {kind for _, _, kind in cancelled} <= kinds
-    assert len(suppressed) + len(cancelled) > noops / 2  # most no-op deliveries never run
     # every copy that arrives as a duplicate is proven a no-op in time
     assert duplicates.get("sreqmsg", 0) == duplicates.get("advertmsg", 0) == 0
     assert len(ref.results) == len(at_issue) == cfg.discovery.query_count
