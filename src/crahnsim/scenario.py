@@ -77,6 +77,10 @@ class ScenarioConfig:
                 value = getattr(block, f.name)
                 if isinstance(value, float) and not math.isfinite(value):
                     raise ScenarioError(f"{f.name}: must be finite, got {value}")
+                if isinstance(value, tuple):
+                    dup = next((v for i, v in enumerate(value) if v in value[:i]), None)
+                    if dup is not None:
+                        raise ScenarioError(f"{f.name}: duplicate entry {dup!r}")
         s = self.simulation
         _positive("sim_time_s", s.sim_time_s)
         _positive("area_width_m", s.area_width_m)

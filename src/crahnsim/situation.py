@@ -19,6 +19,8 @@ Timestamps are DDMMYYYYhhmmss. Encoding is canonical (byte-stable); decoding
 is whitespace-insensitive and also accepts a bare `<?xml>` prologue.
 """
 
+import csv
+import io
 import re
 import xml.etree.ElementTree as ET
 from dataclasses import dataclass, field
@@ -183,11 +185,11 @@ TABLE_HEADER = ("Location", "Situation", "TimeStamp", "ShortMessage")
 
 
 def situation_table_csv(db: SituationDb) -> str:
-    out = ["location,situation,timestamp,short_message"]
-    for loc, sit, ts, msg in export_situation_table(db):
-        msg_csv = '"' + msg.replace('"', '""') + '"' if ("," in msg or '"' in msg) else msg
-        out.append(f'"{loc}",{sit},{ts},{msg_csv}')
-    return "\n".join(out) + "\n"
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(["location", "situation", "timestamp", "short_message"])
+    writer.writerows(export_situation_table(db))
+    return out.getvalue()
 
 
 def situation_table_text(db: SituationDb) -> str:

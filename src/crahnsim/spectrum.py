@@ -1,10 +1,11 @@
 """Primary-user activity modeling, spectrum-hole detection and selection.
 
-Each channel is licensed to one primary user (PU). PUs start idle at t = 0
-and alternate idle and transmitting periods (exponential durations, per-PU
-mean scale). Secondary users occupy holes and are evicted the instant the
-licensed PU resumes. Hole selection is either a history-blind uniform pick or
-an MLP score trained online on (hole features -> realized remaining idle time).
+PU i licenses channel i, so a channel index is also a PU id. PUs start idle
+at t = 0 and alternate idle and transmitting periods (exponential durations,
+per-PU mean scale). Secondary users occupy holes and are evicted the instant
+the licensed PU resumes. Hole selection is either a history-blind uniform
+pick, which reads only the hole set and the `hole-choice` stream, or an MLP
+score trained online on (hole features -> realized remaining idle time).
 
 A PU's activity does not depend on the SUs, so it is drawn up front as a
 timeline: the PU's sorted toggle times, the first one idle -> transmitting.
@@ -32,22 +33,14 @@ from .mobility import Area, NodeState, friis_received_power, place_uniform, step
 DEFAULT_N_WINDOW = 5
 EPSILON_DBM_DISTANCE = 1.0  # clamp for co-located nodes when deriving dBm
 EXPONENTIAL_BLOCK = 1024  # activity draws taken from the stream at once
-
-
-class NoSpectrumError(RuntimeError):
-    """No spectrum hole is available; the secondary user must wait."""
-
-
-@dataclass
-class Channel:
-    index: int
-    licensed_pu: int
-
-
-@dataclass
-class SpectrumHole:
-    channel_index: int
-    idle_since: float
+MOBILE_STEP_S = 5.0  # mobility tick
+WAVELENGTH_M = 0.125  # carrier wavelength for the PU signal at the SU
+# scorer: hidden units, sample buffer, epochs of the first fit and of each refit
+HIDDEN_UNITS = 8
+BUFFER_CAP = 400
+TRAIN_EPOCHS = 150
+REFIT_EPOCHS = 15
+LEARNING_RATE = 0.2
 
 
 @dataclass
@@ -56,7 +49,8 @@ class SuAssignment:
     channel_index: int
     assigned_at: float
     evicted_at: Optional[float] = None
-    # features of the hole when it was chosen; the scorer learns from them at eviction
+    # features of the hole when it was chosen, which the scorer learns from at
+    # eviction; None under random-baseline, which trains no scorer
     selection_features: Optional[np.ndarray] = field(default=None, repr=False, compare=False)
 
 
@@ -108,17 +102,9 @@ def schedule_toggle_times(durations: list[float], end: float) -> list[float]:
     return times
 
 
-def spectrum_holes(channels: list[Channel], timelines: dict[int, list[float]],
-                   t: float) -> list[SpectrumHole]:
-    """Channels whose PU is not transmitting at t, with the start of the idle
-    period (0.0 for the one the PU starts in)."""
-    holes = []
-    for ch in channels:
-        times = timelines[ch.licensed_pu]
-        k = bisect_right(times, t)
-        if k % 2 == 0:
-            holes.append(SpectrumHole(ch.index, times[k - 1] if k else 0.0))
-    return holes
+def spectrum_holes(timelines: dict[int, list[float]], t: float) -> list[int]:
+    """Channels whose PU is not transmitting at t, in the timelines' order."""
+    return [i for i, times in timelines.items() if bisect_right(times, t) % 2 == 0]
 
 
 def extract_features(times: list[float], t: float, n: int, signal_dbm: float,
@@ -139,18 +125,6 @@ def score_holes(model: Mlp, batch: np.ndarray) -> list[float]:
     outputs clamp to 0."""
     raw = model._forward_acts(model._standardize(batch))[-1][:, 0]
     return [max(0.0, float(r)) for r in raw]
-
-
-def select_hole(holes: list[SpectrumHole], scores: Optional[dict[int, float]],
-                policy: str, rng: Optional[np.random.Generator] = None) -> int:
-    if not holes:
-        raise NoSpectrumError("no spectrum hole available")
-    if policy == "mlp-history":
-        best = max(holes, key=lambda h: (scores[h.channel_index], -h.channel_index))
-        return best.channel_index
-    if policy == "random-baseline":
-        return holes[int(rng.integers(0, len(holes)))].channel_index
-    raise ValueError(f"unknown policy {policy!r}")
 
 
 def switching_time_metric(assignments: list[SuAssignment], horizon: float) -> dict:
@@ -178,13 +152,6 @@ class SpectrumParams:
     scale_range: tuple = (0.2, 2.6)
     su_start_s: float = 100.0  # passive warm-up before SUs transmit
     refit_interval: int = 200
-    buffer_cap: int = 400
-    hidden_units: int = 8
-    train_epochs: int = 150
-    refit_epochs: int = 15
-    learning_rate: float = 0.2
-    wavelength_m: float = 0.125
-    mobile_step_s: float = 5.0
 
 
 class SpectrumSim:
@@ -194,12 +161,15 @@ class SpectrumSim:
     (`pu_schedules`, {pu_id: [idle, busy, idle, ...] durations}, replaces the
     draws); past the horizon every PU reads as idle. PU i licenses channel i.
 
-    Before SUs start, each idle period a PU begins is a warm-up sample: its
-    features at the idle start, labeled with the idle time realized until the
-    next busy start. Features are taken at each mobility tick and at SU start,
-    for the idle periods begun since the last one, from the positions that
-    held over that interval. Samples closed by SU start enter the buffer then,
-    in close-time order; a sample still open enters it at its busy start.
+    Under `mlp-history`, before SUs start, each idle period a PU begins is a
+    warm-up sample: its features at the idle start, labeled with the idle time
+    realized until the next busy start. Features are taken at each mobility
+    tick and at SU start, for the idle periods begun since the last one, from
+    the positions that held over that interval. Samples closed by SU start
+    enter the buffer then, in close-time order; a sample still open enters it
+    at its busy start. An assignment adds a sample at its eviction. Under
+    `random-baseline` there are no features and no samples; the scorer is
+    still initialized, from its own `scorer-init` stream.
 
     Ties: a toggle at exactly t has happened for every event at t. A toggle
     that needs handling is a kernel event scheduled when the need arises (an
@@ -213,6 +183,8 @@ class SpectrumSim:
 
     def __init__(self, kernel: Kernel, params: SpectrumParams, area: Optional[Area] = None,
                  pu_schedules: Optional[dict[int, list[float]]] = None):
+        if params.policy not in ("mlp-history", "random-baseline"):
+            raise ValueError(f"unknown policy {params.policy!r}")
         self.k = kernel
         self.p = params
         self.area = area or Area()
@@ -220,12 +192,11 @@ class SpectrumSim:
         self.pus = place_uniform(params.pu_count, self.area, place_rng, role="primary-user")
         self.sus = place_uniform(params.su_count, self.area, place_rng,
                                  role="rescue-SU", start_id=params.pu_count)
-        self.channels = [Channel(i, self.pus[i].id) for i in range(params.pu_count)]
         scale_rng = kernel.stream("pu-params")
         self.scales = {pu.id: scale_rng.uniform(*params.scale_range) for pu in self.pus}
         self.activity_rng = kernel.stream("pu-activity")
         self.choice_rng = kernel.stream("hole-choice")
-        self.model = Mlp.init([params.n_window + 3, params.hidden_units, 1],
+        self.model = Mlp.init([params.n_window + 3, HIDDEN_UNITS, 1],
                               kernel.stream("scorer-init"), output_activation="identity")
         self.model_trained = False
         self.assignments: list[SuAssignment] = []
@@ -246,7 +217,7 @@ class SpectrumSim:
         # and the last hole scan
         self._dbm: dict[tuple[int, int], float] = {}
         self._scan_at: Optional[float] = None
-        self._scanned: tuple[list[SpectrumHole], list[Optional[list[float]]]] = ([], [])
+        self._scanned: tuple[list[int], list[Optional[list[float]]]] = ([], [])
         self._su_started = False
 
     # -- wiring ---------------------------------------------------------------
@@ -260,14 +231,14 @@ class SpectrumSim:
             self.timelines = {pu.id: schedule_toggle_times(self._schedules[pu.id], self.k.end)
                               for pu in self.pus}
         self.k.schedule(self.p.su_start_s, self._start_sus, kind="su-start")
-        self.k.every(self.p.mobile_step_s, self._mobility_step, kind="mobility")
+        self.k.every(MOBILE_STEP_S, self._mobility_step, kind="mobility")
 
     def _mobility_step(self) -> None:
         if not self._su_started:
             self._observe_idle_starts(self.k.now)
         rng = self.k.stream("mobility")
         for node in self.pus + self.sus:
-            step_waypoint(node, self.k.now, self.p.mobile_step_s, rng, self.area)
+            step_waypoint(node, self.k.now, MOBILE_STEP_S, rng, self.area)
         self._dbm.clear()
         self._scan_at = None
 
@@ -277,7 +248,7 @@ class SpectrumSim:
         dbm = self._dbm.get((pu.id, su.id))
         if dbm is None:
             d = max(pu.distance_to(su), EPSILON_DBM_DISTANCE)
-            p_w = friis_received_power(pu.tx_power_w, 1.0, 1.0, self.p.wavelength_m, d)
+            p_w = friis_received_power(pu.tx_power_w, 1.0, 1.0, WAVELENGTH_M, d)
             dbm = self._dbm[pu.id, su.id] = 10.0 * math.log10(p_w * 1000.0)
         return dbm
 
@@ -327,7 +298,10 @@ class SpectrumSim:
 
     def _observe_idle_starts(self, now: float) -> None:
         """Warm-up samples of the idle periods begun in (last observation, now],
-        with the signal at the first SU and the speed the PU had over it."""
+        with the signal at the first SU and the speed the PU had over it. The
+        random baseline trains no scorer and takes none."""
+        if self.p.policy != "mlp-history":
+            return
         su = self.sus[0]
         for pu in self.pus:
             times = self.timelines[pu.id]
@@ -348,7 +322,7 @@ class SpectrumSim:
     def _add_sample(self, features: np.ndarray, realized_idle: float) -> None:
         self.buffer_x.append(features)
         self.buffer_y.append(realized_idle)
-        if len(self.buffer_x) > self.p.buffer_cap:
+        if len(self.buffer_x) > BUFFER_CAP:
             del self.buffer_x[0]
             del self.buffer_y[0]
         self._since_refit += 1
@@ -357,13 +331,13 @@ class SpectrumSim:
 
     def _refit(self) -> None:
         self._since_refit = 0
-        if self.p.policy != "mlp-history" or len(self.buffer_x) < 10:
+        if len(self.buffer_x) < 10:
             return
         x = np.array(self.buffer_x)
         y = np.array(self.buffer_y)[:, None]
         # refits warm-start with the standardization frozen at the initial fit
-        epochs = self.p.refit_epochs if self.model_trained else self.p.train_epochs
-        cfg = TrainConfig(learning_rate=self.p.learning_rate, epochs=epochs, loss="squared")
+        epochs = REFIT_EPOCHS if self.model_trained else TRAIN_EPOCHS
+        cfg = TrainConfig(learning_rate=LEARNING_RATE, epochs=epochs, loss="squared")
         train(self.model, (x, y), cfg, standardize=not self.model_trained)
         self.model_trained = True
 
@@ -385,18 +359,19 @@ class SpectrumSim:
         for su in self.sus:
             self._select_for(su.id, now)
 
-    def _scan(self, now: float) -> list[SpectrumHole]:
-        """Holes at `now`; the same for every SU selecting at one instant, so
-        they and their features are kept until the time or the positions change."""
+    def _scan(self, now: float) -> list[int]:
+        """Holes at `now`, in channel order; the same for every SU selecting at
+        one instant, so they and their features are kept until the time or the
+        positions change."""
         if self._scan_at != now:
-            holes = spectrum_holes(self.channels, self.timelines, now)
+            holes = spectrum_holes(self.timelines, now)
             self._scan_at, self._scanned = now, (holes, [None] * len(holes))
         return self._scanned[0]
 
     def _hole_features(self, su: NodeState, i: int, now: float) -> list[float]:
         """Features of the i-th hole of the scan at `now`, as seen by `su`."""
         holes, rows = self._scanned
-        pu = self.pus[holes[i].channel_index]
+        pu = self.pus[holes[i]]
         if rows[i] is None:
             rows[i] = extract_features(self.timelines[pu.id], now, self.p.n_window,
                                        0.0, pu.speed)
@@ -412,31 +387,33 @@ class SpectrumSim:
             if su_id not in self.waiting:
                 self.waiting.append(su_id)
             return
-        su = self.sus[su_id - self.p.pu_count]
         if self.p.policy == "mlp-history":
+            su = self.sus[su_id - self.p.pu_count]
             # one batch per select, rows in channel order: stacking several SUs'
             # rows into one forward pass changes the last bit of some scores
             batch = np.array([self._hole_features(su, i, now) for i in range(len(holes))])
-            scores = {h.channel_index: r for h, r in zip(holes, score_holes(self.model, batch))}
-            chosen = select_hole(holes, scores, "mlp-history")
-            features = batch[next(i for i, h in enumerate(holes) if h.channel_index == chosen)]
+            scores = score_holes(self.model, batch)
+            # the best score; the first of equal ones is the lowest channel
+            i = scores.index(max(scores))
+            features = batch[i]
         else:
-            chosen = select_hole(holes, None, "random-baseline", self.choice_rng)
-            features = np.array(self._hole_features(
-                su, next(i for i, h in enumerate(holes) if h.channel_index == chosen), now))
+            i = int(self.choice_rng.integers(0, len(holes)))
+            features = None
+        chosen = holes[i]
         a = SuAssignment(su_id=su_id, channel_index=chosen, assigned_at=now,
                          selection_features=features)
         self.assignments.append(a)
         if chosen not in self.open_by_channel:
             self.open_by_channel[chosen] = []
-            self._arm_busy_start(self.channels[chosen].licensed_pu, now)
+            self._arm_busy_start(chosen, now)
         self.open_by_channel[chosen].append(a)
 
     def _evict_channel(self, channel_index: int, now: float) -> None:
         open_list = self.open_by_channel.pop(channel_index, [])
         for a in open_list:
             a.evicted_at = now
-            self._add_sample(a.selection_features, now - a.assigned_at)
+            if a.selection_features is not None:
+                self._add_sample(a.selection_features, now - a.assigned_at)
         for a in open_list:
             self._select_for(a.su_id, now)
 

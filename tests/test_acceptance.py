@@ -275,7 +275,7 @@ def test_criterion_7_protocol_oracles():
     assert sim.assignments
     busy = {pu: _busy_intervals(seq) for pu, seq in EVICTION_SCHEDULE.items()}
     for a in sim.assignments:
-        pu = sim.channels[a.channel_index].licensed_pu
+        pu = a.channel_index
         assert not any(s <= a.assigned_at < e for s, e in busy[pu])
         starts = [s for s, _ in busy[pu] if s > a.assigned_at]
         assert a.evicted_at == (min(starts) if starts else None)

@@ -244,3 +244,18 @@ def test_cli_render_situation_bad_db(tmp_path, capsys):
     db.write_text("lat,lon\n1,2\n")
     assert main(["render-situation", "--db", str(db),
                  "--out", str(tmp_path / "x")]) == 1
+
+
+@pytest.mark.parametrize("row", [
+    "24.8614620,67.0099390,Red,20052015201820",
+    "24.8614620,67.0099390,Red,20052015201820,Injured,extra"])
+def test_cli_render_situation_rejects_wrong_row_length(tmp_path, capsys, row):
+    db = tmp_path / "db.csv"
+    db.write_text("latitude,longitude,situation,timestamp,short_message\n"
+                  "24.8615620,67.0039390,Green,20052015200820,Rescue Work successfully done\n"
+                  f"{row}\n")
+    out = tmp_path / "table.txt"
+    assert main(["render-situation", "--db", str(db), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("cannot load situation db: line 3: ")
+    assert not out.exists()

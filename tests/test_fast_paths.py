@@ -28,8 +28,8 @@ from crahnsim.mobility import (Area, NodeState, connectivity_components, friis_r
                                neighbor_graph, place_uniform, step_waypoint)
 from crahnsim.routing import AodvNode, DataMsg, Network, Rrep, Rreq
 from crahnsim.scenario import ScenarioConfig
-from crahnsim.spectrum import (EPSILON_DBM_DISTANCE, Channel, SpectrumHole, SpectrumParams,
-                               SpectrumSim, SuAssignment, select_hole, switching_time_metric)
+from crahnsim.spectrum import (EPSILON_DBM_DISTANCE, SpectrumParams, SpectrumSim, SuAssignment,
+                               switching_time_metric)
 
 
 def _rng(seed):
@@ -1031,6 +1031,28 @@ def test_discovery_floods_with_loss_match_reference(monkeypatch, loss_rate):
 
 # -- reference: one kernel event per primary-user toggle ------------------------
 
+# the spectrum experiment's fixed constants
+REF_MOBILE_STEP_S = 5.0
+REF_WAVELENGTH_M = 0.125
+REF_HIDDEN_UNITS = 8
+REF_BUFFER_CAP = 400
+REF_TRAIN_EPOCHS = 150
+REF_REFIT_EPOCHS = 15
+REF_LEARNING_RATE = 0.2
+
+
+@dataclass
+class RefChannel:
+    index: int
+    licensed_pu: int
+
+
+@dataclass
+class RefHole:
+    channel_index: int
+    idle_since: float
+
+
 @dataclass
 class RefUsageLog:
     channel_index: int
@@ -1065,7 +1087,7 @@ def ref_received_dbm(pu, su, wavelength_m):
 
 
 def ref_spectrum_holes(channels, logs, t):
-    return [SpectrumHole(ch.index, logs[ch.licensed_pu].state_since) for ch in channels
+    return [RefHole(ch.index, logs[ch.licensed_pu].state_since) for ch in channels
             if logs[ch.licensed_pu].state == "idle"]
 
 
@@ -1081,13 +1103,13 @@ class RefSpectrumSim:
         self.pus = place_uniform(params.pu_count, self.area, place_rng, role="primary-user")
         self.sus = place_uniform(params.su_count, self.area, place_rng,
                                  role="rescue-SU", start_id=params.pu_count)
-        self.channels = [Channel(i, self.pus[i].id) for i in range(params.pu_count)]
+        self.channels = [RefChannel(i, self.pus[i].id) for i in range(params.pu_count)]
         self.logs = {pu.id: RefUsageLog(i, params.n_window) for i, pu in enumerate(self.pus)}
         scale_rng = kernel.stream("pu-params")
         self.scales = {pu.id: scale_rng.uniform(*params.scale_range) for pu in self.pus}
         self.activity_rng = kernel.stream("pu-activity")
         self.choice_rng = kernel.stream("hole-choice")
-        self.model = Mlp.init([params.n_window + 3, params.hidden_units, 1],
+        self.model = Mlp.init([params.n_window + 3, REF_HIDDEN_UNITS, 1],
                               kernel.stream("scorer-init"), output_activation="identity")
         self.model_trained = False
         self.refits = 0
@@ -1107,7 +1129,7 @@ class RefSpectrumSim:
         for pu in self.pus:
             self._schedule_toggle(pu.id)
         self.k.schedule(self.p.su_start_s, self._start_sus, kind="su-start")
-        self.k.schedule(self.p.mobile_step_s, self._mobility_step, kind="mobility")
+        self.k.schedule(REF_MOBILE_STEP_S, self._mobility_step, kind="mobility")
 
     def _next_duration(self, pu_id):
         if self._schedules is not None:
@@ -1126,9 +1148,9 @@ class RefSpectrumSim:
     def _mobility_step(self):
         rng = self.k.stream("mobility")
         for node in self.pus + self.sus:
-            step_waypoint(node, self.k.now, self.p.mobile_step_s, rng, self.area)
-        if self.k.now + self.p.mobile_step_s <= self.k.end:
-            self.k.schedule(self.k.now + self.p.mobile_step_s, self._mobility_step,
+            step_waypoint(node, self.k.now, REF_MOBILE_STEP_S, rng, self.area)
+        if self.k.now + REF_MOBILE_STEP_S <= self.k.end:
+            self.k.schedule(self.k.now + REF_MOBILE_STEP_S, self._mobility_step,
                             kind="mobility")
 
     def _toggle(self, pu_id):
@@ -1153,7 +1175,7 @@ class RefSpectrumSim:
             log.state_since = now
             pu = self.pus[log.channel_index]
             if self.sus:
-                log.signal_strength_dbm = ref_received_dbm(pu, self.sus[0], self.p.wavelength_m)
+                log.signal_strength_dbm = ref_received_dbm(pu, self.sus[0], REF_WAVELENGTH_M)
             log.mobility_mps = pu.speed
             if not self._su_started:
                 self._passive_open[pu_id] = ref_extract_features(log, now)
@@ -1166,7 +1188,7 @@ class RefSpectrumSim:
     def _add_sample(self, features, realized_idle):
         self.buffer_x.append(features)
         self.buffer_y.append(realized_idle)
-        if len(self.buffer_x) > self.p.buffer_cap:
+        if len(self.buffer_x) > REF_BUFFER_CAP:
             del self.buffer_x[0]
             del self.buffer_y[0]
         self._since_refit += 1
@@ -1180,8 +1202,8 @@ class RefSpectrumSim:
         self.refits += 1
         x = np.array(self.buffer_x)
         y = np.array(self.buffer_y)[:, None]
-        epochs = self.p.refit_epochs if self.model_trained else self.p.train_epochs
-        cfg = TrainConfig(learning_rate=self.p.learning_rate, epochs=epochs, loss="squared")
+        epochs = REF_REFIT_EPOCHS if self.model_trained else REF_TRAIN_EPOCHS
+        cfg = TrainConfig(learning_rate=REF_LEARNING_RATE, epochs=epochs, loss="squared")
         train(self.model, (x, y), cfg, standardize=not self.model_trained)
         self.model_trained = True
 
@@ -1196,7 +1218,7 @@ class RefSpectrumSim:
         pu = self.pus[hole.channel_index]
         feats = ref_extract_features(log, now)
         feats[log.n] = ref_received_dbm(pu, self.sus[su_id - self.p.pu_count],
-                                        self.p.wavelength_m)
+                                        REF_WAVELENGTH_M)
         feats[log.n + 1] = pu.speed
         return feats
 
@@ -1211,10 +1233,11 @@ class RefSpectrumSim:
             batch = self.model._standardize(np.array(list(feats.values())))
             raw = self.model._forward_acts(batch)[-1][:, 0]
             scores = {ci: max(0.0, float(r)) for ci, r in zip(feats, raw)}
-            chosen = select_hole(holes, scores, "mlp-history")
+            best = max(holes, key=lambda h: (scores[h.channel_index], -h.channel_index))
+            chosen = best.channel_index
             features = feats[chosen]
         else:
-            chosen = select_hole(holes, None, "random-baseline", self.choice_rng)
+            chosen = holes[int(self.choice_rng.integers(0, len(holes)))].channel_index
             features = self._hole_features(
                 su_id, next(h for h in holes if h.channel_index == chosen), now)
         a = SuAssignment(su_id=su_id, channel_index=chosen, assigned_at=now,
@@ -1248,18 +1271,23 @@ def _run_timeline(monkeypatch, seed, params, end, schedules=None, until=None):
 
 
 def _outcome(sim, refits):
+    """What a run decided. The scorer's input (selection features and the
+    training buffer) only under `mlp-history`: the random baseline has none."""
     metric = sim.metric()
-    return {
-        "assignments": [(a.su_id, a.channel_index, a.assigned_at, a.evicted_at,
-                         np.asarray(a.selection_features, dtype=float).tobytes())
+    out = {
+        "assignments": [(a.su_id, a.channel_index, a.assigned_at, a.evicted_at)
                         for a in sim.assignments],
-        "buffer_x": [np.asarray(x, dtype=float).tobytes() for x in sim.buffer_x],
-        "buffer_y": np.array(sim.buffer_y, dtype=float).tobytes(),
         "refits": refits,
         "metric": (metric["count"], np.float64(metric["mean"]).tobytes(),
                    np.array(metric["samples"], dtype=float).tobytes()),
         "model": [w.tobytes() for w in sim.model.weights + sim.model.biases],
     }
+    if sim.p.policy == "mlp-history":
+        out["selection_features"] = [np.asarray(a.selection_features, dtype=float).tobytes()
+                                     for a in sim.assignments]
+        out["buffer_x"] = [np.asarray(x, dtype=float).tobytes() for x in sim.buffer_x]
+        out["buffer_y"] = np.array(sim.buffer_y, dtype=float).tobytes()
+    return out
 
 
 def _assert_same_outcome(monkeypatch, seed, params, end, schedules=None):
@@ -1342,7 +1370,7 @@ def test_spectrum_tie_order_on_hand_schedules():
        second channel and evicts it at once. On the timeline both toggles have
        happened for every event at 41: the SU waits until t = 61.
     """
-    params = SpectrumParams(pu_count=2, su_count=1, policy="random-baseline", su_start_s=1.0)
+    params = SpectrumParams(pu_count=2, su_count=1, policy="mlp-history", su_start_s=1.0)
     n = params.n_window
     tick = {0: [5.0, 50.0], 1: [0.5, 2.0]}
     ref = _run_spectrum(RefSpectrumSim, 5, params, 60.0, {k: list(v) for k, v in tick.items()},
@@ -1356,7 +1384,7 @@ def test_spectrum_tie_order_on_hand_schedules():
     assert ref.assignments[1].selection_features[n + 1] == 0.0
     assert sim.assignments[1].selection_features[n + 1] == moved_speed
     assert sim.assignments[1].selection_features[n] == ref_received_dbm(
-        sim.pus[1], sim.sus[0], params.wavelength_m)
+        sim.pus[1], sim.sus[0], REF_WAVELENGTH_M)
 
     same_instant = {0: [41.0, 20.0], 1: [0.5, 1.0, 39.5, 30.0]}
     ref = _run_spectrum(RefSpectrumSim, 5, params, 100.0,

@@ -50,6 +50,16 @@ def test_empty_list_entry_is_rejected_naming_the_key(tmp_path, section, line):
         _load(tmp_path, f"[{section}]\n{line}\n")
 
 
+@pytest.mark.parametrize("section,line,dup", [
+    ("detection", "cluster_counts = 1, 2, 1", "1"), ("spectrum", "pu_counts = 5, 5", "5"),
+    ("spectrum", "policies = mlp-history, random-baseline, mlp-history", "'mlp-history'")])
+def test_duplicate_list_entry_is_rejected_naming_the_key(tmp_path, section, line, dup):
+    # a duplicate would run the same cells twice with the same seeds
+    key = line.split("=")[0].strip()
+    with pytest.raises(ScenarioError, match=rf"^{key}: duplicate entry {dup}$"):
+        _load(tmp_path, f"[{section}]\n{line}\n")
+
+
 def test_negative_sim_time_names_the_key(tmp_path):
     with pytest.raises(ScenarioError, match="sim_time_s"):
         _load(tmp_path, "[simulation]\nsim_time_s = -5\n")

@@ -1,5 +1,7 @@
 """XML situation codec, per-node situation database, and table export."""
 
+import csv
+import io
 import itertools
 from datetime import datetime
 
@@ -161,6 +163,17 @@ def test_csv_export_quotes_commas():
     db.upsert(SituationRecord(1.0, 2.0, "Red", "01012020000000", 'need "cranes", fast'))
     line = situation_table_csv(db).splitlines()[1]
     assert '"need ""cranes"", fast"' in line
+
+
+def test_csv_export_reads_back_with_csv_reader():
+    messages = ["line one\nline two", "crlf\r\nend", 'need "cranes", fast', "plain"]
+    db = SituationDb()
+    for i, msg in enumerate(messages):
+        db.upsert(SituationRecord(1.0 + i, 2.0, "Red", f"0{i + 1}012020000000", msg))
+    rows = list(csv.reader(io.StringIO(situation_table_csv(db), newline="")))
+    assert rows == [["location", "situation", "timestamp", "short_message"]] + [
+        list(row) for row in export_situation_table(db)]
+    assert sorted(row[3] for row in rows[1:]) == sorted(messages)
 
 
 def _record_strategy():

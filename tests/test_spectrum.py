@@ -4,11 +4,12 @@ switching-time metric, and the event-driven simulation against schedule oracles.
 import numpy as np
 import pytest
 
+from crahnsim import spectrum
+from crahnsim.kernel import Kernel
 from crahnsim.mlp import Mlp, TrainConfig, train
-from crahnsim.spectrum import (Channel, NoSpectrumError, SpectrumHole,
-                               SpectrumParams, SuAssignment,
+from crahnsim.spectrum import (SpectrumParams, SpectrumSim, SuAssignment,
                                extract_features, run_spectrum_replication,
-                               schedule_toggle_times, score_holes, select_hole,
+                               schedule_toggle_times, score_holes,
                                spectrum_holes, switching_time_metric)
 
 
@@ -39,27 +40,22 @@ def test_reversed_and_overlapping_sessions_rejected():
 
 
 def test_holes_empty_when_all_pus_transmit():
-    channels = [Channel(0, 0), Channel(1, 1)]
     timelines = {0: [1.0], 1: [2.0, 3.0, 4.0]}
-    assert spectrum_holes(channels, timelines, 5.0) == []
+    assert spectrum_holes(timelines, 5.0) == []
 
 
 def test_channel_without_log_is_vacuously_a_hole():
     # a PU that never toggles is idle since the beginning
-    holes = spectrum_holes([Channel(0, 9)], {9: []}, 7.0)
-    assert holes == [SpectrumHole(channel_index=0, idle_since=0.0)]
+    assert spectrum_holes({9: []}, 7.0) == [9]
 
 
 def test_holes_hand_schedule():
     # PU0 busy 1-5 then idle from 5; PU1 idle from 0 until 8; queried at t=6
     timelines = {0: [1.0, 5.0], 1: [8.0]}
-    channels = [Channel(0, 0), Channel(1, 1)]
-    assert spectrum_holes(channels, timelines, 6.0) == [SpectrumHole(0, 5.0),
-                                                        SpectrumHole(1, 0.0)]
+    assert spectrum_holes(timelines, 6.0) == [0, 1]
     # a toggle at exactly t has happened by t
-    assert spectrum_holes(channels, timelines, 5.0) == [SpectrumHole(0, 5.0),
-                                                        SpectrumHole(1, 0.0)]
-    assert spectrum_holes(channels, timelines, 8.0) == [SpectrumHole(0, 5.0)]
+    assert spectrum_holes(timelines, 5.0) == [0, 1]
+    assert spectrum_holes(timelines, 8.0) == [0]
 
 
 def test_feature_layout_matches_definition():
@@ -108,25 +104,57 @@ def test_scorer_learns_periodic_idle_schedule():
         assert got == pytest.approx(want, abs=2.0)
 
 
-def test_select_hole_policies():
-    lone = [SpectrumHole(4, 0.0)]
-    assert select_hole(lone, {4: 1.0}, "mlp-history") == 4
-    assert select_hole(lone, None, "random-baseline", _rng(0)) == 4
-    holes = [SpectrumHole(2, 0.0), SpectrumHole(5, 0.0)]
-    assert select_hole(holes, {2: 4.0, 5: 9.0}, "mlp-history") == 5
-    tied = [SpectrumHole(3, 0.0), SpectrumHole(1, 0.0)]
-    assert select_hole(tied, {3: 5.0, 1: 5.0}, "mlp-history") == 1
-    with pytest.raises(NoSpectrumError):
-        select_hole([], {}, "mlp-history")
-    with pytest.raises(ValueError):
-        select_hole(holes, None, "greedy")
+# PUs 1 and 3 are busy over [0.5, 100]; at t = 1 the holes are channels 0, 2 and 4
+SELECT_SCHEDULE = {0: [], 1: [0.5, 99.5], 2: [], 3: [0.5, 99.5], 4: []}
+
+
+def _select_once(monkeypatch, scores):
+    """The channel an `mlp-history` SU starting at t = 1 takes when the scorer
+    returns `scores` for the holes in channel order."""
+    def fixed_scores(model, batch):
+        assert len(batch) == len(scores)
+        return list(scores)
+    monkeypatch.setattr(spectrum, "score_holes", fixed_scores)
+    params = SpectrumParams(pu_count=5, su_count=1, policy="mlp-history", su_start_s=1.0)
+    sim = run_spectrum_replication(seed=3, params=params, sim_time_s=2.0,
+                                   pu_schedules=SELECT_SCHEDULE)
+    [a] = sim.assignments
+    return a.channel_index
+
+
+def test_mlp_selection_takes_best_score_then_lowest_channel(monkeypatch):
+    assert _select_once(monkeypatch, [4.0, 9.0, 1.0]) == 2
+    # equal scores: the lowest channel
+    assert _select_once(monkeypatch, [5.0, 5.0, 5.0]) == 0
+    assert _select_once(monkeypatch, [1.0, 5.0, 5.0]) == 2
 
 
 def test_random_baseline_draws_within_holes():
-    holes = [SpectrumHole(i, 0.0) for i in (3, 7, 9)]
-    rng = _rng(5)
-    picks = {select_hole(holes, None, "random-baseline", rng) for _ in range(60)}
-    assert picks == {3, 7, 9}
+    picks = set()
+    for seed in range(40):
+        params = SpectrumParams(pu_count=5, su_count=1, policy="random-baseline",
+                                su_start_s=1.0)
+        sim = run_spectrum_replication(seed=seed, params=params, sim_time_s=2.0,
+                                       pu_schedules=SELECT_SCHEDULE)
+        picks.add(sim.assignments[0].channel_index)
+    assert picks == {0, 2, 4}
+
+
+def test_unknown_policy_rejected():
+    with pytest.raises(ValueError, match="greedy"):
+        SpectrumSim(Kernel(seed=1, end=10.0), SpectrumParams(policy="greedy"))
+
+
+def test_random_baseline_builds_no_scorer_input(monkeypatch):
+    def no_features(*args, **kwargs):
+        raise AssertionError("random-baseline built hole features")
+    monkeypatch.setattr(spectrum, "extract_features", no_features)
+    params = SpectrumParams(pu_count=6, su_count=3, policy="random-baseline",
+                            su_start_s=50.0, refit_interval=2)
+    sim = run_spectrum_replication(seed=9, params=params, sim_time_s=400.0)
+    assert sim.assignments and any(a.evicted_at is not None for a in sim.assignments)
+    assert all(a.selection_features is None for a in sim.assignments)
+    assert sim.buffer_x == [] and sim.buffer_y == [] and not sim.model_trained
 
 
 def test_switching_metric_hand_values():
@@ -174,7 +202,7 @@ def test_evictions_match_schedule_oracle():
     assert sim.assignments, "expected at least one assignment"
     busy = {pu: _busy_intervals(seq) for pu, seq in SCHEDULE.items()}
     for a in sim.assignments:
-        pu = sim.channels[a.channel_index].licensed_pu
+        pu = a.channel_index
         # never assigned while the licensed PU transmits
         assert not any(s <= a.assigned_at < e for s, e in busy[pu])
         starts = [s for s, _ in busy[pu] if s > a.assigned_at]
@@ -184,7 +212,7 @@ def test_evictions_match_schedule_oracle():
 
 def test_simulation_window_discipline_and_alternation():
     params = SpectrumParams(pu_count=6, su_count=3, n_window=4,
-                            policy="random-baseline", su_start_s=50.0)
+                            policy="mlp-history", su_start_s=50.0)
     sim = run_spectrum_replication(seed=9, params=params, sim_time_s=400.0)
     for times in sim.timelines.values():
         # toggles alternate idle -> busy -> idle at strictly increasing times
@@ -220,5 +248,5 @@ def test_mlp_policy_never_selects_busy_channel():
     busy = {pu: _busy_intervals(seq) for pu, seq in schedule.items()}
     assert sim.model_trained and len(sim.assignments) > 100
     for a in sim.assignments:
-        pu = sim.channels[a.channel_index].licensed_pu
+        pu = a.channel_index
         assert not any(s <= a.assigned_at < e for s, e in busy[pu])
