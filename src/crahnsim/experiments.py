@@ -15,7 +15,8 @@ from .detection import (deploy, make_training_set,
                         run_detection_replication, synthesize_trace, train_detector)
 from .discovery import DiscoveryNode
 from .kernel import Kernel, stream_seed
-from .mobility import Area, place_uniform, step_waypoint
+# step_waypoint is not called here; it stays importable for tools that patch it per module
+from .mobility import Area, place_uniform, step_waypoint  # noqa: F401
 from .routing import Network
 from .scenario import ScenarioConfig
 from .spectrum import SpectrumParams, SpectrumSim
@@ -299,11 +300,11 @@ def run_discovery_replication(cfg: ScenarioConfig, seed: int,
                                      service_ttl_s=dc.service_ttl_s)
               for node in nodes}
 
+    mobility_rng = kernel.stream("mobility")
+
     def mobility_tick():
-        rng = kernel.stream("mobility")
-        for node in nodes:
-            step_waypoint(node, kernel.now, sim.beacon_interval_s, rng, area,
-                          sim.v_min_mps, sim.v_max_mps, sim.pause_max_s)
+        mobility.step_nodes(nodes, kernel.now, sim.beacon_interval_s, mobility_rng, area,
+                            sim.v_min_mps, sim.v_max_mps, sim.pause_max_s)
         net.refresh_beacons()
     kernel.every(sim.beacon_interval_s, mobility_tick, kind="beacon")
 
@@ -321,8 +322,8 @@ def run_discovery_replication(cfg: ScenarioConfig, seed: int,
 
     results = []
     # component label per node id, computed from the adjacency object
-    # `labelled`; refresh_beacons replaces that object, so the labels are
-    # recomputed at most once per mobility tick
+    # `labelled`; refresh_beacons replaces that object when a row changes, so
+    # the labels are recomputed at most once per mobility tick
     labelled, label = None, {}
 
     def issue(requester, service):

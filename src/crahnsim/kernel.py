@@ -10,7 +10,7 @@ never compares the handler, its arguments or its labels.
 
 import hashlib
 import heapq
-from typing import Callable, Optional
+from typing import Callable, Iterator, Optional
 
 import numpy as np
 
@@ -25,6 +25,17 @@ def stream_seed(seed: int, label: str) -> int:
     """Stable 64-bit seed for a (seed, label) pair, identical across platforms."""
     digest = hashlib.sha256(f"{seed}:{label}".encode("utf-8")).digest()
     return int.from_bytes(digest[:8], "big")
+
+
+def block_draws(draw: Callable[[int], np.ndarray], size: int) -> Iterator[float]:
+    """The values of successive `draw(size)` calls, one at a time, as floats.
+
+    For a stream method such as `Generator.random`, these are in order the
+    values of its scalar calls, at a fraction of the per-value cost. The
+    stream moves on a whole block at a time, so the iterator must be its
+    only reader."""
+    while True:
+        yield from draw(size).tolist()
 
 
 class Kernel:

@@ -102,6 +102,34 @@ def step_waypoint(node: NodeState, now: float, dt: float, rng: np.random.Generat
     return node
 
 
+def step_nodes(nodes: list[NodeState], now: float, dt: float, rng: np.random.Generator,
+               area: Area, v_min: float = DEFAULT_V_MIN, v_max: float = DEFAULT_V_MAX,
+               pause_max: float = DEFAULT_PAUSE_MAX_S) -> None:
+    """One mobility tick: `step_waypoint` on each node, in list order.
+
+    A node moving on its leg that does not reach the waypoint within `dt`
+    draws nothing; it advances inline, by `step_waypoint`'s own arithmetic.
+    Every other node (paused, arriving, without a waypoint, speed 0) goes
+    through `step_waypoint`, so positions and draws are bit for bit those of
+    calling it on every node."""
+    width, height = area.width, area.height
+    inline = dt > 1e-12
+    hypot = math.hypot
+    for node in nodes:
+        speed = node.speed
+        if inline and node.has_waypoint and speed > 0 and not now < node.pause_until:
+            wx, wy = node.waypoint
+            x, y = node.x, node.y
+            dist = hypot(wx - x, wy - y)
+            travel = speed * dt
+            if travel < dist:
+                frac = travel / dist
+                node.x = min(max(x + (wx - x) * frac, 0.0), width)
+                node.y = min(max(y + (wy - y) * frac, 0.0), height)
+                continue
+        step_waypoint(node, now, dt, rng, area, v_min, v_max, pause_max)
+
+
 def friis_received_power(tx_power_w: float, gain_tx: float, gain_rx: float,
                          wavelength_m: float, distance_m: float) -> float:
     """Free-space received power: Pt*Gt*Gr*lambda^2 / ((4*pi*d)^2)."""
@@ -112,23 +140,27 @@ def friis_received_power(tx_power_w: float, gain_tx: float, gain_rx: float,
     return tx_power_w * gain_tx * gain_rx * wavelength_m ** 2 / ((4.0 * math.pi * distance_m) ** 2)
 
 
-def neighbor_graph(nodes: list[NodeState]) -> dict[int, set[int]]:
-    """Symmetric, irreflexive adjacency: edge iff within both radios' range."""
-    if len(nodes) < 2:
-        return {n.id: set() for n in nodes}
-    ids = np.array([n.id for n in nodes])
+def in_range(nodes: list[NodeState]) -> np.ndarray:
+    """Symmetric, irreflexive n x n matrix, in list order: i and j are in
+    range iff dx*dx + dy*dy <= min(r_i, r_j)**2."""
     xs = np.array([n.x for n in nodes])
     ys = np.array([n.y for n in nodes])
     rng_m = np.array([n.radio_range_m for n in nodes])
     # per axis, not over an (n, n, 2) array: dx*dx + dy*dy is bit for bit the
     # sum of squares along the last axis, and (a - b)**2 == (b - a)**2
-    # exactly, so `within` is symmetric bit for bit
+    # exactly, so the matrix is symmetric bit for bit
     dx = xs[:, None] - xs
     dy = ys[:, None] - ys
     limit = np.minimum(rng_m[:, None], rng_m)
     within = dx * dx + dy * dy <= limit * limit
-    np.fill_diagonal(within, False)
-    rows, cols = np.nonzero(within)  # row-major: each row's neighbours are contiguous
+    within.flat[::len(nodes) + 1] = False  # the diagonal
+    return within
+
+
+def neighbor_graph(nodes: list[NodeState]) -> dict[int, set[int]]:
+    """Symmetric, irreflexive adjacency: edge iff within both radios' range."""
+    ids = np.array([n.id for n in nodes])
+    rows, cols = np.nonzero(in_range(nodes))  # row-major: each row's neighbours are contiguous
     nbr_ids = ids[cols].tolist()
     ends = np.cumsum(np.bincount(rows, minlength=len(nodes))).tolist()
     return {n.id: set(nbr_ids[start:end])

@@ -33,10 +33,14 @@ import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
-from .kernel import Kernel
-from .mobility import NodeState, neighbor_graph
+import numpy as np
+
+from .kernel import Kernel, block_draws
+# neighbor_graph is not called here; it stays importable for tools that patch it per module
+from .mobility import NodeState, in_range, neighbor_graph  # noqa: F401
 
 DEFAULT_HOP_DELAY_S = (0.001, 0.005)
+DELAY_BLOCK = 1024  # MAC delay draws taken from the stream at once
 DEFAULT_TTL = 20
 DEFAULT_ROUTE_LIFETIME_S = 30.0
 
@@ -91,44 +95,80 @@ class Network:
         self._targets = {n.id: f"n{n.id}" for n in nodes}  # event target label per node
         self.hop_delay_s = hop_delay_s
         self.loss_rate = loss_rate
-        self.adjacency = neighbor_graph(nodes)
+        # the in-range matrix of the last refresh, rows and columns in id order
+        self._by_id = sorted(self.nodes.values(), key=lambda n: n.id)
+        self._ids = np.array([n.id for n in self._by_id])
+        self._within: Optional[np.ndarray] = None
+        self.adjacency: dict[int, tuple[int, ...]] = {}
+        self.refresh_beacons()
         self.protocols: dict[int, "AodvNode"] = {}
+        # message type -> (event kind, {node id: copy test}), rebuilt after
+        # each `attach`; see broadcast
+        self._types: dict[type, tuple[str, dict]] = {}
         self.delivered_msgs = 0
         self.suppressed_msgs = 0  # broadcast copies not scheduled: see AodvNode.copy_tests
         self.cancelled_msgs = 0  # broadcast copies scheduled, then cancelled as no-ops
-        self._delay_rng = kernel.stream("mac-delay")
+        # `uniform(lo, hi)` is lo + (hi - lo) * random(): numpy's own formula,
+        # so each value and its place in the stream are those of the scalar
+        # draw; the network is the stream's only reader
+        self._delays = block_draws(kernel.stream("mac-delay").random, DELAY_BLOCK)
         self._loss_rng = kernel.stream("mac-loss")
 
     def attach(self, proto: "AodvNode") -> None:
         self.protocols[proto.id] = proto
+        self._types.clear()
 
     def refresh_beacons(self) -> None:
-        self.adjacency = neighbor_graph(list(self.nodes.values()))
+        """Rebuild the neighbour rows that changed since the last refresh:
+        tuples of neighbour ids in increasing order. The adjacency is a new
+        dict when a row changed and the same dict otherwise."""
+        within = in_range(self._by_id)
+        prev, self._within = self._within, within
+        if prev is None:
+            changed = range(len(within))
+            adjacency = {nid: () for nid in self.nodes}
+        else:
+            changed = np.logical_or.reduce(within != prev, axis=1).nonzero()[0].tolist()
+            if not changed:
+                return
+            adjacency = dict(self.adjacency)
+        ids = self._ids
+        for i in changed:
+            adjacency[self._by_id[i].id] = tuple(ids[within[i]].tolist())
+        self.adjacency = adjacency
 
-    def _lost(self) -> bool:
-        return self.loss_rate > 0 and self._loss_rng.random() < self.loss_rate
+    def _new_type(self, t: type) -> tuple[str, dict]:
+        """The `_types` entry of message type `t`: its event kind and its
+        receivers' copy tests (none for a type without `copy_fields`)."""
+        tests = {} if getattr(t, "copy_fields", None) is None else {
+            nid: proto.copy_tests[t] for nid, proto in self.protocols.items()
+            if t in proto.copy_tests}
+        entry = self._types[t] = (t.__name__.lower(), tests)
+        return entry
 
     def send(self, src: int, dst: int, msg) -> None:
         """Unicast to a current neighbor; silently dropped if out of range or lost."""
-        if dst not in self.adjacency.get(src, ()) or self._lost():
+        if dst not in self.adjacency.get(src, ()):
+            return
+        if self.loss_rate > 0 and self._loss_rng.random() < self.loss_rate:
             return
         lo, hi = self.hop_delay_s
-        # numpy's own `uniform` formula, so the value and the stream state are
-        # those of `uniform(lo, hi)`, at a third of the cost
-        delay = lo + (hi - lo) * self._delay_rng.random()
-        self.k.schedule(self.k.now + delay, self._deliver, args=(dst, src, msg),
-                        target=self._targets[dst], kind=type(msg).__name__.lower())
+        t = type(msg)
+        kind = (self._types.get(t) or self._new_type(t))[0]
+        self.k.schedule(self.k.now + (lo + (hi - lo) * next(self._delays)), self._deliver,
+                        args=(dst, src, msg), target=self._targets[dst], kind=kind)
 
     def broadcast(self, src: int, msg) -> None:
         """Deliver to each current neighbor that the loss draw spares, in id
-        order. Loss and delay have their own streams, so drawing each stream's
-        values in one call keeps both sequences unchanged. Every copy gets its
+        order. Loss and delay have their own streams, so drawing the loss
+        values in one call and taking the delays in order from the block
+        keeps both sequences unchanged. Every copy gets its
         draws; a copy that its receiver's copy test rejects (`copy_tests`, fed
         the message's `copy_fields`) is counted in `suppressed_msgs` instead
         of being scheduled. Nothing is scheduled between a copy's test and
         its `schedule`, so a test that keeps the copy knows its event id:
         `Kernel.next_id` at the time of the test."""
-        nbrs = sorted(self.adjacency.get(src, ()))
+        nbrs = self.adjacency.get(src, ())
         if self.loss_rate > 0:
             draws = self._loss_rng.random(len(nbrs))
             nbrs = [nbr for nbr, r in zip(nbrs, draws.tolist()) if not r < self.loss_rate]
@@ -136,22 +176,20 @@ class Network:
             return
         lo, hi = self.hop_delay_s
         span = hi - lo  # lo + span * r is `uniform(lo, hi)`, as in `send`
-        draws = self._delay_rng.random(len(nbrs)).tolist()
         t = type(msg)
-        kind = t.__name__.lower()
-        copy_fields = getattr(t, "copy_fields", None)
-        fields = None if copy_fields is None else copy_fields(msg)
+        kind, tests = self._types.get(t) or self._new_type(t)
+        fields = msg.copy_fields() if tests else None
         schedule, now, deliver, targets = self.k.schedule, self.k.now, self._deliver, self._targets
-        protocols = self.protocols
-        for nbr, r in zip(nbrs, draws):
+        suppressed = 0
+        # zip stops at the end of `nbrs` before taking another delay
+        for nbr, r in zip(nbrs, self._delays):
             at = now + (lo + span * r)
-            if fields is not None:
-                proto = protocols.get(nbr)
-                test = None if proto is None else proto.copy_tests.get(t)
-                if test is not None and test(fields, at):
-                    self.suppressed_msgs += 1
-                    continue
+            test = tests.get(nbr)
+            if test is not None and test(fields, at):
+                suppressed += 1
+                continue
             schedule(at, deliver, args=(nbr, src, msg), target=targets[nbr], kind=kind)
+        self.suppressed_msgs += suppressed
 
     def cancel_copy(self, event_id: int) -> None:
         """Cancel a scheduled copy that its receiver has proven a no-op."""

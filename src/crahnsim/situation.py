@@ -185,10 +185,18 @@ TABLE_HEADER = ("Location", "Situation", "TimeStamp", "ShortMessage")
 
 
 def situation_table_csv(db: SituationDb) -> str:
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(["location", "situation", "timestamp", "short_message"])
-    writer.writerows(export_situation_table(db))
+    r"""The table as CSV with "\n" line ends. `csv.writer` quotes a field that
+    holds a character of its line terminator, so each row is written with
+    "\r\n", which also quotes a bare CR (`csv.reader` ends a row there), and
+    that line end is then replaced by "\n"."""
+    out, row_out = io.StringIO(), io.StringIO()
+    writer = csv.writer(row_out, lineterminator="\r\n")
+    for row in [("location", "situation", "timestamp", "short_message"),
+                *export_situation_table(db)]:
+        writer.writerow(row)
+        out.write(row_out.getvalue()[:-2] + "\n")
+        row_out.seek(0)
+        row_out.truncate()
     return out.getvalue()
 
 

@@ -26,9 +26,11 @@ from typing import Optional
 
 import numpy as np
 
-from .kernel import Kernel
+from .kernel import Kernel, block_draws
 from .mlp import Mlp, TrainConfig, train
-from .mobility import Area, NodeState, friis_received_power, place_uniform, step_waypoint
+# step_waypoint is not called here; it stays importable for tools that patch it per module
+from .mobility import (Area, NodeState, friis_received_power, place_uniform,  # noqa: F401
+                       step_nodes, step_waypoint)
 
 DEFAULT_N_WINDOW = 5
 EPSILON_DBM_DISTANCE = 1.0  # clamp for co-located nodes when deriving dBm
@@ -68,11 +70,7 @@ def draw_toggle_times(rng: np.random.Generator, scales: list[float],
     order, then one per toggle at or before `end`, in (time, scheduling
     order), each giving the time from that toggle to the PU's next one.
     """
-    def exponentials():
-        while True:
-            yield from rng.standard_exponential(EXPONENTIAL_BLOCK).tolist()
-
-    draw = exponentials()
+    draw = block_draws(rng.standard_exponential, EXPONENTIAL_BLOCK)
     times: list[list[float]] = [[] for _ in scales]
     heap = [(0.0 + next(draw) * scale, i, i) for i, scale in enumerate(scales)]
     heapq.heapify(heap)
@@ -168,8 +166,9 @@ class SpectrumSim:
     the positions that held over that interval. Samples closed by SU start
     enter the buffer then, in close-time order; a sample still open enters it
     at its busy start. An assignment adds a sample at its eviction. Under
-    `random-baseline` there are no features and no samples; the scorer is
-    still initialized, from its own `scorer-init` stream.
+    `random-baseline` there are no features, no samples and no mobility
+    ticks (nodes stay where they were placed); the scorer is still
+    initialized, from its own `scorer-init` stream.
 
     Ties: a toggle at exactly t has happened for every event at t. A toggle
     that needs handling is a kernel event scheduled when the need arises (an
@@ -231,14 +230,14 @@ class SpectrumSim:
             self.timelines = {pu.id: schedule_toggle_times(self._schedules[pu.id], self.k.end)
                               for pu in self.pus}
         self.k.schedule(self.p.su_start_s, self._start_sus, kind="su-start")
-        self.k.every(MOBILE_STEP_S, self._mobility_step, kind="mobility")
+        if self.p.policy == "mlp-history":  # the random baseline reads no position
+            self.k.every(MOBILE_STEP_S, self._mobility_step, kind="mobility")
 
     def _mobility_step(self) -> None:
         if not self._su_started:
             self._observe_idle_starts(self.k.now)
-        rng = self.k.stream("mobility")
-        for node in self.pus + self.sus:
-            step_waypoint(node, self.k.now, MOBILE_STEP_S, rng, self.area)
+        step_nodes(self.pus + self.sus, self.k.now, MOBILE_STEP_S, self.k.stream("mobility"),
+                   self.area)
         self._dbm.clear()
         self._scan_at = None
 

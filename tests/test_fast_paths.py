@@ -8,6 +8,7 @@ kernel event per primary-user toggle. The fast paths must give the same
 floats, the same draw order and the same event trace.
 """
 
+import dataclasses
 import heapq
 import math
 from dataclasses import dataclass, field
@@ -25,8 +26,8 @@ from crahnsim.discovery import (AdvertMsg, DiscoveryNode, ServiceCacheEntry,
 from crahnsim.kernel import Kernel, PastTimeError
 from crahnsim.mlp import Mlp, TrainConfig, train
 from crahnsim.mobility import (Area, NodeState, connectivity_components, friis_received_power,
-                               neighbor_graph, place_uniform, step_waypoint)
-from crahnsim.routing import AodvNode, DataMsg, Network, Rrep, Rreq
+                               neighbor_graph, place_uniform, step_nodes, step_waypoint)
+from crahnsim.routing import DELAY_BLOCK, AodvNode, DataMsg, Network, Rrep, Rreq
 from crahnsim.scenario import ScenarioConfig
 from crahnsim.spectrum import (EPSILON_DBM_DISTANCE, SpectrumParams, SpectrumSim, SuAssignment,
                                switching_time_metric)
@@ -290,11 +291,32 @@ def ref_broadcast(net, src, msg):
                        target=f"n{nbr}", kind=type(msg).__name__.lower())
 
 
+def ref_send(net, src, dst, msg):
+    if dst not in net.adjacency.get(src, ()):
+        return
+    if net.loss_rate > 0 and net.k.stream("mac-loss").random() < net.loss_rate:
+        return
+    lo, hi = net.hop_delay_s
+    delay = float(net.k.stream("mac-delay").uniform(lo, hi))
+    net.k.schedule(net.k.now + delay, net._deliver, args=(dst, src, msg),
+                   target=f"n{dst}", kind=type(msg).__name__.lower())
+
+
+def next_delay(net):
+    """The next `random()` value the network would turn into a MAC delay."""
+    return next(net._delays)
+
+
+def ref_next_delay(net):
+    """The same for the reference MAC, which draws from the stream directly."""
+    return net.k.stream("mac-delay").random()
+
+
 class Ping:
     pass
 
 
-def _broadcast_run(loss_rate, broadcast):
+def _broadcast_run(loss_rate, broadcast, next_delay):
     trace = []
     k = Kernel(seed=21, end=10.0, trace=trace)
     rng = _rng(22)
@@ -305,29 +327,21 @@ def _broadcast_run(loss_rate, broadcast):
         src = step % len(nodes)
         k.schedule(0.01 * step, lambda s=src: broadcast(net, s, Ping()), kind="tx")
     k.run_until(10.0)
-    return trace, k.stream("mac-delay").random(), k.stream("mac-loss").random()
+    return trace, next_delay(net), k.stream("mac-loss").random()
 
 
 @pytest.mark.parametrize("loss_rate", [0.0, 0.3])
 def test_broadcast_matches_per_neighbour_draws(loss_rate):
-    fast = _broadcast_run(loss_rate, Network.broadcast)
-    ref = _broadcast_run(loss_rate, ref_broadcast)
+    fast = _broadcast_run(loss_rate, Network.broadcast, next_delay)
+    ref = _broadcast_run(loss_rate, ref_broadcast, ref_next_delay)
     assert len(ref[0]) > 100
     assert fast == ref
 
 
-def ref_send(net, src, dst, msg):
-    if dst not in net.adjacency.get(src, ()) or net._lost():
-        return
-    lo, hi = net.hop_delay_s
-    delay = float(net.k.stream("mac-delay").uniform(lo, hi))
-    net.k.schedule(net.k.now + delay, net._deliver, args=(dst, src, msg))
-
-
-def _mac_run(hop_delay_s, send, broadcast):
+def _mac_run(hop_delay_s, send, broadcast, next_delay):
     """Unicasts (to the lowest-id neighbour, and once to a non-neighbour)
-    mixed with broadcasts; every arrival time exactly, and the next value of
-    the delay stream."""
+    mixed with broadcasts; every arrival time exactly, and the next delay
+    draw the network would take."""
     k = Kernel(seed=23, end=10.0)
     rng = _rng(24)
     nodes = [NodeState(id=i, x=float(rng.uniform(0, 400)), y=float(rng.uniform(0, 400)),
@@ -343,16 +357,57 @@ def _mac_run(hop_delay_s, send, broadcast):
             dst = min(net.adjacency[src] or {src}) if step else src
             k.schedule(0.01 * step, send, args=(net, src, dst, DataMsg(src, dst, None)))
     k.run_until(10.0)
-    return arrivals, k.stream("mac-delay").random()
+    return arrivals, next_delay(net)
 
 
 @pytest.mark.parametrize("hop_delay_s", [(0.001, 0.005), (0.0, 0.25), (0.002, 0.002)])
 def test_send_delays_equal_scalar_uniform_draws(hop_delay_s):
-    fast = _mac_run(hop_delay_s, Network.send, Network.broadcast)
-    ref = _mac_run(hop_delay_s, ref_send, ref_broadcast)
+    fast = _mac_run(hop_delay_s, Network.send, Network.broadcast, next_delay)
+    ref = _mac_run(hop_delay_s, ref_send, ref_broadcast, ref_next_delay)
     assert fast == ref
     kinds = [kind for *_, kind in fast[0]]
     assert kinds.count("DataMsg") >= 10 and kinds.count("Ping") > 100
+
+
+def _block_run(sends, send, broadcast, next_delay):
+    """`sends` unicasts, then three rounds of a broadcast to 11 neighbours and
+    a unicast, on a complete graph of 12 nodes; every arrival time, and the
+    next delay draw the network would take."""
+    k = Kernel(seed=25, end=1.0)
+    nodes = [NodeState(id=i, x=float(i), y=0.0, radio_range_m=50.0) for i in range(12)]
+    net = Network(k, nodes)
+    arrivals = []
+    net._deliver = lambda dst, src, msg: arrivals.append((k.now, dst, src))
+    for i in range(sends):
+        send(net, 0, 1 + i % 11, Ping())
+    for src in range(3):
+        broadcast(net, src, Ping())
+        send(net, src, src + 1, Ping())
+    k.run_until(1.0)
+    return arrivals, next_delay(net)
+
+
+@pytest.mark.parametrize("sends", [1013, 1020, 1023, 1024, 2040])
+def test_block_delays_equal_scalar_draws_across_blocks(sends):
+    # the 1024-value boundary falls inside the first broadcast (1013, 1020,
+    # 1023), between the last send and the first broadcast (1024), and the
+    # 2048 one inside a broadcast after 2040 sends
+    assert DELAY_BLOCK == 1024
+    fast = _block_run(sends, Network.send, Network.broadcast, next_delay)
+    ref = _block_run(sends, ref_send, ref_broadcast, ref_next_delay)
+    assert fast == ref
+    assert len(fast[0]) == sends + 3 * 12
+
+
+def test_copy_tests_of_a_node_attached_after_a_broadcast_are_asked():
+    k = Kernel(seed=1, end=1.0)
+    net = Network(k, [NodeState(id=1, x=0.0, y=0.0), NodeState(id=2, x=10.0, y=0.0)])
+    own = SreqMsg(query_id=1, requester=2, requester_seq=1, service_id="svc",
+                  ontology_tag=None, hop_count=1, ttl=3)
+    net.broadcast(1, own)  # node 2 runs no protocol yet: its copy is scheduled
+    DiscoveryNode(2, net)
+    net.broadcast(1, own)  # a copy of node 2's own flood: a no-op there
+    assert (net.suppressed_msgs, len(k._pending)) == (1, 1)
 
 
 # -- reference: edge-loop neighbour graph, union-find components, two-pass
@@ -371,6 +426,17 @@ def ref_neighbor_graph(nodes):
         adj[nodes[i].id].add(nodes[j].id)
         adj[nodes[j].id].add(nodes[i].id)
     return adj
+
+
+def ref_refresh_beacons(net):
+    """A new adjacency at every refresh: the edge-loop graph, rows sorted."""
+    graph = ref_neighbor_graph(list(net.nodes.values()))
+    net.adjacency = {v: tuple(sorted(row)) for v, row in graph.items()}
+
+
+def ref_step_nodes(nodes, now, dt, rng, area, *args):
+    for node in nodes:
+        step_waypoint(node, now, dt, rng, area, *args)
 
 
 def ref_connectivity_components(graph):
@@ -469,6 +535,118 @@ def test_neighbor_graph_boundaries(nodes, edges):
     assert got == ref_neighbor_graph(nodes)
     assert list(got) == [n.id for n in nodes]
     assert {(a, b) for a, nbrs in got.items() for b in nbrs} == edges | {(b, a) for a, b in edges}
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_refreshed_rows_match_edge_loop_every_tick(seed):
+    """520 ticks of random-waypoint motion over nodes listed out of id order,
+    with unequal ranges and some static nodes; every fifth tick moves nobody,
+    and one node's range shrinks halfway. After each refresh the adjacency is
+    the edge-loop graph with sorted rows, keyed in list order, and a new dict
+    exactly when a row changed."""
+    rng = _rng(seed)
+    area = Area(500.0, 500.0)
+    nodes = _scattered_nodes(rng, 40, side=500.0)
+    assert [n.id for n in nodes] != sorted(n.id for n in nodes)
+    for node in nodes[::7]:
+        node.role = "sensor"
+    net = Network(Kernel(seed=seed), nodes)
+    assert net.adjacency == {v: tuple(sorted(row)) for v, row in ref_neighbor_graph(nodes).items()}
+    kept = replaced = kept_after_moves = 0
+    for tick in range(520):
+        before, expected_before = net.adjacency, dict(net.adjacency)
+        if tick % 5:
+            for node in nodes:
+                step_waypoint(node, float(tick), 1.0, rng, area)
+        if tick == 260:
+            nodes[1].radio_range_m = 20.0
+        net.refresh_beacons()
+        expected = {v: tuple(sorted(row)) for v, row in ref_neighbor_graph(nodes).items()}
+        assert net.adjacency == expected
+        assert list(net.adjacency) == [n.id for n in nodes]
+        if expected == expected_before:
+            assert net.adjacency is before
+            kept += 1
+            kept_after_moves += tick % 5 != 0
+        else:
+            assert net.adjacency is not before
+            replaced += 1
+    assert replaced > 100 and kept > 104 and kept_after_moves > 0
+
+
+def _node_bits(node):
+    def bits(v):
+        if isinstance(v, float):
+            return v.hex()
+        return tuple(map(bits, v)) if isinstance(v, tuple) else v
+    return tuple(bits(getattr(node, f.name)) for f in dataclasses.fields(node))
+
+
+def _tick_cases(rng, area, now, dt):
+    """Nodes in the states a tick meets: on a leg short of, reaching or
+    exactly reaching the waypoint; paused past the tick, until inside it,
+    until 1e-13 before its end, until exactly now; with no waypoint, with
+    speed 0, at the area's corners, static; and random ones."""
+    w, h = area.width, area.height
+    nodes = []
+
+    def add(x, y, **kw):
+        nodes.append(NodeState(id=len(nodes), x=x, y=y, **kw))
+    add(10.0, 10.0, speed=1.5, waypoint=(400.0, 300.0), has_waypoint=True)
+    add(10.0, 10.0, speed=4.0, waypoint=(11.0, 12.0), has_waypoint=True)
+    add(0.0, 0.0, speed=2.0, waypoint=(2.0 * dt, 0.0), has_waypoint=True)  # travel == dist
+    add(5.0, 5.0, speed=3.0, waypoint=(5.0, 5.0), has_waypoint=True)  # dist 0
+    add(50.0, 60.0, pause_until=now + 3.5 * dt)
+    add(50.0, 60.0, pause_until=now + 0.4 * dt)
+    add(50.0, 60.0, pause_until=now + dt - 1e-13)
+    add(50.0, 60.0, pause_until=now)
+    add(50.0, 60.0, speed=2.0, waypoint=(0.0, 0.0), has_waypoint=True,
+        pause_until=now + 0.5 * dt)
+    add(70.0, 80.0)
+    add(70.0, 80.0, speed=2.5)
+    add(70.0, 80.0, speed=0.0, waypoint=(300.0, 300.0), has_waypoint=True)
+    for x, y in ((0.0, 0.0), (w, 0.0), (0.0, h), (w, h)):
+        add(x, y, speed=5.0, waypoint=(w - x, h - y), has_waypoint=True)
+        add(x, y, speed=1.0, waypoint=(x, y), has_waypoint=True)
+        add(x, y)
+    add(30.0, 30.0, role="sensor")
+    for _ in range(24):
+        add(float(rng.uniform(0, w)), float(rng.uniform(0, h)),
+            speed=float(rng.choice([0.0, 1.0, 4.9])),
+            waypoint=(float(rng.uniform(0, w)), float(rng.uniform(0, h))),
+            has_waypoint=bool(rng.random() < 0.7),
+            pause_until=now + float(rng.choice([-1.0, 0.0, 0.3, 2.0])) * dt)
+    return nodes
+
+
+@pytest.mark.parametrize("dt", [1.0, 5.0, 1e-13])
+@pytest.mark.parametrize("seed", range(3))
+def test_tick_loop_matches_per_node_steps(monkeypatch, seed, dt):
+    """`step_nodes` against `step_waypoint` on every node, over 80 ticks:
+    every field bit for bit and the stream state after each tick, and the
+    next draw at the end. Some nodes advance inline, others do not."""
+    area = Area(400.0, 300.0)
+    now = 7.0
+    fast = _tick_cases(_rng(seed), area, now, dt)
+    ref = _tick_cases(_rng(seed), area, now, dt)
+    fast_rng, ref_rng = _rng(seed + 10), _rng(seed + 10)
+    calls = []
+
+    def counting_step(node, *args):
+        calls.append(node.id)
+        return step_waypoint(node, *args)
+    monkeypatch.setattr(mobility, "step_waypoint", counting_step)
+    for tick in range(80):
+        step_nodes(fast, now, dt, fast_rng, area, 1.0, 5.0, 10.0)
+        ref_step_nodes(ref, now, dt, ref_rng, area, 1.0, 5.0, 10.0)
+        assert [_node_bits(n) for n in fast] == [_node_bits(n) for n in ref], tick
+        assert fast_rng.bit_generator.state == ref_rng.bit_generator.state
+        now += dt
+    assert fast_rng.random() == ref_rng.random()
+    if dt > 1e-12:
+        assert 0 < len(calls) < 80 * len(fast) / 2
+    else:
+        assert len(calls) == 80 * len(fast)
 
 
 def _random_graph(rng, count, p):
@@ -588,8 +766,10 @@ def _flood_runs(monkeypatch, run, ref_patches=()):
     placeholder event scheduled for each copy that `Network.broadcast`
     suppresses, at the copy's time and target, and with each copy that a
     node cancels left in the queue but not delivered; and with
-    `ref_broadcast`, which schedules every copy, snapshotting the receiver
-    around every delivery. The placeholders and the copies left standing
+    `ref_broadcast`, which schedules every copy, and `ref_send`, both drawing
+    each delay from the stream on its own, snapshotting the receiver around
+    every delivery. All three runs must end with their networks about to
+    take the same next delay draw. The placeholders and the copies left standing
     must be exactly where the reference delivers (same event ids), the plain
     trace must be the reference trace with those deliveries removed, and
     each of them must have left its receiver's state unchanged in the
@@ -603,13 +783,15 @@ def _flood_runs(monkeypatch, run, ref_patches=()):
         protos.append(proto)
         real_attach(net, proto)
 
-    def finish():
-        """Check and forget the run's nodes; their networks' counters, summed."""
+    def finish(next_delay):
+        """Check and forget the run's nodes; their networks' counters, summed,
+        and the next delay draw of each network."""
         assert [p.id for p in protos if p.id in p.routes] == []
         nets = {id(p.net): p.net for p in protos}.values()
         protos.clear()
-        return [sum(getattr(net, name) for net in nets)
-                for name in ("delivered_msgs", "suppressed_msgs", "cancelled_msgs")]
+        return ([sum(getattr(net, name) for net in nets)
+                 for name in ("delivered_msgs", "suppressed_msgs", "cancelled_msgs")],
+                [next_delay(net) for net in nets])
 
     monkeypatch.setattr(Network, "attach", recording_attach)
     duplicates, fast_trace = {}, []
@@ -624,7 +806,7 @@ def _flood_runs(monkeypatch, run, ref_patches=()):
     with monkeypatch.context() as m:
         m.setattr(Network, "_deliver", counting_deliver)
         fast = run(fast_trace)
-    delivered, suppressed_count, cancelled_count = finish()
+    (delivered, suppressed_count, cancelled_count), fast_delays = finish(next_delay)
 
     marks, cancels, mark_trace, sending = [], {}, [], []
     real_broadcast = Network.broadcast
@@ -652,7 +834,7 @@ def _flood_runs(monkeypatch, run, ref_patches=()):
         m.setattr(AodvNode, "_ignores_flood", marking(AodvNode._ignores_flood))
         m.setattr(DiscoveryNode, "_ignores_advert", marking(DiscoveryNode._ignores_advert))
         run(mark_trace)
-    finish()
+    mark_delays = finish(next_delay)[1]
 
     noops, ref_trace = set(), []
 
@@ -664,11 +846,13 @@ def _flood_runs(monkeypatch, run, ref_patches=()):
             noops.add(_eid(net.k.trace[-1]))
     with monkeypatch.context() as m:
         m.setattr(Network, "broadcast", ref_broadcast)
+        m.setattr(Network, "send", ref_send)
         m.setattr(Network, "_deliver", snapshotting_deliver)
         for obj, name, value in ref_patches:
             m.setattr(obj, name, value)
         ref = run(ref_trace)
-    ref_delivered = finish()[0]
+    ref_counts, ref_delays = finish(ref_next_delay)
+    ref_delivered = ref_counts[0]
     monkeypatch.setattr(Network, "attach", real_attach)
 
     marked, cancelled = set(marks), set(cancels)
@@ -679,6 +863,7 @@ def _flood_runs(monkeypatch, run, ref_patches=()):
         _strip(line) for line in ref_trace if _eid(line) not in marked | cancelled]
     assert marked | cancelled <= noops
     assert delivered + suppressed_count + cancelled_count == ref_delivered
+    assert fast_delays == mark_delays == ref_delays
     return FloodRuns(fast, ref,
                      [_strip(line) for line in ref_trace if _eid(line) in marked],
                      [_strip(line) for line in ref_trace if _eid(line) in cancelled],
@@ -702,7 +887,9 @@ def test_discovery_replication_matches_reference_paths(monkeypatch, seed):
     isinstance dispatch. Same results; the trace differs only by the
     suppressed copies, each a no-op in the reference run. Each query's
     reachable flag is also checked against components computed at issue
-    time, not read from the labels cached per mobility tick."""
+    time, not read from the labels cached per mobility tick. The tick loop
+    is the per-node `step_waypoint` loop, and the adjacency is rebuilt from
+    the edge-loop graph at every refresh."""
     cfg = ScenarioConfig()
     cfg.simulation.sim_time_s = 200.0
     cfg.simulation.radio_range_m = 170.0  # sparse enough for unreachable providers
@@ -719,8 +906,8 @@ def test_discovery_replication_matches_reference_paths(monkeypatch, seed):
     fast, ref, suppressed, cancelled, noops, duplicates = _flood_runs(
         monkeypatch, _traced_replication(cfg, seed), [
         (mobility, "connectivity_components", ref_connectivity_components),
-        (mobility, "neighbor_graph", ref_neighbor_graph),
-        (routing, "neighbor_graph", ref_neighbor_graph),
+        (mobility, "step_nodes", ref_step_nodes),
+        (Network, "refresh_beacons", ref_refresh_beacons),
         (AodvNode, "receive", ref_receive),
         (DiscoveryNode, "app_receive", ref_app_receive),
         (DiscoveryNode, "lookup_local", ref_lookup_local),

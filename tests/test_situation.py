@@ -166,7 +166,8 @@ def test_csv_export_quotes_commas():
 
 
 def test_csv_export_reads_back_with_csv_reader():
-    messages = ["line one\nline two", "crlf\r\nend", 'need "cranes", fast', "plain"]
+    messages = ["line one\nline two", "crlf\r\nend", 'need "cranes", fast', "plain",
+                "cr\ronly"]
     db = SituationDb()
     for i, msg in enumerate(messages):
         db.upsert(SituationRecord(1.0 + i, 2.0, "Red", f"0{i + 1}012020000000", msg))
