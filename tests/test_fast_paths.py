@@ -3,8 +3,10 @@
 The reference functions below are the scalar, one-record-at-a-time and
 per-neighbour forms: sensor synthesis one instant and one sensor at a time,
 per-cluster reduction over Python lists, an `order=True` dataclass event
-heap, one MAC delay draw per neighbour, and a spectrum simulation with one
-kernel event per primary-user toggle. The fast paths must give the same
+heap, one MAC delay draw per copy from the stream itself, a beacon refresh
+that rebuilds every neighbour row, `step_waypoint` on every node of a
+mobility tick, and a spectrum simulation with one kernel event per
+primary-user toggle. The fast paths must give the same
 floats, the same draw order and the same event trace.
 """
 
