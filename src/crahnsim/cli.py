@@ -57,18 +57,22 @@ def _load_situation_db(path: str) -> SituationDb:
             raise SituationValidationError(
                 "header", f"situation db CSV needs columns {RECORD_FIELDS[:5]}")
         for row in reader:
+            line = f"line {reader.line_num}"
             # a short row reads its missing fields as None, a long one keeps
             # the extra fields under the key None
             if None in row or None in row.values():
                 raise SituationValidationError(
-                    f"line {reader.line_num}",
-                    f"row does not have the header's {len(reader.fieldnames)} fields")
-            db.upsert(SituationRecord(
-                latitude=float(row["latitude"]), longitude=float(row["longitude"]),
-                situation=row["situation"], timestamp=row["timestamp"],
-                short_message=row["short_message"],
-                long_message=row.get("long_message") or "",
-                ontology=row.get("ontology") or ""))
+                    line, f"row does not have the header's {len(reader.fieldnames)} fields")
+            try:
+                record = SituationRecord(
+                    latitude=float(row["latitude"]), longitude=float(row["longitude"]),
+                    situation=row["situation"], timestamp=row["timestamp"],
+                    short_message=row["short_message"],
+                    long_message=row.get("long_message") or "",
+                    ontology=row.get("ontology") or "")
+            except ValueError as exc:  # a bad number or a SituationValidationError
+                raise SituationValidationError(line, str(exc)) from exc
+            db.upsert(record)
     return db
 
 

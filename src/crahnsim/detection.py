@@ -23,6 +23,9 @@ NOISE_SIGMA = 0.1
 FEATURES_PER_CLUSTER = 3  # mean, max, count
 DEFAULT_EVENT_DURATION_S = 30.0
 PROCESSING_DELAY_PER_CLUSTER_S = 0.020  # kappa
+DETECTOR_HIDDEN_UNITS = 8
+DETECTOR_LEARNING_RATE = 0.5
+MIN_EVENT_GAP_S = 60.0  # spacing of a trace's events, so polling windows see one at a time
 
 
 @dataclass
@@ -76,10 +79,10 @@ SAMPLES_PER_WINDOW = 5
 TRAINING_CHUNK_RECORDS = 100  # records reduced at once while building a training set
 
 
-def window_times(t: float, samples_per_window: int = SAMPLES_PER_WINDOW) -> list[float]:
+def window_times(t: float) -> list[float]:
     """Sampling instants of the 10 s window ending at t."""
-    return [t - POLL_PERIOD_S + (i + 1) * POLL_PERIOD_S / samples_per_window
-            for i in range(samples_per_window)]
+    return [t - POLL_PERIOD_S + (i + 1) * POLL_PERIOD_S / SAMPLES_PER_WINDOW
+            for i in range(SAMPLES_PER_WINDOW)]
 
 
 def sensor_magnitudes(dep: Deployment, times: list[float], events: list[DisasterEvent],
@@ -113,11 +116,10 @@ def window_features(dep: Deployment, blocks: np.ndarray) -> np.ndarray:
 
 
 def context_record(dep: Deployment, t: float, events: list[DisasterEvent],
-                   noise_rng: np.random.Generator,
-                   samples_per_window: int = SAMPLES_PER_WINDOW) -> np.ndarray:
+                   noise_rng: np.random.Generator) -> np.ndarray:
     """One detector input: per-cluster (mean, max, count) over the 10 s window
-    ending at t, from `samples_per_window` sampling instants per sensor."""
-    mags = sensor_magnitudes(dep, window_times(t, samples_per_window), events, noise_rng)
+    ending at t, from `SAMPLES_PER_WINDOW` sampling instants per sensor."""
+    mags = sensor_magnitudes(dep, window_times(t), events, noise_rng)
     return window_features(dep, mags[np.newaxis])[0]
 
 
@@ -147,14 +149,14 @@ def make_training_set(dep: Deployment, rng: np.random.Generator, area: Area,
 
 
 def train_detector(rng_init: np.random.Generator, x: np.ndarray, y: np.ndarray,
-                   hidden_units: int = 8, epochs: int = 300,
-                   learning_rate: float = 0.5, seed: int = 0) -> tuple[Mlp, dict]:
-    model = Mlp.init([x.shape[1], hidden_units, 1], rng_init, output_activation="sigmoid")
+                   epochs: int = 300, seed: int = 0) -> tuple[Mlp, dict]:
+    model = Mlp.init([x.shape[1], DETECTOR_HIDDEN_UNITS, 1], rng_init,
+                     output_activation="sigmoid")
     n = x.shape[0]
     split = int(0.8 * n)
     order = np.random.Generator(np.random.PCG64(seed)).permutation(n)
     tr, va = order[:split], order[split:]
-    cfg = TrainConfig(learning_rate=learning_rate, epochs=epochs)
+    cfg = TrainConfig(learning_rate=DETECTOR_LEARNING_RATE, epochs=epochs)
     losses = train(model, (x[tr], y[tr]), cfg)
     val_pred = np.array([model.classify_binary(row) == DISASTER_HAPPENED for row in x[va]])
     val_acc = float(np.mean(val_pred == (y[va][:, 0] > 0.5)))
@@ -164,13 +166,11 @@ def train_detector(rng_init: np.random.Generator, x: np.ndarray, y: np.ndarray,
 # -- disaster traces ----------------------------------------------------------
 
 def synthesize_trace(rng: np.random.Generator, area: Area, count: int,
-                     intensity: float, horizon_s: float,
-                     min_gap_s: float = 60.0) -> list[DisasterEvent]:
+                     intensity: float, horizon_s: float) -> list[DisasterEvent]:
     lo, hi = 20.0, horizon_s - DEFAULT_EVENT_DURATION_S - 10.0
     times = sorted(rng.uniform(lo, hi, count))
-    # enforce spacing so events don't overlap in the polling windows
     for i in range(1, len(times)):
-        times[i] = max(times[i], times[i - 1] + min_gap_s)
+        times[i] = max(times[i], times[i - 1] + MIN_EVENT_GAP_S)
     return [DisasterEvent(time=float(t),
                           epicenter=(float(rng.uniform(0, area.width)),
                                      float(rng.uniform(0, area.height))),

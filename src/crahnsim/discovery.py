@@ -4,17 +4,25 @@ discovery (discovery of a `gateway` service). Runs on top of the AODV layer;
 the resolution flood reuses the RREQ duplicate/improvement discipline so the
 reply also installs a usable route toward the provider (no separate route
 discovery afterwards).
+
+`DiscoveryNode.lookup_local` is the one rule for what a node can answer: its
+own queries and the SREQs it receives get the same answer. Replies (SREPs)
+travel the reverse route by `AodvNode._send_reply_toward`, the path of RREPs.
+A descriptor is never changed once built, so a result keeps the descriptor
+it was answered with.
 """
 
+import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from itertools import chain
+from typing import Callable, NamedTuple, Optional
 
 from .routing import AodvNode, Network
 
 DEFAULT_ADVERT_INTERVAL_S = 10.0
 DEFAULT_ADVERT_HOPS = 2
 DEFAULT_SERVICE_TTL_S = 30.0
-DEFAULT_QUERY_DEADLINE_S = 10.0
+QUERY_DEADLINE_S = 10.0
 
 
 @dataclass
@@ -34,14 +42,9 @@ class ServiceDescriptor:
             raise ValueError("advertised route must start at the provider")
 
 
-@dataclass
-class ServiceCacheEntry:
+class ServiceCacheEntry(NamedTuple):
     descriptor: ServiceDescriptor
-    learned_at: float
-
-    @property
-    def expires_at(self) -> float:
-        return self.learned_at + self.descriptor.ttl_s
+    expires_at: float  # learned time + descriptor ttl; inf for a hosted service
 
 
 @dataclass
@@ -86,7 +89,6 @@ class SrepMsg:
     requester: int
     descriptor: ServiceDescriptor
     dist_to_provider: int
-    hop_count: int
 
 
 @dataclass
@@ -98,13 +100,6 @@ class DiscoveryResult:
     timed_out: bool = False
 
 
-def matches(descriptor: ServiceDescriptor, service_id: Optional[str],
-            ontology_tag: Optional[str]) -> bool:
-    if service_id is not None and descriptor.service_id == service_id:
-        return True
-    return ontology_tag is not None and descriptor.ontology_tag == ontology_tag
-
-
 class DiscoveryNode(AodvNode):
     def __init__(self, node_id: int, network: Network,
                  advert_interval_s: float = DEFAULT_ADVERT_INTERVAL_S,
@@ -114,12 +109,12 @@ class DiscoveryNode(AodvNode):
         self.advert_interval_s = advert_interval_s
         self.advert_hops = advert_hops
         self.service_ttl_s = service_ttl_s
-        self.hosted: dict[str, ServiceDescriptor] = {}
+        self.hosted: dict[str, ServiceCacheEntry] = {}  # service_id -> entry that never expires
         self.cache: dict[tuple, ServiceCacheEntry] = {}  # (service_id, provider)
         self._advert_seen: set[tuple] = set()
         self._advert_due: dict[tuple, tuple] = {}  # advert key -> (at, event id) of first copy
         self._next_qid = 0
-        self._open_queries: dict[int, dict] = {}
+        self._open_queries: dict[int, tuple] = {}  # query id -> (query, callback, timeout id)
         self._app_handlers = {AdvertMsg: self._on_advert, SreqMsg: self._on_sreq,
                               SrepMsg: self._on_srep}
         self.copy_tests.update({AdvertMsg: self._ignores_advert,
@@ -128,9 +123,9 @@ class DiscoveryNode(AodvNode):
     # -- hosting and advertisement -------------------------------------------
 
     def host_service(self, service_id: str, ontology_tag: str = "") -> None:
-        self.hosted[service_id] = ServiceDescriptor(
+        self.hosted[service_id] = ServiceCacheEntry(ServiceDescriptor(
             service_id=service_id, provider=self.id, ontology_tag=ontology_tag,
-            advertised_route=[self.id], ttl_s=self.service_ttl_s)
+            advertised_route=[self.id], ttl_s=self.service_ttl_s), math.inf)
 
     def start_advertising(self) -> None:
         self.advertise()
@@ -139,65 +134,61 @@ class DiscoveryNode(AodvNode):
             k.every(self.advert_interval_s, self.advertise, target=f"n{self.id}", kind="advert")
 
     def advertise(self) -> None:
-        for base in self.hosted.values():
-            base.provider_seq += 1
+        """Advertise each hosted service with the next provider sequence
+        number; the advertised descriptor becomes the hosted one."""
+        for base, _ in list(self.hosted.values()):
             desc = ServiceDescriptor(
                 service_id=base.service_id, provider=base.provider,
                 ontology_tag=base.ontology_tag, advertised_route=[self.id],
-                issued_at=self.net.k.now, ttl_s=base.ttl_s, provider_seq=base.provider_seq)
+                issued_at=self.net.k.now, ttl_s=base.ttl_s, provider_seq=base.provider_seq + 1)
+            self.hosted[desc.service_id] = ServiceCacheEntry(desc, math.inf)
             self.net.broadcast(self.id, AdvertMsg(descriptor=desc, hops_left=self.advert_hops))
 
-    # -- cache ----------------------------------------------------------------
+    # -- local answers --------------------------------------------------------
 
     def lookup_local(self, service_id: Optional[str] = None,
-                     ontology_tag: Optional[str] = None) -> Optional[ServiceCacheEntry]:
-        """Unexpired match: exact service-id first, ontology tag as fallback;
-        ties broken by fewest route hops, then lowest provider, then cache
-        order. Sends zero network messages."""
+                     ontology_tag: Optional[str] = None) -> Optional[ServiceDescriptor]:
+        """The answer this node holds for a query, or None: the best of its
+        hosted services and unexpired cache entries that match, ranked by
+        exact service id before ontology tag, then fewest route hops, then
+        lowest provider, then hosted before cached and cache order. A hosted
+        service never expires and has a one-hop route, so it outranks any
+        cached service matched the same way. Sends zero network messages."""
         now = self.net.k.now
         best, best_key = None, None
-        for entry in self.cache.values():
-            desc = entry.descriptor
+        for desc, expires_at in chain(self.hosted.values(), self.cache.values()):
             if service_id is not None and desc.service_id == service_id:
                 rank = 0
             elif ontology_tag is not None and desc.ontology_tag == ontology_tag:
                 rank = 1
             else:
                 continue
-            if entry.expires_at <= now:
+            if expires_at <= now:
                 continue
             key = (rank, len(desc.advertised_route), desc.provider)
             if best_key is None or key < best_key:
-                best, best_key = entry, key
+                best, best_key = desc, key
         return best
 
     # -- discovery ------------------------------------------------------------
 
     def discover(self, service_id: Optional[str] = None, ontology_tag: Optional[str] = None,
-                 deadline_s: float = DEFAULT_QUERY_DEADLINE_S,
                  callback: Optional[Callable[[DiscoveryResult], None]] = None) -> ServiceQuery:
         now = self.net.k.now
         self._next_qid += 1
         qid = self.id * 1_000_000 + self._next_qid
         query = ServiceQuery(query_id=qid, requester=self.id, service_id=service_id,
                              ontology_tag=ontology_tag, issued_at=now,
-                             deadline=now + deadline_s)
-        if service_id is not None and service_id in self.hosted:
-            result = DiscoveryResult(query, self.hosted[service_id], 0.0, cache_hit=True)
-            if callback:
-                callback(result)
-            return query
+                             deadline=now + QUERY_DEADLINE_S)
         hit = self.lookup_local(service_id, ontology_tag)
         if hit is not None:
-            result = DiscoveryResult(query, hit.descriptor, 0.0, cache_hit=True)
             if callback:
-                callback(result)
+                callback(DiscoveryResult(query, hit, 0.0, cache_hit=True))
             return query
         timeout_id = self.net.k.schedule(query.deadline, self._query_timeout, args=(qid,),
                                          target=f"n{self.id}", kind="query-timeout")
         self.sequence += 1
-        self._open_queries[qid] = {"query": query, "callback": callback,
-                                   "timeout": timeout_id}
+        self._open_queries[qid] = (query, callback, timeout_id)
         self._flood_best[qid] = 0
         self.net.broadcast(self.id, SreqMsg(
             query_id=qid, requester=self.id, requester_seq=self.sequence,
@@ -205,14 +196,11 @@ class DiscoveryNode(AodvNode):
         return query
 
     def _query_timeout(self, qid: int) -> None:
-        state = self._open_queries.pop(qid, None)
-        if state is None:
-            return
-        result = DiscoveryResult(state["query"], None,
-                                 self.net.k.now - state["query"].issued_at,
-                                 cache_hit=False, timed_out=True)
-        if state["callback"]:
-            state["callback"](result)
+        # the first reply cancels this event, so the query is still open
+        query, callback, _ = self._open_queries.pop(qid)
+        if callback:
+            callback(DiscoveryResult(query, None, self.net.k.now - query.issued_at,
+                                     cache_hit=False, timed_out=True))
 
     # -- message handling ------------------------------------------------------
 
@@ -240,18 +228,18 @@ class DiscoveryNode(AodvNode):
         return False
 
     def _on_advert(self, msg: AdvertMsg, from_id: int) -> None:
-        desc = msg.descriptor
-        key = (desc.provider, desc.service_id, desc.issued_at)
-        if key in self._advert_seen or desc.provider == self.id:
+        key = msg.copy_fields()
+        if key[0] == self.id or key in self._advert_seen:
             return
         self._advert_seen.add(key)
         self._advert_due.pop(key, None)
+        desc = msg.descriptor
         desc = ServiceDescriptor(
             service_id=desc.service_id, provider=desc.provider, ontology_tag=desc.ontology_tag,
             advertised_route=desc.advertised_route + [self.id], issued_at=desc.issued_at,
             ttl_s=desc.ttl_s, provider_seq=desc.provider_seq)
         self.cache[(desc.service_id, desc.provider)] = ServiceCacheEntry(
-            descriptor=desc, learned_at=self.net.k.now)
+            desc, self.net.k.now + desc.ttl_s)
         # the carried route doubles as a route to the provider
         self._maybe_install(desc.provider, from_id, len(desc.advertised_route) - 1,
                             desc.provider_seq)
@@ -259,36 +247,21 @@ class DiscoveryNode(AodvNode):
             self.net.broadcast(self.id, AdvertMsg(descriptor=desc,
                                                   hops_left=msg.hops_left - 1))
 
-    def _local_answer(self, service_id, ontology_tag):
-        for desc in self.hosted.values():
-            if matches(desc, service_id, ontology_tag):
-                return desc, 0
-        entry = self.lookup_local(service_id, ontology_tag)
-        if entry is not None:
-            return entry.descriptor, len(entry.descriptor.advertised_route) - 1
-        return None, 0
-
     def _on_sreq(self, msg: SreqMsg, from_id: int) -> None:
         if not self._flood_arrival(msg.query_id, msg.requester, from_id, msg.hop_count,
                                    msg.requester_seq):
             return
-        desc, dist = self._local_answer(msg.service_id, msg.ontology_tag)
+        desc = self.lookup_local(msg.service_id, msg.ontology_tag)
         if desc is not None:
-            self._send_srep(msg.requester, SrepMsg(
+            self._send_reply_toward(msg.requester, SrepMsg(
                 query_id=msg.query_id, requester=msg.requester, descriptor=desc,
-                dist_to_provider=dist, hop_count=0))
+                dist_to_provider=len(desc.advertised_route) - 1))
             return
         if msg.ttl > 1:
             self.net.broadcast(self.id, SreqMsg(
                 query_id=msg.query_id, requester=msg.requester, requester_seq=msg.requester_seq,
                 service_id=msg.service_id, ontology_tag=msg.ontology_tag,
                 hop_count=msg.hop_count + 1, ttl=msg.ttl - 1))
-
-    def _send_srep(self, requester: int, msg: SrepMsg) -> None:
-        entry = self.routes.get(requester)
-        if entry is None or entry.expires_at < self.net.k.now:
-            return
-        self.net.send(self.id, entry.next_hop, msg)
 
     def _on_srep(self, msg: SrepMsg, from_id: int) -> None:
         dist = msg.dist_to_provider + 1
@@ -298,13 +271,12 @@ class DiscoveryNode(AodvNode):
             state = self._open_queries.pop(msg.query_id, None)
             if state is None:
                 return  # later reply; first one won
-            self.net.k.cancel(state["timeout"])
-            query = state["query"]
-            result = DiscoveryResult(query, msg.descriptor,
-                                     self.net.k.now - query.issued_at, cache_hit=False)
-            if state["callback"]:
-                state["callback"](result)
+            query, callback, timeout_id = state
+            self.net.k.cancel(timeout_id)
+            if callback:
+                callback(DiscoveryResult(query, msg.descriptor,
+                                         self.net.k.now - query.issued_at, cache_hit=False))
             return
-        self._send_srep(msg.requester, SrepMsg(
+        self._send_reply_toward(msg.requester, SrepMsg(
             query_id=msg.query_id, requester=msg.requester, descriptor=msg.descriptor,
-            dist_to_provider=dist, hop_count=msg.hop_count + 1))
+            dist_to_provider=dist))

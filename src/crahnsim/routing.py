@@ -223,7 +223,7 @@ class AodvNode:
         self._pending: dict[int, list] = {}  # dest -> queued (payload, kind)
         self.rreq_originations = 0
         self.rreq_forwards: dict[tuple, int] = {}
-        self.dropped_rreps = 0
+        self.dropped_replies = 0  # RREPs and SREPs with no live reverse route
         self.delivered: list[tuple] = []  # (payload, origin, kind)
         self._handlers = {Rreq: self._on_rreq, Rrep: self._on_rrep, DataMsg: self._on_data}
         # message type -> test(copy_fields, at): True if a broadcast copy
@@ -385,7 +385,7 @@ class AodvNode:
                 self.sequence = max(self.sequence + 1, rreq.dest_sequence_known)
                 seq = self.sequence
                 self._replied_bids[key] = seq
-            self._send_rrep_toward(rreq.origin, Rrep(
+            self._send_reply_toward(rreq.origin, Rrep(
                 destination=self.id, origin=rreq.origin, dest_sequence=seq, hop_count=0))
             return
         # intermediates answer only refresh requests (origin names a known
@@ -395,7 +395,7 @@ class AodvNode:
         if (entry is not None and entry.expires_at >= self.net.k.now
                 and rreq.dest_sequence_known > 0
                 and entry.dest_sequence >= rreq.dest_sequence_known):
-            self._send_rrep_toward(rreq.origin, Rrep(
+            self._send_reply_toward(rreq.origin, Rrep(
                 destination=rreq.destination, origin=rreq.origin,
                 dest_sequence=entry.dest_sequence, hop_count=entry.hop_count))
             return
@@ -407,12 +407,15 @@ class AodvNode:
                        dest_sequence_known=rreq.dest_sequence_known)
             self.net.broadcast(self.id, fwd)
 
-    def _send_rrep_toward(self, origin: int, rrep: Rrep) -> None:
+    def _send_reply_toward(self, origin: int, reply) -> None:
+        """Unicast a reply (RREP, or SREP in `discovery`) one hop along the
+        reverse route to the flood's `origin`; without a live route it is
+        dropped and counted in `dropped_replies`."""
         entry = self.routes.get(origin)
         if entry is None or entry.expires_at < self.net.k.now:
-            self.dropped_rreps += 1
+            self.dropped_replies += 1
             return
-        self.net.send(self.id, entry.next_hop, rrep)
+        self.net.send(self.id, entry.next_hop, reply)
 
     def _on_rrep(self, rrep: Rrep, from_id: int) -> None:
         hops = rrep.hop_count + 1
@@ -422,7 +425,7 @@ class AodvNode:
             return
         fwd = Rrep(destination=rrep.destination, origin=rrep.origin,
                    dest_sequence=rrep.dest_sequence, hop_count=hops)
-        self._send_rrep_toward(rrep.origin, fwd)
+        self._send_reply_toward(rrep.origin, fwd)
 
     def _flush_pending(self, destination: int) -> None:
         queued = self._pending.pop(destination, [])

@@ -1,12 +1,14 @@
 """Service discovery: adverts, caches, flood-on-miss, gateway lookup."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from crahnsim.kernel import Kernel
 from crahnsim.mobility import NodeState
 from crahnsim.routing import Network
-from crahnsim.discovery import DiscoveryNode, ServiceDescriptor
+from crahnsim.discovery import DiscoveryNode, ServiceCacheEntry, ServiceDescriptor, SrepMsg
 
 
 def _chain(kernel, count, spacing=100.0, **kwargs):
@@ -65,10 +67,9 @@ def test_lookup_prefers_fewer_route_hops():
     node = protos[2]
     near = ServiceDescriptor(service_id="svc", provider=1, advertised_route=[1, 2])
     far = ServiceDescriptor(service_id="svc", provider=0, advertised_route=[0, 1, 2])
-    from crahnsim.discovery import ServiceCacheEntry
-    node.cache[("svc", 0)] = ServiceCacheEntry(far, learned_at=0.0)
-    node.cache[("svc", 1)] = ServiceCacheEntry(near, learned_at=0.0)
-    assert node.lookup_local("svc").descriptor.provider == 1
+    node.cache[("svc", 0)] = ServiceCacheEntry(far, expires_at=30.0)
+    node.cache[("svc", 1)] = ServiceCacheEntry(near, expires_at=30.0)
+    assert node.lookup_local("svc").provider == 1
 
 
 def test_ontology_tag_is_a_fallback_match():
@@ -91,6 +92,62 @@ def test_self_hosted_query_is_local_and_silent():
     k.run_until(5.0)
     assert results[0].cache_hit and results[0].latency_s == 0.0
     assert net.delivered_msgs == before
+
+
+def test_self_hosted_tag_query_is_local_and_silent():
+    k = Kernel(seed=5, end=50.0)
+    net, protos = _chain(k, 3)
+    protos[0].host_service("medic-7", ontology_tag="Safety")
+    results = []
+    protos[0].discover(ontology_tag="Safety", callback=results.append)
+    k.run_until(20.0)
+    (res,) = results
+    assert res.cache_hit and res.descriptor.service_id == "medic-7"
+    assert net.delivered_msgs == 0 and not protos[0]._open_queries
+
+
+def test_sreq_gets_the_answer_the_node_gives_itself():
+    # node 1 caches "svc" (exact id) and hosts "medic-7" (tag match only); an
+    # (id, tag) query prefers the exact id, from node 1 itself or from node 2
+    k = Kernel(seed=12, end=50.0)
+    net, protos = _chain(k, 3, advert_hops=1)
+    protos[0].host_service("svc")
+    protos[0].advertise()
+    protos[1].host_service("medic-7", ontology_tag="Safety")
+    k.run_until(1.0)
+    assert ("svc", 0) not in protos[2].cache
+    results = []
+    protos[1].discover("svc", "Safety", callback=results.append)
+    protos[2].discover("svc", "Safety", callback=results.append)
+    k.run_until(20.0)
+    own, relayed = results
+    assert own.cache_hit and not relayed.cache_hit
+    assert (own.descriptor.service_id, own.descriptor.provider) == ("svc", 0)
+    assert relayed.descriptor is own.descriptor
+
+
+def test_srep_without_reverse_route_is_counted_dropped():
+    k = Kernel(seed=13, end=10.0)
+    net, protos = _chain(k, 3)
+    desc = ServiceDescriptor(service_id="svc", provider=2, advertised_route=[2])
+    protos[1]._on_srep(SrepMsg(query_id=1, requester=9, descriptor=desc,
+                               dist_to_provider=0), from_id=2)
+    assert protos[1].dropped_replies == 1
+
+
+def test_result_descriptor_survives_later_adverts():
+    k = Kernel(seed=14, end=50.0)
+    net, protos = _chain(k, 3)
+    protos[2].host_service("svc")
+    results = []
+    protos[0].discover("svc", callback=results.append)
+    protos[2].discover("svc", callback=results.append)
+    k.run_until(5.0)
+    assert [r.cache_hit for r in results] == [True, False]  # self-hit first, then the SREP
+    before = [dataclasses.astuple(r.descriptor) for r in results]
+    protos[2].advertise()
+    k.run_until(10.0)
+    assert [dataclasses.astuple(r.descriptor) for r in results] == before
 
 
 def test_cache_hit_sends_zero_messages():
@@ -171,7 +228,7 @@ def test_partitioned_network_times_out():
     protos = {n.id: DiscoveryNode(n.id, net) for n in nodes}
     protos[2].host_service("gateway")
     results = []
-    protos[0].discover(service_id="gateway", deadline_s=10.0, callback=results.append)
+    protos[0].discover(service_id="gateway", callback=results.append)
     k.run_until(30.0)
     (res,) = results
     assert res.timed_out and res.descriptor is None

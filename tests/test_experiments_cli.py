@@ -259,3 +259,19 @@ def test_cli_render_situation_rejects_wrong_row_length(tmp_path, capsys, row):
     err = capsys.readouterr().err
     assert err.startswith("cannot load situation db: line 3: ")
     assert not out.exists()
+
+
+@pytest.mark.parametrize("row, message", [
+    ("abc,67.0099390,Red,20052015201820,Injured",
+     "could not convert string to float: 'abc'"),
+    ("24.8614620,67.0099390,Blue,20052015201820,Injured",
+     "situation: not one of ('Red', 'Yellow', 'Green'): 'Blue'")])
+def test_cli_render_situation_names_the_line_of_a_bad_field(tmp_path, capsys, row, message):
+    db = tmp_path / "db.csv"
+    db.write_text("latitude,longitude,situation,timestamp,short_message\n"
+                  "24.8615620,67.0039390,Green,20052015200820,Rescue Work successfully done\n"
+                  f"{row}\n")
+    out = tmp_path / "table.txt"
+    assert main(["render-situation", "--db", str(db), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"cannot load situation db: line 3: {message}\n"
+    assert not out.exists()

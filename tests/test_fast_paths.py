@@ -413,7 +413,7 @@ def test_copy_tests_of_a_node_attached_after_a_broadcast_are_asked():
 
 
 # -- reference: edge-loop neighbour graph, union-find components, two-pass
-# -- cache lookup, isinstance dispatch ------------------------------------------
+# -- local lookup, isinstance dispatch ------------------------------------------
 
 def ref_neighbor_graph(nodes):
     adj = {n.id: set() for n in nodes}
@@ -464,15 +464,17 @@ def ref_connectivity_components(graph):
 
 
 def ref_lookup_local(node, service_id=None, ontology_tag=None):
+    """Hosted services, which never expire, then the live cache: exact id
+    matches first, tag matches only if there are none; the first of fewest
+    route hops and lowest provider."""
     now = node.net.k.now
-    live = [e for e in node.cache.values() if e.expires_at > now]
-    for predicate in ((lambda e: service_id is not None and e.descriptor.service_id == service_id),
-                      (lambda e: ontology_tag is not None
-                       and e.descriptor.ontology_tag == ontology_tag)):
-        hits = [e for e in live if predicate(e)]
+    live = [e.descriptor for e in node.hosted.values()]
+    live += [e.descriptor for e in node.cache.values() if e.expires_at > now]
+    for predicate in ((lambda d: service_id is not None and d.service_id == service_id),
+                      (lambda d: ontology_tag is not None and d.ontology_tag == ontology_tag)):
+        hits = [d for d in live if predicate(d)]
         if hits:
-            return min(hits, key=lambda e: (len(e.descriptor.advertised_route),
-                                            e.descriptor.provider))
+            return min(hits, key=lambda d: (len(d.advertised_route), d.provider))
     return None
 
 
@@ -674,15 +676,19 @@ def test_components_match_union_find(seed):
 
 
 def test_lookup_local_matches_two_pass():
-    """Random caches with expired entries, route-length ties between providers,
-    ties on (route length, provider) between services of one tag, and tag-only
-    hits; the very same entry must come back."""
+    """Random hosted services and caches with expired entries, route-length
+    ties between providers, ties on (route length, provider) between services
+    of one tag, and tag-only hits; the very same descriptor must come back."""
     rng = _rng(41)
-    seen = {"expired-skipped": 0, "tag-only": 0, "tie": 0, "none": 0}
+    seen = {"expired-skipped": 0, "tag-only": 0, "tie": 0, "none": 0, "hosted": 0,
+            "cached-id-over-hosted-tag": 0}
     for trial in range(150):
         k = Kernel(seed=trial, end=1000.0)
         net = Network(k, [NodeState(id=0, x=0.0, y=0.0)])
         node = DiscoveryNode(0, net)
+        for _ in range(int(rng.integers(0, 3))):
+            node.host_service(f"svc-{int(rng.integers(0, 6))}",
+                              ontology_tag=f"tag-{int(rng.integers(0, 3))}")
         for _ in range(int(rng.integers(0, 25))):
             provider = int(rng.integers(1, 5))
             sid = f"svc-{int(rng.integers(0, 6))}"
@@ -691,7 +697,8 @@ def test_lookup_local_matches_two_pass():
                 advertised_route=[provider] + [9] * int(rng.integers(0, 3)),
                 ttl_s=float(rng.choice([5.0, 30.0])))
             node.cache[(sid, provider)] = ServiceCacheEntry(
-                descriptor=desc, learned_at=float(rng.integers(0, 40)))
+                descriptor=desc, expires_at=float(rng.integers(0, 40)) + desc.ttl_s)
+        hosted = [e.descriptor for e in node.hosted.values()]
         for _ in range(12):
             k.now = float(rng.integers(0, 50))
             sid = [None, "svc-0", "svc-3", "svc-5", "missing"][int(rng.integers(0, 5))]
@@ -704,8 +711,11 @@ def test_lookup_local_matches_two_pass():
             if ref is None:
                 seen["none"] += 1
                 continue
-            seen["tag-only"] += ref.descriptor.service_id != sid
-            key = (len(ref.descriptor.advertised_route), ref.descriptor.provider)
+            seen["tag-only"] += ref.service_id != sid
+            seen["hosted"] += any(ref is d for d in hosted)
+            seen["cached-id-over-hosted-tag"] += (
+                ref.provider != 0 and any(d.ontology_tag == tag for d in hosted))
+            key = (len(ref.advertised_route), ref.provider)
             seen["tie"] += sum(
                 (len(e.descriptor.advertised_route), e.descriptor.provider) == key
                 and e.expires_at > k.now and e.descriptor.ontology_tag == tag
@@ -722,10 +732,10 @@ def _node_state(node):
              dict(node._flood_best), node.sequence, node.net.k._next_id]
     if isinstance(node, DiscoveryNode):
         state += [frozenset(node._advert_seen),
-                  {key: (e.learned_at, e.descriptor.issued_at,
+                  {key: (e.expires_at, e.descriptor.issued_at,
                          tuple(e.descriptor.advertised_route))
                    for key, e in node.cache.items()},
-                  {qid: st["timeout"] for qid, st in node._open_queries.items()}]
+                  {qid: timeout for qid, (_, _, timeout) in node._open_queries.items()}]
     return state
 
 
@@ -885,7 +895,7 @@ def _traced_replication(cfg, seed):
 def test_discovery_replication_matches_reference_paths(monkeypatch, seed):
     """The whole replication with every replaced path swapped back in: the
     per-neighbour broadcast that schedules every copy, the edge-loop
-    neighbour graph, union-find components, the two-pass cache lookup and
+    neighbour graph, union-find components, the two-pass local lookup and
     isinstance dispatch. Same results; the trace differs only by the
     suppressed copies, each a no-op in the reference run. Each query's
     reachable flag is also checked against components computed at issue
@@ -1169,7 +1179,7 @@ def _aodv_flood(seed, loss_rate):
         def outcome():
             return [({d: (e.next_hop, e.hop_count, e.dest_sequence)
                       for d, e in p.routes.items()},
-                     p.delivered, p.rreq_forwards, p.dropped_rreps)
+                     p.delivered, p.rreq_forwards, p.dropped_replies)
                     for p in protos.values()]
         return k, net, outcome
     return build
@@ -1201,7 +1211,7 @@ def _discovery_flood(seed, loss_rate):
         for i in range(20):
             node = protos[int(rng.integers(3, len(protos)))]
             k.schedule(1.0 + 0.01 * i, node.discover,
-                       args=(f"svc-{int(rng.integers(0, 4))}", None, 2.0, results.append))
+                       args=(f"svc-{int(rng.integers(0, 4))}", None, results.append))
         return k, net, lambda: results
     return build
 

@@ -150,7 +150,7 @@ def test_rrep_without_reverse_route_is_counted_dropped():
     net, protos = _chain(k, 3)
     rrep = Rrep(destination=2, origin=9, dest_sequence=1, hop_count=0)
     protos[1]._on_rrep(rrep, from_id=2)
-    assert protos[1].dropped_rreps == 1
+    assert protos[1].dropped_replies == 1
 
 
 def test_configured_loss_drops_traffic():
