@@ -248,8 +248,7 @@ class DiscoveryNode(AodvNode):
                                                   hops_left=msg.hops_left - 1))
 
     def _on_sreq(self, msg: SreqMsg, from_id: int) -> None:
-        if not self._flood_arrival(msg.query_id, msg.requester, from_id, msg.hop_count,
-                                   msg.requester_seq):
+        if not self._flood_arrival(msg.copy_fields(), from_id):
             return
         desc = self.lookup_local(msg.service_id, msg.ontology_tag)
         if desc is not None:

@@ -234,7 +234,8 @@ def spectrum_params(cfg: ScenarioConfig, pu_count: int, policy: str) -> Spectrum
 def _spectrum_row(cfg: ScenarioConfig, seed: int, point: dict, _) -> dict:
     sim_time = cfg.simulation.sim_time_s
     kernel = Kernel(seed=seed, end=sim_time)
-    sim = SpectrumSim(kernel, spectrum_params(cfg, point["pu_count"], point["policy"]))
+    sim = SpectrumSim(kernel, spectrum_params(cfg, point["pu_count"], point["policy"]),
+                      Area(cfg.simulation.area_width_m, cfg.simulation.area_height_m))
     sim.start()
     kernel.run_until(sim_time)
     m = sim.metric()

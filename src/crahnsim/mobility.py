@@ -76,8 +76,7 @@ def step_waypoint(node: NodeState, now: float, dt: float, rng: np.random.Generat
             continue
         if not node.has_waypoint:
             node.waypoint = (rng.uniform(0.0, area.width), rng.uniform(0.0, area.height))
-            if node.speed <= 0:
-                node.speed = rng.uniform(v_min, v_max)
+            node.speed = rng.uniform(v_min, v_max)
             node.has_waypoint = True
         if node.speed <= 0:
             break

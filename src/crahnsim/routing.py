@@ -4,23 +4,26 @@ The MAC layer is a delay/loss contract: each hop delivers after a uniform
 [1, 5] ms delay, with optional Bernoulli loss. Route requests flood with
 duplicate suppression; a duplicate carrying a strictly better hop count
 updates routes and is re-forwarded, so installed routes converge to minimum
-hop counts on static topologies.
+hop counts on static topologies. `AodvNode.live_route` is the one rule for
+whether a route is live now. `dropped_replies` counts every reply (RREP, or
+SREP in `discovery`) with no live reverse route or whose next hop has left.
 
-Flooded messages (RREQ here; SREQ and adverts in `discovery`) never put a
-copy on the event queue that its receiver would provably handle as a no-op.
-`Network.broadcast` asks each receiver's copy test (`AodvNode.copy_tests`) and
-does not schedule a copy the test rejects; a test that keeps a copy records it
-as in flight, with its event id, and cancels (`Kernel.cancel`) each recorded
-copy that the new one proves a no-op. The rule is pairwise: copy E makes a
-later copy L of the same flood a no-op if E arrives first and leaves the
-receiver's duplicate test holding for L with nothing left for L to install
-(`AodvNode._ignores_flood`). The proofs rest on state that only moves one way.
-Duplicate-suppression records only grow and their best hop counts only fall;
-a route's `expires_at` never falls, since every write sets it to
-`now + route_lifetime_s`; and while a route is not stale its
-`(dest_sequence, -hop_count)` only rises. A copy of a node's own flood is
-always a no-op: the node recorded hop count 0 for it when it originated the
-flood, and no node installs a route to itself.
+`Network.send` (unicast) and `Network.broadcast` differ only in their loss
+draws; both hand the copies they keep to `Network._send_copies`, which puts
+no copy on the event queue that its receiver would provably handle as a
+no-op. It asks each receiver's copy test (`AodvNode.copy_tests`: RREQ here,
+SREQ and adverts in `discovery`) and does not schedule a copy the test
+rejects; a test that keeps a copy records it as in flight, with its event
+id, and cancels (`Kernel.cancel`) each recorded copy that the new one proves
+a no-op. The rule is pairwise: copy E makes a later copy L of the same flood
+a no-op if E arrives first and leaves the receiver's duplicate test holding
+for L with nothing left for L to install (`AodvNode._ignores_flood`). The
+proofs rest on state that only moves one way. Duplicate-suppression records
+only grow and their best hop counts only fall; a route's `expires_at` never
+falls, since every write sets it to `now + route_lifetime_s`; and while a
+route is not stale its `(dest_sequence, -hop_count)` only rises. A copy of a
+node's own flood is always a no-op: the node recorded hop count 0 for it
+when it originated the flood, and no node installs a route to itself.
 
 Each proof holds in the run that delivers every copy, whichever copies are
 dropped: E is delivered there even if it is itself dropped here, and then it
@@ -30,8 +33,8 @@ event keeps its id, it does not reorder the events that are left.
 """
 
 import math
-from dataclasses import dataclass, field
-from typing import Callable, Optional
+from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -82,7 +85,6 @@ class DataMsg:
     origin: int
     destination: int
     payload: object
-    kind: str = "data"
 
 
 class Network:
@@ -103,11 +105,11 @@ class Network:
         self.refresh_beacons()
         self.protocols: dict[int, "AodvNode"] = {}
         # message type -> (event kind, {node id: copy test}), rebuilt after
-        # each `attach`; see broadcast
+        # each `attach`; see _send_copies
         self._types: dict[type, tuple[str, dict]] = {}
         self.delivered_msgs = 0
-        self.suppressed_msgs = 0  # broadcast copies not scheduled: see AodvNode.copy_tests
-        self.cancelled_msgs = 0  # broadcast copies scheduled, then cancelled as no-ops
+        self.suppressed_msgs = 0  # copies not scheduled: see AodvNode.copy_tests
+        self.cancelled_msgs = 0  # copies scheduled, then cancelled as no-ops
         # `uniform(lo, hi)` is lo + (hi - lo) * random(): numpy's own formula,
         # so each value and its place in the stream are those of the scalar
         # draw; the network is the stream's only reader
@@ -137,59 +139,51 @@ class Network:
             adjacency[self._by_id[i].id] = tuple(ids[within[i]].tolist())
         self.adjacency = adjacency
 
-    def _new_type(self, t: type) -> tuple[str, dict]:
-        """The `_types` entry of message type `t`: its event kind and its
-        receivers' copy tests (none for a type without `copy_fields`)."""
-        tests = {} if getattr(t, "copy_fields", None) is None else {
-            nid: proto.copy_tests[t] for nid, proto in self.protocols.items()
-            if t in proto.copy_tests}
-        entry = self._types[t] = (t.__name__.lower(), tests)
-        return entry
-
-    def send(self, src: int, dst: int, msg) -> None:
-        """Unicast to a current neighbor; silently dropped if out of range or lost."""
+    def send(self, src: int, dst: int, msg) -> bool:
+        """Unicast to a current neighbour: False, drawing nothing, if `dst` is
+        not one, else True, whether or not the loss draw spares the copy."""
         if dst not in self.adjacency.get(src, ()):
-            return
-        if self.loss_rate > 0 and self._loss_rng.random() < self.loss_rate:
-            return
-        lo, hi = self.hop_delay_s
-        t = type(msg)
-        kind = (self._types.get(t) or self._new_type(t))[0]
-        self.k.schedule(self.k.now + (lo + (hi - lo) * next(self._delays)), self._deliver,
-                        args=(dst, src, msg), target=self._targets[dst], kind=kind)
+            return False
+        if not (self.loss_rate > 0 and self._loss_rng.random() < self.loss_rate):
+            self._send_copies(src, (dst,), msg)
+        return True
 
     def broadcast(self, src: int, msg) -> None:
-        """Deliver to each current neighbor that the loss draw spares, in id
-        order. Loss and delay have their own streams, so drawing the loss
-        values in one call and taking the delays in order from the block
-        keeps both sequences unchanged. Every copy gets its
-        draws; a copy that its receiver's copy test rejects (`copy_tests`, fed
-        the message's `copy_fields`) is counted in `suppressed_msgs` instead
-        of being scheduled. Nothing is scheduled between a copy's test and
-        its `schedule`, so a test that keeps the copy knows its event id:
-        `Kernel.next_id` at the time of the test."""
+        """Send to each current neighbour that the loss draw spares, in id
+        order. Loss and delay draw from separate streams, so one vector loss
+        draw gives the values of one scalar draw per neighbour."""
         nbrs = self.adjacency.get(src, ())
         if self.loss_rate > 0:
             draws = self._loss_rng.random(len(nbrs))
             nbrs = [nbr for nbr, r in zip(nbrs, draws.tolist()) if not r < self.loss_rate]
-        if not nbrs:
-            return
+        if nbrs:
+            self._send_copies(src, nbrs, msg)
+
+    def _send_copies(self, src: int, nbrs, msg) -> None:
+        """Schedule a copy of `msg` from `src` to each of `nbrs`, in order,
+        each after the next MAC delay of the block, unless its receiver's copy
+        test (`copy_tests`, fed `copy_fields()`) rejects it: then it is counted
+        in `suppressed_msgs`. Nothing is scheduled between a copy's test and
+        its `schedule`, so the test knows its event id: `Kernel.next_id`."""
         lo, hi = self.hop_delay_s
-        span = hi - lo  # lo + span * r is `uniform(lo, hi)`, as in `send`
+        span = hi - lo  # lo + span * r is `uniform(lo, hi)`
         t = type(msg)
-        kind, tests = self._types.get(t) or self._new_type(t)
+        entry = self._types.get(t)
+        if entry is None:
+            entry = self._types[t] = (t.__name__.lower(), {
+                nid: proto.copy_tests[t] for nid, proto in self.protocols.items()
+                if t in proto.copy_tests})
+        kind, tests = entry
         fields = msg.copy_fields() if tests else None
         schedule, now, deliver, targets = self.k.schedule, self.k.now, self._deliver, self._targets
-        suppressed = 0
         # zip stops at the end of `nbrs` before taking another delay
         for nbr, r in zip(nbrs, self._delays):
             at = now + (lo + span * r)
             test = tests.get(nbr)
             if test is not None and test(fields, at):
-                suppressed += 1
+                self.suppressed_msgs += 1
                 continue
             schedule(at, deliver, args=(nbr, src, msg), target=targets[nbr], kind=kind)
-        self.suppressed_msgs += suppressed
 
     def cancel_copy(self, event_id: int) -> None:
         """Cancel a scheduled copy that its receiver has proven a no-op."""
@@ -220,14 +214,14 @@ class AodvNode:
         self._flood_best: dict = {}
         self._flood_due: dict[object, list] = {}
         self._replied_bids: dict[tuple, int] = {}  # dest only: bid -> seq used
-        self._pending: dict[int, list] = {}  # dest -> queued (payload, kind)
+        self._pending: dict[int, list] = {}  # dest -> queued payloads
         self.rreq_originations = 0
         self.rreq_forwards: dict[tuple, int] = {}
-        self.dropped_replies = 0  # RREPs and SREPs with no live reverse route
-        self.delivered: list[tuple] = []  # (payload, origin, kind)
+        self.dropped_replies = 0  # RREPs and SREPs not sent: see _send_reply_toward
+        self.delivered: list[tuple] = []  # (payload, origin)
         self._handlers = {Rreq: self._on_rreq, Rrep: self._on_rrep, DataMsg: self._on_data}
-        # message type -> test(copy_fields, at): True if a broadcast copy
-        # arriving at `at` would be a no-op (see Network.broadcast). A test
+        # message type -> test(copy_fields, at): True if a copy arriving at
+        # `at` would be a no-op (see Network._send_copies). A test
         # runs only right before that copy's `schedule`, so on False it may
         # record `Kernel.next_id` as the copy's event id; it must schedule
         # nothing itself
@@ -236,9 +230,17 @@ class AodvNode:
 
     # -- route table ----------------------------------------------------------
 
-    def next_hop(self, destination: int) -> Optional[int]:
+    def live_route(self, destination: int) -> Optional[RouteEntry]:
+        """The route to `destination` if live now (until `expires_at`, inclusive), else None."""
         entry = self.routes.get(destination)
         if entry is None or entry.expires_at < self.net.k.now:
+            return None
+        return entry
+
+    def next_hop(self, destination: int) -> Optional[int]:
+        """The next hop over a live route, renewing its lifetime; else None."""
+        entry = self.live_route(destination)
+        if entry is None:
             return None
         entry.expires_at = self.net.k.now + self.route_lifetime_s
         return entry.next_hop
@@ -248,12 +250,11 @@ class AodvNode:
         node itself (its own flood echoed back, or a reply relayed through it)."""
         if destination == self.id:
             return
-        cur = self.routes.get(destination)
-        now = self.net.k.now
-        stale = cur is None or cur.expires_at < now
-        if stale or seq > cur.dest_sequence or (seq == cur.dest_sequence and hops < cur.hop_count):
+        cur = self.live_route(destination)
+        if (cur is None or seq > cur.dest_sequence
+                or (seq == cur.dest_sequence and hops < cur.hop_count)):
             self.routes[destination] = RouteEntry(destination, via, hops, seq,
-                                                  now + self.route_lifetime_s)
+                                                  self.net.k.now + self.route_lifetime_s)
 
     # -- origination ----------------------------------------------------------
 
@@ -269,16 +270,16 @@ class AodvNode:
                     dest_sequence_known=known)
         self.net.broadcast(self.id, rreq)
 
-    def send_data(self, destination: int, payload, kind: str = "data") -> None:
+    def send_data(self, destination: int, payload) -> None:
         if destination == self.id:
-            self.delivered.append((payload, self.id, kind))
+            self.delivered.append((payload, self.id))
             return
         nh = self.next_hop(destination)
         if nh is None:
-            self._pending.setdefault(destination, []).append((payload, kind))
+            self._pending.setdefault(destination, []).append(payload)
             self.originate_rreq(destination)
             return
-        self.net.send(self.id, nh, DataMsg(self.id, destination, payload, kind))
+        self.net.send(self.id, nh, DataMsg(self.id, destination, payload))
 
     # -- receive dispatch -----------------------------------------------------
 
@@ -347,11 +348,12 @@ class AodvNode:
         self._flood_due[key] = kept
         return False
 
-    def _flood_arrival(self, key, origin: int, via: int, hops: int, seq: int) -> bool:
-        """The opening of the RREQ and SREQ handlers: install the reverse route
-        to `origin`, forget the in-flight copies of `key` due by now, and
-        record `hops` as the best seen. False for a duplicate with no better
-        hop count."""
+    def _flood_arrival(self, fields: tuple, via: int) -> bool:
+        """The opening of the RREQ and SREQ handlers, fed `copy_fields()`:
+        install the reverse route to `origin` via `via`, forget the in-flight
+        copies of `key` due by now, and record `hops` as the best seen. False
+        for a duplicate with no better hop count."""
+        key, origin, seq, hops = fields
         self._maybe_install(origin, via, hops, seq)
         due = self._flood_due.get(key)
         if due is not None:
@@ -374,10 +376,10 @@ class AodvNode:
     # -- AODV handlers --------------------------------------------------------
 
     def _on_rreq(self, rreq: Rreq, from_id: int) -> None:
-        h = rreq.hop_count
-        key = (rreq.origin, rreq.broadcast_id)
-        if not self._flood_arrival(key, rreq.origin, from_id, h, rreq.origin_sequence):
+        fields = rreq.copy_fields()
+        if not self._flood_arrival(fields, from_id):
             return  # duplicate with no better hop count
+        key = fields[0]
 
         if self.id == rreq.destination:
             seq = self._replied_bids.get(key)
@@ -391,9 +393,8 @@ class AodvNode:
         # intermediates answer only refresh requests (origin names a known
         # sequence); cold lookups always flood through to the destination so
         # installed routes converge to minimum hop counts
-        entry = self.routes.get(rreq.destination)
-        if (entry is not None and entry.expires_at >= self.net.k.now
-                and rreq.dest_sequence_known > 0
+        entry = self.live_route(rreq.destination)
+        if (entry is not None and rreq.dest_sequence_known > 0
                 and entry.dest_sequence >= rreq.dest_sequence_known):
             self._send_reply_toward(rreq.origin, Rrep(
                 destination=rreq.destination, origin=rreq.origin,
@@ -403,19 +404,18 @@ class AodvNode:
             self.rreq_forwards[key] = self.rreq_forwards.get(key, 0) + 1
             fwd = Rreq(origin=rreq.origin, destination=rreq.destination,
                        broadcast_id=rreq.broadcast_id, origin_sequence=rreq.origin_sequence,
-                       hop_count=h + 1, ttl=rreq.ttl - 1,
+                       hop_count=rreq.hop_count + 1, ttl=rreq.ttl - 1,
                        dest_sequence_known=rreq.dest_sequence_known)
             self.net.broadcast(self.id, fwd)
 
     def _send_reply_toward(self, origin: int, reply) -> None:
         """Unicast a reply (RREP, or SREP in `discovery`) one hop along the
-        reverse route to the flood's `origin`; without a live route it is
-        dropped and counted in `dropped_replies`."""
-        entry = self.routes.get(origin)
-        if entry is None or entry.expires_at < self.net.k.now:
+        reverse route to the flood's `origin`. A reply is dropped and counted
+        in `dropped_replies` if there is no live route, or if the route's
+        next hop is no longer a neighbour (`Network.send` refuses it)."""
+        entry = self.live_route(origin)
+        if entry is None or not self.net.send(self.id, entry.next_hop, reply):
             self.dropped_replies += 1
-            return
-        self.net.send(self.id, entry.next_hop, reply)
 
     def _on_rrep(self, rrep: Rrep, from_id: int) -> None:
         hops = rrep.hop_count + 1
@@ -428,13 +428,12 @@ class AodvNode:
         self._send_reply_toward(rrep.origin, fwd)
 
     def _flush_pending(self, destination: int) -> None:
-        queued = self._pending.pop(destination, [])
-        for payload, kind in queued:
-            self.send_data(destination, payload, kind)
+        for payload in self._pending.pop(destination, []):
+            self.send_data(destination, payload)
 
     def _on_data(self, msg: DataMsg, from_id: int) -> None:
         if msg.destination == self.id:
-            self.delivered.append((msg.payload, msg.origin, msg.kind))
+            self.delivered.append((msg.payload, msg.origin))
             return
         nh = self.next_hop(msg.destination)
         if nh is None:

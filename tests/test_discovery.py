@@ -8,7 +8,8 @@ import pytest
 from crahnsim.kernel import Kernel
 from crahnsim.mobility import NodeState
 from crahnsim.routing import Network
-from crahnsim.discovery import DiscoveryNode, ServiceCacheEntry, ServiceDescriptor, SrepMsg
+from crahnsim.discovery import (DiscoveryNode, ServiceCacheEntry, ServiceDescriptor,
+                                SrepMsg, SreqMsg)
 
 
 def _chain(kernel, count, spacing=100.0, **kwargs):
@@ -135,6 +136,34 @@ def test_srep_without_reverse_route_is_counted_dropped():
     assert protos[1].dropped_replies == 1
 
 
+def test_srep_whose_next_hop_moved_away_is_counted_dropped():
+    k = Kernel(seed=15, end=20.0)
+    net, protos = _chain(k, 3)
+    query = protos[0].discover("missing")
+    k.run_until(1.0)
+    assert protos[1].routes[0].next_hop == 0 and protos[1].dropped_replies == 0
+    net.nodes[0].x = -1000.0  # the reverse route's next hop leaves range
+    net.refresh_beacons()
+    desc = ServiceDescriptor(service_id="svc", provider=2, advertised_route=[2])
+    scheduled = k.next_id
+    protos[1]._on_srep(SrepMsg(query_id=query.query_id, requester=0, descriptor=desc,
+                               dist_to_provider=0), from_id=2)
+    assert protos[1].dropped_replies == 1
+    assert k.next_id == scheduled
+
+
+def test_unicast_of_a_nodes_own_sreq_to_it_is_suppressed():
+    k = Kernel(seed=16, end=1.0)
+    net, protos = _chain(k, 2)
+    own = SreqMsg(query_id=1, requester=1, requester_seq=1, service_id="svc",
+                  ontology_tag=None, hop_count=1, ttl=3)
+    scheduled = k.next_id
+    sent = net.send(0, 1, own)
+    assert net.suppressed_msgs == 1
+    assert k.next_id == scheduled
+    assert sent is True
+
+
 def test_result_descriptor_survives_later_adverts():
     k = Kernel(seed=14, end=50.0)
     net, protos = _chain(k, 3)
@@ -189,7 +218,7 @@ def test_resolution_installs_route_saving_an_extra_pass():
     protos[0].send_data(4, "payload")
     k.run_until(40.0)
     assert protos[0].rreq_originations == originations_before
-    assert ("payload", 0, "data") in protos[4].delivered
+    assert ("payload", 0) in protos[4].delivered
 
 
 def test_gateway_three_hops_away_resolves_with_route():

@@ -295,13 +295,14 @@ def ref_broadcast(net, src, msg):
 
 def ref_send(net, src, dst, msg):
     if dst not in net.adjacency.get(src, ()):
-        return
+        return False
     if net.loss_rate > 0 and net.k.stream("mac-loss").random() < net.loss_rate:
-        return
+        return True
     lo, hi = net.hop_delay_s
     delay = float(net.k.stream("mac-delay").uniform(lo, hi))
     net.k.schedule(net.k.now + delay, net._deliver, args=(dst, src, msg),
                    target=f"n{dst}", kind=type(msg).__name__.lower())
+    return True
 
 
 def next_delay(net):

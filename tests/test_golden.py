@@ -11,7 +11,11 @@ single-policy spectrum run, were recorded before the experiments were driven
 by one `ExperimentSpec` each. Detection and the `mlp-history` spectrum policy
 train MLPs through numpy matmul, so unlike discovery's these digests are
 recorded for one numpy build (numpy 2.4.6 with its bundled OpenBLAS 0.3.31,
-x86-64 Linux) and may differ under another numpy build or BLAS.
+x86-64 Linux) and may differ under another numpy build or BLAS. The five
+spectrum entries of `ALL_SHA256` were re-recorded when spectrum cells began
+placing their nodes in the scenario's area (600 m square here) instead of
+the 1000 m default. `SINGLE_POLICY_SHA256` stayed: random-baseline reads no
+position.
 
 A change that is meant to change these numbers must say so and record new
 digests.
@@ -33,7 +37,7 @@ ALL_SHA256 = {
     "discovery_report.json": "1017b521acecad32cd0c1ee6be8c19fe749c14d321858972a4403cbec943c52b",
     "discovery_rows.csv": "3d3bc9d9fe18c6379cec33b31bd32a057611c61680ea548a9dab23713db83b73",
     "fig10_policy_comparison.svg":
-        "aaf5ff7fb0b2a429330cbb11347d0e96af3ef1b7776af5161f8d34a0d5366715",
+        "e91c019853ef32fdc94625ffedb86c54a467ade53e103ebae0eb05e775caa66f",
     "fig11_data.csv": "31435bdacaff275d86eed64a9fa3b19730b98d68ab4bbea99a3f45798a100693",
     "fig11_discovery_latency.svg":
         "8cb6bf812720c4bd40a4adca5b616633705d3b745f39b0fd9e6d32290fac28af",
@@ -41,10 +45,10 @@ ALL_SHA256 = {
     "fig8a_false_negative_rate.svg":
         "09d57475b43c1922f7af881eb6fb39d6f5edda3b451a9600c40f4977e62a8157",
     "fig8b_response_time.svg": "dfe315cfd7a19c554d9dddaa29e62de55c86a6fbcdd30ccc569e64e0a21d4369",
-    "fig9_10_data.csv": "1a49b72f00d7857c46961251944c7cf9204253a0d2edd9264cf4fcb0103e1af1",
-    "fig9_switching_time.svg": "38795b66b3097489d32575b3c42cec856d1be6f3dbf5fa10473bba77b555f12d",
-    "spectrum_report.json": "3687abb63cd448fcd6b785ccd0ef5edb5470b21ace118bd8e4cdbb3baac9a667",
-    "spectrum_rows.csv": "b87061012c12f1ae80efbd4f69c49eefba2db5ec276583cf6afac69cb4fd8ee4",
+    "fig9_10_data.csv": "9b63b98cfd9dfe8038f52afc841e4dfbfd84e02ab76477c44b38f92489359b02",
+    "fig9_switching_time.svg": "291e4bf2c6861ada39ab9ca3b13905b7d32ca94c4f042375de5851ad84f066ac",
+    "spectrum_report.json": "fee3d56efaab7e4023f628754c759c2a79ba3f876a77f5a7b93dfa8485cbedbf",
+    "spectrum_rows.csv": "fdd97beb51acfb32808af0c2db6dbe4e6fd2a638970bdc55467ca84404eec810",
 }
 
 SINGLE_POLICY_SHA256 = {

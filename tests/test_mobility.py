@@ -59,6 +59,17 @@ def test_waypoint_trajectory_is_seed_deterministic():
     assert walk(9) != walk(10)
 
 
+def test_pause_free_walk_draws_a_speed_for_every_leg():
+    node = NodeState(id=0, x=50.0, y=50.0)
+    rng = _rng(12)
+    legs = set()
+    for t in range(2000):
+        step_waypoint(node, float(t), 1.0, rng, Area(100.0, 100.0), pause_max=0.0)
+        legs.add((node.waypoint, node.speed))
+    # each leg has its own waypoint and its own speed
+    assert len(legs) == len({w for w, _ in legs}) == len({v for _, v in legs}) > 10
+
+
 def test_nonpositive_dt_rejected():
     with pytest.raises(ValueError):
         step_waypoint(NodeState(id=0, x=0, y=0), 0.0, 0.0, _rng(1), Area())

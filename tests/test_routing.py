@@ -5,7 +5,7 @@ import pytest
 
 from crahnsim.kernel import Kernel
 from crahnsim.mobility import Area, NodeState, place_uniform
-from crahnsim.routing import (AodvNode, Network, Rrep, build_aodv_network)
+from crahnsim.routing import (AodvNode, DataMsg, Network, Rrep, build_aodv_network)
 
 
 def _chain(kernel, count, spacing=100.0, **net_kwargs):
@@ -33,7 +33,7 @@ def test_chain_discovery_installs_symmetric_routes():
     net, protos = _chain(k, 3)
     protos[0].send_data(2, "hello")
     k.run_until(5.0)
-    assert ("hello", 0, "data") in protos[2].delivered
+    assert ("hello", 0) in protos[2].delivered
     assert protos[0].routes[2].next_hop == 1
     assert protos[0].routes[2].hop_count == 2
     assert protos[2].routes[0].next_hop == 1
@@ -58,7 +58,7 @@ def test_ttl_one_never_reaches_a_two_hop_destination():
     protos[0].send_data(3, "x")
     k.run_until(10.0)
     assert 3 not in protos[0].routes
-    assert ("x", 0, "data") not in protos[3].delivered
+    assert ("x", 0) not in protos[3].delivered
 
 
 def test_duplicate_rreq_with_no_better_hops_not_reforwarded():
@@ -81,7 +81,7 @@ def test_grid_corner_to_corner_equals_bfs():
     k.run_until(20.0)
     dist = _bfs_dist(net.adjacency, 0)
     assert protos[0].routes[24].hop_count == dist[24] == 8
-    assert ("z", 0, "data") in protos[24].delivered
+    assert ("z", 0) in protos[24].delivered
 
 
 def test_random_static_topologies_install_bfs_optimal_routes():
@@ -153,6 +153,35 @@ def test_rrep_without_reverse_route_is_counted_dropped():
     assert protos[1].dropped_replies == 1
 
 
+def test_rrep_whose_next_hop_moved_away_is_counted_dropped():
+    k = Kernel(seed=10, end=10.0)
+    net, protos = _chain(k, 3)
+    protos[0].originate_rreq(2)
+    k.run_until(1.0)
+    assert protos[1].routes[0].next_hop == 0 and protos[1].dropped_replies == 0
+    net.nodes[0].x = -1000.0  # the reverse route's next hop leaves range
+    net.refresh_beacons()
+    scheduled = k.next_id
+    protos[1]._on_rrep(Rrep(destination=2, origin=0, dest_sequence=9, hop_count=0), from_id=2)
+    assert protos[1].dropped_replies == 1
+    assert k.next_id == scheduled
+
+
+def test_send_to_a_non_neighbour_is_refused_without_a_delay_draw():
+    def run(refused_first):
+        log = []
+        k = Kernel(seed=11, end=1.0, trace=log)
+        net, _ = _chain(k, 3)
+        if refused_first:
+            assert net.send(0, 2, DataMsg(0, 2, "far")) is False
+        assert net.send(0, 1, DataMsg(0, 1, "near")) is True
+        k.run_until(1.0)
+        return log
+
+    # the neighbour's copy arrives after the same delay either way
+    assert run(True) == run(False) != []
+
+
 def test_configured_loss_drops_traffic():
     k = Kernel(seed=8, end=10.0)
     net, protos = _chain(k, 2)
@@ -162,7 +191,7 @@ def test_configured_loss_drops_traffic():
     lossy_protos[0].send_data(1, "never")
     k.run_until(10.0)
     lossy_k.run_until(10.0)
-    assert ("ok", 0, "data") in protos[1].delivered
+    assert ("ok", 0) in protos[1].delivered
     assert lossy_protos[1].delivered == []
 
 

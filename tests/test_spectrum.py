@@ -4,9 +4,10 @@ switching-time metric, and the event-driven simulation against schedule oracles.
 import numpy as np
 import pytest
 
-from crahnsim import spectrum
+from crahnsim import experiments, spectrum
 from crahnsim.kernel import Kernel
 from crahnsim.mlp import Mlp, TrainConfig, train
+from crahnsim.scenario import ScenarioConfig
 from crahnsim.spectrum import (SpectrumParams, SpectrumSim, SuAssignment,
                                extract_features, run_spectrum_replication,
                                schedule_toggle_times, score_holes,
@@ -250,3 +251,24 @@ def test_mlp_policy_never_selects_busy_channel():
     for a in sim.assignments:
         pu = a.channel_index
         assert not any(s <= a.assigned_at < e for s, e in busy[pu])
+
+
+def test_spectrum_cells_keep_every_node_in_the_scenario_area(monkeypatch, tmp_path):
+    cfg = ScenarioConfig()
+    cfg.simulation.area_width_m, cfg.simulation.area_height_m = 300.0, 200.0
+    cfg.simulation.sim_time_s = 60.0
+    cfg.simulation.replications = 1
+    cfg.spectrum.pu_counts = (12,)
+    cfg.spectrum.policies = ("random-baseline",)
+    sims = []
+
+    class RecordingSim(SpectrumSim):
+        def start(self):
+            sims.append(self)
+            super().start()
+    monkeypatch.setattr(experiments, "SpectrumSim", RecordingSim)
+    experiments.run_experiment(cfg, "spectrum", out_dir=str(tmp_path))
+    (sim,) = sims
+    positions = [(n.x, n.y) for n in sim.pus + sim.sus]
+    assert len(positions) == 12 + cfg.spectrum.su_count
+    assert all(0.0 <= x <= 300.0 and 0.0 <= y <= 200.0 for x, y in positions)
