@@ -1,15 +1,24 @@
 """Service discovery: periodic advertisements carrying routes, local caches,
 flood-on-miss resolution that piggybacks route establishment, and gateway
-discovery (discovery of a `gateway` service). Runs on top of the AODV layer;
-the resolution flood reuses the RREQ duplicate/improvement discipline so the
-reply also installs a usable route toward the provider (no separate route
-discovery afterwards).
+discovery (discovery of a `gateway` service). Runs on top of the AODV layer.
+The resolution flood (SREQ) shares the RREQ arrival step
+(`AodvNode._flood_arrival`): every copy installs or improves the reverse
+route toward the requester, so the reply also installs a usable route toward
+the provider (no separate route discovery afterwards). Unlike an RREQ, an
+SREQ is forwarded or answered only on its first arrival at a node, as AODV
+discards a request it has already seen (RFC 3561, section 6.5); a later copy
+with fewer hops improves the route and nothing else.
 
 `DiscoveryNode.lookup_local` is the one rule for what a node can answer: its
 own queries and the SREQs it receives get the same answer. Replies (SREPs)
 travel the reverse route by `AodvNode._send_reply_toward`, the path of RREPs.
-A descriptor is never changed once built, so a result keeps the descriptor
-it was answered with.
+A node sends at most one SREP per query: once `Network.send` has accepted
+its answer or a relayed reply, it drops later SREPs of that query (counted in
+`duplicate_replies`) after learning their route to the provider. Adverts
+and SREQs take their sequence numbers from the node's one
+`AodvNode.sequence`, so a node's newest route announcement always wins. A
+descriptor is never changed once built, so a result keeps the descriptor it
+was answered with.
 """
 
 import math
@@ -115,6 +124,8 @@ class DiscoveryNode(AodvNode):
         self._advert_due: dict[tuple, tuple] = {}  # advert key -> (at, event id) of first copy
         self._next_qid = 0
         self._open_queries: dict[int, tuple] = {}  # query id -> (query, callback, timeout id)
+        self._replied: set[int] = set()  # query ids of the SREPs `send` accepted from here
+        self.duplicate_replies = 0  # SREPs not sent: this node already sent one for the query
         self._app_handlers = {AdvertMsg: self._on_advert, SreqMsg: self._on_sreq,
                               SrepMsg: self._on_srep}
         self.copy_tests.update({AdvertMsg: self._ignores_advert,
@@ -134,13 +145,14 @@ class DiscoveryNode(AodvNode):
             k.every(self.advert_interval_s, self.advertise, target=f"n{self.id}", kind="advert")
 
     def advertise(self) -> None:
-        """Advertise each hosted service with the next provider sequence
+        """Advertise each hosted service with the node's next sequence
         number; the advertised descriptor becomes the hosted one."""
         for base, _ in list(self.hosted.values()):
+            self.sequence += 1
             desc = ServiceDescriptor(
                 service_id=base.service_id, provider=base.provider,
                 ontology_tag=base.ontology_tag, advertised_route=[self.id],
-                issued_at=self.net.k.now, ttl_s=base.ttl_s, provider_seq=base.provider_seq + 1)
+                issued_at=self.net.k.now, ttl_s=base.ttl_s, provider_seq=self.sequence)
             self.hosted[desc.service_id] = ServiceCacheEntry(desc, math.inf)
             self.net.broadcast(self.id, AdvertMsg(descriptor=desc, hops_left=self.advert_hops))
 
@@ -248,11 +260,13 @@ class DiscoveryNode(AodvNode):
                                                   hops_left=msg.hops_left - 1))
 
     def _on_sreq(self, msg: SreqMsg, from_id: int) -> None:
-        if not self._flood_arrival(msg.copy_fields(), from_id):
-            return
+        first = msg.query_id not in self._flood_best
+        self._flood_arrival(msg.copy_fields(), from_id)
+        if not first:
+            return  # a later copy only improves the reverse route
         desc = self.lookup_local(msg.service_id, msg.ontology_tag)
         if desc is not None:
-            self._send_reply_toward(msg.requester, SrepMsg(
+            self._send_srep(SrepMsg(
                 query_id=msg.query_id, requester=msg.requester, descriptor=desc,
                 dist_to_provider=len(desc.advertised_route) - 1))
             return
@@ -276,6 +290,15 @@ class DiscoveryNode(AodvNode):
                 callback(DiscoveryResult(query, msg.descriptor,
                                          self.net.k.now - query.issued_at, cache_hit=False))
             return
-        self._send_reply_toward(msg.requester, SrepMsg(
+        self._send_srep(SrepMsg(
             query_id=msg.query_id, requester=msg.requester, descriptor=msg.descriptor,
             dist_to_provider=dist))
+
+    def _send_srep(self, srep: SrepMsg) -> None:
+        """Send an answer or a relayed reply toward the requester, unless
+        this node has already sent an SREP of the query: then count it in
+        `duplicate_replies`. A reply `send` refuses does not count as sent."""
+        if srep.query_id in self._replied:
+            self.duplicate_replies += 1
+        elif self._send_reply_toward(srep.requester, srep):
+            self._replied.add(srep.query_id)

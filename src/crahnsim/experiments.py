@@ -225,10 +225,11 @@ DETECTION = ExperimentSpec(
 # -- spectrum -----------------------------------------------------------------
 
 def spectrum_params(cfg: ScenarioConfig, pu_count: int, policy: str) -> SpectrumParams:
-    sp = cfg.spectrum
+    sp, sim = cfg.spectrum, cfg.simulation
     return SpectrumParams(pu_count=pu_count, su_count=sp.su_count, n_window=sp.n_window,
                           policy=policy, scale_range=(sp.scale_min, sp.scale_max),
-                          su_start_s=sp.su_start_s)
+                          su_start_s=sp.su_start_s, v_min_mps=sim.v_min_mps,
+                          v_max_mps=sim.v_max_mps, pause_max_s=sim.pause_max_s)
 
 
 def _spectrum_row(cfg: ScenarioConfig, seed: int, point: dict, _) -> dict:

@@ -4,9 +4,11 @@ The MAC layer is a delay/loss contract: each hop delivers after a uniform
 [1, 5] ms delay, with optional Bernoulli loss. Route requests flood with
 duplicate suppression; a duplicate carrying a strictly better hop count
 updates routes and is re-forwarded, so installed routes converge to minimum
-hop counts on static topologies. `AodvNode.live_route` is the one rule for
-whether a route is live now. `dropped_replies` counts every reply (RREP, or
-SREP in `discovery`) with no live reverse route or whose next hop has left.
+hop counts on static topologies. The SREQ flood of `discovery` shares the
+arrival step (`AodvNode._flood_arrival`) but is forwarded only on its first
+arrival. `AodvNode.live_route` is the one rule for whether a route is live
+now. `dropped_replies` counts every reply (RREP, or SREP in `discovery`)
+with no live reverse route or whose next hop has left.
 
 `Network.send` (unicast) and `Network.broadcast` differ only in their loss
 draws; both hand the copies they keep to `Network._send_copies`, which puts
@@ -298,7 +300,9 @@ class AodvNode:
 
         The handler opens with `_flood_arrival`, which does
         `_maybe_install(origin, ., hops, seq)`, then returns if the best hop
-        count seen is <= hops. A copy of this node's own flood is a no-op:
+        count seen is <= hops (the SREQ handler also returns on any arrival
+        but the first, so what is a no-op here is one there too). A copy of
+        this node's own flood is a no-op:
         the best is 0 from origination and no node installs a route to
         itself. Otherwise, with any route installed from now on lasting
         until `at`, the copy L is a no-op if
@@ -352,7 +356,8 @@ class AodvNode:
         """The opening of the RREQ and SREQ handlers, fed `copy_fields()`:
         install the reverse route to `origin` via `via`, forget the in-flight
         copies of `key` due by now, and record `hops` as the best seen. False
-        for a duplicate with no better hop count."""
+        for a duplicate with no better hop count (the RREQ handler's
+        re-forward rule; the SREQ handler acts on the first arrival only)."""
         key, origin, seq, hops = fields
         self._maybe_install(origin, via, hops, seq)
         due = self._flood_due.get(key)
@@ -408,14 +413,17 @@ class AodvNode:
                        dest_sequence_known=rreq.dest_sequence_known)
             self.net.broadcast(self.id, fwd)
 
-    def _send_reply_toward(self, origin: int, reply) -> None:
+    def _send_reply_toward(self, origin: int, reply) -> bool:
         """Unicast a reply (RREP, or SREP in `discovery`) one hop along the
-        reverse route to the flood's `origin`. A reply is dropped and counted
-        in `dropped_replies` if there is no live route, or if the route's
-        next hop is no longer a neighbour (`Network.send` refuses it)."""
+        reverse route to the flood's `origin`: True if sent. A reply is
+        dropped and counted in `dropped_replies` if there is no live route,
+        or if the route's next hop is no longer a neighbour (`Network.send`
+        refuses it)."""
         entry = self.live_route(origin)
         if entry is None or not self.net.send(self.id, entry.next_hop, reply):
             self.dropped_replies += 1
+            return False
+        return True
 
     def _on_rrep(self, rrep: Rrep, from_id: int) -> None:
         hops = rrep.hop_count + 1

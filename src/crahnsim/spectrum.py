@@ -29,8 +29,9 @@ import numpy as np
 from .kernel import Kernel, block_draws
 from .mlp import Mlp, TrainConfig, train
 # step_waypoint is not called here; it stays importable for tools that patch it per module
-from .mobility import (Area, NodeState, friis_received_power, place_uniform,  # noqa: F401
-                       step_nodes, step_waypoint)
+from .mobility import (DEFAULT_PAUSE_MAX_S, DEFAULT_V_MAX, DEFAULT_V_MIN,  # noqa: F401
+                       Area, NodeState, friis_received_power, place_uniform, step_nodes,
+                       step_waypoint)
 
 DEFAULT_N_WINDOW = 5
 EPSILON_DBM_DISTANCE = 1.0  # clamp for co-located nodes when deriving dBm
@@ -150,6 +151,10 @@ class SpectrumParams:
     scale_range: tuple = (0.2, 2.6)
     su_start_s: float = 100.0  # passive warm-up before SUs transmit
     refit_interval: int = 200
+    # random-waypoint legs of the mobility ticks: speed range (m/s), longest pause (s)
+    v_min_mps: float = DEFAULT_V_MIN
+    v_max_mps: float = DEFAULT_V_MAX
+    pause_max_s: float = DEFAULT_PAUSE_MAX_S
 
 
 class SpectrumSim:
@@ -236,8 +241,9 @@ class SpectrumSim:
     def _mobility_step(self) -> None:
         if not self._su_started:
             self._observe_idle_starts(self.k.now)
+        p = self.p
         step_nodes(self.pus + self.sus, self.k.now, MOBILE_STEP_S, self.k.stream("mobility"),
-                   self.area)
+                   self.area, p.v_min_mps, p.v_max_mps, p.pause_max_s)
         self._dbm.clear()
         self._scan_at = None
 

@@ -5,11 +5,13 @@ import dataclasses
 import numpy as np
 import pytest
 
+from crahnsim.experiments import run_discovery_replication
 from crahnsim.kernel import Kernel
 from crahnsim.mobility import NodeState
 from crahnsim.routing import Network
 from crahnsim.discovery import (DiscoveryNode, ServiceCacheEntry, ServiceDescriptor,
                                 SrepMsg, SreqMsg)
+from crahnsim.scenario import ScenarioConfig
 
 
 def _chain(kernel, count, spacing=100.0, **kwargs):
@@ -150,6 +152,115 @@ def test_srep_whose_next_hop_moved_away_is_counted_dropped():
                                dist_to_provider=0), from_id=2)
     assert protos[1].dropped_replies == 1
     assert k.next_id == scheduled
+
+
+def _open_query_with_relay(seed):
+    """Chain 0-1-2 in which node 0's query for an absent service has laid
+    node 1's reverse route to node 0; the query is still open."""
+    k = Kernel(seed=seed, end=20.0)
+    net, protos = _chain(k, 3)
+    query = protos[0].discover("missing")
+    k.run_until(1.0)
+    assert protos[1].routes[0].next_hop == 0
+    return k, net, protos, query
+
+
+def _srep(query, provider, route):
+    desc = ServiceDescriptor(service_id="svc", provider=provider, advertised_route=route)
+    return SrepMsg(query_id=query.query_id, requester=query.requester, descriptor=desc,
+                   dist_to_provider=len(route) - 1)
+
+
+def test_relay_sends_one_srep_per_query_and_still_learns_routes():
+    k, net, protos, query = _open_query_with_relay(17)
+    scheduled = k.next_id
+    protos[1]._on_srep(_srep(query, 2, [2]), from_id=2)
+    assert k.next_id == scheduled + 1
+    protos[1]._on_srep(_srep(query, 5, [5, 4, 3]), from_id=2)
+    assert k.next_id == scheduled + 1
+    assert (protos[1].duplicate_replies, protos[1].dropped_replies) == (1, 0)
+    assert protos[1].routes[5].next_hop == 2  # learned before the reply was dropped
+
+
+def test_node_that_answered_relays_no_srep_of_the_query():
+    k = Kernel(seed=18, end=20.0)
+    net, protos = _chain(k, 3)
+    protos[1].host_service("svc")
+    results = []
+    query = protos[0].discover("svc", callback=results.append)
+    k.run_until(1.0)
+    assert [r.descriptor.provider for r in results] == [1]
+    scheduled = k.next_id
+    protos[1]._on_srep(_srep(query, 2, [2]), from_id=2)
+    assert k.next_id == scheduled
+    assert protos[1].duplicate_replies == 1
+
+
+def test_relay_whose_first_srep_was_refused_relays_the_next():
+    k, net, protos, query = _open_query_with_relay(19)
+    net.nodes[0].x = -1000.0  # the reverse route's next hop leaves range
+    net.refresh_beacons()
+    protos[1]._on_srep(_srep(query, 2, [2]), from_id=2)
+    assert protos[1].dropped_replies == 1
+    net.nodes[0].x = 0.0
+    net.refresh_beacons()
+    scheduled = k.next_id
+    protos[1]._on_srep(_srep(query, 2, [2]), from_id=2)
+    assert k.next_id == scheduled + 1
+    assert (protos[1].duplicate_replies, protos[1].dropped_replies) == (0, 1)
+
+
+def test_sreq_is_answered_on_its_first_arrival_only():
+    # a later copy with fewer hops improves the route to the requester, but
+    # the provider does not answer it again
+    k = Kernel(seed=20, end=20.0)
+    net, protos = _chain(k, 2)
+    protos[1].host_service("svc")
+    for hops in (3, 2):
+        scheduled = k.next_id
+        protos[1]._on_sreq(SreqMsg(query_id=1, requester=0, requester_seq=1, service_id="svc",
+                                   ontology_tag=None, hop_count=hops, ttl=5), from_id=0)
+        assert protos[1].routes[0].hop_count == hops
+        assert k.next_id == scheduled + (hops == 3)
+    assert protos[1].duplicate_replies == 0
+
+
+def test_provider_that_advertised_more_than_it_queried_gets_its_fresh_reverse_route():
+    # node 3 learns its route to provider 0 from two adverts, via node 1; then
+    # node 1 and node 2 swap places. Node 0's own SREQ reaches node 3 via
+    # node 2 and must replace the advert route (adverts and SREQs share one
+    # sequence space), or node 3's answer goes to node 1, out of range
+    k = Kernel(seed=21, end=40.0)
+    nodes = [NodeState(id=0, x=0.0, y=0.0, radio_range_m=150.0),
+             NodeState(id=1, x=100.0, y=0.0, radio_range_m=150.0),
+             NodeState(id=2, x=100.0, y=500.0, radio_range_m=150.0),
+             NodeState(id=3, x=200.0, y=0.0, radio_range_m=150.0)]
+    net = Network(k, nodes)
+    protos = {n.id: DiscoveryNode(n.id, net, advert_hops=2) for n in nodes}
+    protos[0].host_service("svc-a")
+    protos[3].host_service("svc-b")
+    for _ in range(2):
+        protos[0].advertise()
+        k.run_until(k.now + 1.0)
+    assert protos[3].routes[0].next_hop == 1
+    net.nodes[1].y, net.nodes[2].y = 500.0, 0.0
+    net.refresh_beacons()
+    results = []
+    protos[0].discover("svc-b", callback=results.append)
+    k.run_until(k.now + 1.0)
+    assert protos[3].routes[0].next_hop == 2
+    assert protos[3].dropped_replies == 0
+    (res,) = results
+    assert not res.timed_out and res.descriptor.provider == 3
+
+
+@pytest.mark.parametrize("seed", [5007, 5019, 5083])
+def test_every_reachable_query_resolves(seed):
+    # replication seeds on which a requester's advert-laid routes outrank
+    # the reverse routes of its own SREQs unless both share one sequence space
+    run = run_discovery_replication(ScenarioConfig(), seed)
+    reachable = [res for res, reach in run.results if reach]
+    assert reachable and not any(res.timed_out for res in reachable)
 
 
 def test_unicast_of_a_nodes_own_sreq_to_it_is_suppressed():

@@ -736,7 +736,8 @@ def _node_state(node):
                   {key: (e.expires_at, e.descriptor.issued_at,
                          tuple(e.descriptor.advertised_route))
                    for key, e in node.cache.items()},
-                  {qid: timeout for qid, (_, _, timeout) in node._open_queries.items()}]
+                  {qid: timeout for qid, (_, _, timeout) in node._open_queries.items()},
+                  frozenset(node._replied)]
     return state
 
 
@@ -949,6 +950,11 @@ def _sreq(hops, ttl):
                    ontology_tag=None, hop_count=hops, ttl=ttl)
 
 
+def _rreq(hops, ttl):
+    return Rreq(origin=7, destination=8, broadcast_id=1, origin_sequence=1,
+                hop_count=hops, ttl=ttl)
+
+
 def _advert(hops, hops_left):
     desc = ServiceDescriptor(service_id="svc", provider=7,
                              advertised_route=[7] + [9] * (hops - 1))
@@ -958,9 +964,10 @@ def _advert(hops, hops_left):
 def _line_run(copies, route_lifetime_s=30.0, make=_sreq):
     """Receiver 0 between senders 1 and 2, which do not hear each other. Each
     copy `(t, sender, delay, hops, ttl)` is `make(hops, ttl)`, by default an
-    SREQ of one query from requester 7, broadcast by the sender at `t` with
-    a fixed hop delay. The outcome is the receiver's route to node 7, its
-    best hop count for the query and the hop counts it forwarded."""
+    SREQ of one query from requester 7 (`_rreq`: an RREQ from origin 7 for
+    an absent node), broadcast by the sender at `t` with a fixed hop delay.
+    The outcome is the receiver's route to node 7, its best hop count for
+    the flood and the hop counts it forwarded."""
     def run(trace):
         k = Kernel(seed=5, end=1.0, trace=trace)
         nodes = [NodeState(id=0, x=0.0, y=0.0, radio_range_m=250.0),
@@ -985,7 +992,7 @@ def _line_run(copies, route_lifetime_s=30.0, make=_sreq):
         k.run_until(1.0)
         route = protos[0].routes[7]
         return ((route.next_hop, route.hop_count, route.expires_at),
-                protos[0]._flood_best.get(1), forwarded)
+                next(iter(protos[0]._flood_best.values()), None), forwarded)
     return run
 
 
@@ -1002,25 +1009,49 @@ def test_copy_scheduled_later_but_arriving_earlier_is_delivered(monkeypatch):
 
 def test_equal_arrival_times(monkeypatch):
     assert 0.0 + 0.002 == 0.001 + 0.001
-    # no more hops: the earlier-scheduled copy runs first, the other is suppressed
+    # RREQs. No more hops: the earlier-scheduled copy runs first, the other is suppressed
+    fast, ref, suppressed, cancelled, *_ = _flood_runs(monkeypatch, _line_run(
+        [(0.0, 1, 0.002, 3, 1), (0.001, 2, 0.001, 3, 1)], make=_rreq))
+    assert fast == ref and fast[0][0] == 1
+    assert suppressed == [("0.002000", "n0", "rreq")]
+    # fewer hops: delivered second, it wins and is forwarded again
+    fast, ref, suppressed, cancelled, *_ = _flood_runs(monkeypatch, _line_run(
+        [(0.0, 1, 0.002, 3, 2), (0.001, 2, 0.001, 2, 2)], make=_rreq))
+    assert fast == ref
+    assert fast[0][:2] == (2, 2) and fast[1] == 2 and fast[2] == [4, 3]
+    assert ("0.002000", "n0", "rreq") not in suppressed
+    assert cancelled == []  # due at the same instant, the older copy runs first
+
+
+def test_equal_arrival_times_sreq_is_forwarded_once(monkeypatch):
+    # no more hops: as for RREQs, the later-scheduled copy is suppressed
     fast, ref, suppressed, cancelled, *_ = _flood_runs(monkeypatch, _line_run(
         [(0.0, 1, 0.002, 3, 1), (0.001, 2, 0.001, 3, 1)]))
     assert fast == ref and fast[0][0] == 1
     assert suppressed == [("0.002000", "n0", "sreqmsg")]
-    # fewer hops: delivered second, it wins and is forwarded again
+    # fewer hops: delivered second, it installs its route but is not forwarded
     fast, ref, suppressed, cancelled, *_ = _flood_runs(monkeypatch, _line_run(
         [(0.0, 1, 0.002, 3, 2), (0.001, 2, 0.001, 2, 2)]))
     assert fast == ref
-    assert fast[0][:2] == (2, 2) and fast[1] == 2 and fast[2] == [4, 3]
+    assert fast[0][:2] == (2, 2) and fast[1] == 2 and fast[2] == [4]
     assert ("0.002000", "n0", "sreqmsg") not in suppressed
-    assert cancelled == []  # due at the same instant, the older copy runs first
+    assert cancelled == []
 
 
 def test_later_copy_with_fewer_hops_is_delivered_and_forwarded(monkeypatch):
     fast, ref, suppressed, *_ = _flood_runs(monkeypatch, _line_run(
-        [(0.0, 1, 0.001, 4, 2), (0.002, 2, 0.001, 2, 2), (0.004, 1, 0.001, 3, 2)]))
+        [(0.0, 1, 0.001, 4, 2), (0.002, 2, 0.001, 2, 2), (0.004, 1, 0.001, 3, 2)],
+        make=_rreq))
     assert fast == ref
     assert fast[0][:2] == (2, 2) and fast[2] == [5, 3]
+    assert [s for s in suppressed if s[1] == "n0"] == [("0.005000", "n0", "rreq")]
+
+
+def test_later_sreq_copy_with_fewer_hops_is_delivered_not_forwarded(monkeypatch):
+    fast, ref, suppressed, *_ = _flood_runs(monkeypatch, _line_run(
+        [(0.0, 1, 0.001, 4, 2), (0.002, 2, 0.001, 2, 2), (0.004, 1, 0.001, 3, 2)]))
+    assert fast == ref
+    assert fast[0][:2] == (2, 2) and fast[1] == 2 and fast[2] == [5]
     assert [s for s in suppressed if s[1] == "n0"] == [("0.005000", "n0", "sreqmsg")]
 
 
@@ -1096,14 +1127,28 @@ def test_strictly_earlier_copy_cancels_the_later(monkeypatch):
     # due 0.002 with no more hops, the second copy makes the first (due
     # 0.003) a no-op: it stays scheduled until then, and is cancelled
     fast, ref, suppressed, cancelled, *_ = _flood_runs(monkeypatch, _line_run(
+        [(0.0, 1, 0.003, 3, 2), (0.001, 2, 0.001, 3, 2)], make=_rreq))
+    assert fast == ref and fast[0][:2] == (2, 3) and fast[2] == [4]
+    assert cancelled == [("0.003000", "n0", "rreq")]
+    assert ("0.003000", "n0", "rreq") not in suppressed
+    # with more hops it cancels nothing: both are delivered, the first improves
+    fast, ref, suppressed, cancelled, *_ = _flood_runs(monkeypatch, _line_run(
+        [(0.0, 1, 0.003, 3, 2), (0.001, 2, 0.001, 4, 2)], make=_rreq))
+    assert fast == ref and fast[0][:2] == (1, 3) and fast[2] == [5, 4]
+    assert cancelled == []
+
+
+def test_strictly_earlier_sreq_copy_cancels_the_later(monkeypatch):
+    fast, ref, suppressed, cancelled, *_ = _flood_runs(monkeypatch, _line_run(
         [(0.0, 1, 0.003, 3, 2), (0.001, 2, 0.001, 3, 2)]))
     assert fast == ref and fast[0][:2] == (2, 3) and fast[2] == [4]
     assert cancelled == [("0.003000", "n0", "sreqmsg")]
     assert ("0.003000", "n0", "sreqmsg") not in suppressed
-    # with more hops it cancels nothing: both are delivered, the first improves
+    # with more hops the first copy is delivered second: it improves the
+    # route, and only the copy that arrived first is forwarded
     fast, ref, suppressed, cancelled, *_ = _flood_runs(monkeypatch, _line_run(
         [(0.0, 1, 0.003, 3, 2), (0.001, 2, 0.001, 4, 2)]))
-    assert fast == ref and fast[0][:2] == (1, 3) and fast[2] == [5, 4]
+    assert fast == ref and fast[0][:2] == (1, 3) and fast[1] == 3 and fast[2] == [5]
     assert cancelled == []
 
 

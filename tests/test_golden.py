@@ -1,8 +1,14 @@
 """Golden outputs: short scenarios must keep writing the same bytes.
 
-The discovery digests were recorded before the flood-suppression fast path
-in `Network.broadcast`, so they pin the rule that a given scenario and seed
-produce byte-identical output across speedups. Discovery draws only from
+The discovery digests were first recorded before the flood-suppression fast
+path in `Network.broadcast`, and held across every speedup since, which pins
+the rule that a given scenario and seed produce byte-identical output. They
+(both entries of `GOLDEN_SHA256` and the four discovery entries of
+`ALL_SHA256`) were re-recorded once, for a declared protocol change: an SREQ
+is forwarded or answered only on its first arrival at a node, a node sends at
+most one SREP per query, and adverts take their sequence numbers from the
+node's one sequence counter. Fewer sends take fewer MAC delay draws, so the
+later draws and the discovery numbers moved. Discovery draws only from
 PCG64 streams and does no BLAS arithmetic, so those digests do not depend on
 the platform.
 
@@ -27,20 +33,20 @@ from crahnsim.experiments import run_experiment
 from crahnsim.scenario import ScenarioConfig
 
 GOLDEN_SHA256 = {
-    "discovery_rows.csv": "5b99a138e2a3af9dc1cd51792f6ac0caabf6c0f4dff7b903e636b539afa5c06e",
-    "discovery_report.json": "2fd1916bd631714fd50b731832e6157a45888b2d7ab4e51ab38e95e085e84308",
+    "discovery_rows.csv": "7b709c75451e4f992728f95985c1b4d23ab6d5e12c882f6d4e0bf4bd4b0ba3a2",
+    "discovery_report.json": "005f77e5483ac67f9c340d70f9cd46b93fdc0c0a48f2713c122ec0ce3793ef55",
 }
 
 ALL_SHA256 = {
     "detection_report.json": "c351baf7ae41ed25b14cd31f51d2d361801e2eb5b3252051669dd3506870586d",
     "detection_rows.csv": "58929b4c1b21e2c6cd8f1cdf29ae215bfc3c51909b8872557a0ae10b491c12c4",
-    "discovery_report.json": "1017b521acecad32cd0c1ee6be8c19fe749c14d321858972a4403cbec943c52b",
-    "discovery_rows.csv": "3d3bc9d9fe18c6379cec33b31bd32a057611c61680ea548a9dab23713db83b73",
+    "discovery_report.json": "ca7084a6232271ff830ca63e5a35bce196d8f970a16e3d8fc918c5fc4ed170c1",
+    "discovery_rows.csv": "f3fe904c55f1892654b047cbc17500552a926c4731b2614f6debeeb8279cabd4",
     "fig10_policy_comparison.svg":
         "e91c019853ef32fdc94625ffedb86c54a467ade53e103ebae0eb05e775caa66f",
-    "fig11_data.csv": "31435bdacaff275d86eed64a9fa3b19730b98d68ab4bbea99a3f45798a100693",
+    "fig11_data.csv": "16bd18a5582f6aee060740c9673bdc09bf927d96e2b6ea5422d430eeab7d768a",
     "fig11_discovery_latency.svg":
-        "8cb6bf812720c4bd40a4adca5b616633705d3b745f39b0fd9e6d32290fac28af",
+        "2e4f3839de3fec133173315f63fdab3c9e628633e5f979097a3ab9851a4a3cee",
     "fig8_data.csv": "675e57c749c25626c6683db1a0987d3a4901ac420daf105b122601f0beb54567",
     "fig8a_false_negative_rate.svg":
         "09d57475b43c1922f7af881eb6fb39d6f5edda3b451a9600c40f4977e62a8157",

@@ -272,3 +272,31 @@ def test_spectrum_cells_keep_every_node_in_the_scenario_area(monkeypatch, tmp_pa
     positions = [(n.x, n.y) for n in sim.pus + sim.sus]
     assert len(positions) == 12 + cfg.spectrum.su_count
     assert all(0.0 <= x <= 300.0 and 0.0 <= y <= 200.0 for x, y in positions)
+
+
+def test_spectrum_cells_move_nodes_at_the_scenario_speeds(monkeypatch, tmp_path):
+    # one speed and no pauses: every leg of every node is walked at 12 m/s
+    cfg = ScenarioConfig()
+    cfg.simulation.v_min_mps = cfg.simulation.v_max_mps = 12.0
+    cfg.simulation.pause_max_s = 0.0
+    cfg.simulation.sim_time_s = 60.0
+    cfg.simulation.replications = 1
+    cfg.spectrum.pu_counts = (4,)
+    cfg.spectrum.policies = ("mlp-history",)
+    cfg.spectrum.su_start_s = 20.0
+    sims = []
+
+    class RecordingSim(SpectrumSim):
+        def start(self):
+            sims.append(self)
+            super().start()
+    monkeypatch.setattr(experiments, "SpectrumSim", RecordingSim)
+    experiments.run_experiment(cfg, "spectrum", out_dir=str(tmp_path))
+    (sim,) = sims
+    assert all(n.has_waypoint and n.speed == 12.0 for n in sim.pus + sim.sus)
+
+
+def test_default_scenario_speeds_are_the_spectrum_defaults():
+    params = experiments.spectrum_params(ScenarioConfig(), 4, "mlp-history")
+    assert (params.v_min_mps, params.v_max_mps, params.pause_max_s) == (
+        SpectrumParams.v_min_mps, SpectrumParams.v_max_mps, SpectrumParams.pause_max_s)
