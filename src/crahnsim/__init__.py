@@ -5,12 +5,11 @@ discovery of a `gateway` service), and XML situation interchange, with a
 seeded experiment harness."""
 
 from .kernel import Kernel, PastTimeError
-from .mlp import DISASTER_HAPPENED, DISASTER_NOT_HAPPENED, Mlp, TrainConfig, train
+from .mlp import Mlp, train
 
 __version__ = "0.1.0"
 
 __all__ = [
     "Kernel", "PastTimeError",
-    "Mlp", "TrainConfig", "train",
-    "DISASTER_HAPPENED", "DISASTER_NOT_HAPPENED",
+    "Mlp", "train",
 ]

@@ -14,8 +14,11 @@ from typing import Optional
 import numpy as np
 
 from .kernel import Kernel
-from .mlp import DISASTER_HAPPENED, Mlp, TrainConfig, train
+from .mlp import Mlp, train
 from .mobility import Area, NodeState
+
+DISASTER_HAPPENED = 101
+DISASTER_NOT_HAPPENED = 102
 
 POLL_PERIOD_S = 10.0
 SIGNAL_DECAY_M = 200.0
@@ -37,7 +40,8 @@ class DisasterEvent:
 
 
 def detect(record: np.ndarray, model: Mlp) -> int:
-    return model.classify_binary(record)
+    """The detector's code for one context record."""
+    return DISASTER_HAPPENED if model.classify_binary(record) else DISASTER_NOT_HAPPENED
 
 
 # -- deployment ---------------------------------------------------------------
@@ -148,17 +152,19 @@ def make_training_set(dep: Deployment, rng: np.random.Generator, area: Area,
     return np.concatenate(chunks), y
 
 
-def train_detector(rng_init: np.random.Generator, x: np.ndarray, y: np.ndarray,
-                   epochs: int = 300, seed: int = 0) -> tuple[Mlp, dict]:
-    model = Mlp.init([x.shape[1], DETECTOR_HIDDEN_UNITS, 1], rng_init,
+def train_detector(init_rng: np.random.Generator, split_rng: np.random.Generator,
+                   x: np.ndarray, y: np.ndarray, epochs: int = 300) -> tuple[Mlp, dict]:
+    """A detector initialized from `init_rng` and trained on a random 80% of
+    (x, y), split by `split_rng`; validation classifies the rest one row at a
+    time, as polls do (a batched pass can differ in an output's last bit)."""
+    model = Mlp.init([x.shape[1], DETECTOR_HIDDEN_UNITS, 1], init_rng,
                      output_activation="sigmoid")
     n = x.shape[0]
     split = int(0.8 * n)
-    order = np.random.Generator(np.random.PCG64(seed)).permutation(n)
+    order = split_rng.permutation(n)
     tr, va = order[:split], order[split:]
-    cfg = TrainConfig(learning_rate=DETECTOR_LEARNING_RATE, epochs=epochs)
-    losses = train(model, (x[tr], y[tr]), cfg)
-    val_pred = np.array([model.classify_binary(row) == DISASTER_HAPPENED for row in x[va]])
+    losses = train(model, x[tr], y[tr], learning_rate=DETECTOR_LEARNING_RATE, epochs=epochs)
+    val_pred = np.array([model.classify_binary(row) for row in x[va]])
     val_acc = float(np.mean(val_pred == (y[va][:, 0] > 0.5)))
     return model, {"final_loss": losses[-1], "val_accuracy": val_acc}
 
@@ -195,25 +201,18 @@ class DetectionRunResult:
 
 
 def run_detection_replication(kernel: Kernel, dep: Deployment, model: Mlp,
-                              events: list[DisasterEvent],
-                              sim_time_s: float) -> DetectionRunResult:
-    """Poll the detector every 10 s through the kernel and score the trace."""
+                              events: list[DisasterEvent]) -> DetectionRunResult:
+    """Poll the detector every 10 s, from t = 10 s to the kernel's horizon
+    `Kernel.end`, and score the trace."""
     noise_rng = kernel.stream("sensor-noise")
     poll_codes: list[tuple[float, int]] = []
 
     def poll():
         t = kernel.now
-        if t <= 0:
-            code = 102  # no window yet
-        else:
-            code = detect(context_record(dep, t, events, noise_rng), model)
-        poll_codes.append((t, code))
+        poll_codes.append((t, detect(context_record(dep, t, events, noise_rng), model)))
 
-    t = 0.0
-    while t <= sim_time_s:
-        kernel.schedule(t, poll, target="detector", kind="poll")
-        t += POLL_PERIOD_S
-    kernel.run_until(sim_time_s)
+    kernel.every(POLL_PERIOD_S, poll, target="detector", kind="poll")
+    kernel.run_until()
 
     kappa = PROCESSING_DELAY_PER_CLUSTER_S * dep.cluster_count
     missed = 0

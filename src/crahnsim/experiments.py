@@ -8,13 +8,11 @@ import statistics
 from dataclasses import asdict, dataclass, field
 from typing import Callable, Optional
 
-import numpy as np
-
 from . import mobility
 from .detection import (deploy, make_training_set,
                         run_detection_replication, synthesize_trace, train_detector)
 from .discovery import DiscoveryNode
-from .kernel import Kernel, stream_seed
+from .kernel import Kernel, named_stream, stream_seed
 # step_waypoint is not called here; it stays importable for tools that patch it per module
 from .mobility import Area, place_uniform, step_waypoint  # noqa: F401
 from .routing import Network
@@ -163,16 +161,13 @@ class ExperimentSpec:
 
 def train_detection_model(cfg: ScenarioConfig, base_seed: int, cluster_count: int):
     area = Area(cfg.simulation.area_width_m, cfg.simulation.area_height_m)
-    dep_rng = np.random.Generator(np.random.PCG64(
-        stream_seed(base_seed, f"deployment-{cluster_count}")))
-    dep = deploy(cfg.detection.sensor_count, cluster_count, area, dep_rng)
-    data_rng = np.random.Generator(np.random.PCG64(
-        stream_seed(base_seed, f"detector-data-{cluster_count}")))
-    x, y = make_training_set(dep, data_rng, area, cfg.detection.intensity)
-    init_rng = np.random.Generator(np.random.PCG64(
-        stream_seed(base_seed, f"detector-init-{cluster_count}")))
-    model, stats = train_detector(init_rng, x, y,
-                                  seed=stream_seed(base_seed, f"detector-train-{cluster_count}"))
+    dep = deploy(cfg.detection.sensor_count, cluster_count, area,
+                 named_stream(base_seed, f"deployment-{cluster_count}"))
+    x, y = make_training_set(dep, named_stream(base_seed, f"detector-data-{cluster_count}"),
+                             area, cfg.detection.intensity)
+    model, stats = train_detector(named_stream(base_seed, f"detector-init-{cluster_count}"),
+                                  named_stream(base_seed, f"detector-train-{cluster_count}"),
+                                  x, y)
     return dep, model, stats, area
 
 
@@ -184,7 +179,7 @@ def _detection_row(cfg: ScenarioConfig, seed: int, point: dict, trained) -> dict
     # score the same disasters (paired comparison)
     events = synthesize_trace(kernel.stream("disaster-trace"), area,
                               cfg.detection.disaster_count, cfg.detection.intensity, sim_time)
-    res = run_detection_replication(kernel, dep, model, events, sim_time)
+    res = run_detection_replication(kernel, dep, model, events)
     return {"injected": res.injected, "missed": res.missed,
             "false_negative_rate_pct": res.false_negative_rate_pct,
             "response_time_s": (statistics.fmean(res.response_times)

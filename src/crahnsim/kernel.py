@@ -27,6 +27,11 @@ def stream_seed(seed: int, label: str) -> int:
     return int.from_bytes(digest[:8], "big")
 
 
+def named_stream(seed: int, label: str) -> np.random.Generator:
+    """A new generator for a (seed, label) pair; the same pair yields the same sequence."""
+    return np.random.Generator(np.random.PCG64(stream_seed(seed, label)))
+
+
 def block_draws(draw: Callable[[int], np.ndarray], size: int) -> Iterator[float]:
     """The values of successive `draw(size)` calls, one at a time, as floats.
 
@@ -60,7 +65,7 @@ class Kernel:
         """Named random stream; same (seed, label) yields the same sequence."""
         gen = self._streams.get(label)
         if gen is None:
-            gen = np.random.Generator(np.random.PCG64(stream_seed(self.seed, label)))
+            gen = named_stream(self.seed, label)
             self._streams[label] = gen
         return gen
 
@@ -84,7 +89,10 @@ class Kernel:
     def every(self, period: float, fn: Callable[[], None], *, target: str = "system",
               kind: str = "event") -> int:
         """Run `fn()` at now + period, then again `period` after each run while
-        that falls at or before `end`; returns the first event's id."""
+        that falls at or before `end`; returns the first event's id. A period
+        that is not > 0 raises ValueError and schedules nothing."""
+        if not period > 0:  # also rejects NaN
+            raise ValueError(f"every: period must be > 0, got {period}")
         return self.schedule(self.now + period, self._every, args=(period, fn, target, kind),
                              target=target, kind=kind)
 

@@ -1,8 +1,7 @@
 """Node placement, random-waypoint motion, free-space propagation, connectivity."""
 
 import math
-from dataclasses import dataclass, field
-from typing import Optional
+from dataclasses import dataclass
 
 import numpy as np
 

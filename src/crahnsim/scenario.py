@@ -9,6 +9,8 @@ import configparser
 import math
 from dataclasses import asdict, dataclass, field, fields
 
+from .spectrum import POLICIES
+
 # most runs of one periodic loop (mobility and beacon ticks, adverts) that a
 # scenario may ask for: sim_time_s / interval
 MAX_TICKS = 10**6
@@ -48,7 +50,7 @@ class SpectrumConfig:
     su_count: int = 5
     pu_counts: tuple = (5, 10, 15, 20, 25)
     n_window: int = 5
-    policies: tuple = ("mlp-history", "random-baseline")
+    policies: tuple = POLICIES
     scale_min: float = 0.2
     scale_max: float = 2.6
     su_start_s: float = 100.0
@@ -116,7 +118,7 @@ class ScenarioConfig:
         if sp.su_start_s < 0:
             raise ScenarioError(f"su_start_s: must be >= 0, got {sp.su_start_s}")
         for pol in sp.policies:
-            if pol not in ("mlp-history", "random-baseline"):
+            if pol not in POLICIES:
                 raise ScenarioError(f"policies: unknown policy {pol!r}")
         dc = self.discovery
         _at_least_one("node_count", dc.node_count)

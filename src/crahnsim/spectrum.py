@@ -27,7 +27,7 @@ from typing import Optional
 import numpy as np
 
 from .kernel import Kernel, block_draws
-from .mlp import Mlp, TrainConfig, train
+from .mlp import Mlp, train
 # step_waypoint is not called here; it stays importable for tools that patch it per module
 from .mobility import (DEFAULT_PAUSE_MAX_S, DEFAULT_V_MAX, DEFAULT_V_MIN,  # noqa: F401
                        Area, NodeState, friis_received_power, place_uniform, step_nodes,
@@ -44,6 +44,7 @@ BUFFER_CAP = 400
 TRAIN_EPOCHS = 150
 REFIT_EPOCHS = 15
 LEARNING_RATE = 0.2
+POLICIES = ("mlp-history", "random-baseline")
 
 
 @dataclass
@@ -122,7 +123,7 @@ def extract_features(times: list[float], t: float, n: int, signal_dbm: float,
 def score_holes(model: Mlp, batch: np.ndarray) -> list[float]:
     """Predicted remaining idle seconds of each feature row; negative raw
     outputs clamp to 0."""
-    raw = model._forward_acts(model._standardize(batch))[-1][:, 0]
+    raw = model.predict(batch)[:, 0]
     return [max(0.0, float(r)) for r in raw]
 
 
@@ -187,7 +188,7 @@ class SpectrumSim:
 
     def __init__(self, kernel: Kernel, params: SpectrumParams, area: Optional[Area] = None,
                  pu_schedules: Optional[dict[int, list[float]]] = None):
-        if params.policy not in ("mlp-history", "random-baseline"):
+        if params.policy not in POLICIES:
             raise ValueError(f"unknown policy {params.policy!r}")
         self.k = kernel
         self.p = params
@@ -342,8 +343,8 @@ class SpectrumSim:
         y = np.array(self.buffer_y)[:, None]
         # refits warm-start with the standardization frozen at the initial fit
         epochs = REFIT_EPOCHS if self.model_trained else TRAIN_EPOCHS
-        cfg = TrainConfig(learning_rate=LEARNING_RATE, epochs=epochs, loss="squared")
-        train(self.model, (x, y), cfg, standardize=not self.model_trained)
+        train(self.model, x, y, learning_rate=LEARNING_RATE, epochs=epochs,
+              standardize=not self.model_trained)
         self.model_trained = True
 
     # -- SU behavior ----------------------------------------------------------

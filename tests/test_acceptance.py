@@ -16,8 +16,7 @@ import pytest
 from crahnsim.experiments import (EXPERIMENTS, run_discovery_replication,
                                   run_experiment)
 from crahnsim.kernel import Kernel
-from crahnsim.mlp import (DISASTER_HAPPENED, Mlp, TrainConfig, _batch_loss,
-                          gradients, train)
+from crahnsim.mlp import Mlp, _batch_loss, gradients, train
 from crahnsim.mobility import (Area, NodeState, connectivity_components,
                                neighbor_graph, place_uniform)
 from crahnsim.routing import build_aodv_network
@@ -64,12 +63,11 @@ def test_criterion_1_determinism_and_runtime(full_runs):
           + ", ".join(f"{k}={v:.1f}s" for k, v in timings.items()))
 
 
-def _gradcheck_worst(model, x, y, loss, step=1e-5):
+def _gradcheck_worst(model, x, y, step=1e-5):
     def loss_at():
-        xs = model._standardize(x)
-        return _batch_loss(model, model._forward_acts(xs)[-1], y, loss)
+        return _batch_loss(model, model.predict(x), y)
 
-    gw, gb = gradients(model, x, y, loss)
+    gw, gb = gradients(model, x, y)
     worst = 0.0
     for params, grads in ((model.weights, gw), (model.biases, gb)):
         for p, g in zip(params, grads):
@@ -92,24 +90,21 @@ def test_criterion_2_mlp_gradients_and_xor():
     rng = _rng(1001)
     for trial in range(20):
         sizes = [int(rng.integers(2, 5)) for _ in range(int(rng.integers(3, 5)))]
-        if trial % 2 == 0:
-            activation, loss = "sigmoid", "cross-entropy"
-        else:
-            activation, loss = "identity", "squared"
+        # the output activation sets the loss: sigmoid cross-entropy, identity half squared
+        activation = "sigmoid" if trial % 2 == 0 else "identity"
         model = Mlp.init(sizes, _rng(2000 + trial), output_activation=activation)
         x = rng.normal(0, 1, (5, sizes[0]))
-        y = (rng.random((5, sizes[-1])) if loss == "cross-entropy"
+        y = (rng.random((5, sizes[-1])) if activation == "sigmoid"
              else rng.normal(0, 2, (5, sizes[-1])))
-        worst = _gradcheck_worst(model, x, y, loss)
+        worst = _gradcheck_worst(model, x, y)
         assert worst < 1e-4, (trial, sizes, worst)
 
     xor_x = np.array([[0.0, 0.0], [0.0, 1.0], [1.0, 0.0], [1.0, 1.0]])
     xor_y = np.array([[0.0], [1.0], [1.0], [0.0]])
     for seed in range(10):
         model = Mlp.init([2, 4, 1], _rng(seed))
-        train(model, (xor_x, xor_y),
-              TrainConfig(learning_rate=1.5, epochs=2000))
-        correct = sum((model.classify_binary(row) == DISASTER_HAPPENED) == (t > 0.5)
+        train(model, xor_x, xor_y, learning_rate=1.5, epochs=2000)
+        correct = sum(model.classify_binary(row) == (t > 0.5)
                       for row, t in zip(xor_x, xor_y[:, 0]))
         assert correct >= 3, seed
     print("[PASS] criterion 2: 20 nets gradcheck < 1e-4; XOR >= 3/4 on 10 seeds")

@@ -4,13 +4,13 @@ polling cadence, and response-time accounting."""
 import numpy as np
 import pytest
 
-from crahnsim.detection import (DisasterEvent, Deployment, DetectionRunResult,
-                                POLL_PERIOD_S, context_record, deploy,
-                                make_training_set,
+from crahnsim.detection import (DISASTER_HAPPENED, DISASTER_NOT_HAPPENED, DisasterEvent,
+                                Deployment, DetectionRunResult, POLL_PERIOD_S,
+                                context_record, deploy, detect, make_training_set,
                                 run_detection_replication, sensor_magnitudes,
                                 synthesize_trace, train_detector, window_features)
 from crahnsim.kernel import Kernel
-from crahnsim.mlp import DISASTER_HAPPENED, DISASTER_NOT_HAPPENED, Mlp
+from crahnsim.mlp import Mlp
 from crahnsim.mobility import Area, NodeState
 
 
@@ -83,7 +83,7 @@ def trained():
     dep = deploy(15, 2, area, _rng(10))
     x, y = make_training_set(dep, _rng(11), area, intensity=8.0,
                              positives=150, negatives=150)
-    model, stats = train_detector(_rng(12), x, y, epochs=200, seed=5)
+    model, stats = train_detector(_rng(12), _rng(5), x, y, epochs=200)
     return dep, model, stats, area
 
 
@@ -95,7 +95,7 @@ def test_trained_detector_validation_accuracy(trained):
 def test_quiet_background_classifies_not_happened(trained):
     dep, model, _, _ = trained
     rec = context_record(dep, 10.0, [], _rng(20))
-    assert model.classify_binary(rec) == DISASTER_NOT_HAPPENED
+    assert detect(rec, model) == DISASTER_NOT_HAPPENED
 
 
 def test_event_near_sensors_classifies_happened(trained):
@@ -104,7 +104,7 @@ def test_event_near_sensors_classifies_happened(trained):
     sx, sy = dep.sensors[0].x, dep.sensors[0].y
     ev = DisasterEvent(time=0.0, epicenter=(sx + 50.0, sy), intensity=8.0)
     rec = context_record(dep, 10.0, [ev], _rng(21))
-    assert model.classify_binary(rec) == DISASTER_HAPPENED
+    assert detect(rec, model) == DISASTER_HAPPENED
 
 
 def _always_fires(dim):
@@ -114,12 +114,29 @@ def _always_fires(dim):
     return model
 
 
-def test_polling_grid_has_51_polls_in_500_seconds():
+def test_detect_maps_the_classification_to_a_code():
+    fires = _always_fires(3)
+    assert detect(np.zeros(3), fires) == DISASTER_HAPPENED
+    fires.biases[-1] = np.array([-10.0])
+    assert detect(np.zeros(3), fires) == DISASTER_NOT_HAPPENED
+
+
+def test_polling_grid_has_50_polls_in_500_seconds():
+    # the first window closes at t = 10 s, the last poll falls on the horizon
     dep = deploy(4, 1, Area(), _rng(30))
     kernel = Kernel(seed=1, end=500.0)
-    res = run_detection_replication(kernel, dep, _always_fires(3), [], 500.0)
-    assert len(res.poll_codes) == 51
-    assert [t for t, _ in res.poll_codes] == [10.0 * i for i in range(51)]
+    res = run_detection_replication(kernel, dep, _always_fires(3), [])
+    assert len(res.poll_codes) == 50
+    assert [t for t, _ in res.poll_codes] == [10.0 * i for i in range(1, 51)]
+    assert all(code == DISASTER_HAPPENED for _, code in res.poll_codes)
+
+
+def test_polls_stop_at_the_kernel_horizon():
+    dep = deploy(4, 1, Area(), _rng(30))
+    kernel = Kernel(seed=1, end=95.0)
+    res = run_detection_replication(kernel, dep, _always_fires(3), [])
+    assert [t for t, _ in res.poll_codes] == [10.0 * i for i in range(1, 10)]
+    assert kernel.now == 95.0
 
 
 def test_response_time_hand_trace():
@@ -127,7 +144,7 @@ def test_response_time_hand_trace():
     dep = deploy(4, 1, Area(), _rng(31))
     kernel = Kernel(seed=2, end=500.0)
     ev = DisasterEvent(time=103.0, epicenter=(500.0, 500.0), intensity=8.0)
-    res = run_detection_replication(kernel, dep, _always_fires(3), [ev], 500.0)
+    res = run_detection_replication(kernel, dep, _always_fires(3), [ev])
     assert res.response_times == [pytest.approx(7.0 + 0.020)]
     assert res.false_negative_rate_pct == 0.0
 
@@ -139,7 +156,7 @@ def test_never_fires_means_all_missed():
     model.biases[-1] = np.array([-10.0])
     kernel = Kernel(seed=3, end=500.0)
     ev = DisasterEvent(time=103.0, epicenter=(500.0, 500.0), intensity=8.0)
-    res = run_detection_replication(kernel, dep, model, [ev], 500.0)
+    res = run_detection_replication(kernel, dep, model, [ev])
     assert res.missed == 1
     assert res.false_negative_rate_pct == 100.0
 
@@ -153,7 +170,7 @@ def test_responses_are_causal(trained):
     dep, model, _, area = trained
     kernel = Kernel(seed=4, end=500.0)
     events = synthesize_trace(kernel.stream("disaster-trace"), area, 3, 8.0, 500.0)
-    res = run_detection_replication(kernel, dep, model, events, 500.0)
+    res = run_detection_replication(kernel, dep, model, events)
     assert all(rt >= 0 for rt in res.response_times)
 
 

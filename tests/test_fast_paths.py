@@ -26,7 +26,7 @@ from crahnsim.detection import (POLL_PERIOD_S, Deployment, DisasterEvent, NOISE_
 from crahnsim.discovery import (AdvertMsg, DiscoveryNode, ServiceCacheEntry,
                                 ServiceDescriptor, SreqMsg, SrepMsg)
 from crahnsim.kernel import Kernel, PastTimeError
-from crahnsim.mlp import Mlp, TrainConfig, train
+from crahnsim.mlp import Mlp, train
 from crahnsim.mobility import (Area, NodeState, connectivity_components, friis_received_power,
                                neighbor_graph, place_uniform, step_nodes, step_waypoint)
 from crahnsim.routing import DELAY_BLOCK, AodvNode, DataMsg, Network, Rrep, Rreq
@@ -1448,8 +1448,8 @@ class RefSpectrumSim:
         x = np.array(self.buffer_x)
         y = np.array(self.buffer_y)[:, None]
         epochs = REF_REFIT_EPOCHS if self.model_trained else REF_TRAIN_EPOCHS
-        cfg = TrainConfig(learning_rate=REF_LEARNING_RATE, epochs=epochs, loss="squared")
-        train(self.model, (x, y), cfg, standardize=not self.model_trained)
+        train(self.model, x, y, learning_rate=REF_LEARNING_RATE, epochs=epochs,
+              standardize=not self.model_trained)
         self.model_trained = True
 
     def _start_sus(self):

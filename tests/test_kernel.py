@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from crahnsim.kernel import Kernel, PastTimeError, stream_seed
+from crahnsim.kernel import Kernel, PastTimeError, named_stream, stream_seed
 
 
 def test_first_event_on_empty_queue_gets_id_one():
@@ -219,3 +219,20 @@ def test_execution_order_is_sorted_by_time_then_id(times):
         keys.append((t, eid))
     k.run_until(1e3)
     assert seen == [t for t, _ in sorted(keys, key=lambda p: (p[0], p[1]))]
+
+
+@pytest.mark.parametrize("period", [0.0, -1.0, float("nan")])
+def test_every_rejects_a_period_that_is_not_positive(period):
+    # every(0, fn) used to re-schedule itself at the same instant forever
+    k = Kernel(seed=0, end=10.0)
+    with pytest.raises(ValueError, match="period must be > 0"):
+        k.every(period, lambda: None)
+    assert k.next_id == 1  # nothing was scheduled
+    assert k.now == 0.0
+
+
+def test_named_stream_is_the_kernel_stream_of_that_seed_and_label():
+    a = named_stream(5, "detector-train-3").random(4)
+    b = Kernel(seed=5).stream("detector-train-3").random(4)
+    assert np.array_equal(a, b)
+    assert np.array_equal(named_stream(5, "x").random(4), named_stream(5, "x").random(4))

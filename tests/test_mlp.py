@@ -1,15 +1,23 @@
 """MLP correctness: forward arithmetic, gradient checks, training fixtures."""
 
+import copy
+
 import numpy as np
 import pytest
 
-from crahnsim.mlp import (DISASTER_HAPPENED, DISASTER_NOT_HAPPENED,
-                          DivergenceError, Mlp, TrainConfig, gradients,
-                          sigmoid, train)
+from crahnsim.mlp import DivergenceError, Mlp, _batch_loss, gradients, sigmoid, train
 
 
 def _rng(seed):
     return np.random.Generator(np.random.PCG64(seed))
+
+
+def _params(model):
+    return [p.copy() for p in model.weights + model.biases + [model.feat_mean, model.feat_std]]
+
+
+def _unchanged(model, before):
+    return all(np.array_equal(b, a) for b, a in zip(before, _params(model)))
 
 
 def _zero_model(sizes, activation="sigmoid"):
@@ -26,7 +34,7 @@ def test_zero_model_outputs_half():
 
 def test_zero_model_classifies_not_happened_on_tie():
     m = _zero_model([3, 4, 1])
-    assert m.classify_binary([0.3, 0.1, -0.7]) == DISASTER_NOT_HAPPENED
+    assert m.classify_binary([0.3, 0.1, -0.7]) is False
 
 
 def test_forward_matches_hand_matrix_arithmetic():
@@ -54,17 +62,40 @@ def test_forward_input_validation():
         m.forward([1.0, 2.0])
     with pytest.raises(ValueError):
         m.forward([1.0, np.nan, 2.0])
+    with pytest.raises(ValueError):
+        m.forward([[1.0, 2.0, 3.0]])
 
 
-def finite_difference_check(model, x, y, loss, step=1e-5):
-    """Max relative error of backprop against central differences."""
+def test_predict_is_forward_row_by_row():
+    m = Mlp.init([3, 4, 2], _rng(1))
+    m.feat_mean = np.array([0.5, -1.0, 2.0])
+    m.feat_std = np.array([2.0, 0.5, 1.0])
+    x = _rng(2).normal(0, 3, (5, 3))
+    out = m.predict(x)
+    assert out.shape == (5, 2)
+    for row, got in zip(x, out):
+        assert np.allclose(m.forward(row), got, atol=1e-12)
+    with pytest.raises(ValueError, match="rows of 3 features"):
+        m.predict(x[:, :2])
+    with pytest.raises(ValueError, match="rows of 3 features"):
+        m.predict(x[0])
+
+
+def test_layer_sizes_follow_the_weights():
+    m = Mlp.init([3, 5, 4, 2], _rng(0))
+    assert m.layer_sizes == [3, 5, 4, 2]
+    m.weights[-1] = np.zeros((4, 6))
+    assert m.layer_sizes == [3, 5, 4, 6]
+
+
+def finite_difference_check(model, x, y, step=1e-5):
+    """Max relative error of backprop against central differences of the
+    loss the model's output activation sets."""
 
     def loss_at():
-        from crahnsim.mlp import _batch_loss
-        xs = model._standardize(x)
-        return _batch_loss(model, model._forward_acts(xs)[-1], y, loss)
+        return _batch_loss(model, model.predict(x), y)
 
-    gw, gb = gradients(model, x, y, loss)
+    gw, gb = gradients(model, x, y)
     worst = 0.0
     for params, grads in ((model.weights, gw), (model.biases, gb)):
         for p, g in zip(params, grads):
@@ -83,14 +114,39 @@ def finite_difference_check(model, x, y, loss, step=1e-5):
     return worst
 
 
-@pytest.mark.parametrize("activation,loss", [("sigmoid", "cross-entropy"),
-                                             ("identity", "squared")])
-def test_gradients_match_central_finite_differences(activation, loss):
+@pytest.mark.parametrize("activation", ["sigmoid", "identity"])
+def test_gradients_match_central_finite_differences(activation):
     model = Mlp.init([3, 4, 2], _rng(17), output_activation=activation)
     x = _rng(18).normal(0, 1, (6, 3))
-    y = (_rng(19).random((6, 2)) if loss == "cross-entropy"
+    y = (_rng(19).random((6, 2)) if activation == "sigmoid"
          else _rng(19).normal(0, 2, (6, 2)))
-    assert finite_difference_check(model, x, y, loss) < 1e-4
+    assert finite_difference_check(model, x, y) < 1e-4
+
+
+def test_batch_loss_is_set_by_the_output_activation():
+    out = np.array([[0.25], [0.5]])
+    y = np.array([[1.0], [0.0]])
+    sig = Mlp.init([1, 1], _rng(0))
+    ident = Mlp.init([1, 1], _rng(0), output_activation="identity")
+    assert _batch_loss(sig, out, y) == pytest.approx(-(np.log(0.25) + np.log(0.5)) / 2)
+    assert _batch_loss(ident, out, y) == pytest.approx((0.5 * 0.75 ** 2 + 0.5 * 0.5 ** 2) / 2)
+
+
+def test_identity_output_trains_on_half_squared_error():
+    # no loss is named: targets outside [0, 1] train an identity output on
+    # half squared error, and each epoch reports that loss before its step
+    x = _rng(5).normal(0, 1, (8, 2))
+    y = 10.0 * x[:, :1] - 3.0
+    model = Mlp.init([2, 3, 1], _rng(4), output_activation="identity")
+    probe = copy.deepcopy(model)
+    expected = []
+    for _ in range(5):
+        expected.append(0.5 * np.mean(np.sum((probe.predict(x) - y) ** 2, axis=1)))
+        train(probe, x, y, learning_rate=0.05, epochs=1, standardize=False)
+    losses = train(model, x, y, learning_rate=0.05, epochs=5, standardize=False)
+    assert np.all(np.isfinite(losses))
+    assert losses == pytest.approx(expected, rel=1e-12)
+    assert losses[-1] < losses[0]
 
 
 XOR_X = np.array([[0.0, 0.0], [0.0, 1.0], [1.0, 0.0], [1.0, 1.0]])
@@ -99,9 +155,8 @@ XOR_Y = np.array([[0.0], [1.0], [1.0], [0.0]])
 
 def _xor_correct(seed):
     model = Mlp.init([2, 4, 1], _rng(seed))
-    cfg = TrainConfig(learning_rate=1.5, epochs=2000)
-    train(model, (XOR_X, XOR_Y), cfg)
-    pred = [model.classify_binary(row) == DISASTER_HAPPENED for row in XOR_X]
+    train(model, XOR_X, XOR_Y, learning_rate=1.5, epochs=2000)
+    pred = [model.classify_binary(row) for row in XOR_X]
     return sum(p == (t > 0.5) for p, t in zip(pred, XOR_Y[:, 0]))
 
 
@@ -118,7 +173,7 @@ def test_loss_decreases_on_separable_blobs():
     x = np.vstack([a, b])
     y = np.vstack([np.zeros((40, 1)), np.ones((40, 1))])
     model = Mlp.init([2, 4, 1], _rng(6))
-    losses = train(model, (x, y), TrainConfig(learning_rate=0.5, epochs=100))
+    losses = train(model, x, y, learning_rate=0.5, epochs=100)
     assert len(losses) == 100
     assert losses[-1] < losses[0]
 
@@ -126,8 +181,7 @@ def test_loss_decreases_on_separable_blobs():
 def test_training_is_seed_deterministic():
     def fit():
         model = Mlp.init([2, 4, 1], _rng(8))
-        train(model, (XOR_X, XOR_Y),
-              TrainConfig(learning_rate=0.5, epochs=50))
+        train(model, XOR_X, XOR_Y, learning_rate=0.5, epochs=50)
         return model
 
     m1, m2 = fit(), fit()
@@ -139,13 +193,41 @@ def test_training_is_seed_deterministic():
 
 def test_empty_dataset_and_bad_targets_rejected():
     model = Mlp.init([2, 4, 1], _rng(0))
-    before = [p.copy() for p in model.weights + model.biases + [model.feat_mean, model.feat_std]]
+    before = _params(model)
     with pytest.raises(ValueError, match="empty"):
-        train(model, (np.zeros((0, 2)), np.zeros((0, 1))), TrainConfig())
-    after = model.weights + model.biases + [model.feat_mean, model.feat_std]
-    assert all(np.array_equal(b, a) for b, a in zip(before, after))
+        train(model, np.zeros((0, 2)), np.zeros((0, 1)), learning_rate=0.5, epochs=1)
+    assert _unchanged(model, before)
     with pytest.raises(ValueError):
-        train(model, (XOR_X, np.zeros((4, 2))), TrainConfig())
+        train(model, XOR_X, np.zeros((4, 2)), learning_rate=0.5, epochs=1)
+
+
+# a one-row y used to broadcast against every output row; a 1-D y failed on y.shape[1]
+@pytest.mark.parametrize("y", [np.zeros((1, 1)), np.zeros(4), np.zeros((3, 1)),
+                               np.zeros((4, 1, 1))], ids=["one-row", "1-D", "short", "3-D"])
+def test_train_rejects_targets_not_shaped_rows_by_outputs(y):
+    model = Mlp.init([2, 4, 1], _rng(0))
+    before = _params(model)
+    with pytest.raises(ValueError, match=r"targets must have shape \(4, 1\)"):
+        train(model, XOR_X, y, learning_rate=0.5, epochs=3)
+    assert _unchanged(model, before)
+
+
+@pytest.mark.parametrize("x,y,settings,match", [
+    (XOR_X, XOR_Y, {"learning_rate": 0.0, "epochs": 1}, "learning_rate"),
+    (XOR_X, XOR_Y, {"learning_rate": float("nan"), "epochs": 1}, "learning_rate"),
+    (XOR_X, XOR_Y, {"learning_rate": 0.5, "epochs": 0}, "epochs"),
+    (XOR_X, XOR_Y, {"learning_rate": 0.5, "epochs": 2.5}, "epochs"),
+    (XOR_X[:, :1], XOR_Y, {"learning_rate": 0.5, "epochs": 1}, "input rows of 2"),
+    (np.where(XOR_X == 1.0, np.nan, XOR_X), XOR_Y, {"learning_rate": 0.5, "epochs": 1},
+     "non-finite"),
+    (XOR_X, 2.0 * XOR_Y, {"learning_rate": 0.5, "epochs": 1}, r"\[0, 1\]"),
+])
+def test_train_checks_every_input_before_touching_the_model(x, y, settings, match):
+    model = Mlp.init([2, 4, 1], _rng(0))
+    before = _params(model)
+    with pytest.raises(ValueError, match=match):
+        train(model, x, y, **settings)
+    assert _unchanged(model, before)
 
 
 # overflow is the expected mechanism that trips the divergence guard
@@ -154,9 +236,8 @@ def test_divergence_error_names_the_epoch():
     model = Mlp.init([1, 2, 1], _rng(0), output_activation="identity")
     x = np.array([[1e3], [-1e3]])
     y = np.array([[1e3], [-1e3]])
-    cfg = TrainConfig(learning_rate=1e9, epochs=60, loss="squared")
     with pytest.raises(DivergenceError, match="epoch"):
-        train(model, (x, y), cfg, standardize=False)
+        train(model, x, y, learning_rate=1e9, epochs=60, standardize=False)
 
 
 def test_hidden_unit_permutation_leaves_output_unchanged():
@@ -177,10 +258,6 @@ def test_init_validation():
         Mlp.init([3, 0, 1], _rng(0))
     with pytest.raises(ValueError):
         Mlp.init([3, 2, 1], _rng(0), output_activation="relu")
-    with pytest.raises(ValueError):
-        TrainConfig(learning_rate=0.0)
-    with pytest.raises(ValueError):
-        TrainConfig(loss="hinge")
 
 
 def test_sigmoid_matches_logistic_definition():

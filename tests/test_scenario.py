@@ -8,6 +8,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from crahnsim.scenario import MAX_TICKS, ScenarioConfig, ScenarioError, load_scenario
+from crahnsim.spectrum import POLICIES
 
 
 def _load(tmp_path, text):
@@ -103,6 +104,12 @@ def test_cross_field_validation(tmp_path):
         _load(tmp_path, "[spectrum]\npolicies = greedy\n")
     with pytest.raises(ScenarioError, match="scale_min"):
         _load(tmp_path, "[spectrum]\nscale_min = 2.0\nscale_max = 1.0\n")
+
+
+def test_policies_default_to_every_policy_the_simulator_runs(tmp_path):
+    assert _load(tmp_path, "").spectrum.policies == POLICIES
+    for policy in POLICIES:
+        assert _load(tmp_path, f"[spectrum]\npolicies = {policy}\n").spectrum.policies == (policy,)
 
 
 def test_echo_reports_every_effective_parameter():

@@ -6,7 +6,7 @@ import pytest
 
 from crahnsim import experiments, spectrum
 from crahnsim.kernel import Kernel
-from crahnsim.mlp import Mlp, TrainConfig, train
+from crahnsim.mlp import Mlp, train
 from crahnsim.scenario import ScenarioConfig
 from crahnsim.spectrum import (SpectrumParams, SpectrumSim, SuAssignment,
                                extract_features, run_spectrum_replication,
@@ -98,8 +98,7 @@ def test_scorer_learns_periodic_idle_schedule():
         xs.append([5.0] * n + [-60.0, 2.0, elapsed])
         ys.append([10.0 - elapsed])
     model = Mlp.init([n + 3, 8, 1], _rng(2), output_activation="identity")
-    cfg = TrainConfig(learning_rate=0.2, epochs=500, loss="squared")
-    train(model, (np.array(xs), np.array(ys)), cfg)
+    train(model, np.array(xs), np.array(ys), learning_rate=0.2, epochs=500)
     for elapsed, want in ((2.0, 8.0), (5.0, 5.0), (9.0, 1.0)):
         [got] = score_holes(model, np.array([[5.0] * n + [-60.0, 2.0, elapsed]]))
         assert got == pytest.approx(want, abs=2.0)
