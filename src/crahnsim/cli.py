@@ -13,6 +13,7 @@ import argparse
 import csv
 import json
 import sys
+from dataclasses import replace
 
 from .experiments import EXPERIMENTS, run_experiment
 from .scenario import ScenarioError, load_scenario
@@ -89,6 +90,9 @@ def main(argv=None) -> int:
     if args.command == "run":
         try:
             cfg = load_scenario(args.scenario)
+            if args.replications is not None:  # held to the scenario's own rule
+                replace(cfg, simulation=replace(cfg.simulation,
+                                                replications=args.replications)).validate()
         except ScenarioError as exc:
             print(f"invalid scenario: {exc}", file=sys.stderr)
             return 1

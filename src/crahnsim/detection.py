@@ -15,7 +15,7 @@ import numpy as np
 
 from .kernel import Kernel
 from .mlp import Mlp, train
-from .mobility import Area, NodeState
+from .mobility import Area, NodeState, place_uniform
 
 DISASTER_HAPPENED = 101
 DISASTER_NOT_HAPPENED = 102
@@ -59,11 +59,8 @@ class Deployment:
 
 def deploy(sensor_count: int, cluster_count: int, area: Area,
            rng: np.random.Generator) -> Deployment:
-    sensors = [NodeState(id=i, x=rng.uniform(0, area.width), y=rng.uniform(0, area.height),
-                         role="sensor") for i in range(sensor_count)]
-    heads = [NodeState(id=sensor_count + c, x=rng.uniform(0, area.width),
-                       y=rng.uniform(0, area.height), role="cluster-head")
-             for c in range(cluster_count)]
+    sensors = place_uniform(sensor_count, area, rng, role="sensor")
+    heads = place_uniform(cluster_count, area, rng, role="cluster-head", start_id=sensor_count)
     membership = np.array([
         int(np.argmin([s.distance_to(h) for h in heads])) for s in sensors])
     return Deployment(sensors=sensors, heads=heads, membership=membership)

@@ -278,15 +278,13 @@ class DiscoveryRun:
     providers: dict
 
 
-def run_discovery_replication(cfg: ScenarioConfig, seed: int,
-                              node_count: int = None, area: Area = None) -> DiscoveryRun:
+def run_discovery_replication(cfg: ScenarioConfig, seed: int) -> DiscoveryRun:
     sim = cfg.simulation
     dc = cfg.discovery
-    n = node_count or dc.node_count
-    area = area or Area(sim.area_width_m, sim.area_height_m)
+    area = Area(sim.area_width_m, sim.area_height_m)
     sim_time = sim.sim_time_s
     kernel = Kernel(seed=seed, end=sim_time)
-    nodes = place_uniform(n, area, kernel.stream("discovery-placement"),
+    nodes = place_uniform(dc.node_count, area, kernel.stream("discovery-placement"),
                           role="rescue-SU")
     for node in nodes:
         node.radio_range_m = sim.radio_range_m

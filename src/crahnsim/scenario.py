@@ -1,15 +1,21 @@
 """Scenario configuration: INI-style sections with simulation-table defaults.
 
 Grammar: configparser sections `[simulation]`, `[detection]`, `[spectrum]`,
-`[discovery]`; `key = value` pairs. Every key has a default, so an empty file
-is a valid scenario. Unknown sections or keys are rejected.
+`[discovery]` (the fields of `ScenarioConfig`); `key = value` pairs. Every key
+has a default, so an empty file is a valid scenario. Unknown sections or keys
+are rejected. A default the models share is the model module's constant.
 """
 
 import configparser
 import math
 from dataclasses import asdict, dataclass, field, fields
 
-from .spectrum import POLICIES
+from .discovery import DEFAULT_ADVERT_HOPS, DEFAULT_ADVERT_INTERVAL_S, DEFAULT_SERVICE_TTL_S
+from .kernel import DEFAULT_SIM_TIME_S
+from .mobility import (DEFAULT_AREA_M, DEFAULT_PAUSE_MAX_S, DEFAULT_RADIO_RANGE_M,
+                       DEFAULT_V_MAX, DEFAULT_V_MIN)
+from .spectrum import (DEFAULT_N_WINDOW, DEFAULT_SCALE_MAX, DEFAULT_SCALE_MIN,
+                       DEFAULT_SU_COUNT, DEFAULT_SU_START_S, POLICIES)
 
 # most runs of one periodic loop (mobility and beacon ticks, adverts) that a
 # scenario may ask for: sim_time_s / interval
@@ -22,19 +28,19 @@ class ScenarioError(ValueError):
 
 @dataclass
 class SimulationConfig:
-    sim_time_s: float = 500.0
-    area_width_m: float = 1000.0
-    area_height_m: float = 1000.0
+    sim_time_s: float = DEFAULT_SIM_TIME_S
+    area_width_m: float = DEFAULT_AREA_M
+    area_height_m: float = DEFAULT_AREA_M
     routing: str = "aodv"
     pathloss: str = "free-space"
     mobility: str = "random-waypoint"
     seed: int = 1
     replications: int = 30
-    radio_range_m: float = 250.0
+    radio_range_m: float = DEFAULT_RADIO_RANGE_M
     beacon_interval_s: float = 1.0
-    v_min_mps: float = 1.0
-    v_max_mps: float = 5.0
-    pause_max_s: float = 10.0
+    v_min_mps: float = DEFAULT_V_MIN
+    v_max_mps: float = DEFAULT_V_MAX
+    pause_max_s: float = DEFAULT_PAUSE_MAX_S
 
 
 @dataclass
@@ -47,13 +53,13 @@ class DetectionConfig:
 
 @dataclass
 class SpectrumConfig:
-    su_count: int = 5
+    su_count: int = DEFAULT_SU_COUNT
     pu_counts: tuple = (5, 10, 15, 20, 25)
-    n_window: int = 5
+    n_window: int = DEFAULT_N_WINDOW
     policies: tuple = POLICIES
-    scale_min: float = 0.2
-    scale_max: float = 2.6
-    su_start_s: float = 100.0
+    scale_min: float = DEFAULT_SCALE_MIN
+    scale_max: float = DEFAULT_SCALE_MAX
+    su_start_s: float = DEFAULT_SU_START_S
 
 
 @dataclass
@@ -61,9 +67,54 @@ class DiscoveryConfig:
     node_count: int = 50
     service_count: int = 10
     query_count: int = 30
-    advert_interval_s: float = 10.0
-    advert_hops: int = 2
-    service_ttl_s: float = 30.0
+    advert_interval_s: float = DEFAULT_ADVERT_INTERVAL_S
+    advert_hops: int = DEFAULT_ADVERT_HOPS
+    service_ttl_s: float = DEFAULT_SERVICE_TTL_S
+
+
+# per-key rules: each returns what is wrong with a value, or None
+
+def _positive(value):
+    return None if value > 0 else f"must be positive, got {value}"
+
+
+def _non_negative(value):
+    return None if value >= 0 else f"must be >= 0, got {value}"
+
+
+def _at_least_one(value):
+    return None if value >= 1 else f"must be >= 1, got {value}"
+
+
+def _entries_at_least_one(value):
+    return None if value and all(v >= 1 for v in value) else "all entries must be >= 1"
+
+
+def _only(fixed):
+    return lambda value: None if value == fixed else f"only {fixed!r} is supported, got {value!r}"
+
+
+def _known_policies(value):
+    unknown = next((p for p in value if p not in POLICIES), None)
+    return None if unknown is None else f"unknown policy {unknown!r}"
+
+
+# seed takes any integer; v_min_mps/v_max_mps and scale_min/scale_max are
+# checked as ranges by `validate`
+_RULE_OF = {
+    **dict.fromkeys(("sim_time_s", "area_width_m", "area_height_m", "radio_range_m",
+                     "beacon_interval_s", "intensity", "advert_interval_s",
+                     "service_ttl_s"), _positive),
+    **dict.fromkeys(("pause_max_s", "su_start_s"), _non_negative),
+    **dict.fromkeys(("replications", "sensor_count", "disaster_count", "su_count",
+                     "n_window", "node_count", "service_count", "query_count",
+                     "advert_hops"), _at_least_one),
+    **dict.fromkeys(("cluster_counts", "pu_counts"), _entries_at_least_one),
+    "routing": _only(SimulationConfig.routing),
+    "pathloss": _only(SimulationConfig.pathloss),
+    "mobility": _only(SimulationConfig.mobility),
+    "policies": _known_policies,
+}
 
 
 @dataclass
@@ -74,7 +125,10 @@ class ScenarioConfig:
     discovery: DiscoveryConfig = field(default_factory=DiscoveryConfig)
 
     def validate(self) -> None:
-        for block in (self.simulation, self.detection, self.spectrum, self.discovery):
+        """Each key in turn: finite, no repeated entry, its own rule; then the
+        rules that relate keys."""
+        for section in fields(self):
+            block = getattr(self, section.name)
             for f in fields(block):
                 value = getattr(block, f.name)
                 if isinstance(value, float) and not math.isfinite(value):
@@ -83,50 +137,14 @@ class ScenarioConfig:
                     dup = next((v for i, v in enumerate(value) if v in value[:i]), None)
                     if dup is not None:
                         raise ScenarioError(f"{f.name}: duplicate entry {dup!r}")
-        s = self.simulation
-        _positive("sim_time_s", s.sim_time_s)
-        _positive("area_width_m", s.area_width_m)
-        _positive("area_height_m", s.area_height_m)
-        _positive("radio_range_m", s.radio_range_m)
-        _positive("beacon_interval_s", s.beacon_interval_s)
-        if s.routing != "aodv":
-            raise ScenarioError(f"routing: only 'aodv' is supported, got {s.routing!r}")
-        if s.pathloss != "free-space":
-            raise ScenarioError(f"pathloss: only 'free-space' is supported, got {s.pathloss!r}")
-        if s.mobility != "random-waypoint":
-            raise ScenarioError(
-                f"mobility: only 'random-waypoint' is supported, got {s.mobility!r}")
-        if s.replications < 1:
-            raise ScenarioError(f"replications: must be >= 1, got {s.replications}")
+                problem = _RULE_OF[f.name](value) if f.name in _RULE_OF else None
+                if problem is not None:
+                    raise ScenarioError(f"{f.name}: {problem}")
+        s, sp, dc = self.simulation, self.spectrum, self.discovery
         if not 0 <= s.v_min_mps <= s.v_max_mps:
-            raise ScenarioError(f"v_min_mps/v_max_mps: need 0 <= min <= max")
-        if s.pause_max_s < 0:
-            raise ScenarioError(f"pause_max_s: must be >= 0, got {s.pause_max_s}")
-        d = self.detection
-        _at_least_one("sensor_count", d.sensor_count)
-        _at_least_one("disaster_count", d.disaster_count)
-        _positive("intensity", d.intensity)
-        if not d.cluster_counts or any(c < 1 for c in d.cluster_counts):
-            raise ScenarioError("cluster_counts: all entries must be >= 1")
-        sp = self.spectrum
-        _at_least_one("su_count", sp.su_count)
-        _at_least_one("n_window", sp.n_window)
-        if not sp.pu_counts or any(c < 1 for c in sp.pu_counts):
-            raise ScenarioError("pu_counts: all entries must be >= 1")
+            raise ScenarioError("v_min_mps/v_max_mps: need 0 <= min <= max")
         if not 0 < sp.scale_min <= sp.scale_max:
             raise ScenarioError("scale_min/scale_max: need 0 < min <= max")
-        if sp.su_start_s < 0:
-            raise ScenarioError(f"su_start_s: must be >= 0, got {sp.su_start_s}")
-        for pol in sp.policies:
-            if pol not in POLICIES:
-                raise ScenarioError(f"policies: unknown policy {pol!r}")
-        dc = self.discovery
-        _at_least_one("node_count", dc.node_count)
-        _at_least_one("service_count", dc.service_count)
-        _at_least_one("query_count", dc.query_count)
-        _at_least_one("advert_hops", dc.advert_hops)
-        _positive("advert_interval_s", dc.advert_interval_s)
-        _positive("service_ttl_s", dc.service_ttl_s)
         if dc.service_count > dc.node_count:
             raise ScenarioError("service_count: cannot exceed node_count")
         for key, interval in (("beacon_interval_s", s.beacon_interval_s),
@@ -136,31 +154,8 @@ class ScenarioConfig:
                                     f" ticks, more than {MAX_TICKS}")
 
     def echo(self) -> dict:
-        """Every effective parameter, defaults included."""
-        return {
-            "simulation": asdict(self.simulation),
-            "detection": asdict(self.detection),
-            "spectrum": asdict(self.spectrum),
-            "discovery": asdict(self.discovery),
-        }
-
-
-def _positive(name, value):
-    if value <= 0:
-        raise ScenarioError(f"{name}: must be positive, got {value}")
-
-
-def _at_least_one(name, value):
-    if value < 1:
-        raise ScenarioError(f"{name}: must be >= 1, got {value}")
-
-
-_SECTIONS = {
-    "simulation": SimulationConfig,
-    "detection": DetectionConfig,
-    "spectrum": SpectrumConfig,
-    "discovery": DiscoveryConfig,
-}
+        """Every effective parameter, defaults included: {section: {key: value}}."""
+        return asdict(self)
 
 
 def _convert(name: str, raw: str, default):
@@ -193,8 +188,9 @@ def load_scenario(path) -> ScenarioConfig:
     except configparser.Error as exc:
         raise ScenarioError(f"malformed scenario file: {exc}") from exc
     cfg = ScenarioConfig()
+    sections = {f.name for f in fields(cfg)}
     for section in parser.sections():
-        if section not in _SECTIONS:
+        if section not in sections:
             raise ScenarioError(f"unknown section [{section}]")
         block = getattr(cfg, section)
         known = {f.name: getattr(block, f.name) for f in fields(block)}

@@ -33,7 +33,11 @@ from .mobility import (DEFAULT_PAUSE_MAX_S, DEFAULT_V_MAX, DEFAULT_V_MIN,  # noq
                        Area, NodeState, friis_received_power, place_uniform, step_nodes,
                        step_waypoint)
 
+DEFAULT_SU_COUNT = 5
 DEFAULT_N_WINDOW = 5
+DEFAULT_SCALE_MIN = 0.2
+DEFAULT_SCALE_MAX = 2.6
+DEFAULT_SU_START_S = 100.0  # passive warm-up before SUs transmit
 EPSILON_DBM_DISTANCE = 1.0  # clamp for co-located nodes when deriving dBm
 EXPONENTIAL_BLOCK = 1024  # activity draws taken from the stream at once
 MOBILE_STEP_S = 5.0  # mobility tick
@@ -143,14 +147,14 @@ def switching_time_metric(assignments: list[SuAssignment], horizon: float) -> di
 @dataclass
 class SpectrumParams:
     pu_count: int = 10
-    su_count: int = 5
+    su_count: int = DEFAULT_SU_COUNT
     n_window: int = DEFAULT_N_WINDOW
     policy: str = "mlp-history"
     # per-PU activity scale theta ~ U(range); busy ~ Exp(theta), idle ~ Exp(theta).
     # Coupling busy and idle means through one scale is what lets session history
     # predict the remaining idle time.
-    scale_range: tuple = (0.2, 2.6)
-    su_start_s: float = 100.0  # passive warm-up before SUs transmit
+    scale_range: tuple = (DEFAULT_SCALE_MIN, DEFAULT_SCALE_MAX)
+    su_start_s: float = DEFAULT_SU_START_S
     refit_interval: int = 200
     # random-waypoint legs of the mobility ticks: speed range (m/s), longest pause (s)
     v_min_mps: float = DEFAULT_V_MIN
@@ -434,7 +438,7 @@ class SpectrumSim:
         return switching_time_metric(self.assignments, self.k.end)
 
 
-def run_spectrum_replication(seed: int, params: SpectrumParams, sim_time_s: float = 500.0,
+def run_spectrum_replication(seed: int, params: SpectrumParams, sim_time_s: float,
                              pu_schedules: Optional[dict[int, list[float]]] = None) -> SpectrumSim:
     kernel = Kernel(seed=seed, end=sim_time_s)
     sim = SpectrumSim(kernel, params, pu_schedules=pu_schedules)

@@ -9,6 +9,7 @@ import itertools
 import math
 import os
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -16,7 +17,7 @@ import pytest
 from crahnsim.experiments import (EXPERIMENTS, run_discovery_replication,
                                   run_experiment)
 from crahnsim.kernel import Kernel
-from crahnsim.mlp import Mlp, _batch_loss, gradients, train
+from crahnsim.mlp import Mlp, train
 from crahnsim.mobility import (Area, NodeState, connectivity_components,
                                neighbor_graph, place_uniform)
 from crahnsim.routing import build_aodv_network
@@ -24,6 +25,7 @@ from crahnsim.scenario import ScenarioConfig
 from crahnsim.situation import (SituationDb, SituationRecord, decode_situation,
                                 encode_situation, export_situation_table)
 from crahnsim.spectrum import SpectrumParams, run_spectrum_replication
+from test_mlp import finite_difference_check
 
 
 def _rng(seed):
@@ -63,29 +65,6 @@ def test_criterion_1_determinism_and_runtime(full_runs):
           + ", ".join(f"{k}={v:.1f}s" for k, v in timings.items()))
 
 
-def _gradcheck_worst(model, x, y, step=1e-5):
-    def loss_at():
-        return _batch_loss(model, model.predict(x), y)
-
-    gw, gb = gradients(model, x, y)
-    worst = 0.0
-    for params, grads in ((model.weights, gw), (model.biases, gb)):
-        for p, g in zip(params, grads):
-            it = np.nditer(p, flags=["multi_index"])
-            for _ in it:
-                idx = it.multi_index
-                orig = p[idx]
-                p[idx] = orig + step
-                up = loss_at()
-                p[idx] = orig - step
-                down = loss_at()
-                p[idx] = orig
-                numeric = (up - down) / (2 * step)
-                denom = max(abs(numeric), abs(g[idx]), 1e-8)
-                worst = max(worst, abs(numeric - g[idx]) / denom)
-    return worst
-
-
 def test_criterion_2_mlp_gradients_and_xor():
     rng = _rng(1001)
     for trial in range(20):
@@ -96,7 +75,7 @@ def test_criterion_2_mlp_gradients_and_xor():
         x = rng.normal(0, 1, (5, sizes[0]))
         y = (rng.random((5, sizes[-1])) if activation == "sigmoid"
              else rng.normal(0, 2, (5, sizes[-1])))
-        worst = _gradcheck_worst(model, x, y)
+        worst = finite_difference_check(model, x, y)
         assert worst < 1e-4, (trial, sizes, worst)
 
     xor_x = np.array([[0.0, 0.0], [0.0, 1.0], [1.0, 0.0], [1.0, 1.0]])
@@ -181,11 +160,12 @@ def test_criterion_6_discovery_latency(full_runs):
     def miss_mean(node_count):
         side = cfg.simulation.area_width_m * math.sqrt(node_count /
                                                        cfg.discovery.node_count)
+        scaled = replace(cfg, simulation=replace(cfg.simulation, area_width_m=side,
+                                                 area_height_m=side),
+                         discovery=replace(cfg.discovery, node_count=node_count))
         vals = []
         for seed in range(30):
-            run = run_discovery_replication(cfg, 4000 + seed,
-                                            node_count=node_count,
-                                            area=Area(side, side))
+            run = run_discovery_replication(scaled, 4000 + seed)
             vals.extend(r.latency_s for r, _ in run.results
                         if not r.cache_hit and not r.timed_out)
         return float(np.mean(vals))

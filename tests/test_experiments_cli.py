@@ -161,6 +161,18 @@ def test_cli_run_writes_report_files(small_cfg, tmp_path):
     assert len(report.seeds) == 1
 
 
+@pytest.mark.parametrize("replications", [0, -2])
+def test_cli_run_rejects_replications_below_one_before_writing(small_cfg, tmp_path, capsys,
+                                                               replications):
+    out = tmp_path / "out"
+    code = main(["run", "--scenario", str(small_cfg), "--experiment", "detection",
+                 "--replications", str(replications), "--out", str(out)])
+    assert code == 1
+    assert capsys.readouterr().err == (
+        f"invalid scenario: replications: must be >= 1, got {replications}\n")
+    assert not out.exists()
+
+
 def test_cli_run_exits_2_when_a_replication_fails(small_cfg, tmp_path, monkeypatch,
                                                  capsys):
     import crahnsim.experiments as experiments

@@ -90,7 +90,7 @@ def test_layer_sizes_follow_the_weights():
 
 def finite_difference_check(model, x, y, step=1e-5):
     """Max relative error of backprop against central differences of the
-    loss the model's output activation sets."""
+    loss the model's output activation sets (acceptance criterion 2 uses it too)."""
 
     def loss_at():
         return _batch_loss(model, model.predict(x), y)
