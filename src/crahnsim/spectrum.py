@@ -124,11 +124,10 @@ def extract_features(times: list[float], t: float, n: int, signal_dbm: float,
     return [0.0] * (n - len(durations)) + durations + [signal_dbm, mobility_mps, t - since]
 
 
-def score_holes(model: Mlp, batch: np.ndarray) -> list[float]:
-    """Predicted remaining idle seconds of each feature row; negative raw
-    outputs clamp to 0."""
-    raw = model.predict(batch)[:, 0]
-    return [max(0.0, float(r)) for r in raw]
+def score_holes(model: Mlp, batch: np.ndarray) -> np.ndarray:
+    """Predicted remaining idle seconds of each feature row; negative and NaN
+    raw outputs clamp to 0 (a raw -0.0 may stay -0.0, which equals 0.0)."""
+    return np.fmax(model.predict(batch)[:, 0], 0.0)
 
 
 def switching_time_metric(assignments: list[SuAssignment], horizon: float) -> dict:
@@ -226,7 +225,7 @@ class SpectrumSim:
         # and the last hole scan
         self._dbm: dict[tuple[int, int], float] = {}
         self._scan_at: Optional[float] = None
-        self._scanned: tuple[list[int], list[Optional[list[float]]]] = ([], [])
+        self._scanned: tuple[list[int], Optional[np.ndarray]] = ([], None)
         self._su_started = False
 
     # -- wiring ---------------------------------------------------------------
@@ -369,28 +368,22 @@ class SpectrumSim:
         for su in self.sus:
             self._select_for(su.id, now)
 
-    def _scan(self, now: float) -> list[int]:
-        """Holes at `now`, in channel order; the same for every SU selecting at
-        one instant, so they and their features are kept until the time or the
-        positions change."""
+    def _scan(self, now: float) -> tuple[list[int], Optional[np.ndarray]]:
+        """Holes at `now`, in channel order, and under `mlp-history` their
+        feature rows with the signal column left at 0. Both are the same for
+        every SU selecting at one instant, so they are kept until the time or
+        the positions change."""
         if self._scan_at != now:
             holes = spectrum_holes(self.timelines, now)
-            self._scan_at, self._scanned = now, (holes, [None] * len(holes))
-        return self._scanned[0]
-
-    def _hole_features(self, su: NodeState, i: int, now: float) -> list[float]:
-        """Features of the i-th hole of the scan at `now`, as seen by `su`."""
-        holes, rows = self._scanned
-        pu = self.pus[holes[i]]
-        if rows[i] is None:
-            rows[i] = extract_features(self.timelines[pu.id], now, self.p.n_window,
-                                       0.0, pu.speed)
-        features = rows[i].copy()
-        features[self.p.n_window] = self._received_dbm(pu, su)
-        return features
+            rows = None
+            if holes and self.p.policy == "mlp-history":
+                rows = np.array([extract_features(self.timelines[c], now, self.p.n_window,
+                                                  0.0, self.pus[c].speed) for c in holes])
+            self._scan_at, self._scanned = now, (holes, rows)
+        return self._scanned
 
     def _select_for(self, su_id: int, now: float) -> None:
-        holes = self._scan(now)
+        holes, rows = self._scan(now)
         if not holes:
             if not self.waiting:
                 self._arm_idle_start(now)
@@ -401,10 +394,10 @@ class SpectrumSim:
             su = self.sus[su_id - self.p.pu_count]
             # one batch per select, rows in channel order: stacking several SUs'
             # rows into one forward pass changes the last bit of some scores
-            batch = np.array([self._hole_features(su, i, now) for i in range(len(holes))])
-            scores = score_holes(self.model, batch)
+            batch = rows.copy()
+            batch[:, self.p.n_window] = [self._received_dbm(self.pus[c], su) for c in holes]
             # the best score; the first of equal ones is the lowest channel
-            i = scores.index(max(scores))
+            i = int(score_holes(self.model, batch).argmax())
             features = batch[i]
         else:
             i = int(self.choice_rng.integers(0, len(holes)))

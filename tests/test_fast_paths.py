@@ -5,9 +5,10 @@ per-neighbour forms: sensor synthesis one instant and one sensor at a time,
 per-cluster reduction over Python lists, an `order=True` dataclass event
 heap, one MAC delay draw per copy from the stream itself, a beacon refresh
 that rebuilds every neighbour row, `step_waypoint` on every node of a
-mobility tick, and a spectrum simulation with one kernel event per
-primary-user toggle. The fast paths must give the same
-floats, the same draw order and the same event trace.
+mobility tick, a spectrum simulation with one kernel event per
+primary-user toggle, and MLP passes that allocate a new array per operation.
+The fast paths must give the same floats, the same draw order and the same
+event trace.
 """
 
 import dataclasses
@@ -26,7 +27,7 @@ from crahnsim.detection import (POLL_PERIOD_S, Deployment, DisasterEvent, NOISE_
 from crahnsim.discovery import (AdvertMsg, DiscoveryNode, ServiceCacheEntry,
                                 ServiceDescriptor, SreqMsg, SrepMsg)
 from crahnsim.kernel import Kernel, PastTimeError
-from crahnsim.mlp import Mlp, train
+from crahnsim.mlp import Mlp, gradients, sigmoid, train
 from crahnsim.mobility import (Area, NodeState, connectivity_components, friis_received_power,
                                neighbor_graph, place_uniform, step_nodes, step_waypoint)
 from crahnsim.routing import DELAY_BLOCK, AodvNode, DataMsg, Network, Rrep, Rreq
@@ -1639,3 +1640,107 @@ def test_spectrum_tie_order_on_hand_schedules():
         (0, 1.0, 41.0), (1, 41.0, 41.0), (0, 61.0, None)]
     assert [(a.channel_index, a.assigned_at, a.evicted_at) for a in sim.assignments] == [
         (0, 1.0, 41.0), (0, 61.0, None)]
+
+
+# -- reference: allocating MLP arithmetic -----------------------------------------
+#
+# Each expression is the one the in-place passes of `crahnsim.mlp` replay
+# operation by operation; a regrouped operation changes the last bits.
+
+def ref_sigmoid(z):
+    return 0.5 * (1.0 + np.tanh(0.5 * z))
+
+
+def ref_standardize(model, x):
+    return (x - model.feat_mean) / model.feat_std
+
+
+def ref_forward_acts(model, x):
+    acts = [x]
+    last = len(model.weights) - 1
+    for i, (w, b) in enumerate(zip(model.weights, model.biases)):
+        z = acts[-1] @ w + b
+        acts.append(z if i == last and model.output_activation == "identity"
+                    else ref_sigmoid(z))
+    return acts
+
+
+def ref_batch_loss(model, out, y):
+    if model.output_activation == "sigmoid":
+        eps = 1e-12
+        return float(np.mean(np.sum(
+            -(y * np.log(out + eps) + (1 - y) * np.log(1 - out + eps)), axis=1)))
+    return float(np.mean(0.5 * np.sum((out - y) ** 2, axis=1)))
+
+
+def ref_backprop(model, acts, y):
+    n = acts[0].shape[0]
+    delta = (acts[-1] - y) / n
+    grads_w, grads_b = [], []
+    for layer in range(len(model.weights) - 1, -1, -1):
+        grads_w.append(acts[layer].T @ delta)
+        grads_b.append(delta.sum(axis=0))
+        if layer > 0:
+            a = acts[layer]
+            delta = (delta @ model.weights[layer].T) * a * (1.0 - a)
+    return list(reversed(grads_w)), list(reversed(grads_b))
+
+
+def ref_train(model, x, y, learning_rate, epochs, standardize=True):
+    if standardize:
+        model.feat_mean = x.mean(axis=0)
+        std = x.std(axis=0)
+        std[std < 1e-9] = 1.0
+        model.feat_std = std
+    xs = ref_standardize(model, x)
+    losses = []
+    for _ in range(epochs):
+        acts = ref_forward_acts(model, xs)
+        losses.append(ref_batch_loss(model, acts[-1], y))
+        gw, gb = ref_backprop(model, acts, y)
+        for w, b, dw, db in zip(model.weights, model.biases, gw, gb):
+            w -= learning_rate * dw
+            b -= learning_rate * db
+    return losses
+
+
+MLP_NETS = {"2-layer": [5, 7, 2], "3-layer": [5, 6, 4, 1]}
+
+
+def _mlp_case(sizes, activation, seed):
+    """A model and 30 rows of raw data: columns on different scales, one constant."""
+    rng = _rng(seed)
+    scale = [3.0, 0.5, 40.0, 1.0, 0.0]
+    shift = [1.0, -2.0, 7.0, 0.0, 4.0]
+    x = rng.normal(0.0, 1.0, (30, sizes[0])) * scale + shift
+    y = (rng.random((30, sizes[-1])) if activation == "sigmoid"
+         else rng.normal(2.0, 3.0, (30, sizes[-1])))
+    return Mlp.init(sizes, rng, output_activation=activation), x, y
+
+
+@pytest.mark.parametrize("standardize", [True, False])
+@pytest.mark.parametrize("activation", ["sigmoid", "identity"])
+@pytest.mark.parametrize("net", sorted(MLP_NETS))
+def test_mlp_passes_match_allocating_reference(net, activation, standardize):
+    model, x, y = _mlp_case(MLP_NETS[net], activation, seed=61)
+    ref = dataclasses.replace(model, weights=[w.copy() for w in model.weights],
+                              biases=[b.copy() for b in model.biases])
+    lr = 0.5 if activation == "sigmoid" else 0.05
+    losses = train(model, x, y, learning_rate=lr, epochs=50, standardize=standardize)
+    assert losses == ref_train(ref, x, y, lr, 50, standardize)
+    for got, want in zip(model.weights + model.biases + [model.feat_mean, model.feat_std],
+                         ref.weights + ref.biases + [ref.feat_mean, ref.feat_std]):
+        assert np.array_equal(got, want)
+
+    for rows in (x[:1], x[7:19]):
+        want = ref_forward_acts(ref, ref_standardize(ref, rows))[-1]
+        assert np.array_equal(model.predict(rows), want)
+    got_w, got_b = gradients(model, x, y)
+    want_w, want_b = ref_backprop(ref, ref_forward_acts(ref, ref_standardize(ref, x)), y)
+    for got, want in zip(got_w + got_b, want_w + want_b):
+        assert np.array_equal(got, want)
+
+
+def test_sigmoid_matches_allocating_reference():
+    z = np.concatenate([np.linspace(-800.0, 800.0, 97), [0.0, -0.0, 1e-300]])
+    assert np.array_equal(sigmoid(z), ref_sigmoid(z))

@@ -1,6 +1,7 @@
 """MLP correctness: forward arithmetic, gradient checks, training fixtures."""
 
 import copy
+import inspect
 
 import numpy as np
 import pytest
@@ -221,6 +222,10 @@ def test_train_rejects_targets_not_shaped_rows_by_outputs(y):
     (np.where(XOR_X == 1.0, np.nan, XOR_X), XOR_Y, {"learning_rate": 0.5, "epochs": 1},
      "non-finite"),
     (XOR_X, 2.0 * XOR_Y, {"learning_rate": 0.5, "epochs": 1}, r"\[0, 1\]"),
+    # an infinite rate turned the weights into NaN and raised only at epoch 2
+    (XOR_X, XOR_Y, {"learning_rate": float("inf"), "epochs": 1}, "learning_rate"),
+    # True trained one epoch
+    (XOR_X, XOR_Y, {"learning_rate": 0.5, "epochs": True}, "epochs"),
 ])
 def test_train_checks_every_input_before_touching_the_model(x, y, settings, match):
     model = Mlp.init([2, 4, 1], _rng(0))
@@ -263,3 +268,32 @@ def test_init_validation():
 def test_sigmoid_matches_logistic_definition():
     z = np.linspace(-30, 30, 101)
     assert np.allclose(sigmoid(z), 1.0 / (1.0 + np.exp(-z)), atol=1e-12)
+
+
+def test_sigmoid_leaves_its_argument_unmodified():
+    assert sigmoid(0.0) == 0.5
+    z = np.array([[-3.0, 0.0], [2.5, 40.0]])
+    before = z.copy()
+    out = sigmoid(z)
+    assert np.array_equal(z, before) and out is not z
+    assert list(inspect.signature(sigmoid).parameters) == ["z"]
+
+
+def test_forward_pass_runs_once_per_predict_and_once_per_epoch(monkeypatch):
+    # the benchmark's tracer counts `Mlp._forward_acts` calls as forward passes
+    assert "_forward_acts" in Mlp.__dict__
+    calls = []
+    real = Mlp._forward_acts
+
+    def counted(self, x):
+        calls.append(len(x))
+        return real(self, x)
+    monkeypatch.setattr(Mlp, "_forward_acts", counted)
+    model = Mlp.init([2, 4, 1], _rng(0))
+    model.predict(XOR_X)
+    model.predict(XOR_X[:1])
+    model.forward(XOR_X[2])
+    assert calls == [4, 1, 1]
+    calls.clear()
+    train(model, XOR_X, XOR_Y, learning_rate=0.5, epochs=7)
+    assert calls == [4] * 7

@@ -18,6 +18,17 @@ def _rng(seed):
     return np.random.Generator(np.random.PCG64(seed))
 
 
+class _RawScorer:
+    """Stands in for the scorer: `raw` is its output for the holes in channel order."""
+
+    def __init__(self, raw):
+        self.raw = np.array(raw, dtype=float)
+
+    def predict(self, batch):
+        assert len(batch) == len(self.raw)
+        return self.raw[:, None]
+
+
 def test_session_window_slides_to_newest_n():
     # busy periods of 2, 4, 6 and 8 s; a window of 3 keeps the newest three
     times = [1.0, 3.0, 5.0, 9.0, 10.0, 16.0, 21.0, 29.0]
@@ -79,15 +90,17 @@ def test_zero_model_scores_zero():
     model.weights = [np.zeros_like(w) for w in model.weights]
     model.biases = [np.zeros_like(b) for b in model.biases]
     feats = np.zeros((1, 8))
-    assert score_holes(model, feats) == [0.0]
-    assert score_holes(model, feats) == score_holes(model, feats)
+    assert np.array_equal(score_holes(model, feats), [0.0])
+    assert np.array_equal(score_holes(model, feats), score_holes(model, feats))
 
 
 def test_negative_prediction_clamps_to_zero():
     model = Mlp.init([3, 2, 1], _rng(1), output_activation="identity")
     model.weights = [np.zeros_like(w) for w in model.weights]
     model.biases[-1] = np.array([-4.0])
-    assert score_holes(model, np.zeros((1, 3))) == [0.0]
+    assert np.array_equal(score_holes(model, np.zeros((1, 3))), [0.0])
+    raw = _RawScorer([-3.0, float("nan"), 2.5, -0.0])
+    assert np.array_equal(score_holes(raw, np.zeros((4, 1))), [0.0, 0.0, 2.5, 0.0])
 
 
 def test_scorer_learns_periodic_idle_schedule():
@@ -108,25 +121,29 @@ def test_scorer_learns_periodic_idle_schedule():
 SELECT_SCHEDULE = {0: [], 1: [0.5, 99.5], 2: [], 3: [0.5, 99.5], 4: []}
 
 
-def _select_once(monkeypatch, scores):
-    """The channel an `mlp-history` SU starting at t = 1 takes when the scorer
-    returns `scores` for the holes in channel order."""
-    def fixed_scores(model, batch):
-        assert len(batch) == len(scores)
-        return list(scores)
-    monkeypatch.setattr(spectrum, "score_holes", fixed_scores)
+def _select_once(raw):
+    """The channel an `mlp-history` SU starting at t = 1 takes when the
+    scorer's raw outputs for the holes in channel order are `raw`;
+    `score_holes` clamps them."""
     params = SpectrumParams(pu_count=5, su_count=1, policy="mlp-history", su_start_s=1.0)
-    sim = run_spectrum_replication(seed=3, params=params, sim_time_s=2.0,
-                                   pu_schedules=SELECT_SCHEDULE)
+    kernel = Kernel(seed=3, end=2.0)
+    sim = SpectrumSim(kernel, params, pu_schedules=SELECT_SCHEDULE)
+    sim.model = _RawScorer(raw)
+    sim.start()
+    kernel.run_until(2.0)
     [a] = sim.assignments
     return a.channel_index
 
 
-def test_mlp_selection_takes_best_score_then_lowest_channel(monkeypatch):
-    assert _select_once(monkeypatch, [4.0, 9.0, 1.0]) == 2
+def test_mlp_selection_takes_best_score_then_lowest_channel():
+    assert _select_once([4.0, 9.0, 1.0]) == 2
     # equal scores: the lowest channel
-    assert _select_once(monkeypatch, [5.0, 5.0, 5.0]) == 0
-    assert _select_once(monkeypatch, [1.0, 5.0, 5.0]) == 2
+    assert _select_once([5.0, 5.0, 5.0]) == 0
+    assert _select_once([1.0, 5.0, 5.0]) == 2
+    # negative and NaN outputs clamp to 0, so they tie with each other
+    assert _select_once([-1.0, -0.5, -2.0]) == 0
+    assert _select_once([float("nan"), 0.5, -1.0]) == 2
+    assert _select_once([-1.0, float("nan"), -2.0]) == 0
 
 
 def test_random_baseline_draws_within_holes():
