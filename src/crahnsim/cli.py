@@ -5,6 +5,10 @@
     crahn-sim validate --scenario S
     crahn-sim render-situation --db RECORDS.csv --out FILE
 
+`--seed` and `--replications` replace the scenario's values: they are held
+to the scenario's rules before anything is written, and each report's
+`config` records them.
+
 Exit codes: 0 ok, 1 configuration error, 2 runtime error (including a `run`
 in which any replication failed; its outputs are still written).
 """
@@ -13,7 +17,6 @@ import argparse
 import csv
 import json
 import sys
-from dataclasses import replace
 
 from .experiments import EXPERIMENTS, run_experiment
 from .scenario import ScenarioError, load_scenario
@@ -89,16 +92,12 @@ def main(argv=None) -> int:
         return 0
     if args.command == "run":
         try:
-            cfg = load_scenario(args.scenario)
-            if args.replications is not None:  # held to the scenario's own rule
-                replace(cfg, simulation=replace(cfg.simulation,
-                                                replications=args.replications)).validate()
+            reports = run_experiment(load_scenario(args.scenario), args.experiment,
+                                     seed=args.seed, replications=args.replications,
+                                     out_dir=args.out)
         except ScenarioError as exc:
             print(f"invalid scenario: {exc}", file=sys.stderr)
             return 1
-        try:
-            reports = run_experiment(cfg, args.experiment, seed=args.seed,
-                                     replications=args.replications, out_dir=args.out)
         except Exception as exc:
             print(f"run failed: {exc}", file=sys.stderr)
             return 2

@@ -59,8 +59,8 @@ class Deployment:
 
 def deploy(sensor_count: int, cluster_count: int, area: Area,
            rng: np.random.Generator) -> Deployment:
-    sensors = place_uniform(sensor_count, area, rng, role="sensor")
-    heads = place_uniform(cluster_count, area, rng, role="cluster-head", start_id=sensor_count)
+    sensors = place_uniform(sensor_count, area, rng)
+    heads = place_uniform(cluster_count, area, rng, start_id=sensor_count)
     membership = np.array([
         int(np.argmin([s.distance_to(h) for h in heads])) for s in sensors])
     return Deployment(sensors=sensors, heads=heads, membership=membership)
@@ -77,7 +77,6 @@ def deploy(sensor_count: int, cluster_count: int, area: Area,
 # reduced instant-major, in the order a sink would receive them.
 
 SAMPLES_PER_WINDOW = 5
-TRAINING_CHUNK_RECORDS = 100  # records reduced at once while building a training set
 
 
 def window_times(t: float) -> list[float]:
@@ -104,10 +103,12 @@ def sensor_magnitudes(dep: Deployment, times: list[float], events: list[Disaster
 def window_features(dep: Deployment, blocks: np.ndarray) -> np.ndarray:
     """(records x instants x sensors) readings -> (records x 3*clusters) rows of
     per-cluster (mean, max, count); a cluster without sensors stays zero."""
-    records = blocks.shape[0]
+    records, instants, _ = blocks.shape
     out = np.zeros((records, FEATURES_PER_CLUSTER * dep.cluster_count))
     for c in range(dep.cluster_count):
-        vals = blocks[:, :, dep.membership == c].reshape(records, -1)
+        members = dep.membership == c
+        # the explicit column count: reshape(0, -1) of zero records raises
+        vals = blocks[:, :, members].reshape(records, instants * np.count_nonzero(members))
         if vals.shape[1]:
             base = FEATURES_PER_CLUSTER * c
             out[:, base] = np.mean(vals, axis=1)
@@ -132,21 +133,17 @@ def make_training_set(dep: Deployment, rng: np.random.Generator, area: Area,
     quiet ones; the same draws, in the same order, as one record at a time."""
     times = window_times(POLL_PERIOD_S)
     shape = (len(times), len(dep.sensors))
-    chunks = [np.zeros((0, FEATURES_PER_CLUSTER * dep.cluster_count))]
-    for start in range(0, positives, TRAINING_CHUNK_RECORDS):
-        blocks = []
-        for _ in range(min(TRAINING_CHUNK_RECORDS, positives - start)):
-            ev = DisasterEvent(time=0.0,
-                               epicenter=(rng.uniform(0, area.width),
-                                          rng.uniform(0, area.height)),
-                               intensity=rng.uniform(0.5 * intensity, 1.25 * intensity))
-            blocks.append(sensor_magnitudes(dep, times, [ev], rng))
-        chunks.append(window_features(dep, np.array(blocks)))
-    for start in range(0, negatives, TRAINING_CHUNK_RECORDS):
-        k = min(TRAINING_CHUNK_RECORDS, negatives - start)
-        chunks.append(window_features(dep, rng.normal(0.0, NOISE_SIGMA, (k,) + shape)))
+    blocks = []
+    for _ in range(positives):
+        ev = DisasterEvent(time=0.0,
+                           epicenter=(rng.uniform(0, area.width), rng.uniform(0, area.height)),
+                           intensity=rng.uniform(0.5 * intensity, 1.25 * intensity))
+        blocks.append(sensor_magnitudes(dep, times, [ev], rng))
+    quiet = rng.normal(0.0, NOISE_SIGMA, (negatives,) + shape)
+    x = np.concatenate([window_features(dep, np.reshape(blocks, (positives,) + shape)),
+                        window_features(dep, quiet)])
     y = np.concatenate([np.ones((positives, 1)), np.zeros((negatives, 1))])
-    return np.concatenate(chunks), y
+    return x, y
 
 
 def train_detector(init_rng: np.random.Generator, split_rng: np.random.Generator,

@@ -5,7 +5,7 @@ import json
 import math
 import os
 import statistics
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from typing import Callable, Optional
 
 from . import mobility
@@ -71,6 +71,12 @@ def replication_seed(base_seed: int, replication: int) -> int:
     return stream_seed(base_seed, f"replication-{replication}")
 
 
+def _replication_seeds(config: dict) -> list[int]:
+    """The replication seeds of a config echo, in replication order."""
+    sim = config["simulation"]
+    return [replication_seed(sim["seed"], r) for r in range(sim["replications"])]
+
+
 @dataclass(frozen=True)
 class ExperimentSpec:
     """One experiment, defined once.
@@ -78,9 +84,10 @@ class ExperimentSpec:
     A grid point is a dict: the leading keys of its aggregate. Each row carries
     the point's `group_keys`, its replication and seed, and the `metrics`
     columns that `replicate(cfg, seed, point, prepared)` returns. `prepare(cfg,
-    base_seed, point)` runs once per point, before its replications and
-    outside their error guard. Each `stats` entry (row column, mean key, std
-    key or None) adds the mean and std over the point's rows to its aggregate.
+    point)` runs once per point, before its replications and outside their
+    error guard. Each `stats` entry (row column, mean key, std key or None)
+    adds the mean and std over the point's rows to its aggregate. The base
+    seed and the replication count are those of `cfg.simulation`.
     """
     name: str
     points: Callable[[dict], list[dict]]  # config echo -> grid points, in run order
@@ -91,23 +98,23 @@ class ExperimentSpec:
     notes: Callable[[ScenarioConfig, list[dict], list], dict]  # (cfg, rows, [(point, prepared)])
     figures: Callable[["MetricsReport"], list[tuple[str, str]]]  # -> [(file, SVG)]
     data_csv: str  # the aggregates written beside the figures
-    prepare: Callable = lambda cfg, base_seed, point: None
+    prepare: Callable = lambda cfg, point: None
 
     @property
     def columns(self) -> list[str]:
         return [*self.group_keys, "replication", "seed", *self.metrics]
 
-    def run(self, cfg: ScenarioConfig, base_seed: int, replications: int) -> MetricsReport:
+    def run(self, cfg: ScenarioConfig) -> MetricsReport:
         """Every point's replications in order; a failed replication becomes an
         `errors[]` entry and the others continue."""
         rows, errors, prepared = [], [], []
         config = cfg.echo()
+        seeds = _replication_seeds(config)
         for point in self.points(config):
-            ready = self.prepare(cfg, base_seed, point)
+            ready = self.prepare(cfg, point)
             prepared.append((point, ready))
             keys = {k: point[k] for k in self.group_keys}
-            for rep in range(replications):
-                seed = replication_seed(base_seed, rep)
+            for rep, seed in enumerate(seeds):
                 try:
                     metrics = self.replicate(cfg, seed, point, ready)
                     rows.append({**keys, "replication": rep, "seed": seed, **metrics})
@@ -116,8 +123,7 @@ class ExperimentSpec:
                                    "error": str(exc), "error_type": type(exc).__name__})
         return MetricsReport(
             experiment=self.name, columns=self.columns, rows=rows,
-            aggregates=self.aggregates(config, rows), config=config,
-            seeds=[replication_seed(base_seed, r) for r in range(replications)],
+            aggregates=self.aggregates(config, rows), config=config, seeds=seeds,
             notes=self.notes(cfg, rows, prepared), errors=errors)
 
     def aggregates(self, config: dict, rows: list[dict]) -> list[dict]:
@@ -159,7 +165,8 @@ class ExperimentSpec:
 
 # -- detection ----------------------------------------------------------------
 
-def train_detection_model(cfg: ScenarioConfig, base_seed: int, cluster_count: int):
+def train_detection_model(cfg: ScenarioConfig, cluster_count: int):
+    base_seed = cfg.simulation.seed
     area = Area(cfg.simulation.area_width_m, cfg.simulation.area_height_m)
     dep = deploy(cfg.detection.sensor_count, cluster_count, area,
                  named_stream(base_seed, f"deployment-{cluster_count}"))
@@ -207,8 +214,7 @@ DETECTION = ExperimentSpec(
     stats=(("false_negative_rate_pct", "mean_false_negative_rate_pct",
             "std_false_negative_rate_pct"),
            ("response_time_s", "mean_response_time_s", "std_response_time_s")),
-    prepare=lambda cfg, base_seed, point: train_detection_model(
-        cfg, base_seed, point["cluster_count"]),
+    prepare=lambda cfg, point: train_detection_model(cfg, point["cluster_count"]),
     replicate=_detection_row,
     notes=lambda cfg, rows, trained: {
         "false_negative_definition": "per injected disaster event",
@@ -284,8 +290,7 @@ def run_discovery_replication(cfg: ScenarioConfig, seed: int) -> DiscoveryRun:
     area = Area(sim.area_width_m, sim.area_height_m)
     sim_time = sim.sim_time_s
     kernel = Kernel(seed=seed, end=sim_time)
-    nodes = place_uniform(dc.node_count, area, kernel.stream("discovery-placement"),
-                          role="rescue-SU")
+    nodes = place_uniform(dc.node_count, area, kernel.stream("discovery-placement"))
     for node in nodes:
         node.radio_range_m = sim.radio_range_m
     net = Network(kernel, nodes)
@@ -392,14 +397,20 @@ _RUNNERS = {name: spec.run for name, spec in SPECS.items()}
 
 def run_experiment(cfg: ScenarioConfig, which: str, seed: int = None,
                    replications: int = None, out_dir: str = None) -> list[MetricsReport]:
+    """Run one experiment or "all" on `cfg` with `seed` and `replications`,
+    if given, in place of the scenario's; they are part of the config that
+    runs and that each report echoes. Raises ScenarioError before anything is
+    written if that config is invalid."""
     names = EXPERIMENTS if which == "all" else (which,)
     if any(n not in _RUNNERS for n in names):
         raise ValueError(f"unknown experiment {which!r}")
-    base_seed = seed if seed is not None else cfg.simulation.seed
-    reps = replications if replications is not None else cfg.simulation.replications
+    overrides = {key: value for key, value in (("seed", seed), ("replications", replications))
+                 if value is not None}
+    cfg = replace(cfg, simulation=replace(cfg.simulation, **overrides))
+    cfg.validate()
     reports = []
     for name in names:
-        report = _RUNNERS[name](cfg, base_seed, reps)
+        report = _RUNNERS[name](cfg)
         reports.append(report)
         if out_dir is not None:
             os.makedirs(out_dir, exist_ok=True)
@@ -410,12 +421,15 @@ def run_experiment(cfg: ScenarioConfig, which: str, seed: int = None,
 
 
 def load_report(path) -> MetricsReport:
-    """Load a report JSON and verify its aggregates against its own config and rows."""
+    """Load a report JSON and verify its seeds and aggregates against its own
+    config and rows."""
     with open(path, "r", encoding="utf-8") as fh:
         raw = json.load(fh)
     report = MetricsReport(**raw)
     if report.experiment not in SPECS:
         raise ValueError(f"unknown experiment {report.experiment!r}")
+    if report.seeds != _replication_seeds(report.config):
+        raise ValueError("seeds do not follow from the config's seed and replications")
     SPECS[report.experiment].check(report)
     return report
 

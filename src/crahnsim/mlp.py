@@ -28,11 +28,6 @@ def _sigmoid_in_place(z: np.ndarray) -> np.ndarray:
     return z
 
 
-def sigmoid(z) -> np.ndarray:
-    """Logistic function of a scalar or an array; `z` is left unmodified."""
-    return _sigmoid_in_place(np.array(z, dtype=float))[()]
-
-
 @dataclass
 class Mlp:
     weights: list[np.ndarray]

@@ -5,8 +5,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-STATIC_ROLES = {"sensor", "cluster-head", "sink", "detector"}
-
 DEFAULT_AREA_M = 1000.0
 DEFAULT_RADIO_RANGE_M = 250.0
 DEFAULT_V_MIN = 1.0
@@ -29,7 +27,6 @@ class NodeState:
     id: int
     x: float
     y: float
-    role: str = "rescue-SU"
     speed: float = 0.0
     waypoint: tuple[float, float] = (0.0, 0.0)
     pause_until: float = 0.0
@@ -42,23 +39,21 @@ class NodeState:
 
 
 def place_uniform(count: int, area: Area, rng: np.random.Generator,
-                  role: str = "rescue-SU", start_id: int = 0) -> list[NodeState]:
+                  start_id: int = 0) -> list[NodeState]:
     nodes = []
     for i in range(count):
         x = rng.uniform(0.0, area.width)
         y = rng.uniform(0.0, area.height)
-        nodes.append(NodeState(id=start_id + i, x=x, y=y, role=role))
+        nodes.append(NodeState(id=start_id + i, x=x, y=y))
     return nodes
 
 
 def step_waypoint(node: NodeState, now: float, dt: float, rng: np.random.Generator,
                   area: Area, v_min: float = DEFAULT_V_MIN, v_max: float = DEFAULT_V_MAX,
                   pause_max: float = DEFAULT_PAUSE_MAX_S) -> NodeState:
-    """Advance one random-waypoint step. Static nodes (speed 0, no waypoint) don't move."""
+    """Advance one random-waypoint step."""
     if dt <= 0:
         raise ValueError("dt must be positive")
-    if node.role in STATIC_ROLES and not node.has_waypoint:
-        return node
     remaining = dt
     t = now
     while remaining > 1e-12:

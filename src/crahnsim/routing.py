@@ -447,9 +447,3 @@ class AodvNode:
         if nh is None:
             return  # no route at relay; dropped (no RERR machinery)
         self.net.send(self.id, nh, msg)
-
-
-def build_aodv_network(kernel: Kernel, nodes: list[NodeState], **kwargs) -> tuple[Network, dict[int, AodvNode]]:
-    net = Network(kernel, nodes, **kwargs)
-    protos = {n.id: AodvNode(n.id, net) for n in nodes}
-    return net, protos

@@ -197,9 +197,9 @@ class SpectrumSim:
         self.p = params
         self.area = area or Area()
         place_rng = kernel.stream("spectrum-placement")
-        self.pus = place_uniform(params.pu_count, self.area, place_rng, role="primary-user")
+        self.pus = place_uniform(params.pu_count, self.area, place_rng)
         self.sus = place_uniform(params.su_count, self.area, place_rng,
-                                 role="rescue-SU", start_id=params.pu_count)
+                                 start_id=params.pu_count)
         scale_rng = kernel.stream("pu-params")
         self.scales = {pu.id: scale_rng.uniform(*params.scale_range) for pu in self.pus}
         self.activity_rng = kernel.stream("pu-activity")
@@ -429,12 +429,3 @@ class SpectrumSim:
 
     def metric(self) -> dict:
         return switching_time_metric(self.assignments, self.k.end)
-
-
-def run_spectrum_replication(seed: int, params: SpectrumParams, sim_time_s: float,
-                             pu_schedules: Optional[dict[int, list[float]]] = None) -> SpectrumSim:
-    kernel = Kernel(seed=seed, end=sim_time_s)
-    sim = SpectrumSim(kernel, params, pu_schedules=pu_schedules)
-    sim.start()
-    kernel.run_until(sim_time_s)
-    return sim

@@ -20,11 +20,11 @@ from crahnsim.kernel import Kernel
 from crahnsim.mlp import Mlp, train
 from crahnsim.mobility import (Area, NodeState, connectivity_components,
                                neighbor_graph, place_uniform)
-from crahnsim.routing import build_aodv_network
+from crahnsim.routing import AodvNode, Network
 from crahnsim.scenario import ScenarioConfig
 from crahnsim.situation import (SituationDb, SituationRecord, decode_situation,
                                 encode_situation, export_situation_table)
-from crahnsim.spectrum import SpectrumParams, run_spectrum_replication
+from crahnsim.spectrum import SpectrumParams, SpectrumSim
 from test_mlp import finite_difference_check
 
 
@@ -215,7 +215,8 @@ def test_criterion_7_protocol_oracles():
         rng = _rng(seed)
         k = Kernel(seed=seed, end=60.0)
         nodes = place_uniform(20, Area(700.0, 700.0), rng)
-        net, protos = build_aodv_network(k, nodes)
+        net = Network(k, nodes)
+        protos = {n.id: AodvNode(n.id, net) for n in nodes}
         dist = _bfs_dist(net.adjacency, 0)
         targets = [v for v in sorted(dist) if v != 0]
         for i, dst in enumerate(targets):
@@ -244,9 +245,11 @@ def test_criterion_7_protocol_oracles():
     # spectrum evictions match the deterministic schedule oracle
     params = SpectrumParams(pu_count=3, su_count=2, policy="random-baseline",
                             su_start_s=1.0)
-    sim = run_spectrum_replication(seed=4, params=params, sim_time_s=300.0,
-                                   pu_schedules={k: list(v)
-                                                 for k, v in EVICTION_SCHEDULE.items()})
+    kernel = Kernel(seed=4, end=300.0)
+    sim = SpectrumSim(kernel, params, pu_schedules={k: list(v)
+                                                    for k, v in EVICTION_SCHEDULE.items()})
+    sim.start()
+    kernel.run_until(300.0)
     assert sim.assignments
     busy = {pu: _busy_intervals(seq) for pu, seq in EVICTION_SCHEDULE.items()}
     for a in sim.assignments:

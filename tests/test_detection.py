@@ -19,8 +19,8 @@ def _rng(seed):
 
 
 def _deployment(membership, cluster_count):
-    sensors = [NodeState(id=i, x=0.0, y=0.0, role="sensor") for i in range(len(membership))]
-    heads = [NodeState(id=len(membership) + c, x=0.0, y=0.0, role="cluster-head")
+    sensors = [NodeState(id=i, x=0.0, y=0.0) for i in range(len(membership))]
+    heads = [NodeState(id=len(membership) + c, x=0.0, y=0.0)
              for c in range(cluster_count)]
     return Deployment(sensors=sensors, heads=heads, membership=np.array(membership))
 

@@ -112,6 +112,39 @@ def test_load_report_rejects_corrupted_aggregates(small_reports, tmp_path, name,
         load_report(path)
 
 
+@pytest.mark.parametrize("edit", [
+    lambda raw: raw["seeds"].pop(),
+    lambda raw: raw["config"]["simulation"].update(seed=8),
+    lambda raw: raw["config"]["simulation"].update(replications=3),
+], ids=["drop-seed", "config-seed", "config-replications"])
+def test_load_report_rejects_seeds_that_do_not_follow_from_its_config(small_reports,
+                                                                       tmp_path, edit):
+    raw = json.loads((small_reports / "discovery_report.json").read_text())
+    edit(raw)
+    path = tmp_path / "report.json"
+    path.write_text(json.dumps(raw))
+    with pytest.raises(ValueError, match="seeds"):
+        load_report(path)
+
+
+def test_overrides_write_what_the_same_scenario_file_writes(tmp_path):
+    base = SMALL_SCENARIO.replace("replications = 2\nseed = 7", "replications = 3\nseed = 1")
+    same = SMALL_SCENARIO.replace("seed = 7", "seed = 5")
+    for name, text in (("base", base), ("same", same)):
+        (tmp_path / f"{name}.ini").write_text(text)
+    run_experiment(load_scenario(tmp_path / "base.ini"), "discovery", seed=5, replications=2,
+                   out_dir=str(tmp_path / "overridden"))
+    run_experiment(load_scenario(tmp_path / "same.ini"), "discovery",
+                   out_dir=str(tmp_path / "from-file"))
+    names = sorted(os.listdir(tmp_path / "overridden"))
+    assert names == sorted(os.listdir(tmp_path / "from-file"))
+    for name in names:
+        assert ((tmp_path / "overridden" / name).read_bytes()
+                == (tmp_path / "from-file" / name).read_bytes()), name
+    report = load_report(tmp_path / "overridden" / "discovery_report.json")
+    assert (report.config["simulation"]["seed"], len(report.seeds)) == (5, 2)
+
+
 def test_plot_data_matches_report_aggregates(small_cfg, tmp_path):
     cfg = load_scenario(small_cfg)
     (report,) = run_experiment(cfg, "detection", out_dir=str(tmp_path))
@@ -212,7 +245,7 @@ def test_every_runner_records_the_error_type(small_cfg, tmp_path, monkeypatch, e
     monkeypatch.setattr(experiments, target, fail)
     # the detector is trained outside the per-replication guard; skip the training
     monkeypatch.setattr(experiments, "train_detection_model",
-                        lambda cfg, seed, c: (None, None, {}, None))
+                        lambda cfg, c: (None, None, {}, None))
     cfg = load_scenario(small_cfg)
     (report,) = run_experiment(cfg, experiment, replications=1, out_dir=str(tmp_path))
     assert report.errors and not report.rows

@@ -20,14 +20,14 @@ from typing import Callable, NamedTuple, Optional
 import numpy as np
 import pytest
 
-from crahnsim import experiments, mobility, routing, spectrum
+from crahnsim import experiments, mobility, spectrum
 from crahnsim.detection import (POLL_PERIOD_S, Deployment, DisasterEvent, NOISE_SIGMA,
                                 SIGNAL_DECAY_M, context_record, deploy, make_training_set,
                                 sensor_magnitudes, window_times)
 from crahnsim.discovery import (AdvertMsg, DiscoveryNode, ServiceCacheEntry,
                                 ServiceDescriptor, SreqMsg, SrepMsg)
 from crahnsim.kernel import Kernel, PastTimeError
-from crahnsim.mlp import Mlp, gradients, sigmoid, train
+from crahnsim.mlp import Mlp, _sigmoid_in_place, gradients, train
 from crahnsim.mobility import (Area, NodeState, connectivity_components, friis_received_power,
                                neighbor_graph, place_uniform, step_nodes, step_waypoint)
 from crahnsim.routing import DELAY_BLOCK, AodvNode, DataMsg, Network, Rrep, Rreq
@@ -88,9 +88,9 @@ def _same_bits(a, b):
 
 def _deployment_with_membership(membership, area, rng):
     sensors = [NodeState(id=i, x=float(rng.uniform(0, area.width)),
-                         y=float(rng.uniform(0, area.height)), role="sensor")
+                         y=float(rng.uniform(0, area.height)))
                for i in range(len(membership))]
-    heads = [NodeState(id=len(membership) + c, x=0.0, y=0.0, role="cluster-head")
+    heads = [NodeState(id=len(membership) + c, x=0.0, y=0.0)
              for c in range(max(membership) + 2)]
     return Deployment(sensors=sensors, heads=heads, membership=np.array(membership))
 
@@ -554,8 +554,7 @@ def test_refreshed_rows_match_edge_loop_every_tick(seed):
     area = Area(500.0, 500.0)
     nodes = _scattered_nodes(rng, 40, side=500.0)
     assert [n.id for n in nodes] != sorted(n.id for n in nodes)
-    for node in nodes[::7]:
-        node.role = "sensor"
+    static = {node.id for node in nodes[::7]}
     net = Network(Kernel(seed=seed), nodes)
     assert net.adjacency == {v: tuple(sorted(row)) for v, row in ref_neighbor_graph(nodes).items()}
     kept = replaced = kept_after_moves = 0
@@ -563,7 +562,8 @@ def test_refreshed_rows_match_edge_loop_every_tick(seed):
         before, expected_before = net.adjacency, dict(net.adjacency)
         if tick % 5:
             for node in nodes:
-                step_waypoint(node, float(tick), 1.0, rng, area)
+                if node.id not in static:
+                    step_waypoint(node, float(tick), 1.0, rng, area)
         if tick == 260:
             nodes[1].radio_range_m = 20.0
         net.refresh_beacons()
@@ -592,7 +592,7 @@ def _tick_cases(rng, area, now, dt):
     """Nodes in the states a tick meets: on a leg short of, reaching or
     exactly reaching the waypoint; paused past the tick, until inside it,
     until 1e-13 before its end, until exactly now; with no waypoint, with
-    speed 0, at the area's corners, static; and random ones."""
+    speed 0, at the area's corners; and random ones."""
     w, h = area.width, area.height
     nodes = []
 
@@ -615,7 +615,6 @@ def _tick_cases(rng, area, now, dt):
         add(x, y, speed=5.0, waypoint=(w - x, h - y), has_waypoint=True)
         add(x, y, speed=1.0, waypoint=(x, y), has_waypoint=True)
         add(x, y)
-    add(30.0, 30.0, role="sensor")
     for _ in range(24):
         add(float(rng.uniform(0, w)), float(rng.uniform(0, h)),
             speed=float(rng.choice([0.0, 1.0, 4.9])),
@@ -1217,7 +1216,8 @@ def _aodv_flood(seed, loss_rate):
     def build(trace):
         k = Kernel(seed=seed, end=8.0, trace=trace)
         nodes = place_uniform(25, Area(700.0, 700.0), _rng(seed))
-        net, protos = routing.build_aodv_network(k, nodes, loss_rate=loss_rate)
+        net = Network(k, nodes, loss_rate=loss_rate)
+        protos = {n.id: AodvNode(n.id, net) for n in nodes}
         rng = _rng(seed + 100)
         for i in range(12):  # overlapping floods from several origins
             src, dst = (int(v) for v in rng.choice(len(nodes), size=2, replace=False))
@@ -1346,9 +1346,9 @@ class RefSpectrumSim:
         self.p = params
         self.area = Area()
         place_rng = kernel.stream("spectrum-placement")
-        self.pus = place_uniform(params.pu_count, self.area, place_rng, role="primary-user")
+        self.pus = place_uniform(params.pu_count, self.area, place_rng)
         self.sus = place_uniform(params.su_count, self.area, place_rng,
-                                 role="rescue-SU", start_id=params.pu_count)
+                                 start_id=params.pu_count)
         self.channels = [RefChannel(i, self.pus[i].id) for i in range(params.pu_count)]
         self.logs = {pu.id: RefUsageLog(i, params.n_window) for i, pu in enumerate(self.pus)}
         scale_rng = kernel.stream("pu-params")
@@ -1743,4 +1743,4 @@ def test_mlp_passes_match_allocating_reference(net, activation, standardize):
 
 def test_sigmoid_matches_allocating_reference():
     z = np.concatenate([np.linspace(-800.0, 800.0, 97), [0.0, -0.0, 1e-300]])
-    assert np.array_equal(sigmoid(z), ref_sigmoid(z))
+    assert np.array_equal(_sigmoid_in_place(z.copy()), ref_sigmoid(z))

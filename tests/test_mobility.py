@@ -14,14 +14,6 @@ def _rng(seed):
     return np.random.Generator(np.random.PCG64(seed))
 
 
-def test_static_roles_do_not_move():
-    area = Area()
-    for role in ("sensor", "cluster-head", "sink", "detector"):
-        node = NodeState(id=0, x=100.0, y=200.0, role=role)
-        step_waypoint(node, 0.0, 50.0, _rng(1), area)
-        assert (node.x, node.y) == (100.0, 200.0)
-
-
 def test_exact_arrival_on_hand_geometry():
     # (0,0) -> (3,4) is 5 m; at 5 m/s one second lands exactly on the waypoint
     node = NodeState(id=0, x=0.0, y=0.0, speed=5.0, waypoint=(3.0, 4.0),

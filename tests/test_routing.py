@@ -5,13 +5,18 @@ import pytest
 
 from crahnsim.kernel import Kernel
 from crahnsim.mobility import Area, NodeState, place_uniform
-from crahnsim.routing import (AodvNode, DataMsg, Network, Rrep, build_aodv_network)
+from crahnsim.routing import AodvNode, DataMsg, Network, Rrep
+
+
+def _aodv_network(kernel, nodes, **net_kwargs):
+    net = Network(kernel, nodes, **net_kwargs)
+    return net, {n.id: AodvNode(n.id, net) for n in nodes}
 
 
 def _chain(kernel, count, spacing=100.0, **net_kwargs):
     nodes = [NodeState(id=i, x=i * spacing, y=0.0, radio_range_m=150.0)
              for i in range(count)]
-    return build_aodv_network(kernel, nodes, **net_kwargs)
+    return _aodv_network(kernel, nodes, **net_kwargs)
 
 
 def _bfs_dist(graph, src):
@@ -76,7 +81,7 @@ def test_grid_corner_to_corner_equals_bfs():
     k = Kernel(seed=4, end=20.0)
     nodes = [NodeState(id=5 * r + c, x=100.0 * c, y=100.0 * r, radio_range_m=120.0)
              for r in range(5) for c in range(5)]
-    net, protos = build_aodv_network(k, nodes)
+    net, protos = _aodv_network(k, nodes)
     protos[0].send_data(24, "z")
     k.run_until(20.0)
     dist = _bfs_dist(net.adjacency, 0)
@@ -90,7 +95,7 @@ def test_random_static_topologies_install_bfs_optimal_routes():
         rng = np.random.Generator(np.random.PCG64(seed))
         k = Kernel(seed=seed, end=60.0)
         nodes = place_uniform(25, Area(800.0, 800.0), rng)
-        net, protos = build_aodv_network(k, nodes)
+        net, protos = _aodv_network(k, nodes)
         dist = _bfs_dist(net.adjacency, 0)
         targets = [v for v in sorted(dist) if v != 0]
         for i, dst in enumerate(targets):
@@ -104,7 +109,7 @@ def test_loop_freedom_following_next_hops():
     rng = np.random.Generator(np.random.PCG64(31))
     k = Kernel(seed=31, end=30.0)
     nodes = place_uniform(20, Area(600.0, 600.0), rng)
-    net, protos = build_aodv_network(k, nodes)
+    net, protos = _aodv_network(k, nodes)
     dist = _bfs_dist(net.adjacency, 0)
     for dst in sorted(dist):
         if dst != 0:
@@ -199,7 +204,7 @@ def test_flood_forward_total_is_bounded():
     rng = np.random.Generator(np.random.PCG64(44))
     k = Kernel(seed=44, end=30.0)
     nodes = place_uniform(30, Area(700.0, 700.0), rng)
-    net, protos = build_aodv_network(k, nodes)
+    net, protos = _aodv_network(k, nodes)
     protos[0].originate_rreq(29)
     k.run_until(30.0)
     total = sum(count for proto in protos.values()

@@ -9,13 +9,21 @@ from crahnsim.kernel import Kernel
 from crahnsim.mlp import Mlp, train
 from crahnsim.scenario import ScenarioConfig
 from crahnsim.spectrum import (SpectrumParams, SpectrumSim, SuAssignment,
-                               extract_features, run_spectrum_replication,
-                               schedule_toggle_times, score_holes,
+                               extract_features, schedule_toggle_times, score_holes,
                                spectrum_holes, switching_time_metric)
 
 
 def _rng(seed):
     return np.random.Generator(np.random.PCG64(seed))
+
+
+def _run_cell(seed, params, sim_time_s, pu_schedules=None):
+    """One spectrum cell on the default area, run to `sim_time_s`."""
+    kernel = Kernel(seed=seed, end=sim_time_s)
+    sim = SpectrumSim(kernel, params, pu_schedules=pu_schedules)
+    sim.start()
+    kernel.run_until(sim_time_s)
+    return sim
 
 
 class _RawScorer:
@@ -151,8 +159,8 @@ def test_random_baseline_draws_within_holes():
     for seed in range(40):
         params = SpectrumParams(pu_count=5, su_count=1, policy="random-baseline",
                                 su_start_s=1.0)
-        sim = run_spectrum_replication(seed=seed, params=params, sim_time_s=2.0,
-                                       pu_schedules=SELECT_SCHEDULE)
+        sim = _run_cell(seed=seed, params=params, sim_time_s=2.0,
+                        pu_schedules=SELECT_SCHEDULE)
         picks.add(sim.assignments[0].channel_index)
     assert picks == {0, 2, 4}
 
@@ -168,7 +176,7 @@ def test_random_baseline_builds_no_scorer_input(monkeypatch):
     monkeypatch.setattr(spectrum, "extract_features", no_features)
     params = SpectrumParams(pu_count=6, su_count=3, policy="random-baseline",
                             su_start_s=50.0, refit_interval=2)
-    sim = run_spectrum_replication(seed=9, params=params, sim_time_s=400.0)
+    sim = _run_cell(seed=9, params=params, sim_time_s=400.0)
     assert sim.assignments and any(a.evicted_at is not None for a in sim.assignments)
     assert all(a.selection_features is None for a in sim.assignments)
     assert sim.buffer_x == [] and sim.buffer_y == [] and not sim.model_trained
@@ -214,8 +222,8 @@ def _busy_intervals(seq):
 def test_evictions_match_schedule_oracle():
     params = SpectrumParams(pu_count=3, su_count=2, policy="random-baseline",
                             su_start_s=1.0)
-    sim = run_spectrum_replication(seed=4, params=params, sim_time_s=300.0,
-                                   pu_schedules={k: list(v) for k, v in SCHEDULE.items()})
+    sim = _run_cell(seed=4, params=params, sim_time_s=300.0,
+                    pu_schedules={k: list(v) for k, v in SCHEDULE.items()})
     assert sim.assignments, "expected at least one assignment"
     busy = {pu: _busy_intervals(seq) for pu, seq in SCHEDULE.items()}
     for a in sim.assignments:
@@ -230,7 +238,7 @@ def test_evictions_match_schedule_oracle():
 def test_simulation_window_discipline_and_alternation():
     params = SpectrumParams(pu_count=6, su_count=3, n_window=4,
                             policy="mlp-history", su_start_s=50.0)
-    sim = run_spectrum_replication(seed=9, params=params, sim_time_s=400.0)
+    sim = _run_cell(seed=9, params=params, sim_time_s=400.0)
     for times in sim.timelines.values():
         # toggles alternate idle -> busy -> idle at strictly increasing times
         assert all(b > a for a, b in zip(times, times[1:]))
@@ -248,7 +256,7 @@ def test_policy_runs_are_seed_deterministic():
     params = SpectrumParams(pu_count=8, su_count=3)
 
     def metric(seed):
-        return run_spectrum_replication(seed, params, sim_time_s=300.0).metric()
+        return _run_cell(seed, params, sim_time_s=300.0).metric()
 
     a, b = metric(12), metric(12)
     assert a["samples"] == b["samples"]
@@ -260,8 +268,7 @@ def test_mlp_policy_never_selects_busy_channel():
     rng = _rng(6)
     # alternating exponential periods, like the drawn activity, as a schedule
     schedule = {pu: list(rng.exponential(rng.uniform(0.2, 2.6), 600)) for pu in range(10)}
-    sim = run_spectrum_replication(seed=6, params=params, sim_time_s=300.0,
-                                   pu_schedules=schedule)
+    sim = _run_cell(seed=6, params=params, sim_time_s=300.0, pu_schedules=schedule)
     busy = {pu: _busy_intervals(seq) for pu, seq in schedule.items()}
     assert sim.model_trained and len(sim.assignments) > 100
     for a in sim.assignments:
