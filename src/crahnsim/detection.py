@@ -8,12 +8,13 @@ quiet background is noise only.
 """
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from .kernel import Kernel
+from .kernel import Kernel, draw_uniform
 from .mlp import Mlp, train
 from .mobility import Area, NodeState, place_uniform
 
@@ -73,8 +74,9 @@ def deploy(sensor_count: int, cluster_count: int, area: Area,
 # per-cluster (mean, max, count) rows. Both keep the scalar arithmetic of a
 # per-reading loop: noise comes from one batched draw (the same values as
 # sequential draws), each event's gain uses scalar math.hypot/math.exp (their
-# numpy counterparts differ in the last bit), and a cluster's readings are
-# reduced instant-major, in the order a sink would receive them.
+# numpy counterparts differ in the last bit) and is added to the slice of
+# instants where the event is active, and a cluster's readings are reduced
+# instant-major, in the order a sink would receive them.
 
 SAMPLES_PER_WINDOW = 5
 
@@ -87,16 +89,21 @@ def window_times(t: float) -> list[float]:
 
 def sensor_magnitudes(dep: Deployment, times: list[float], events: list[DisasterEvent],
                       noise_rng: np.random.Generator) -> np.ndarray:
-    """(len(times) x sensors) readings: noise plus the gain of every event
-    active at each instant, added in event order."""
+    """(len(times) x sensors) readings at the ascending instants `times`:
+    noise plus the gain of every event active at each instant, added in event
+    order. An event is active on [time, time + duration), which holds one run
+    of consecutive instants."""
     mags = noise_rng.normal(0.0, NOISE_SIGMA, (len(times), len(dep.sensors)))
+    coords = [(s.x, s.y) for s in dep.sensors]
+    exp, hypot = math.exp, math.hypot
     for ev in events:
-        rows = [j for j, ts in enumerate(times) if ev.time <= ts < ev.time + ev.duration_s]
-        if rows:
+        first = bisect_left(times, ev.time)
+        end = bisect_left(times, ev.time + ev.duration_s)
+        if first < end:
             ex, ey = ev.epicenter
-            mags[rows] += [ev.intensity * math.exp(-math.hypot(s.x - ex, s.y - ey)
-                                                   / SIGNAL_DECAY_M)
-                           for s in dep.sensors]
+            intensity = ev.intensity
+            mags[first:end] += [intensity * exp(-hypot(x - ex, y - ey) / SIGNAL_DECAY_M)
+                                for x, y in coords]
     return mags
 
 
@@ -111,8 +118,10 @@ def window_features(dep: Deployment, blocks: np.ndarray) -> np.ndarray:
         vals = blocks[:, :, members].reshape(records, instants * np.count_nonzero(members))
         if vals.shape[1]:
             base = FEATURES_PER_CLUSTER * c
-            out[:, base] = np.mean(vals, axis=1)
-            out[:, base + 1] = np.max(vals, axis=1)
+            # the sum and division of np.mean and the reduce of np.max,
+            # without their dispatch
+            out[:, base] = np.add.reduce(vals, axis=1) / vals.shape[1]
+            out[:, base + 1] = np.maximum.reduce(vals, axis=1)
             out[:, base + 2] = vals.shape[1]
     return out
 
@@ -136,8 +145,9 @@ def make_training_set(dep: Deployment, rng: np.random.Generator, area: Area,
     blocks = []
     for _ in range(positives):
         ev = DisasterEvent(time=0.0,
-                           epicenter=(rng.uniform(0, area.width), rng.uniform(0, area.height)),
-                           intensity=rng.uniform(0.5 * intensity, 1.25 * intensity))
+                           epicenter=(draw_uniform(rng, 0, area.width),
+                                      draw_uniform(rng, 0, area.height)),
+                           intensity=draw_uniform(rng, 0.5 * intensity, 1.25 * intensity))
         blocks.append(sensor_magnitudes(dep, times, [ev], rng))
     quiet = rng.normal(0.0, NOISE_SIGMA, (negatives,) + shape)
     x = np.concatenate([window_features(dep, np.reshape(blocks, (positives,) + shape)),
@@ -172,8 +182,8 @@ def synthesize_trace(rng: np.random.Generator, area: Area, count: int,
     for i in range(1, len(times)):
         times[i] = max(times[i], times[i - 1] + MIN_EVENT_GAP_S)
     return [DisasterEvent(time=float(t),
-                          epicenter=(float(rng.uniform(0, area.width)),
-                                     float(rng.uniform(0, area.height))),
+                          epicenter=(draw_uniform(rng, 0, area.width),
+                                     draw_uniform(rng, 0, area.height)),
                           intensity=float(intensity))
             for t in times if t <= hi]
 

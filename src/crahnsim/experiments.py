@@ -12,11 +12,11 @@ from . import mobility
 from .detection import (deploy, make_training_set,
                         run_detection_replication, synthesize_trace, train_detector)
 from .discovery import DiscoveryNode
-from .kernel import Kernel, named_stream, stream_seed
+from .kernel import Kernel, draw_uniform, named_stream, stream_seed
 # step_waypoint is not called here; it stays importable for tools that patch it per module
 from .mobility import Area, place_uniform, step_waypoint  # noqa: F401
 from .routing import Network
-from .scenario import ScenarioConfig
+from .scenario import ScenarioConfig, ScenarioError
 from .spectrum import SpectrumParams, SpectrumSim
 from .svgplot import line_chart
 
@@ -340,7 +340,7 @@ def run_discovery_replication(cfg: ScenarioConfig, seed: int) -> DiscoveryRun:
     query_rng = kernel.stream("queries")
     services = sorted(providers)
     for q in range(dc.query_count):
-        at = float(query_rng.uniform(0.15 * sim_time, 0.9 * sim_time))
+        at = draw_uniform(query_rng, 0.15 * sim_time, 0.9 * sim_time)
         requester = int(query_rng.choice([node.id for node in nodes]))
         service = services[int(query_rng.integers(0, len(services)))]
         kernel.schedule(at, issue, args=(requester, service), kind="query")
@@ -400,7 +400,8 @@ def run_experiment(cfg: ScenarioConfig, which: str, seed: int = None,
     """Run one experiment or "all" on `cfg` with `seed` and `replications`,
     if given, in place of the scenario's; they are part of the config that
     runs and that each report echoes. Raises ScenarioError before anything is
-    written if that config is invalid."""
+    written if that config is invalid, or if the spectrum experiment is to run
+    and its SUs would start at or after the end of the simulation."""
     names = EXPERIMENTS if which == "all" else (which,)
     if any(n not in _RUNNERS for n in names):
         raise ValueError(f"unknown experiment {which!r}")
@@ -408,6 +409,11 @@ def run_experiment(cfg: ScenarioConfig, which: str, seed: int = None,
                  if value is not None}
     cfg = replace(cfg, simulation=replace(cfg.simulation, **overrides))
     cfg.validate()
+    if "spectrum" in names and not cfg.spectrum.su_start_s < cfg.simulation.sim_time_s:
+        # no SU would ever hold a channel: no assignment, a NaN switching time
+        raise ScenarioError(f"su_start_s: the spectrum experiment needs su_start_s < "
+                            f"sim_time_s, got {cfg.spectrum.su_start_s} >= "
+                            f"{cfg.simulation.sim_time_s}")
     reports = []
     for name in names:
         report = _RUNNERS[name](cfg)
@@ -422,12 +428,19 @@ def run_experiment(cfg: ScenarioConfig, which: str, seed: int = None,
 
 def load_report(path) -> MetricsReport:
     """Load a report JSON and verify its seeds and aggregates against its own
-    config and rows."""
+    config and rows; its config must hold every section and key of a
+    scenario."""
     with open(path, "r", encoding="utf-8") as fh:
         raw = json.load(fh)
     report = MetricsReport(**raw)
     if report.experiment not in SPECS:
         raise ValueError(f"unknown experiment {report.experiment!r}")
+    for section, keys in ScenarioConfig().echo().items():
+        if not isinstance(report.config.get(section), dict):
+            raise ValueError(f"config lacks section {section}")
+        missing = sorted(keys.keys() - report.config[section].keys())
+        if missing:
+            raise ValueError(f"config.{section} lacks {', '.join(missing)}")
     if report.seeds != _replication_seeds(report.config):
         raise ValueError("seeds do not follow from the config's seed and replications")
     SPECS[report.experiment].check(report)

@@ -90,13 +90,13 @@ class Mlp:
         x = np.asarray(features, dtype=float)
         if x.ndim != 1:
             raise ValueError(f"expected one feature vector, got shape {x.shape}")
-        if not np.all(np.isfinite(x)):
+        if not np.isfinite(x).all():
             raise ValueError("non-finite feature value")
         return self.predict(x[None, :])[0]
 
     def classify_binary(self, features) -> bool:
         """Whether the single sigmoid output for one feature vector exceeds 0.5."""
-        if self.layer_sizes[-1] != 1 or self.output_activation != "sigmoid":
+        if self.weights[-1].shape[1] != 1 or self.output_activation != "sigmoid":
             raise ValueError("binary classification needs a single sigmoid output")
         return bool(self.forward(features)[0] > 0.5)
 

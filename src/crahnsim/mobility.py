@@ -5,6 +5,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .kernel import draw_uniform
+
 DEFAULT_AREA_M = 1000.0
 DEFAULT_RADIO_RANGE_M = 250.0
 DEFAULT_V_MIN = 1.0
@@ -42,8 +44,8 @@ def place_uniform(count: int, area: Area, rng: np.random.Generator,
                   start_id: int = 0) -> list[NodeState]:
     nodes = []
     for i in range(count):
-        x = rng.uniform(0.0, area.width)
-        y = rng.uniform(0.0, area.height)
+        x = draw_uniform(rng, 0.0, area.width)
+        y = draw_uniform(rng, 0.0, area.height)
         nodes.append(NodeState(id=start_id + i, x=x, y=y))
     return nodes
 
@@ -64,13 +66,15 @@ def step_waypoint(node: NodeState, now: float, dt: float, rng: np.random.Generat
             if remaining <= 1e-12:
                 break
             # pause over: draw the next leg
-            node.waypoint = (rng.uniform(0.0, area.width), rng.uniform(0.0, area.height))
-            node.speed = rng.uniform(v_min, v_max)
+            node.waypoint = (draw_uniform(rng, 0.0, area.width),
+                             draw_uniform(rng, 0.0, area.height))
+            node.speed = draw_uniform(rng, v_min, v_max)
             node.has_waypoint = True
             continue
         if not node.has_waypoint:
-            node.waypoint = (rng.uniform(0.0, area.width), rng.uniform(0.0, area.height))
-            node.speed = rng.uniform(v_min, v_max)
+            node.waypoint = (draw_uniform(rng, 0.0, area.width),
+                             draw_uniform(rng, 0.0, area.height))
+            node.speed = draw_uniform(rng, v_min, v_max)
             node.has_waypoint = True
         if node.speed <= 0:
             break
@@ -83,7 +87,7 @@ def step_waypoint(node: NodeState, now: float, dt: float, rng: np.random.Generat
             used = dist / node.speed
             t += used
             remaining -= used
-            node.pause_until = t + rng.uniform(0.0, pause_max)
+            node.pause_until = t + draw_uniform(rng, 0.0, pause_max)
             node.has_waypoint = False
         else:
             frac = travel / dist

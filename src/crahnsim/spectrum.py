@@ -26,7 +26,7 @@ from typing import Optional
 
 import numpy as np
 
-from .kernel import Kernel, block_draws
+from .kernel import Kernel, block_draws, bounded_draws, draw_uniform
 from .mlp import Mlp, train
 # step_waypoint is not called here; it stays importable for tools that patch it per module
 from .mobility import (DEFAULT_PAUSE_MAX_S, DEFAULT_V_MAX, DEFAULT_V_MIN,  # noqa: F401
@@ -40,6 +40,7 @@ DEFAULT_SCALE_MAX = 2.6
 DEFAULT_SU_START_S = 100.0  # passive warm-up before SUs transmit
 EPSILON_DBM_DISTANCE = 1.0  # clamp for co-located nodes when deriving dBm
 EXPONENTIAL_BLOCK = 1024  # activity draws taken from the stream at once
+HOLE_CHOICE_BLOCK = 256  # 32-bit words taken from the `hole-choice` stream at once
 MOBILE_STEP_S = 5.0  # mobility tick
 WAVELENGTH_M = 0.125  # carrier wavelength for the PU signal at the SU
 # scorer: hidden units, sample buffer, epochs of the first fit and of each refit
@@ -201,9 +202,10 @@ class SpectrumSim:
         self.sus = place_uniform(params.su_count, self.area, place_rng,
                                  start_id=params.pu_count)
         scale_rng = kernel.stream("pu-params")
-        self.scales = {pu.id: scale_rng.uniform(*params.scale_range) for pu in self.pus}
+        self.scales = {pu.id: draw_uniform(scale_rng, *params.scale_range) for pu in self.pus}
         self.activity_rng = kernel.stream("pu-activity")
-        self.choice_rng = kernel.stream("hole-choice")
+        # `rng.integers(0, n)` values; `_select_for` is the stream's only reader
+        self._choose = bounded_draws(kernel.stream("hole-choice"), HOLE_CHOICE_BLOCK)
         self.model = Mlp.init([params.n_window + 3, HIDDEN_UNITS, 1],
                               kernel.stream("scorer-init"), output_activation="identity")
         self.model_trained = False
@@ -400,7 +402,7 @@ class SpectrumSim:
             i = int(score_holes(self.model, batch).argmax())
             features = batch[i]
         else:
-            i = int(self.choice_rng.integers(0, len(holes)))
+            i = self._choose(len(holes))
             features = None
         chosen = holes[i]
         a = SuAssignment(su_id=su_id, channel_index=chosen, assigned_at=now,

@@ -127,6 +127,29 @@ def test_load_report_rejects_seeds_that_do_not_follow_from_its_config(small_repo
         load_report(path)
 
 
+@pytest.mark.parametrize("section", ["simulation", "detection", "spectrum", "discovery"])
+def test_load_report_names_a_missing_config_section(small_reports, tmp_path, section):
+    raw = json.loads((small_reports / "discovery_report.json").read_text())
+    del raw["config"][section]
+    path = tmp_path / "report.json"
+    path.write_text(json.dumps(raw))
+    with pytest.raises(ValueError, match=f"^config lacks section {section}$"):
+        load_report(path)
+
+
+@pytest.mark.parametrize("section,keys", [("simulation", ["seed"]),
+                                          ("discovery", ["node_count", "query_count"]),
+                                          ("detection", ["intensity"])])
+def test_load_report_names_missing_config_keys(small_reports, tmp_path, section, keys):
+    raw = json.loads((small_reports / "discovery_report.json").read_text())
+    for key in keys:
+        del raw["config"][section][key]
+    path = tmp_path / "report.json"
+    path.write_text(json.dumps(raw))
+    with pytest.raises(ValueError, match=f"^config.{section} lacks {', '.join(keys)}$"):
+        load_report(path)
+
+
 def test_overrides_write_what_the_same_scenario_file_writes(tmp_path):
     base = SMALL_SCENARIO.replace("replications = 2\nseed = 7", "replications = 3\nseed = 1")
     same = SMALL_SCENARIO.replace("seed = 7", "seed = 5")
@@ -204,6 +227,32 @@ def test_cli_run_rejects_replications_below_one_before_writing(small_cfg, tmp_pa
     assert capsys.readouterr().err == (
         f"invalid scenario: replications: must be >= 1, got {replications}\n")
     assert not out.exists()
+
+
+@pytest.mark.parametrize("sim_time_s", [60, 100])
+@pytest.mark.parametrize("experiment", ["spectrum", "all"])
+def test_cli_run_rejects_spectrum_sus_that_never_start_before_writing(tmp_path, capsys,
+                                                                       experiment, sim_time_s):
+    # su_start_s is 100 s: the SUs would never hold a channel
+    scenario = tmp_path / "short.ini"
+    scenario.write_text(SMALL_SCENARIO.replace("sim_time_s = 160", f"sim_time_s = {sim_time_s}"))
+    out = tmp_path / "out"
+    code = main(["run", "--scenario", str(scenario), "--experiment", experiment,
+                 "--out", str(out)])
+    assert code == 1
+    assert capsys.readouterr().err == (
+        f"invalid scenario: su_start_s: the spectrum experiment needs su_start_s < "
+        f"sim_time_s, got 100.0 >= {float(sim_time_s)}\n")
+    assert not out.exists()
+
+
+def test_short_run_without_spectrum_still_runs(tmp_path):
+    scenario = tmp_path / "short.ini"
+    scenario.write_text(SMALL_SCENARIO.replace("sim_time_s = 160", "sim_time_s = 60"))
+    cfg = load_scenario(scenario)
+    for experiment in ("detection", "discovery"):
+        (report,) = run_experiment(cfg, experiment, replications=1)
+        assert report.rows and not report.errors
 
 
 def test_cli_run_exits_2_when_a_replication_fails(small_cfg, tmp_path, monkeypatch,

@@ -6,7 +6,8 @@ per-cluster reduction over Python lists, an `order=True` dataclass event
 heap, one MAC delay draw per copy from the stream itself, a beacon refresh
 that rebuilds every neighbour row, `step_waypoint` on every node of a
 mobility tick, a spectrum simulation with one kernel event per
-primary-user toggle, and MLP passes that allocate a new array per operation.
+primary-user toggle, MLP passes that allocate a new array per operation,
+and numpy's own scalar `Generator.uniform` and `Generator.integers` calls.
 The fast paths must give the same floats, the same draw order and the same
 event trace.
 """
@@ -26,7 +27,7 @@ from crahnsim.detection import (POLL_PERIOD_S, Deployment, DisasterEvent, NOISE_
                                 sensor_magnitudes, window_times)
 from crahnsim.discovery import (AdvertMsg, DiscoveryNode, ServiceCacheEntry,
                                 ServiceDescriptor, SreqMsg, SrepMsg)
-from crahnsim.kernel import Kernel, PastTimeError
+from crahnsim.kernel import Kernel, PastTimeError, bounded_draws, draw_uniform
 from crahnsim.mlp import Mlp, _sigmoid_in_place, gradients, train
 from crahnsim.mobility import (Area, NodeState, connectivity_components, friis_received_power,
                                neighbor_graph, place_uniform, step_nodes, step_waypoint)
@@ -167,6 +168,28 @@ def test_event_starting_on_a_sampling_instant_is_active_there():
                                                                       True, True, False]
     assert _same_bits(context_record(dep, 20.0, [ev], _rng(10)),
                       ref_context_record(dep, 20.0, [ev], _rng(10)))
+
+
+@pytest.mark.parametrize("end_side", [-1, 0, 1])
+@pytest.mark.parametrize("start_side", [-1, 0, 1])
+def test_event_bounds_beside_sampling_instants_match_per_instant_test(start_side, end_side):
+    # starts and ends one ulp before, on and one ulp after an instant; the
+    # block adds each gain to a slice of instants, the reference tests each
+    dep = deploy(8, 2, Area(), _rng(12))
+    times = window_times(30.0)
+
+    def beside(t, side):
+        return float(np.nextafter(t, t + side)) if side else t
+    start = beside(times[1], start_side)
+    events = [DisasterEvent(time=start, epicenter=(400.0, 200.0), intensity=7.0,
+                            duration_s=beside(times[3], end_side) - start),
+              DisasterEvent(time=beside(times[0], end_side) - 5.0, epicenter=(50.0, 50.0),
+                            intensity=3.0, duration_s=5.0),
+              DisasterEvent(time=beside(times[4], start_side), epicenter=(900.0, 10.0),
+                            intensity=4.0)]
+    block = sensor_magnitudes(dep, times, events, _rng(13))
+    rng = _rng(13)
+    assert _same_bits(block, [ref_sensor_magnitudes(dep, ts, events, rng) for ts in times])
 
 
 @pytest.mark.parametrize("positives,negatives", [(250, 230), (1, 0), (0, 3), (100, 100)])
@@ -1744,3 +1767,109 @@ def test_mlp_passes_match_allocating_reference(net, activation, standardize):
 def test_sigmoid_matches_allocating_reference():
     z = np.concatenate([np.linspace(-800.0, 800.0, 97), [0.0, -0.0, 1e-300]])
     assert np.array_equal(_sigmoid_in_place(z.copy()), ref_sigmoid(z))
+
+
+# -- draw helpers against numpy's scalar calls -----------------------------------
+
+UNIFORM_BOUNDS = [(0, 1), (0, 1000.0), (0.0, 600), (3, 11), (-7, -2), (-7.5, -2.25),
+                  (-3.0, 4.5), (2.5, 2.5), (0, 0), (-0.0, 0.0), (-1e300, 1e300),
+                  (1e-300, 3e-300), (4.0, 10.0)]
+
+
+def _random_bounds(rng, count):
+    """Pairs low <= high on scales from 1e-3 to 1e5, some of them negative."""
+    scales = 10.0 ** rng.integers(-3, 6, count)
+    return [tuple(sorted(rng.normal(0.0, scale, 2).tolist())) for scale in scales]
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_draw_uniform_matches_generator_uniform(seed):
+    fast, ref = _rng(seed), _rng(seed)
+    for low, high in UNIFORM_BOUNDS + _random_bounds(_rng(1000 + seed), 200):
+        got, want = draw_uniform(fast, low, high), ref.uniform(low, high)
+        assert (type(got), got.hex()) == (type(want), want.hex()), (low, high)
+        # the stream is left where numpy leaves it
+        assert fast.random() == ref.random()
+
+
+@pytest.mark.parametrize("low,high", [(1.0, 0.0), (0.0, math.inf), (-math.inf, 0.0),
+                                      (0.0, -math.inf), (math.nan, 1.0), (0.0, math.nan),
+                                      (-1e308, 1e308), (math.inf, math.inf),
+                                      (-math.inf, -math.inf)])
+def test_draw_uniform_raises_as_generator_uniform_does_and_draws_nothing(low, high):
+    fast, ref = _rng(3), _rng(3)
+    with pytest.raises((ValueError, OverflowError)) as want:
+        ref.uniform(low, high)
+    with pytest.raises(want.type, match=str(want.value)):
+        draw_uniform(fast, low, high)
+    assert fast.random() == ref.random() == _rng(3).random()
+
+
+BOUNDED_NS = [1, 2, 3, 7, 25, 1000, 2**31 + 1, 2**32 - 1, 2**32]
+
+
+class _CountingStream:
+    """A generator whose `integers` calls are recorded."""
+
+    def __init__(self, seed):
+        self.rng, self.sizes = _rng(seed), []
+
+    def integers(self, *args, **kwargs):
+        self.sizes.append(args[2])
+        return self.rng.integers(*args, **kwargs)
+
+
+def test_bounded_draws_match_generator_integers_across_blocks():
+    rejected = 0
+    for seed in range(30):
+        ns = [BOUNDED_NS[i] for i in _rng(500 + seed).integers(0, len(BOUNDED_NS), 400)]
+        stream = _CountingStream(seed)
+        draw = bounded_draws(stream, 3)  # refills fall inside rejection runs
+        ref = _rng(seed)
+        assert [draw(n) for n in ns] == [int(ref.integers(0, n)) for n in ns]
+        # the words used are at least those of all full blocks and one more;
+        # beyond one per draw with n > 1, each is a rejected try
+        rejected += 3 * len(stream.sizes) - 2 - sum(n > 1 for n in ns)
+    # 2**31 + 1 rejects about half of its tries, about 1,300 in all
+    assert rejected > 1000
+
+
+def test_bounded_draw_of_one_value_reads_no_word():
+    stream = _CountingStream(4)
+    draw = bounded_draws(stream, 3)
+    assert [draw(1) for _ in range(10)] == [0] * 10
+    assert stream.sizes == []
+    ref = _rng(4)
+    assert [int(ref.integers(0, 1)) for _ in range(10)] == [0] * 10
+    # numpy draws nothing either
+    assert ref.random() == _rng(4).random()
+
+
+class _WordStream:
+    """A stream whose 32-bit words are given."""
+
+    def __init__(self, words):
+        self.words = list(words)
+
+    def integers(self, low, high, size, dtype):
+        if not self.words:
+            raise AssertionError("more words read than given")
+        block, self.words = self.words[:size], self.words[size:]
+        return np.array(block, dtype=dtype)
+
+
+def test_bounded_draw_rejects_exactly_below_the_lemire_threshold():
+    # n = 3: a word u gives u * 3 = m; numpy rejects while m mod 2**32 is
+    # below (2**32 - 3) % 3 = 1 and returns m >> 32. u = 0 leaves 0 (reject);
+    # u = 2863311531, the inverse of 3 mod 2**32, leaves exactly 1 (accept,
+    # m >> 32 = 2); u = 2**32 - 1 leaves 2**32 - 3 (accept, 2)
+    draw = bounded_draws(_WordStream([0, 2863311531, 2**32 - 1, 5]), 2)
+    assert [draw(3), draw(3), draw(3)] == [2, 2, 0]
+
+
+@pytest.mark.parametrize("n", [0, -1, 2**32 + 1])
+def test_bounded_draw_outside_one_to_two_to_the_32_raises(n):
+    stream = _CountingStream(5)
+    with pytest.raises(ValueError, match="bounded draw"):
+        bounded_draws(stream, 3)(n)
+    assert stream.sizes == []

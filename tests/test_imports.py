@@ -1,5 +1,8 @@
 """Every name a `crahnsim` module imports is used in that module, and every
 public function and class it defines is referenced from `src/` or `bench/`.
+No module draws a scalar through `Generator.uniform`, whose per-call
+dispatch costs several times the draw; `kernel.draw_uniform` returns the
+same value.
 
 Three imports stay unused on purpose: the benchmark's tracer patches
 `step_waypoint` and `neighbor_graph` in each module that imports them, so
@@ -128,3 +131,28 @@ def test_reference_check_ignores_imports_and_strings(tmp_path):
     (src / "user.py").write_text("from .model import Shape, used\n\nused()\n")
     (bench / "tests" / "check.py").write_text("import model\nmodel.by_bench()\n")
     assert _unreferenced(src, bench) == ["model.by_name_only", "model.Shape"]
+
+
+def _scalar_uniform_calls(path: Path) -> list[int]:
+    """Lines of `.uniform(...)` calls with fewer than three positional
+    arguments and no `size=`: each draws one scalar."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    return sorted(node.lineno for node in ast.walk(tree)
+                  if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                  and node.func.attr == "uniform" and len(node.args) < 3
+                  and not any(kw.arg == "size" for kw in node.keywords))
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.stem)
+def test_no_scalar_uniform_call(path):
+    lines = _scalar_uniform_calls(path)
+    assert lines == [], (f"{path.name} lines {lines}: scalar Generator.uniform calls; "
+                         f"use kernel.draw_uniform")
+
+
+def test_check_sees_a_scalar_uniform_call(tmp_path):
+    path = tmp_path / "sample.py"
+    path.write_text("a = rng.uniform(0, 1)\nb = rng.uniform(0, 1, 5)\n"
+                    "c = rng.uniform(0, 1, size=3)\nd = draw_uniform(rng, 0, 1)\n"
+                    "e = rng.uniform(*bounds)\nf = g.uniform()\n")
+    assert _scalar_uniform_calls(path) == [1, 5, 6]

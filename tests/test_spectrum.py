@@ -283,6 +283,7 @@ def test_spectrum_cells_keep_every_node_in_the_scenario_area(monkeypatch, tmp_pa
     cfg.simulation.replications = 1
     cfg.spectrum.pu_counts = (12,)
     cfg.spectrum.policies = ("random-baseline",)
+    cfg.spectrum.su_start_s = 20.0  # SUs that start at or after the end are rejected
     sims = []
 
     class RecordingSim(SpectrumSim):
