@@ -30,6 +30,10 @@ PROCESSING_DELAY_PER_CLUSTER_S = 0.020  # kappa
 DETECTOR_HIDDEN_UNITS = 8
 DETECTOR_LEARNING_RATE = 0.5
 MIN_EVENT_GAP_S = 60.0  # spacing of a trace's events, so polling windows see one at a time
+TRACE_START_S = 20.0  # no trace event starts earlier
+TRACE_END_MARGIN_S = 10.0  # every trace event ends at least this long before the horizon
+# the shortest horizon a trace fits in
+MIN_SIM_TIME_S = TRACE_START_S + DEFAULT_EVENT_DURATION_S + TRACE_END_MARGIN_S
 
 
 @dataclass
@@ -156,28 +160,39 @@ def make_training_set(dep: Deployment, rng: np.random.Generator, area: Area,
     return x, y
 
 
-def train_detector(init_rng: np.random.Generator, split_rng: np.random.Generator,
-                   x: np.ndarray, y: np.ndarray, epochs: int = 300) -> tuple[Mlp, dict]:
-    """A detector initialized from `init_rng` and trained on a random 80% of
-    (x, y), split by `split_rng`; validation classifies the rest one row at a
-    time, as polls do (a batched pass can differ in an output's last bit)."""
-    model = Mlp.init([x.shape[1], DETECTOR_HIDDEN_UNITS, 1], init_rng,
-                     output_activation="sigmoid")
-    n = x.shape[0]
-    split = int(0.8 * n)
-    order = split_rng.permutation(n)
-    tr, va = order[:split], order[split:]
-    losses = train(model, x[tr], y[tr], learning_rate=DETECTOR_LEARNING_RATE, epochs=epochs)
-    val_pred = np.array([model.classify_binary(row) for row in x[va]])
-    val_acc = float(np.mean(val_pred == (y[va][:, 0] > 0.5)))
-    return model, {"final_loss": losses[-1], "val_accuracy": val_acc}
+def train_detector(init_rngs: list[np.random.Generator], split_rngs: list[np.random.Generator],
+                   xs: list[np.ndarray], ys: list[np.ndarray],
+                   epochs: int = 300) -> list[tuple[Mlp, dict]]:
+    """One detector per training set (x, y), all trained in lockstep: each is
+    initialized from its `init_rngs` entry and trained on a random 80% of its
+    set, split by its `split_rngs` entry, with the floats it gets trained
+    alone. Validation classifies the rest of each set as one stack of one-row
+    batches, which gives the floats of classifying each row alone, as polls
+    do (a batch of several rows can differ in an output's last bit)."""
+    models, splits = [], []
+    for init_rng, split_rng, x in zip(init_rngs, split_rngs, xs):
+        models.append(Mlp.init([x.shape[1], DETECTOR_HIDDEN_UNITS, 1], init_rng,
+                               output_activation="sigmoid"))
+        n = x.shape[0]
+        split = int(0.8 * n)
+        order = split_rng.permutation(n)
+        splits.append((order[:split], order[split:]))
+    losses = train(models, [x[tr] for x, (tr, _) in zip(xs, splits)],
+                   [y[tr] for y, (tr, _) in zip(ys, splits)],
+                   learning_rate=DETECTOR_LEARNING_RATE, epochs=epochs)
+    trained = []
+    for k, (model, x, y, (_, va)) in enumerate(zip(models, xs, ys, splits)):
+        val_pred = model.predict(x[va][:, np.newaxis, :])[:, 0, 0] > 0.5
+        val_acc = float(np.mean(val_pred == (y[va][:, 0] > 0.5)))
+        trained.append((model, {"final_loss": losses[-1][k], "val_accuracy": val_acc}))
+    return trained
 
 
 # -- disaster traces ----------------------------------------------------------
 
 def synthesize_trace(rng: np.random.Generator, area: Area, count: int,
                      intensity: float, horizon_s: float) -> list[DisasterEvent]:
-    lo, hi = 20.0, horizon_s - DEFAULT_EVENT_DURATION_S - 10.0
+    lo, hi = TRACE_START_S, horizon_s - DEFAULT_EVENT_DURATION_S - TRACE_END_MARGIN_S
     times = sorted(rng.uniform(lo, hi, count))
     for i in range(1, len(times)):
         times[i] = max(times[i], times[i - 1] + MIN_EVENT_GAP_S)

@@ -9,7 +9,7 @@ from dataclasses import asdict, dataclass, field, replace
 from typing import Callable, Optional
 
 from . import mobility
-from .detection import (deploy, make_training_set,
+from .detection import (MIN_SIM_TIME_S, deploy, make_training_set,
                         run_detection_replication, synthesize_trace, train_detector)
 from .discovery import DiscoveryNode
 from .kernel import Kernel, draw_uniform, named_stream, stream_seed
@@ -83,9 +83,10 @@ class ExperimentSpec:
 
     A grid point is a dict: the leading keys of its aggregate. Each row carries
     the point's `group_keys`, its replication and seed, and the `metrics`
-    columns that `replicate(cfg, seed, point, prepared)` returns. `prepare(cfg,
-    point)` runs once per point, before its replications and outside their
-    error guard. Each `stats` entry (row column, mean key, std key or None)
+    columns that `replicate(cfg, seed, point, prepared)` returns.
+    `prepare(cfg, points)` runs once for all points, before any replication
+    and outside their error guard, and returns each point's `prepared`, in
+    point order. Each `stats` entry (row column, mean key, std key or None)
     adds the mean and std over the point's rows to its aggregate. The base
     seed and the replication count are those of `cfg.simulation`.
     """
@@ -98,7 +99,7 @@ class ExperimentSpec:
     notes: Callable[[ScenarioConfig, list[dict], list], dict]  # (cfg, rows, [(point, prepared)])
     figures: Callable[["MetricsReport"], list[tuple[str, str]]]  # -> [(file, SVG)]
     data_csv: str  # the aggregates written beside the figures
-    prepare: Callable = lambda cfg, point: None
+    prepare: Callable = lambda cfg, points: [None] * len(points)
 
     @property
     def columns(self) -> list[str]:
@@ -107,12 +108,12 @@ class ExperimentSpec:
     def run(self, cfg: ScenarioConfig) -> MetricsReport:
         """Every point's replications in order; a failed replication becomes an
         `errors[]` entry and the others continue."""
-        rows, errors, prepared = [], [], []
+        rows, errors = [], []
         config = cfg.echo()
         seeds = _replication_seeds(config)
-        for point in self.points(config):
-            ready = self.prepare(cfg, point)
-            prepared.append((point, ready))
+        points = self.points(config)
+        prepared = list(zip(points, self.prepare(cfg, points)))
+        for point, ready in prepared:
             keys = {k: point[k] for k in self.group_keys}
             for rep, seed in enumerate(seeds):
                 try:
@@ -165,17 +166,23 @@ class ExperimentSpec:
 
 # -- detection ----------------------------------------------------------------
 
-def train_detection_model(cfg: ScenarioConfig, cluster_count: int):
+def train_detection_model(cfg: ScenarioConfig, cluster_counts: list[int]) -> list[tuple]:
+    """(deployment, detector, training stats, area) per cluster count, each
+    from its own named streams; the detectors train in lockstep."""
     base_seed = cfg.simulation.seed
     area = Area(cfg.simulation.area_width_m, cfg.simulation.area_height_m)
-    dep = deploy(cfg.detection.sensor_count, cluster_count, area,
-                 named_stream(base_seed, f"deployment-{cluster_count}"))
-    x, y = make_training_set(dep, named_stream(base_seed, f"detector-data-{cluster_count}"),
-                             area, cfg.detection.intensity)
-    model, stats = train_detector(named_stream(base_seed, f"detector-init-{cluster_count}"),
-                                  named_stream(base_seed, f"detector-train-{cluster_count}"),
-                                  x, y)
-    return dep, model, stats, area
+    deps, xs, ys = [], [], []
+    for c in cluster_counts:
+        deps.append(deploy(cfg.detection.sensor_count, c, area,
+                           named_stream(base_seed, f"deployment-{c}")))
+        x, y = make_training_set(deps[-1], named_stream(base_seed, f"detector-data-{c}"),
+                                 area, cfg.detection.intensity)
+        xs.append(x)
+        ys.append(y)
+    trained = train_detector(
+        [named_stream(base_seed, f"detector-init-{c}") for c in cluster_counts],
+        [named_stream(base_seed, f"detector-train-{c}") for c in cluster_counts], xs, ys)
+    return [(dep, model, stats, area) for dep, (model, stats) in zip(deps, trained)]
 
 
 def _detection_row(cfg: ScenarioConfig, seed: int, point: dict, trained) -> dict:
@@ -214,7 +221,8 @@ DETECTION = ExperimentSpec(
     stats=(("false_negative_rate_pct", "mean_false_negative_rate_pct",
             "std_false_negative_rate_pct"),
            ("response_time_s", "mean_response_time_s", "std_response_time_s")),
-    prepare=lambda cfg, point: train_detection_model(cfg, point["cluster_count"]),
+    prepare=lambda cfg, points: train_detection_model(
+        cfg, [p["cluster_count"] for p in points]),
     replicate=_detection_row,
     notes=lambda cfg, rows, trained: {
         "false_negative_definition": "per injected disaster event",
@@ -339,9 +347,11 @@ def run_discovery_replication(cfg: ScenarioConfig, seed: int) -> DiscoveryRun:
 
     query_rng = kernel.stream("queries")
     services = sorted(providers)
+    node_ids = [node.id for node in nodes]
     for q in range(dc.query_count):
         at = draw_uniform(query_rng, 0.15 * sim_time, 0.9 * sim_time)
-        requester = int(query_rng.choice([node.id for node in nodes]))
+        # the draw and value of query_rng.choice(node_ids), without its array
+        requester = node_ids[int(query_rng.integers(0, len(node_ids)))]
         service = services[int(query_rng.integers(0, len(services)))]
         kernel.schedule(at, issue, args=(requester, service), kind="query")
 
@@ -400,8 +410,10 @@ def run_experiment(cfg: ScenarioConfig, which: str, seed: int = None,
     """Run one experiment or "all" on `cfg` with `seed` and `replications`,
     if given, in place of the scenario's; they are part of the config that
     runs and that each report echoes. Raises ScenarioError before anything is
-    written if that config is invalid, or if the spectrum experiment is to run
-    and its SUs would start at or after the end of the simulation."""
+    written if that config is invalid, if the detection experiment is to run
+    and its disaster traces would not fit in the simulation, or if the
+    spectrum experiment is to run and its SUs would start at or after the end
+    of the simulation."""
     names = EXPERIMENTS if which == "all" else (which,)
     if any(n not in _RUNNERS for n in names):
         raise ValueError(f"unknown experiment {which!r}")
@@ -409,6 +421,10 @@ def run_experiment(cfg: ScenarioConfig, which: str, seed: int = None,
                  if value is not None}
     cfg = replace(cfg, simulation=replace(cfg.simulation, **overrides))
     cfg.validate()
+    if "detection" in names and not cfg.simulation.sim_time_s >= MIN_SIM_TIME_S:
+        # every replication's trace would fail, after all detectors trained
+        raise ScenarioError(f"sim_time_s: the detection experiment needs sim_time_s >= "
+                            f"{MIN_SIM_TIME_S:g}, got {cfg.simulation.sim_time_s}")
     if "spectrum" in names and not cfg.spectrum.su_start_s < cfg.simulation.sim_time_s:
         # no SU would ever hold a channel: no assignment, a NaN switching time
         raise ScenarioError(f"su_start_s: the spectrum experiment needs su_start_s < "

@@ -4,10 +4,19 @@ backpropagation gradient descent, and z-score feature standardization.
 
 The output activation sets the loss: a sigmoid output trains on cross-entropy,
 an identity output on half squared error. For both pairs the gradient of the
-loss with respect to the output layer's pre-activation is `out - y`."""
+loss with respect to the output layer's pre-activation is `out - y`.
+
+Passes run on stacks: several batches through one model (`Mlp.predict` on a
+3-D input), or several models trained in lockstep (`train` on a list). numpy's
+matmul makes one BLAS call per 2-D slice of a stack and every other operation
+is elementwise or a per-slice reduce, so each slice gets the floats it gets
+alone. Concatenating the rows of several batches into one would not: BLAS
+sums a taller matrix's products in another order for some rows, and the
+last bit of their outputs changes."""
 
 import math
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -61,12 +70,22 @@ class Mlp:
         z /= self.feat_std
         return z
 
-    def _forward_acts(self, x: np.ndarray) -> list[np.ndarray]:
-        """Activations per layer for a batch (rows = samples); x already standardized."""
+    def _forward_acts(self, x, first: Optional[np.ndarray] = None) -> list[np.ndarray]:
+        """Activations per layer of standardized input x (rows = samples): one
+        batch, or a stack of batches along leading axes. In a lockstep stack
+        (`_Lockstep`) x is the list of each model's batch, the first layer's
+        weights are the list of each model's matrix, `first` is the
+        (models x rows x units) array each model's first-layer product is
+        written into, and every later activation is such a stack too."""
         acts = [x]
         last = len(self.weights) - 1
         for i, (w, b) in enumerate(zip(self.weights, self.biases)):
-            z = acts[-1] @ w
+            if i == 0 and first is not None:
+                for xk, wk, out in zip(x, w, first):
+                    np.matmul(xk, wk, out=out)
+                z = first
+            else:
+                z = acts[-1] @ w
             z += b
             if i == last and self.output_activation == "identity":
                 acts.append(z)
@@ -75,12 +94,14 @@ class Mlp:
         return acts
 
     def predict(self, x) -> np.ndarray:
-        """Outputs for a batch of raw feature rows (rows = samples). Unlike
-        `forward`, no finiteness check: on each spectrum hole scan it would add
-        about 5 us to a 14 us call (5 rows of 8 features; 2-vCPU Xeon, Python
-        3.11, numpy 2.4)."""
+        """Outputs for raw feature rows: a batch (rows x features) or a stack
+        of batches (... x rows x features), each slice as if predicted alone.
+        Unlike `forward`, no finiteness check: on each spectrum selection it
+        would add about 2.7 us to a 16 us call (one SU's 5 rows of 8
+        features) or a 19 us call (five SUs'); 2-vCPU Xeon, Python 3.11,
+        numpy 2.4."""
         x = np.asarray(x, dtype=float)
-        if x.ndim != 2 or x.shape[1] != self.weights[0].shape[0]:
+        if x.ndim < 2 or x.shape[-1] != self.weights[0].shape[0]:
             raise ValueError(
                 f"expected rows of {self.weights[0].shape[0]} features, got shape {x.shape}")
         return self._forward_acts(self._standardize(x))[-1]
@@ -101,8 +122,80 @@ class Mlp:
         return bool(self.forward(features)[0] > 0.5)
 
 
-def _batch_loss(model: Mlp, out: np.ndarray, y: np.ndarray) -> float:
-    """Mean per-sample loss: cross-entropy for a sigmoid output,
+# -- lockstep stacks ------------------------------------------------------------
+
+class _Lockstep:
+    """Models that share the row count, every layer size past the input and
+    the output activation, trained as one stack.
+
+    `stack` is the Mlp of the stack: its first layer's weights are the list
+    of each model's matrix (input widths differ, so the first layer's two
+    products run per model); every later weight and every bias carries a
+    leading model axis, as does every activation past the input. All
+    parameters are views into one flat array and their gradients views into
+    another, so that a descent step is two numpy calls.
+
+    `first` and `below`, the first layer's activations and delta, are
+    allocated once: as fresh arrays of a few hundred kB they would be new
+    pages from the OS every epoch. A hidden first layer of 4 or more units is
+    stored rows x models x units: its bias-gradient reduce over rows then
+    runs (models * units)-wide inner loops, in the sequential row order of
+    one model's (rows x units) reduce. Otherwise each model's rows stay
+    contiguous, as a lone model's are: the loss and a one-unit bias gradient
+    sum each model's rows pairwise, and OpenBLAS's gemv sums a 1-3-row matrix
+    in another order when its row stride equals its width."""
+
+    def __init__(self, models: list[Mlp], rows: int):
+        k = len(models)
+        shapes = ([m.weights[0].shape for m in models]
+                  + [(k, *w.shape) for w in models[0].weights[1:]]
+                  + [(k, 1, len(b)) for b in models[0].biases])
+        self.params = np.empty(sum(math.prod(shape) for shape in shapes))
+        self.grads = np.empty_like(self.params)
+        params, grads = _views(self.params, shapes), _views(self.grads, shapes)
+        layers = len(models[0].weights)
+        self.stack = Mlp(weights=[params[:k]] + params[k:k + layers - 1],
+                         biases=params[k + layers - 1:], feat_mean=None, feat_std=None,
+                         output_activation=models[0].output_activation)
+        self.grad_w = [grads[:k]] + grads[k:k + layers - 1]
+        self.grad_b = grads[k + layers - 1:]
+        for mine, theirs in self._pairs(models):
+            mine[...] = theirs
+        units = len(models[0].biases[0])
+        if layers > 1 and units >= 4:
+            shape, axes = (rows, k, units), (1, 0, 2)
+        else:
+            shape, axes = (k, rows, units), (0, 1, 2)
+        self.first = np.empty(shape).transpose(axes)
+        self.below = np.empty(shape).transpose(axes)
+
+    def _pairs(self, models: list[Mlp]):
+        """(stack view, model array) of every parameter of every model."""
+        stack = self.stack
+        yield from zip(stack.weights[0], (m.weights[0] for m in models))
+        for k, m in enumerate(models):
+            yield from ((w[k], mw) for w, mw in zip(stack.weights[1:], m.weights[1:]))
+            yield from ((b[k, 0], mb) for b, mb in zip(stack.biases, m.biases))
+
+    def unload(self, models: list[Mlp]) -> None:
+        """Copy the stack's parameters into `models`, in place."""
+        for mine, theirs in self._pairs(models):
+            theirs[...] = mine
+
+
+def _views(flat: np.ndarray, shapes: list[tuple]) -> list[np.ndarray]:
+    """Consecutive C-ordered views of `flat` with the given shapes."""
+    views, start = [], 0
+    for shape in shapes:
+        size = math.prod(shape)
+        views.append(flat[start:start + size].reshape(shape))
+        start += size
+    return views
+
+
+def _batch_loss(model: Mlp, out: np.ndarray, y: np.ndarray):
+    """Mean per-sample loss of each batch of a stack (a scalar for one batch):
+    cross-entropy for a sigmoid output,
     -(y * log(out + eps) + (1 - y) * log(1 - out + eps)), and half squared
     error for an identity output, 0.5 * sum((out - y) ** 2); the terms are
     built in place in the order these expressions evaluate them."""
@@ -117,33 +210,37 @@ def _batch_loss(model: Mlp, out: np.ndarray, y: np.ndarray) -> float:
         neg *= 1.0 - y
         pos += neg
         np.negative(pos, out=pos)
-        per_sample = np.add.reduce(pos, axis=1)
+        per_sample = np.add.reduce(pos, axis=-1)
     else:
         err = out - y
         err *= err
-        per_sample = np.add.reduce(err, axis=1)
+        per_sample = np.add.reduce(err, axis=-1)
         per_sample *= 0.5
     # np.mean's sum and division, without its dispatch
-    return float(np.add.reduce(per_sample) / len(per_sample))
+    return np.add.reduce(per_sample, axis=-1) / per_sample.shape[-1]
 
 
-def _backprop(model: Mlp, acts: list[np.ndarray], y: np.ndarray):
-    """Gradients of `_batch_loss`; each layer's delta is
-    (delta @ W.T) * a * (1.0 - a), built in place in that order."""
-    n = acts[0].shape[0]
+def _backprop(lock: _Lockstep, acts: list, y: np.ndarray) -> None:
+    """Gradients of `_batch_loss` for a lockstep stack, into `lock.grad_w` and
+    `lock.grad_b`; each layer's delta is (delta @ W.T) * a * (1.0 - a), built
+    in place in that order, and stored as that layer's activations are (the
+    first layer's in `lock.below`). Each hidden activation is overwritten by
+    1.0 - a once its delta no longer needs it."""
     delta = acts[-1] - y
-    delta /= n
-    grads_w = []
-    grads_b = []
-    for layer in range(len(model.weights) - 1, -1, -1):
-        grads_w.append(acts[layer].T @ delta)
-        grads_b.append(np.add.reduce(delta, axis=0))
+    delta /= y.shape[1]
+    for layer in range(len(acts) - 2, -1, -1):
+        a = acts[layer]
+        if layer:
+            np.matmul(a.swapaxes(1, 2), delta, out=lock.grad_w[layer])
+        else:
+            for x, d, grad in zip(a, delta, lock.grad_w[0]):
+                np.matmul(x.T, d, out=grad)
+        np.add.reduce(delta, axis=1, keepdims=True, out=lock.grad_b[layer])
         if layer > 0:
-            a = acts[layer]
-            delta = delta @ model.weights[layer].T
+            delta = np.matmul(delta, lock.stack.weights[layer].swapaxes(1, 2),
+                              out=lock.below if layer == 1 else np.empty_like(a))
             delta *= a
-            delta *= 1.0 - a
-    return list(reversed(grads_w)), list(reversed(grads_b))
+            delta *= np.subtract(1.0, a, out=a)
 
 
 def gradients(model: Mlp, x: np.ndarray, y: np.ndarray):
@@ -151,23 +248,13 @@ def gradients(model: Mlp, x: np.ndarray, y: np.ndarray):
 
     x is raw (unstandardized) input, rows = samples.
     """
-    xs = model._standardize(np.asarray(x, dtype=float))
-    y = np.asarray(y, dtype=float)
-    return _backprop(model, model._forward_acts(xs), y)
+    xs = [model._standardize(np.asarray(x, dtype=float))]
+    lock = _Lockstep([model], len(xs[0]))
+    _backprop(lock, lock.stack._forward_acts(xs, lock.first), np.asarray(y, dtype=float)[None])
+    return lock.grad_w[0] + [g[0] for g in lock.grad_w[1:]], [g[0, 0] for g in lock.grad_b]
 
 
-def train(model: Mlp, x, y, *, learning_rate: float, epochs: int,
-          standardize: bool = True) -> list[float]:
-    """Full-batch gradient descent in place on raw inputs x and targets y (rows
-    = samples); returns the loss per epoch. With `standardize`, the model's
-    feature standardization is first fitted to x. Every input is checked
-    before the model changes."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if not 0 < learning_rate < math.inf:  # also rejects NaN
-        raise ValueError(f"learning_rate must be positive and finite, got {learning_rate}")
-    if isinstance(epochs, bool) or not isinstance(epochs, (int, np.integer)) or epochs < 1:
-        raise ValueError(f"epochs must be an integer >= 1, got {epochs!r}")
+def _check_training_set(model: Mlp, x: np.ndarray, y: np.ndarray) -> None:
     sizes = model.layer_sizes
     if x.ndim != 2 or x.shape[1] != sizes[0]:
         raise ValueError(f"expected input rows of {sizes[0]} features, got shape {x.shape}")
@@ -180,25 +267,67 @@ def train(model: Mlp, x, y, *, learning_rate: float, epochs: int,
         raise ValueError("non-finite training value")
     if model.output_activation == "sigmoid" and not np.all((y >= 0) & (y <= 1)):
         raise ValueError("cross-entropy targets of a sigmoid output must lie in [0, 1]")
+
+
+def train(models, x, y, *, learning_rate: float, epochs: int,
+          standardize: bool = True) -> list:
+    """Full-batch gradient descent in place on raw inputs x and targets y (rows
+    = samples); with `standardize`, each model's feature standardization is
+    first fitted to its x. Every input is checked before any model changes.
+
+    `models` is one Mlp, trained on x and y, or a list of Mlps trained in
+    lockstep, x and y then being lists of their inputs and targets. Models in
+    lockstep share the row count, every layer size past the input and the
+    output activation, and each ends with the floats it gets trained alone.
+    Returns the loss per epoch: a float for one model, and for a list the
+    list of the models' losses."""
+    if isinstance(models, Mlp):
+        return [losses[0] for losses in train([models], [x], [y], learning_rate=learning_rate,
+                                              epochs=epochs, standardize=standardize)]
+    if not 0 < learning_rate < math.inf:  # also rejects NaN
+        raise ValueError(f"learning_rate must be positive and finite, got {learning_rate}")
+    if isinstance(epochs, bool) or not isinstance(epochs, (int, np.integer)) or epochs < 1:
+        raise ValueError(f"epochs must be an integer >= 1, got {epochs!r}")
+    xs = [np.asarray(xk, dtype=float) for xk in x]
+    ys = [np.asarray(yk, dtype=float) for yk in y]
+    if not len(models) == len(xs) == len(ys) >= 1:
+        raise ValueError(f"a lockstep stack needs one input and one target per model, got "
+                         f"{len(models)} models, {len(xs)} inputs, {len(ys)} targets")
+    for model, xk, yk in zip(models, xs, ys):
+        _check_training_set(model, xk, yk)
+    lead = models[0]
+    for model, xk in zip(models, xs):
+        if (model.layer_sizes[1:] != lead.layer_sizes[1:] or len(xk) != len(xs[0])
+                or model.output_activation != lead.output_activation):
+            raise ValueError("models in lockstep need equal layer sizes past the input, "
+                             "rows and output activation")
     if standardize:
-        model.feat_mean = x.mean(axis=0)
-        std = x.std(axis=0)
-        std[std < 1e-9] = 1.0
-        model.feat_std = std
-    xs = model._standardize(x)
+        for model, xk in zip(models, xs):
+            model.feat_mean = xk.mean(axis=0)
+            std = xk.std(axis=0)
+            std[std < 1e-9] = 1.0
+            model.feat_std = std
+    xs = [model._standardize(xk) for model, xk in zip(models, xs)]
+    y = np.stack(ys)
+    lock = _Lockstep(models, len(y[0]))
     losses = []
-    for epoch in range(epochs):
-        # one forward pass serves loss and gradients
-        acts = model._forward_acts(xs)
-        loss = _batch_loss(model, acts[-1], y)
-        gw, gb = _backprop(model, acts, y)
-        # w -= learning_rate * dw, reusing the gradient's array
-        for w, b, dw, db in zip(model.weights, model.biases, gw, gb):
-            dw *= learning_rate
-            w -= dw
-            db *= learning_rate
-            b -= db
-        if not math.isfinite(loss):
-            raise DivergenceError(f"non-finite loss at epoch {epoch + 1}")
-        losses.append(loss)
+    # a model that diverges overflows on its way to a non-finite loss; the
+    # DivergenceError naming it and its epoch is the signal, not a warning
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            for epoch in range(epochs):
+                # one forward pass serves loss and gradients
+                acts = lock.stack._forward_acts(xs, lock.first)
+                loss = _batch_loss(lock.stack, acts[-1], y).tolist()
+                _backprop(lock, acts, y)
+                # params -= learning_rate * grads, reusing the gradients' array
+                lock.grads *= learning_rate
+                lock.params -= lock.grads
+                for k, value in enumerate(loss):
+                    if not math.isfinite(value):
+                        raise DivergenceError(
+                            f"non-finite loss at epoch {epoch + 1} in model {k}")
+                losses.append(loss)
+    finally:
+        lock.unload(models)
     return losses

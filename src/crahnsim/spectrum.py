@@ -126,9 +126,11 @@ def extract_features(times: list[float], t: float, n: int, signal_dbm: float,
 
 
 def score_holes(model: Mlp, batch: np.ndarray) -> np.ndarray:
-    """Predicted remaining idle seconds of each feature row; negative and NaN
-    raw outputs clamp to 0 (a raw -0.0 may stay -0.0, which equals 0.0)."""
-    return np.fmax(model.predict(batch)[:, 0], 0.0)
+    """Predicted remaining idle seconds of each feature row of a batch, or of
+    each batch of a stack (SUs x holes x features), each batch scored as if
+    alone; negative and NaN raw outputs clamp to 0 (a raw -0.0 may stay -0.0,
+    which equals 0.0)."""
+    return np.fmax(model.predict(batch)[..., 0], 0.0)
 
 
 def switching_time_metric(assignments: list[SuAssignment], horizon: float) -> dict:
@@ -367,8 +369,7 @@ class SpectrumSim:
         self._warmup = []
         self._su_started = True
         self._refit()
-        for su in self.sus:
-            self._select_for(su.id, now)
+        self._select_for([su.id for su in self.sus], now)
 
     def _scan(self, now: float) -> tuple[list[int], Optional[np.ndarray]]:
         """Holes at `now`, in channel order, and under `mlp-history` their
@@ -384,34 +385,46 @@ class SpectrumSim:
             self._scan_at, self._scanned = now, (holes, rows)
         return self._scanned
 
-    def _select_for(self, su_id: int, now: float) -> None:
+    def _select_for(self, su_ids: list[int], now: float) -> None:
+        """Assign each SU of `su_ids` a hole at `now`, one after the other, or
+        queue it to wait. They select from one hole scan, and nothing they are
+        assigned changes a score, so under `mlp-history` their batches are
+        scored in one pass."""
+        if not su_ids:
+            return
         holes, rows = self._scan(now)
         if not holes:
-            if not self.waiting:
-                self._arm_idle_start(now)
-            if su_id not in self.waiting:
-                self.waiting.append(su_id)
+            for su_id in su_ids:
+                if not self.waiting:
+                    self._arm_idle_start(now)
+                if su_id not in self.waiting:
+                    self.waiting.append(su_id)
             return
         if self.p.policy == "mlp-history":
-            su = self.sus[su_id - self.p.pu_count]
-            # one batch per select, rows in channel order: stacking several SUs'
-            # rows into one forward pass changes the last bit of some scores
-            batch = rows.copy()
-            batch[:, self.p.n_window] = [self._received_dbm(self.pus[c], su) for c in holes]
+            # one batch per SU, rows in channel order, stacked (SUs x holes x
+            # features): matmul makes one BLAS call per batch, so each SU's
+            # scores are those of its batch alone, where concatenating the
+            # SUs' rows into one batch would change the last bit of some
+            batch = np.empty((len(su_ids),) + rows.shape)
+            batch[:] = rows
+            signal = self.p.n_window
+            for s, su_id in enumerate(su_ids):
+                su = self.sus[su_id - self.p.pu_count]
+                batch[s, :, signal] = [self._received_dbm(self.pus[c], su) for c in holes]
             # the best score; the first of equal ones is the lowest channel
-            i = int(score_holes(self.model, batch).argmax())
-            features = batch[i]
+            picks = score_holes(self.model, batch).argmax(axis=-1).tolist()
         else:
-            i = self._choose(len(holes))
-            features = None
-        chosen = holes[i]
-        a = SuAssignment(su_id=su_id, channel_index=chosen, assigned_at=now,
-                         selection_features=features)
-        self.assignments.append(a)
-        if chosen not in self.open_by_channel:
-            self.open_by_channel[chosen] = []
-            self._arm_busy_start(chosen, now)
-        self.open_by_channel[chosen].append(a)
+            batch = None
+            picks = [self._choose(len(holes)) for _ in su_ids]
+        for s, (su_id, i) in enumerate(zip(su_ids, picks)):
+            chosen = holes[i]
+            a = SuAssignment(su_id=su_id, channel_index=chosen, assigned_at=now,
+                             selection_features=None if batch is None else batch[s, i])
+            self.assignments.append(a)
+            if chosen not in self.open_by_channel:
+                self.open_by_channel[chosen] = []
+                self._arm_busy_start(chosen, now)
+            self.open_by_channel[chosen].append(a)
 
     def _evict_channel(self, channel_index: int, now: float) -> None:
         open_list = self.open_by_channel.pop(channel_index, [])
@@ -419,13 +432,11 @@ class SpectrumSim:
             a.evicted_at = now
             if a.selection_features is not None:
                 self._add_sample(a.selection_features, now - a.assigned_at)
-        for a in open_list:
-            self._select_for(a.su_id, now)
+        self._select_for([a.su_id for a in open_list], now)
 
     def _serve_waiting(self, now: float) -> None:
         waiting, self.waiting = self.waiting, []
-        for su_id in waiting:
-            self._select_for(su_id, now)
+        self._select_for(waiting, now)
 
     # -- results --------------------------------------------------------------
 

@@ -83,7 +83,7 @@ def trained():
     dep = deploy(15, 2, area, _rng(10))
     x, y = make_training_set(dep, _rng(11), area, intensity=8.0,
                              positives=150, negatives=150)
-    model, stats = train_detector(_rng(12), _rng(5), x, y, epochs=200)
+    [(model, stats)] = train_detector([_rng(12)], [_rng(5)], [x], [y], epochs=200)
     return dep, model, stats, area
 
 

@@ -255,6 +255,36 @@ def test_short_run_without_spectrum_still_runs(tmp_path):
         assert report.rows and not report.errors
 
 
+@pytest.mark.parametrize("sim_time_s", [50, 59.9])
+@pytest.mark.parametrize("experiment", ["detection", "all"])
+def test_cli_run_rejects_detection_traces_that_do_not_fit_before_writing(
+        tmp_path, capsys, experiment, sim_time_s):
+    # trace events start at 20 s or later, last 30 s and end 10 s before the
+    # horizon: below 60 s every replication's trace fails, after training
+    scenario = tmp_path / "short.ini"
+    scenario.write_text(SMALL_SCENARIO.replace("sim_time_s = 160", f"sim_time_s = {sim_time_s}"))
+    out = tmp_path / "out"
+    code = main(["run", "--scenario", str(scenario), "--experiment", experiment,
+                 "--out", str(out)])
+    assert code == 1
+    assert capsys.readouterr().err == (
+        f"invalid scenario: sim_time_s: the detection experiment needs sim_time_s >= 60, "
+        f"got {float(sim_time_s)}\n")
+    assert not out.exists()
+
+
+def test_cli_runs_detection_at_the_shortest_horizon(tmp_path):
+    # at 60 s a trace fits exactly: its first event starts at 20 s
+    scenario = tmp_path / "short.ini"
+    scenario.write_text(SMALL_SCENARIO.replace("sim_time_s = 160", "sim_time_s = 60"))
+    out = tmp_path / "out"
+    assert main(["run", "--scenario", str(scenario), "--experiment", "detection",
+                 "--out", str(out)]) == 0
+    report = load_report(out / "detection_report.json")
+    assert len(report.rows) == 4 and not report.errors
+    assert {row["injected"] for row in report.rows} == {1}
+
+
 def test_cli_run_exits_2_when_a_replication_fails(small_cfg, tmp_path, monkeypatch,
                                                  capsys):
     import crahnsim.experiments as experiments
@@ -294,7 +324,7 @@ def test_every_runner_records_the_error_type(small_cfg, tmp_path, monkeypatch, e
     monkeypatch.setattr(experiments, target, fail)
     # the detector is trained outside the per-replication guard; skip the training
     monkeypatch.setattr(experiments, "train_detection_model",
-                        lambda cfg, c: (None, None, {}, None))
+                        lambda cfg, counts: [(None, None, {}, None)] * len(counts))
     cfg = load_scenario(small_cfg)
     (report,) = run_experiment(cfg, experiment, replications=1, out_dir=str(tmp_path))
     assert report.errors and not report.rows

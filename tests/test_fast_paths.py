@@ -7,14 +7,21 @@ heap, one MAC delay draw per copy from the stream itself, a beacon refresh
 that rebuilds every neighbour row, `step_waypoint` on every node of a
 mobility tick, a spectrum simulation with one kernel event per
 primary-user toggle, MLP passes that allocate a new array per operation,
-and numpy's own scalar `Generator.uniform` and `Generator.integers` calls.
-The fast paths must give the same floats, the same draw order and the same
-event trace.
+and numpy's own scalar `Generator.uniform`, `Generator.integers` and
+`Generator.choice` calls. The fast paths must give the same floats, the same
+draw order and the same event trace.
+
+The MLP passes also run on stacks (several SUs' hole batches through the
+scorer, the detectors trained in lockstep), whose premise is checked here
+by name: with numpy 2.4 and OpenBLAS 0.3.31, matmul makes one BLAS call per
+2-D slice of a stack and each slice gets the floats it gets alone. An
+upgrade that breaks the premise fails these tests, not only golden digests.
 """
 
 import dataclasses
 import heapq
 import math
+import warnings
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple, Optional
 
@@ -24,11 +31,11 @@ import pytest
 from crahnsim import experiments, mobility, spectrum
 from crahnsim.detection import (POLL_PERIOD_S, Deployment, DisasterEvent, NOISE_SIGMA,
                                 SIGNAL_DECAY_M, context_record, deploy, make_training_set,
-                                sensor_magnitudes, window_times)
+                                sensor_magnitudes, train_detector, window_times)
 from crahnsim.discovery import (AdvertMsg, DiscoveryNode, ServiceCacheEntry,
                                 ServiceDescriptor, SreqMsg, SrepMsg)
 from crahnsim.kernel import Kernel, PastTimeError, bounded_draws, draw_uniform
-from crahnsim.mlp import Mlp, _sigmoid_in_place, gradients, train
+from crahnsim.mlp import DivergenceError, Mlp, _sigmoid_in_place, gradients, train
 from crahnsim.mobility import (Area, NodeState, connectivity_components, friis_received_power,
                                neighbor_graph, place_uniform, step_nodes, step_waypoint)
 from crahnsim.routing import DELAY_BLOCK, AodvNode, DataMsg, Network, Rrep, Rreq
@@ -1873,3 +1880,146 @@ def test_bounded_draw_outside_one_to_two_to_the_32_raises(n):
     with pytest.raises(ValueError, match="bounded draw"):
         bounded_draws(stream, 3)(n)
     assert stream.sizes == []
+
+
+def test_query_requester_draw_matches_generator_choice():
+    # run_discovery_replication draws each query's requester from the shared
+    # `queries` stream as ids[integers(0, len(ids))]: numpy's choice(ids)
+    for seed in range(60):
+        for size in (1, 2, 3, 12, 50, 257):
+            ids = list(range(100, 100 + 3 * size, 3))
+            fast, ref = _rng(seed), _rng(seed)
+            for _ in range(5):
+                got = ids[int(fast.integers(0, len(ids)))]
+                want = ref.choice(ids)
+                assert got == want and type(got) is int
+                # the stream is left where numpy leaves it
+                assert fast.random() == ref.random()
+
+
+# -- the stacking premise -----------------------------------------------------------
+#
+# One forward pass over a stack of hole batches, and one lockstep training of
+# several models, give every batch and every model the floats it gets alone.
+
+@pytest.mark.parametrize("activation", ["sigmoid", "identity"])
+def test_stacked_forward_pass_equals_predict_per_batch(activation):
+    rng = _rng(71)
+    for features in (3, 8):
+        model = Mlp.init([features, 8, 1], rng, output_activation=activation)
+        model.feat_mean = rng.normal(0.0, 2.0, features)
+        model.feat_std = rng.uniform(0.5, 3.0, features)
+        for holes in range(1, 26):
+            for stack in range(1, 6):
+                batches = rng.normal(0.0, 4.0, (stack, holes, features))
+                got = model.predict(batches)
+                for batch, scores in zip(batches, got):
+                    assert _same_bits(scores, model.predict(batch))
+
+
+def _lockstep_case(rng, activation):
+    """1-5 models of random depth, sharing every layer size past the input,
+    with random input widths and row counts from one row up."""
+    hidden = [int(n) for n in rng.integers(1, 11, int(rng.integers(0, 3)))]
+    outputs = int(rng.integers(1, 6))
+    rows = int(rng.choice([1, 2, 5, 40, 300]))
+    models, xs, ys = [], [], []
+    for _ in range(int(rng.integers(1, 6))):
+        width = int(rng.integers(1, 16))
+        models.append(Mlp.init([width] + hidden + [outputs], rng, output_activation=activation))
+        xs.append(rng.normal(0.0, 1.0, (rows, width)) * rng.uniform(0.1, 20.0, width))
+        ys.append(rng.random((rows, outputs)) if activation == "sigmoid"
+                  else rng.normal(1.0, 3.0, (rows, outputs)))
+    return models, xs, ys
+
+
+def _params_of(model):
+    return model.weights + model.biases + [model.feat_mean, model.feat_std]
+
+
+def _copy_model(model):
+    return dataclasses.replace(model, weights=[w.copy() for w in model.weights],
+                               biases=[b.copy() for b in model.biases])
+
+
+@pytest.mark.parametrize("standardize", [True, False])
+@pytest.mark.parametrize("activation", ["sigmoid", "identity"])
+@pytest.mark.parametrize("seed", range(8))
+def test_lockstep_training_equals_train_model_by_model(seed, activation, standardize):
+    rng = _rng(900 + seed)
+    lr = 0.5 if activation == "sigmoid" else 0.05
+    for _ in range(6):
+        models, xs, ys = _lockstep_case(rng, activation)
+        alone = [_copy_model(m) for m in models]
+        ref = [_copy_model(m) for m in models]
+        epochs = int(rng.integers(1, 25))
+        losses = train(models, xs, ys, learning_rate=lr, epochs=epochs, standardize=standardize)
+        assert len(losses) == epochs
+        for k, (model, lone, r, x, y) in enumerate(zip(models, alone, ref, xs, ys)):
+            lone_losses = train(lone, x, y, learning_rate=lr, epochs=epochs,
+                                standardize=standardize)
+            assert [epoch[k] for epoch in losses] == lone_losses
+            assert lone_losses == ref_train(r, x, y, lr, epochs, standardize)
+            for got, want, reference in zip(_params_of(model), _params_of(lone), _params_of(r)):
+                assert _same_bits(got, want) and _same_bits(got, reference)
+
+
+@pytest.mark.parametrize("features", [3, 9, 15])
+def test_one_row_slices_equal_classify_binary(features):
+    rng = _rng(features)
+    model = Mlp.init([features, 8, 1], rng, output_activation="sigmoid")
+    model.feat_mean = rng.normal(0.0, 1.0, features)
+    model.feat_std = rng.uniform(0.2, 2.0, features)
+    rows = rng.normal(0.0, 3.0, (400, features))
+    # outputs near 0.5, where a last-bit difference would flip a verdict
+    rows[:200] = model.feat_mean + rng.normal(0.0, 1e-3, (200, features))
+    out = model.predict(rows[:, np.newaxis, :])
+    assert out.shape == (400, 1, 1)
+    for row, got in zip(rows, out):
+        assert _same_bits(got[0], model.forward(row))
+    assert (out[:, 0, 0] > 0.5).tolist() == [model.classify_binary(row) for row in rows]
+
+
+def test_detector_validation_equals_classifying_each_row():
+    rng = _rng(5)
+    xs = [rng.normal(0.0, 1.0, (60, 3 * c)) for c in (1, 4)]
+    ys = [(x[:, :1] > 0).astype(float) for x in xs]
+    trained = train_detector([_rng(10), _rng(11)], [_rng(20), _rng(21)], xs, ys, epochs=30)
+    for (model, stats), x, y, split_seed in zip(trained, xs, ys, (20, 21)):
+        va = _rng(split_seed).permutation(len(x))[int(0.8 * len(x)):]
+        verdicts = [model.classify_binary(row) for row in x[va]]
+        assert stats["val_accuracy"] == float(np.mean(
+            np.array(verdicts) == (y[va][:, 0] > 0.5)))
+
+
+def test_lockstep_stack_with_one_diverging_model():
+    # model 1 diverges as the lone model of tests/test_mlp.py does; model 0
+    # is fitted exactly (its delta is zero) and never changes
+    diverging = Mlp.init([1, 2, 1], _rng(0), output_activation="identity")
+    x1 = np.array([[1e3], [-1e3]])
+    y1 = x1.copy()
+    steady = Mlp.init([2, 2, 1], _rng(1), output_activation="identity")
+    x0 = np.array([[0.3, -1.2], [2.0, 0.5]])
+    y0 = steady.predict(x0).copy()
+    lone, ref, ref_to_failure = (_copy_model(diverging) for _ in range(3))
+    steady_before = [p.copy() for p in _params_of(steady)]
+    with np.errstate(over="ignore", invalid="ignore"):
+        ref_losses = ref_train(ref, x1, y1, 1e9, 60, standardize=False)
+        epoch = next(i for i, loss in enumerate(ref_losses, 1) if not math.isfinite(loss))
+        ref_train(ref_to_failure, x1, y1, 1e9, epoch, standardize=False)
+    # every warning is an error here: none escapes training
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DivergenceError) as lone_error:
+            train(lone, x1, y1, learning_rate=1e9, epochs=60, standardize=False)
+        with pytest.raises(DivergenceError) as stack_error:
+            train([steady, diverging], [x0, x1], [y0, y1], learning_rate=1e9, epochs=60,
+                  standardize=False)
+    assert str(lone_error.value) == f"non-finite loss at epoch {epoch} in model 0"
+    assert str(stack_error.value) == f"non-finite loss at epoch {epoch} in model 1"
+    # the models hold what training did up to the failing epoch
+    for got, lone_got, want in zip(_params_of(diverging), _params_of(lone),
+                                   _params_of(ref_to_failure)):
+        assert _same_bits(got, want) and _same_bits(lone_got, want)
+    for got, want in zip(_params_of(steady), steady_before):
+        assert _same_bits(got, want)

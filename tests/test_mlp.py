@@ -235,8 +235,7 @@ def test_train_checks_every_input_before_touching_the_model(x, y, settings, matc
     assert _unchanged(model, before)
 
 
-# overflow is the expected mechanism that trips the divergence guard
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+# overflow trips the divergence guard; training raises DivergenceError, not a warning
 def test_divergence_error_names_the_epoch():
     model = Mlp.init([1, 2, 1], _rng(0), output_activation="identity")
     x = np.array([[1e3], [-1e3]])
@@ -271,20 +270,28 @@ def test_sigmoid_matches_logistic_definition():
 
 
 def test_forward_pass_runs_once_per_predict_and_once_per_epoch(monkeypatch):
-    # the benchmark's tracer counts `Mlp._forward_acts` calls as forward passes
+    # the benchmark's tracer counts `Mlp._forward_acts` calls as forward
+    # passes: one per stacked pass, whatever the stack holds
     assert "_forward_acts" in Mlp.__dict__
     calls = []
     real = Mlp._forward_acts
 
-    def counted(self, x):
-        calls.append(len(x))
-        return real(self, x)
+    def counted(self, x, *args):
+        # the rows of a batch or a stack of batches, or of each lockstep model
+        calls.append(x.shape[:-1] if isinstance(x, np.ndarray) else [len(xk) for xk in x])
+        return real(self, x, *args)
     monkeypatch.setattr(Mlp, "_forward_acts", counted)
     model = Mlp.init([2, 4, 1], _rng(0))
     model.predict(XOR_X)
     model.predict(XOR_X[:1])
     model.forward(XOR_X[2])
-    assert calls == [4, 1, 1]
+    model.predict(np.stack([XOR_X, XOR_X[::-1], XOR_X]))
+    assert calls == [(4,), (1,), (1,), (3, 4)]
     calls.clear()
     train(model, XOR_X, XOR_Y, learning_rate=0.5, epochs=7)
-    assert calls == [4] * 7
+    assert calls == [[4]] * 7
+    calls.clear()
+    wider = Mlp.init([3, 4, 1], _rng(1))
+    train([model, wider], [XOR_X, _rng(2).normal(0, 1, (4, 3))], [XOR_Y, XOR_Y],
+          learning_rate=0.5, epochs=5)
+    assert calls == [[4, 4]] * 5

@@ -27,14 +27,15 @@ def _run_cell(seed, params, sim_time_s, pu_schedules=None):
 
 
 class _RawScorer:
-    """Stands in for the scorer: `raw` is its output for the holes in channel order."""
+    """Stands in for the scorer: `raw` is its output for the holes in channel
+    order, for every batch of a stack (SUs x holes x features)."""
 
     def __init__(self, raw):
         self.raw = np.array(raw, dtype=float)
 
     def predict(self, batch):
-        assert len(batch) == len(self.raw)
-        return self.raw[:, None]
+        assert batch.shape[-2] == len(self.raw)
+        return np.broadcast_to(self.raw[:, None], batch.shape[:-1] + (1,))
 
 
 def test_session_window_slides_to_newest_n():
