@@ -5,7 +5,7 @@ import json
 import math
 import os
 import statistics
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from typing import Callable, Optional
 
 from . import mobility
@@ -444,13 +444,30 @@ def run_experiment(cfg: ScenarioConfig, which: str, seed: int = None,
 
 def load_report(path) -> MetricsReport:
     """Load a report JSON and verify its seeds and aggregates against its own
-    config and rows; its config must hold every section and key of a
-    scenario."""
+    config and rows: it must hold every field of a report, its config every
+    section and key of a scenario, and each row the experiment's columns."""
     with open(path, "r", encoding="utf-8") as fh:
         raw = json.load(fh)
+    if not isinstance(raw, dict):
+        raise ValueError(f"a report is a JSON object, got {type(raw).__name__}")
+    names = {f.name for f in fields(MetricsReport)}
+    if raw.keys() != names:
+        raise ValueError(f"report fields {sorted(raw.keys() ^ names)} missing or extra")
+    for name in ("rows", "aggregates", "errors"):
+        if not (isinstance(raw[name], list) and all(isinstance(e, dict) for e in raw[name])):
+            raise ValueError(f"{name} must be a list of objects")
     report = MetricsReport(**raw)
-    if report.experiment not in SPECS:
+    if not isinstance(report.experiment, str) or report.experiment not in SPECS:
         raise ValueError(f"unknown experiment {report.experiment!r}")
+    spec = SPECS[report.experiment]
+    if report.columns != spec.columns:
+        raise ValueError(f"columns {report.columns} are not the experiment's {spec.columns}")
+    columns = set(spec.columns)
+    for i, row in enumerate(report.rows):
+        if row.keys() != columns:
+            raise ValueError(f"row {i}: columns {sorted(row.keys() ^ columns)} missing or extra")
+    if not isinstance(report.config, dict):
+        raise ValueError("config must be an object")
     for section, keys in ScenarioConfig().echo().items():
         if not isinstance(report.config.get(section), dict):
             raise ValueError(f"config lacks section {section}")
@@ -459,7 +476,7 @@ def load_report(path) -> MetricsReport:
             raise ValueError(f"config.{section} lacks {', '.join(missing)}")
     if report.seeds != _replication_seeds(report.config):
         raise ValueError("seeds do not follow from the config's seed and replications")
-    SPECS[report.experiment].check(report)
+    spec.check(report)
     return report
 
 

@@ -15,7 +15,7 @@ sums a taller matrix's products in another order for some rows, and the
 last bit of their outputs changes."""
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -132,8 +132,9 @@ class _Lockstep:
     of each model's matrix (input widths differ, so the first layer's two
     products run per model); every later weight and every bias carries a
     leading model axis, as does every activation past the input. All
-    parameters are views into one flat array and their gradients views into
-    another, so that a descent step is two numpy calls.
+    parameters, each model's `weights` and `biases` among them, are views
+    into one flat array and their gradients views into another: a descent
+    step is two numpy calls, and it updates the models themselves.
 
     `first` and `below`, the first layer's activations and delta, are
     allocated once: as fresh arrays of a few hundred kB they would be new
@@ -159,8 +160,12 @@ class _Lockstep:
                          output_activation=models[0].output_activation)
         self.grad_w = [grads[:k]] + grads[k:k + layers - 1]
         self.grad_b = grads[k + layers - 1:]
-        for mine, theirs in self._pairs(models):
-            mine[...] = theirs
+        for j, model in enumerate(models):
+            weights = [params[j]] + [w[j] for w in self.stack.weights[1:]]
+            biases = [b[j, 0] for b in self.stack.biases]
+            for view, array in zip(weights + biases, model.weights + model.biases):
+                view[...] = array
+            model.weights, model.biases = weights, biases
         units = len(models[0].biases[0])
         if layers > 1 and units >= 4:
             shape, axes = (rows, k, units), (1, 0, 2)
@@ -168,19 +173,6 @@ class _Lockstep:
             shape, axes = (k, rows, units), (0, 1, 2)
         self.first = np.empty(shape).transpose(axes)
         self.below = np.empty(shape).transpose(axes)
-
-    def _pairs(self, models: list[Mlp]):
-        """(stack view, model array) of every parameter of every model."""
-        stack = self.stack
-        yield from zip(stack.weights[0], (m.weights[0] for m in models))
-        for k, m in enumerate(models):
-            yield from ((w[k], mw) for w, mw in zip(stack.weights[1:], m.weights[1:]))
-            yield from ((b[k, 0], mb) for b, mb in zip(stack.biases, m.biases))
-
-    def unload(self, models: list[Mlp]) -> None:
-        """Copy the stack's parameters into `models`, in place."""
-        for mine, theirs in self._pairs(models):
-            theirs[...] = mine
 
 
 def _views(flat: np.ndarray, shapes: list[tuple]) -> list[np.ndarray]:
@@ -249,7 +241,7 @@ def gradients(model: Mlp, x: np.ndarray, y: np.ndarray):
     x is raw (unstandardized) input, rows = samples.
     """
     xs = [model._standardize(np.asarray(x, dtype=float))]
-    lock = _Lockstep([model], len(xs[0]))
+    lock = _Lockstep([replace(model)], len(xs[0]))  # the model keeps its own arrays
     _backprop(lock, lock.stack._forward_acts(xs, lock.first), np.asarray(y, dtype=float)[None])
     return lock.grad_w[0] + [g[0] for g in lock.grad_w[1:]], [g[0, 0] for g in lock.grad_b]
 
@@ -273,7 +265,9 @@ def train(models, x, y, *, learning_rate: float, epochs: int,
           standardize: bool = True) -> list:
     """Full-batch gradient descent in place on raw inputs x and targets y (rows
     = samples); with `standardize`, each model's feature standardization is
-    first fitted to its x. Every input is checked before any model changes.
+    first fitted to its x. Every input is checked before any model changes;
+    then the models' parameters are views of their stack's (`_Lockstep`), so
+    a model that diverges holds those of the failing epoch's step.
 
     `models` is one Mlp, trained on x and y, or a list of Mlps trained in
     lockstep, x and y then being lists of their inputs and targets. Models in
@@ -313,21 +307,17 @@ def train(models, x, y, *, learning_rate: float, epochs: int,
     losses = []
     # a model that diverges overflows on its way to a non-finite loss; the
     # DivergenceError naming it and its epoch is the signal, not a warning
-    try:
-        with np.errstate(over="ignore", invalid="ignore"):
-            for epoch in range(epochs):
-                # one forward pass serves loss and gradients
-                acts = lock.stack._forward_acts(xs, lock.first)
-                loss = _batch_loss(lock.stack, acts[-1], y).tolist()
-                _backprop(lock, acts, y)
-                # params -= learning_rate * grads, reusing the gradients' array
-                lock.grads *= learning_rate
-                lock.params -= lock.grads
-                for k, value in enumerate(loss):
-                    if not math.isfinite(value):
-                        raise DivergenceError(
-                            f"non-finite loss at epoch {epoch + 1} in model {k}")
-                losses.append(loss)
-    finally:
-        lock.unload(models)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for epoch in range(epochs):
+            # one forward pass serves loss and gradients
+            acts = lock.stack._forward_acts(xs, lock.first)
+            loss = _batch_loss(lock.stack, acts[-1], y).tolist()
+            _backprop(lock, acts, y)
+            # params -= learning_rate * grads, reusing the gradients' array
+            lock.grads *= learning_rate
+            lock.params -= lock.grads
+            for k, value in enumerate(loss):
+                if not math.isfinite(value):
+                    raise DivergenceError(f"non-finite loss at epoch {epoch + 1} in model {k}")
+            losses.append(loss)
     return losses

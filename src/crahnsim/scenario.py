@@ -18,7 +18,8 @@ from .spectrum import (DEFAULT_N_WINDOW, DEFAULT_SCALE_MAX, DEFAULT_SCALE_MIN,
                        DEFAULT_SU_COUNT, DEFAULT_SU_START_S, POLICIES)
 
 # most runs of one periodic loop (mobility and beacon ticks, adverts) that a
-# scenario may ask for: sim_time_s / interval
+# scenario may ask for: sim_time_s / interval; also the most PU toggles,
+# about sim_time_s / scale_min per PU
 MAX_TICKS = 10**6
 
 
@@ -148,7 +149,8 @@ class ScenarioConfig:
         if dc.service_count > dc.node_count:
             raise ScenarioError("service_count: cannot exceed node_count")
         for key, interval in (("beacon_interval_s", s.beacon_interval_s),
-                              ("advert_interval_s", dc.advert_interval_s)):
+                              ("advert_interval_s", dc.advert_interval_s),
+                              ("scale_min", sp.scale_min)):
             if s.sim_time_s / interval > MAX_TICKS:
                 raise ScenarioError(f"{key}: sim_time_s / {key} = {s.sim_time_s / interval:.6g}"
                                     f" ticks, more than {MAX_TICKS}")

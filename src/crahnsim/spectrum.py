@@ -180,7 +180,8 @@ class SpectrumSim:
     at its busy start. An assignment adds a sample at its eviction. Under
     `random-baseline` there are no features, no samples and no mobility
     ticks (nodes stay where they were placed); the scorer is still
-    initialized, from its own `scorer-init` stream.
+    initialized, from its own `scorer-init` stream. Each selection scans the
+    holes anew; only the PU signals at the SUs are kept, until the next tick.
 
     Ties: a toggle at exactly t has happened for every event at t. A toggle
     that needs handling is a kernel event scheduled when the need arises (an
@@ -225,11 +226,8 @@ class SpectrumSim:
         self._warmup: list[tuple[float, int, float, np.ndarray]] = []
         self._warm_open: dict[int, tuple[float, np.ndarray]] = {}
         self._observed_to = 0.0
-        # values that hold until the next mobility tick: (pu_id, su_id) -> signal,
-        # and the last hole scan
+        # (pu_id, su_id) -> signal, which holds until the next mobility tick
         self._dbm: dict[tuple[int, int], float] = {}
-        self._scan_at: Optional[float] = None
-        self._scanned: tuple[list[int], Optional[np.ndarray]] = ([], None)
         self._su_started = False
 
     # -- wiring ---------------------------------------------------------------
@@ -253,7 +251,6 @@ class SpectrumSim:
         step_nodes(self.pus + self.sus, self.k.now, MOBILE_STEP_S, self.k.stream("mobility"),
                    self.area, p.v_min_mps, p.v_max_mps, p.pause_max_s)
         self._dbm.clear()
-        self._scan_at = None
 
     def _received_dbm(self, pu: NodeState, su: NodeState) -> float:
         """PU signal at the SU; nodes only move at mobility ticks, so each
@@ -371,20 +368,6 @@ class SpectrumSim:
         self._refit()
         self._select_for([su.id for su in self.sus], now)
 
-    def _scan(self, now: float) -> tuple[list[int], Optional[np.ndarray]]:
-        """Holes at `now`, in channel order, and under `mlp-history` their
-        feature rows with the signal column left at 0. Both are the same for
-        every SU selecting at one instant, so they are kept until the time or
-        the positions change."""
-        if self._scan_at != now:
-            holes = spectrum_holes(self.timelines, now)
-            rows = None
-            if holes and self.p.policy == "mlp-history":
-                rows = np.array([extract_features(self.timelines[c], now, self.p.n_window,
-                                                  0.0, self.pus[c].speed) for c in holes])
-            self._scan_at, self._scanned = now, (holes, rows)
-        return self._scanned
-
     def _select_for(self, su_ids: list[int], now: float) -> None:
         """Assign each SU of `su_ids` a hole at `now`, one after the other, or
         queue it to wait. They select from one hole scan, and nothing they are
@@ -392,7 +375,7 @@ class SpectrumSim:
         scored in one pass."""
         if not su_ids:
             return
-        holes, rows = self._scan(now)
+        holes = spectrum_holes(self.timelines, now)
         if not holes:
             for su_id in su_ids:
                 if not self.waiting:
@@ -401,16 +384,17 @@ class SpectrumSim:
                     self.waiting.append(su_id)
             return
         if self.p.policy == "mlp-history":
-            # one batch per SU, rows in channel order, stacked (SUs x holes x
-            # features): matmul makes one BLAS call per batch, so each SU's
-            # scores are those of its batch alone, where concatenating the
-            # SUs' rows into one batch would change the last bit of some
-            batch = np.empty((len(su_ids),) + rows.shape)
-            batch[:] = rows
-            signal = self.p.n_window
+            # each SU's batch: the holes' feature rows in channel order, with
+            # its signal. Stacked (SUs x holes x features), matmul makes one
+            # BLAS call per batch, so each SU's scores are those of its batch
+            # alone; concatenated rows would change the last bit of some
+            n = self.p.n_window  # the signal's column
+            batch = np.empty((len(su_ids), len(holes), n + 3))
+            batch[:] = [extract_features(self.timelines[c], now, n, 0.0, self.pus[c].speed)
+                        for c in holes]
             for s, su_id in enumerate(su_ids):
                 su = self.sus[su_id - self.p.pu_count]
-                batch[s, :, signal] = [self._received_dbm(self.pus[c], su) for c in holes]
+                batch[s, :, n] = [self._received_dbm(self.pus[c], su) for c in holes]
             # the best score; the first of equal ones is the lowest channel
             picks = score_holes(self.model, batch).argmax(axis=-1).tolist()
         else:

@@ -150,6 +150,47 @@ def test_load_report_names_missing_config_keys(small_reports, tmp_path, section,
         load_report(path)
 
 
+MALFORMED = {
+    "no-rows": (lambda raw: raw.pop("rows"), r"^report fields \['rows'\] missing or extra$"),
+    "extra-field": (lambda raw: raw.update(made_up=1),
+                    r"^report fields \['made_up'\] missing or extra$"),
+    "rows-string": (lambda raw: raw.update(rows="oops"), "^rows must be a list of objects$"),
+    "row-not-object": (lambda raw: raw["rows"].append([1]), "^rows must be a list of objects$"),
+    "aggregates-object": (lambda raw: raw.update(aggregates={}),
+                          "^aggregates must be a list of objects$"),
+    "errors-numbers": (lambda raw: raw.update(errors=[1, 2]),
+                       "^errors must be a list of objects$"),
+    "config-list": (lambda raw: raw.update(config=[]), "^config must be an object$"),
+    "columns-reordered": (lambda raw: raw["columns"].reverse(),
+                          r"^columns \['mean_miss_latency_s', .* are not the experiment's "),
+    "row-without-a-statistic": (lambda raw: raw["rows"][1].pop("mean_miss_latency_s"),
+                                r"^row 1: columns \['mean_miss_latency_s'\] missing or extra$"),
+    "row-without-an-unread-column": (lambda raw: raw["rows"][0].pop("queries"),
+                                     r"^row 0: columns \['queries'\] missing or extra$"),
+    "row-with-an-extra-column": (lambda raw: raw["rows"][0].update(made_up=1),
+                                 r"^row 0: columns \['made_up'\] missing or extra$"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_load_report_rejects_a_malformed_report_naming_the_problem(small_reports, tmp_path,
+                                                                  case):
+    raw = json.loads((small_reports / "discovery_report.json").read_text())
+    edit, message = MALFORMED[case]
+    edit(raw)
+    path = tmp_path / "report.json"
+    path.write_text(json.dumps(raw))
+    with pytest.raises(ValueError, match=message):
+        load_report(path)
+
+
+def test_load_report_rejects_a_json_list(small_reports, tmp_path):
+    path = tmp_path / "report.json"
+    path.write_text(f"[{(small_reports / 'discovery_report.json').read_text()}]")
+    with pytest.raises(ValueError, match="^a report is a JSON object, got list$"):
+        load_report(path)
+
+
 def test_overrides_write_what_the_same_scenario_file_writes(tmp_path):
     base = SMALL_SCENARIO.replace("replications = 2\nseed = 7", "replications = 3\nseed = 1")
     same = SMALL_SCENARIO.replace("seed = 7", "seed = 5")

@@ -1672,6 +1672,46 @@ def test_spectrum_tie_order_on_hand_schedules():
         (0, 1.0, 41.0), (0, 61.0, None)]
 
 
+@pytest.mark.parametrize("policy,expected", [
+    ("mlp-history", [(5, 2, 1.0, 41.0), (6, 0, 1.0, 41.0), (5, 3, 41.0, None),
+                     (6, 3, 41.0, None)]),
+    ("random-baseline", [(5, 2, 1.0, 41.0), (6, 1, 1.0, 41.0), (5, 4, 41.0, 65.5),
+                         (6, 3, 41.0, None), (5, 3, 65.5, None)]),
+])
+def test_spectrum_two_evictions_at_one_instant_on_hand_schedules(policy, expected):
+    """The two SUs hold channels that go busy at one instant (t = 41, off the
+    mobility grid). Each busy start is its own event, so the SUs reselect one
+    after the other at one time with no tick in between, from the holes at
+    41: channels 3 and 4. Pinned, as the reference runs tied toggles in
+    another order."""
+    schedule = {0: [41.0, 20.0], 1: [41.0, 25.0], 2: [41.0, 30.0],
+                3: [0.5, 20.0], 4: [0.5, 30.0, 35.0, 10.0]}
+    params = SpectrumParams(pu_count=5, su_count=2, policy=policy, su_start_s=1.0)
+    n = params.n_window
+    # (busy durations, idle since) of each hole chosen: every hole at 1 has
+    # been idle since 0, and channel 3 at 41 since its 20 s busy period ended
+    history = {(1.0, c): ([], 0.0) for c in (0, 1, 2)}
+    history[41.0, 3] = ([20.0], 20.5)
+    kernel = Kernel(seed=2, end=100.0)
+    sim = SpectrumSim(kernel, params, pu_schedules=schedule)
+    sim.start()
+    for now in (1.0, 41.0):
+        kernel.run_until(now)  # positions and speeds are those of the selections
+        chosen = [a for a in sim.assignments if a.assigned_at == now]
+        assert len(chosen) == 2
+        for a in chosen:
+            if policy == "random-baseline":
+                assert a.selection_features is None
+                continue
+            busy, since = history[now, a.channel_index]
+            pu, su = sim.pus[a.channel_index], sim.sus[a.su_id - params.pu_count]
+            assert a.selection_features.tolist() == [0.0] * (n - len(busy)) + busy + [
+                ref_received_dbm(pu, su, REF_WAVELENGTH_M), pu.speed, now - since]
+    kernel.run_until(100.0)
+    assert [(a.su_id, a.channel_index, a.assigned_at, a.evicted_at)
+            for a in sim.assignments] == expected
+
+
 # -- reference: allocating MLP arithmetic -----------------------------------------
 #
 # Each expression is the one the in-place passes of `crahnsim.mlp` replay
@@ -1765,7 +1805,9 @@ def test_mlp_passes_match_allocating_reference(net, activation, standardize):
     for rows in (x[:1], x[7:19]):
         want = ref_forward_acts(ref, ref_standardize(ref, rows))[-1]
         assert np.array_equal(model.predict(rows), want)
+    arrays = model.weights + model.biases
     got_w, got_b = gradients(model, x, y)
+    assert all(a is b for a, b in zip(model.weights + model.biases, arrays))
     want_w, want_b = ref_backprop(ref, ref_forward_acts(ref, ref_standardize(ref, x)), y)
     for got, want in zip(got_w + got_b, want_w + want_b):
         assert np.array_equal(got, want)
@@ -1962,6 +2004,46 @@ def test_lockstep_training_equals_train_model_by_model(seed, activation, standar
             assert lone_losses == ref_train(r, x, y, lr, epochs, standardize)
             for got, want, reference in zip(_params_of(model), _params_of(lone), _params_of(r)):
                 assert _same_bits(got, want) and _same_bits(got, reference)
+
+
+@pytest.mark.parametrize("activation", ["sigmoid", "identity"])
+def test_train_warm_starts_from_the_previous_call(activation):
+    # the spectrum scorer's refits train again, standardization frozen, a
+    # model whose parameters the previous call left as views of its stack
+    rng = _rng(31)
+    lr = 0.5 if activation == "sigmoid" else 0.05
+
+    def batch(width, rows):
+        x = rng.normal(0.0, 1.0, (rows, width)) * rng.uniform(0.1, 20.0, width)
+        y = rng.random((rows, 2)) if activation == "sigmoid" else rng.normal(1.0, 3.0, (rows, 2))
+        return x, y
+
+    def assert_same_models(got, want):
+        for model, ref in zip(got, want):
+            for a, b in zip(_params_of(model), _params_of(ref)):
+                assert _same_bits(a, b)
+
+    model = Mlp.init([4, 6, 5, 2], rng, output_activation=activation)
+    ref = _copy_model(model)
+    for (x, y), epochs, standardize in ((batch(4, 30), 20, True), (batch(4, 37), 9, False),
+                                        (batch(4, 3), 4, False)):
+        assert train(model, x, y, learning_rate=lr, epochs=epochs,
+                     standardize=standardize) == ref_train(ref, x, y, lr, epochs, standardize)
+        assert_same_models([model], [ref])
+
+    models = [Mlp.init([width, 5, 2], rng, output_activation=activation) for width in (3, 7)]
+    refs = [_copy_model(m) for m in models]
+    data = [batch(3, 40), batch(7, 40)]
+    losses = train(models, [x for x, _ in data], [y for _, y in data], learning_rate=lr,
+                   epochs=12)
+    for k, (r, (x, y)) in enumerate(zip(refs, data)):
+        assert [epoch[k] for epoch in losses] == ref_train(r, x, y, lr, 12)
+    assert_same_models(models, refs)
+    for model, r, width in zip(models, refs, (3, 7)):
+        x, y = batch(width, 25)
+        assert train(model, x, y, learning_rate=lr, epochs=8,
+                     standardize=False) == ref_train(r, x, y, lr, 8, standardize=False)
+    assert_same_models(models, refs)
 
 
 @pytest.mark.parametrize("features", [3, 9, 15])

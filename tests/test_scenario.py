@@ -153,6 +153,9 @@ def test_negative_time_is_rejected_but_zero_allowed(tmp_path, section, key):
     (f"[simulation]\nsim_time_s = {MAX_TICKS + 1}\n", "beacon_interval_s"),
     (f"[simulation]\nsim_time_s = {MAX_TICKS}\n[discovery]\nadvert_interval_s = 0.999\n",
      "advert_interval_s"),
+    # PU toggles: about sim_time_s / scale_min per PU
+    ("[spectrum]\nscale_min = 1e-6\n", "scale_min"),
+    (f"[simulation]\nsim_time_s = {MAX_TICKS}\n[spectrum]\nscale_min = 0.999\n", "scale_min"),
 ])
 def test_endless_event_loop_is_rejected_naming_the_key(tmp_path, text, key):
     # checked at validate only: such a run is never started
@@ -161,8 +164,12 @@ def test_endless_event_loop_is_rejected_naming_the_key(tmp_path, text, key):
 
 
 def test_event_loop_cap_is_inclusive(tmp_path):
-    cfg = _load(tmp_path, f"[simulation]\nsim_time_s = {MAX_TICKS}\n")
+    # beacon ticks and PU toggles both exactly at the cap
+    cfg = _load(tmp_path, f"[simulation]\nsim_time_s = {MAX_TICKS}\n[spectrum]\nscale_min = 1\n")
     assert cfg.simulation.sim_time_s / cfg.simulation.beacon_interval_s == MAX_TICKS
+    assert cfg.simulation.sim_time_s / cfg.spectrum.scale_min == MAX_TICKS
+    cfg = _load(tmp_path, "")  # the defaults pass
+    assert cfg.simulation.sim_time_s / cfg.spectrum.scale_min < MAX_TICKS
 
 
 # what `validate` requires of each numeric key, the other keys at their defaults
