@@ -442,10 +442,36 @@ def run_experiment(cfg: ScenarioConfig, which: str, seed: int = None,
     return reports
 
 
+def _is_integer(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+# JSON type of a config value, by its default's type: (name, name of a list, test)
+_JSON_TYPES = {int: ("an integer", "a list of integers", _is_integer),
+               float: ("a number", "a list of numbers", _is_number),
+               str: ("a string", "a list of strings", lambda value: isinstance(value, str))}
+
+
+def _config_type(default) -> tuple[str, Callable]:
+    """(name, test) of the JSON values that stand for a config value whose
+    default is `default`: a float's may be integers, a tuple's are lists."""
+    if isinstance(default, tuple):
+        _, name, test = _JSON_TYPES[type(default[0])]
+        return name, lambda value: isinstance(value, list) and all(map(test, value))
+    name, _, test = _JSON_TYPES[type(default)]
+    return name, test
+
+
 def load_report(path) -> MetricsReport:
     """Load a report JSON and verify its seeds and aggregates against its own
     config and rows: it must hold every field of a report, its config every
-    section and key of a scenario, and each row the experiment's columns."""
+    section and key of a scenario with the default's type, and each row the
+    experiment's columns: a group key of one of the config's grid points, an
+    integer replication and seed, and metrics that are numbers or null."""
     with open(path, "r", encoding="utf-8") as fh:
         raw = json.load(fh)
     if not isinstance(raw, dict):
@@ -462,20 +488,41 @@ def load_report(path) -> MetricsReport:
     spec = SPECS[report.experiment]
     if report.columns != spec.columns:
         raise ValueError(f"columns {report.columns} are not the experiment's {spec.columns}")
+    if not isinstance(report.config, dict):
+        raise ValueError("config must be an object")
+    for section, defaults in ScenarioConfig().echo().items():
+        if not isinstance(report.config.get(section), dict):
+            raise ValueError(f"config lacks section {section}")
+        values = report.config[section]
+        missing = sorted(defaults.keys() - values.keys())
+        if missing:
+            raise ValueError(f"config.{section} lacks {', '.join(missing)}")
+        for key, default in defaults.items():
+            name, test = _config_type(default)
+            if not test(values[key]):
+                raise ValueError(f"config.{section}.{key} must be {name}, "
+                                 f"got {json.dumps(values[key])}")
+    # the length first: a huge replication count must not build its seed list
+    if not (isinstance(report.seeds, list)
+            and len(report.seeds) == report.config["simulation"]["replications"]
+            and report.seeds == _replication_seeds(report.config)):
+        raise ValueError("seeds do not follow from the config's seed and replications")
     columns = set(spec.columns)
+    points = [{k: point[k] for k in spec.group_keys} for point in spec.points(report.config)]
     for i, row in enumerate(report.rows):
         if row.keys() != columns:
             raise ValueError(f"row {i}: columns {sorted(row.keys() ^ columns)} missing or extra")
-    if not isinstance(report.config, dict):
-        raise ValueError("config must be an object")
-    for section, keys in ScenarioConfig().echo().items():
-        if not isinstance(report.config.get(section), dict):
-            raise ValueError(f"config lacks section {section}")
-        missing = sorted(keys.keys() - report.config[section].keys())
-        if missing:
-            raise ValueError(f"config.{section} lacks {', '.join(missing)}")
-    if report.seeds != _replication_seeds(report.config):
-        raise ValueError("seeds do not follow from the config's seed and replications")
+        if {k: row[k] for k in spec.group_keys} not in points:
+            raise ValueError(f"row {i}: {', '.join(spec.group_keys)} name no grid point "
+                             f"of the config")
+        for key in ("replication", "seed"):
+            if not _is_integer(row[key]):
+                raise ValueError(f"row {i}: {key} must be an integer, got "
+                                 f"{json.dumps(row[key])}")
+        for key in spec.metrics:
+            if not (row[key] is None or _is_number(row[key])):
+                raise ValueError(f"row {i}: {key} must be a number or null, got "
+                                 f"{json.dumps(row[key])}")
     spec.check(report)
     return report
 

@@ -25,11 +25,17 @@ import re
 import xml.etree.ElementTree as ET
 from dataclasses import dataclass, field
 from datetime import datetime
-from xml.sax.saxutils import escape
 
 SITUATION_VALUES = ("Red", "Yellow", "Green")
 SHORT_MESSAGE_MAX = 256
 LONG_MESSAGE_MAX = 4096
+
+
+def _escape(text: str) -> str:
+    """`&`, `<` and `>` as entities, with the replacements and order of
+    `xml.sax.saxutils.escape`, which would import `urllib.request` and with it
+    the network stack."""
+    return text.replace("&", "&amp;").replace(">", "&gt;").replace("<", "&lt;")
 
 
 class SituationValidationError(ValueError):
@@ -102,11 +108,11 @@ def encode_situation(record: SituationRecord) -> bytes:
         "  </Location>",
         f"  <Situation>{record.situation}</Situation>",
         f"  <TimeStamp>{record.timestamp}</TimeStamp>",
-        f"  <ShortMessage>{escape(record.short_message)}</ShortMessage>",
+        f"  <ShortMessage>{_escape(record.short_message)}</ShortMessage>",
     ]
     if record.long_message:
-        lines.append(f"  <LongMessage>{escape(record.long_message)}</LongMessage>")
-    lines.append(f"  <Ontology>{escape(record.ontology)}</Ontology>")
+        lines.append(f"  <LongMessage>{_escape(record.long_message)}</LongMessage>")
+    lines.append(f"  <Ontology>{_escape(record.ontology)}</Ontology>")
     lines.append("</XML>")
     return ("\n".join(lines) + "\n").encode("utf-8")
 

@@ -6,6 +6,7 @@ import os
 
 import pytest
 
+from crahnsim import experiments
 from crahnsim.cli import main
 from crahnsim.experiments import (load_report, replication_seed, run_experiment)
 from crahnsim.scenario import ScenarioConfig, load_scenario
@@ -169,6 +170,27 @@ MALFORMED = {
                                      r"^row 0: columns \['queries'\] missing or extra$"),
     "row-with-an-extra-column": (lambda raw: raw["rows"][0].update(made_up=1),
                                  r"^row 0: columns \['made_up'\] missing or extra$"),
+    # values of the wrong type, named with their field
+    "config-replications-string": (
+        lambda raw: raw["config"]["simulation"].update(replications="2"),
+        r'^config.simulation.replications must be an integer, got "2"$'),
+    "config-replications-null": (
+        lambda raw: raw["config"]["simulation"].update(replications=None),
+        "^config.simulation.replications must be an integer, got null$"),
+    "config-seed-string": (lambda raw: raw["config"]["simulation"].update(seed="7"),
+                           r'^config.simulation.seed must be an integer, got "7"$'),
+    "config-bool-for-a-number": (lambda raw: raw["config"]["simulation"].update(sim_time_s=True),
+                                 "^config.simulation.sim_time_s must be a number, got true$"),
+    "config-list-of-strings": (
+        lambda raw: raw["config"]["detection"].update(cluster_counts=["1", "2"]),
+        r'^config.detection.cluster_counts must be a list of integers, got \["1", "2"\]$'),
+    "row-hit-latency-string": (lambda raw: raw["rows"][0].update(mean_hit_latency_s="x"),
+                               r'^row 0: mean_hit_latency_s must be a number or null, '
+                               r'got "x"$'),
+    "row-queries-string": (lambda raw: raw["rows"][1].update(queries="x"),
+                           r'^row 1: queries must be a number or null, got "x"$'),
+    "row-replication-list": (lambda raw: raw["rows"][0].update(replication=[1]),
+                             r"^row 0: replication must be an integer, got \[1\]$"),
 }
 
 
@@ -182,6 +204,38 @@ def test_load_report_rejects_a_malformed_report_naming_the_problem(small_reports
     path.write_text(json.dumps(raw))
     with pytest.raises(ValueError, match=message):
         load_report(path)
+
+
+def test_load_report_rejects_a_row_off_the_config_grid(small_reports, tmp_path):
+    raw = json.loads((small_reports / "spectrum_report.json").read_text())
+    raw["rows"][0]["policy"] = "made-up"
+    path = tmp_path / "report.json"
+    path.write_text(json.dumps(raw))
+    with pytest.raises(ValueError, match="^row 0: pu_count, policy name no grid point"):
+        load_report(path)
+
+
+def test_load_report_draws_no_seed_for_a_replication_count_its_seeds_lack(
+        small_reports, tmp_path, monkeypatch):
+    raw = json.loads((small_reports / "discovery_report.json").read_text())
+    raw["config"]["simulation"]["replications"] = 10**15
+    path = tmp_path / "report.json"
+    path.write_text(json.dumps(raw))
+
+    def no_draw(*_):
+        raise AssertionError("a seed list was built for 10**15 replications")
+    monkeypatch.setattr(experiments, "replication_seed", no_draw)
+    with pytest.raises(ValueError, match="^seeds do not follow"):
+        load_report(path)
+
+
+def test_load_report_takes_an_integer_for_a_float_key(small_reports, tmp_path):
+    raw = json.loads((small_reports / "discovery_report.json").read_text())
+    assert raw["config"]["simulation"]["sim_time_s"] == 160.0
+    raw["config"]["simulation"]["sim_time_s"] = 160
+    path = tmp_path / "report.json"
+    path.write_text(json.dumps(raw))
+    assert load_report(path).config["simulation"]["sim_time_s"] == 160
 
 
 def test_load_report_rejects_a_json_list(small_reports, tmp_path):
