@@ -4,6 +4,7 @@ spectrum, discovery) drives its runs, CSV/JSON reports, report checks and SVG fi
 import json
 import math
 import os
+import re
 import statistics
 from dataclasses import asdict, dataclass, field, fields, replace
 from typing import Callable, Optional
@@ -286,13 +287,8 @@ SPECTRUM = ExperimentSpec(
 
 # -- discovery ----------------------------------------------------------------
 
-@dataclass
-class DiscoveryRun:
-    results: list
-    providers: dict
-
-
-def run_discovery_replication(cfg: ScenarioConfig, seed: int) -> DiscoveryRun:
+def run_discovery_replication(cfg: ScenarioConfig, seed: int) -> list:
+    """The `DiscoveryResult` of each query, in the order they complete."""
     sim = cfg.simulation
     dc = cfg.discovery
     area = Area(sim.area_width_m, sim.area_height_m)
@@ -319,34 +315,20 @@ def run_discovery_replication(cfg: ScenarioConfig, seed: int) -> DiscoveryRun:
     place_rng = kernel.stream("service-placement")
     provider_ids = place_rng.choice([node.id for node in nodes],
                                     size=dc.service_count, replace=False)
-    providers = {}
     for i, pid in enumerate(sorted(int(p) for p in provider_ids)):
-        service = f"svc-{i}"
-        protos[pid].host_service(service, ontology_tag=f"tag-{i % 3}")
-        providers[service] = pid
+        protos[pid].host_service(f"svc-{i}", ontology_tag=f"tag-{i % 3}")
         if dc.advert_interval_s <= sim_time:
             offset = (i % 10) * dc.advert_interval_s / 10.0
             kernel.schedule(offset, protos[pid].start_advertising, kind="advert-start")
 
     results = []
-    # component label per node id, computed from the adjacency object
-    # `labelled`; refresh_beacons replaces that object when a row changes, so
-    # the labels are recomputed at most once per mobility tick
-    labelled, label = None, {}
 
     def issue(requester, service):
-        nonlocal labelled, label
-        if labelled is not net.adjacency:
-            labelled = net.adjacency
-            label = {v: i for i, comp in enumerate(mobility.connectivity_components(labelled))
-                     for v in comp}
-        reachable = label[requester] == label[providers[service]]
-        protos[requester].discover(
-            service_id=service,
-            callback=lambda res, reach=reachable: results.append((res, reach)))
+        # the callback as a keyword: tools that wrap `discover` read it there
+        protos[requester].discover(service_id=service, callback=results.append)
 
     query_rng = kernel.stream("queries")
-    services = sorted(providers)
+    services = sorted(f"svc-{i}" for i in range(dc.service_count))  # svc-10 before svc-2
     node_ids = [node.id for node in nodes]
     for q in range(dc.query_count):
         at = draw_uniform(query_rng, 0.15 * sim_time, 0.9 * sim_time)
@@ -356,17 +338,17 @@ def run_discovery_replication(cfg: ScenarioConfig, seed: int) -> DiscoveryRun:
         kernel.schedule(at, issue, args=(requester, service), kind="query")
 
     kernel.run_until(sim_time)
-    return DiscoveryRun(results=results, providers=providers)
+    return results
 
 
 def _discovery_row(cfg: ScenarioConfig, seed: int, point: dict, _) -> dict:
-    run = run_discovery_replication(cfg, seed)
-    hits = [r for r, _ in run.results if r.cache_hit]
-    misses = [r for r, _ in run.results if not r.cache_hit and not r.timed_out]
-    timeouts = [r for r, _ in run.results if r.timed_out]
+    results = run_discovery_replication(cfg, seed)
+    hits = [r for r in results if r.cache_hit]
+    misses = [r for r in results if not r.cache_hit and not r.timed_out]
+    timeouts = [r for r in results if r.timed_out]
     hit_m, _ = _mean_std([r.latency_s for r in hits])
     miss_m, _ = _mean_std([r.latency_s for r in misses])
-    return {"queries": len(run.results), "cache_hits": len(hits),
+    return {"queries": len(results), "cache_hits": len(hits),
             "misses_resolved": len(misses), "timeouts": len(timeouts),
             "mean_hit_latency_s": hit_m if hits else None,
             "mean_miss_latency_s": miss_m if misses else None}
@@ -405,22 +387,10 @@ EXPERIMENTS = tuple(SPECS)
 _RUNNERS = {name: spec.run for name, spec in SPECS.items()}
 
 
-def run_experiment(cfg: ScenarioConfig, which: str, seed: int = None,
-                   replications: int = None, out_dir: str = None) -> list[MetricsReport]:
-    """Run one experiment or "all" on `cfg` with `seed` and `replications`,
-    if given, in place of the scenario's; they are part of the config that
-    runs and that each report echoes. Raises ScenarioError before anything is
-    written if that config is invalid, if the detection experiment is to run
-    and its disaster traces would not fit in the simulation, or if the
-    spectrum experiment is to run and its SUs would start at or after the end
-    of the simulation."""
-    names = EXPERIMENTS if which == "all" else (which,)
-    if any(n not in _RUNNERS for n in names):
-        raise ValueError(f"unknown experiment {which!r}")
-    overrides = {key: value for key, value in (("seed", seed), ("replications", replications))
-                 if value is not None}
-    cfg = replace(cfg, simulation=replace(cfg.simulation, **overrides))
-    cfg.validate()
+def check_runnable(cfg: ScenarioConfig, names) -> None:
+    """Raise ScenarioError if the detection experiment is in `names` and its
+    disaster traces would not fit in the simulation, or if the spectrum
+    experiment is and its SUs would start at or after the end of it."""
     if "detection" in names and not cfg.simulation.sim_time_s >= MIN_SIM_TIME_S:
         # every replication's trace would fail, after all detectors trained
         raise ScenarioError(f"sim_time_s: the detection experiment needs sim_time_s >= "
@@ -430,6 +400,23 @@ def run_experiment(cfg: ScenarioConfig, which: str, seed: int = None,
         raise ScenarioError(f"su_start_s: the spectrum experiment needs su_start_s < "
                             f"sim_time_s, got {cfg.spectrum.su_start_s} >= "
                             f"{cfg.simulation.sim_time_s}")
+
+
+def run_experiment(cfg: ScenarioConfig, which: str, seed: int = None,
+                   replications: int = None, out_dir: str = None) -> list[MetricsReport]:
+    """Run one experiment or "all" on `cfg` with `seed` and `replications`,
+    if given, in place of the scenario's; they are part of the config that
+    runs and that each report echoes. Raises ScenarioError before anything is
+    written if that config is invalid or cannot run one of the experiments
+    (`check_runnable`)."""
+    names = EXPERIMENTS if which == "all" else (which,)
+    if any(n not in _RUNNERS for n in names):
+        raise ValueError(f"unknown experiment {which!r}")
+    overrides = {key: value for key, value in (("seed", seed), ("replications", replications))
+                 if value is not None}
+    cfg = replace(cfg, simulation=replace(cfg.simulation, **overrides))
+    cfg.validate()
+    check_runnable(cfg, names)
     reports = []
     for name in names:
         report = _RUNNERS[name](cfg)
@@ -467,11 +454,16 @@ def _config_type(default) -> tuple[str, Callable]:
 
 
 def load_report(path) -> MetricsReport:
-    """Load a report JSON and verify its seeds and aggregates against its own
-    config and rows: it must hold every field of a report, its config every
-    section and key of a scenario with the default's type, and each row the
-    experiment's columns: a group key of one of the config's grid points, an
-    integer replication and seed, and metrics that are numbers or null."""
+    """Load a report JSON and verify it against its own config: it must hold
+    every field of a report; its config exactly the sections and keys of a
+    scenario, each with the default's type, and values that the scenario's
+    rules and the report's experiment accept; its seeds those of the config.
+    Each row holds the experiment's columns, and each error entry the keys
+    that a failed replication writes; each names a cell that the config
+    runs, and no cell is named twice: the group keys of a grid point, an
+    integer replication in range, and that replication's seed. Row metrics
+    are numbers or null, error texts strings, and the aggregates those the
+    config and rows give."""
     with open(path, "r", encoding="utf-8") as fh:
         raw = json.load(fh)
     if not isinstance(raw, dict):
@@ -488,12 +480,69 @@ def load_report(path) -> MetricsReport:
     spec = SPECS[report.experiment]
     if report.columns != spec.columns:
         raise ValueError(f"columns {report.columns} are not the experiment's {spec.columns}")
-    if not isinstance(report.config, dict):
+    _check_config(report.config, report.experiment)
+    # the length first: a huge replication count must not build its seed list
+    seeds = report.seeds
+    if not (isinstance(seeds, list)
+            and len(seeds) == report.config["simulation"]["replications"]
+            and seeds == _replication_seeds(report.config)):
+        raise ValueError("seeds do not follow from the config's seed and replications")
+    points = [{k: point[k] for k in spec.group_keys} for point in spec.points(report.config)]
+    cells = set()
+
+    def check_cell(name: str, entry: dict, keys: set, word: str) -> None:
+        if entry.keys() != keys:
+            raise ValueError(f"{name}: {word} {sorted(entry.keys() ^ keys)} missing or extra")
+        point = {k: entry[k] for k in spec.group_keys}
+        if point not in points:
+            raise ValueError(f"{name}: {', '.join(spec.group_keys)} name no grid point "
+                             f"of the config")
+        for key in ("replication", "seed"):
+            if not _is_integer(entry[key]):
+                raise ValueError(f"{name}: {key} must be an integer, got "
+                                 f"{json.dumps(entry[key])}")
+        rep, seed = entry["replication"], entry["seed"]
+        if not 0 <= rep < len(seeds):
+            raise ValueError(f"{name}: replication {rep} is not one of the config's "
+                             f"{len(seeds)}")
+        if seed != seeds[rep]:
+            raise ValueError(f"{name}: seed {seed} is not replication {rep}'s seed "
+                             f"{seeds[rep]}")
+        cell = (points.index(point), rep)
+        if cell in cells:
+            raise ValueError(f"{name}: replication {rep} of its grid point is named twice")
+        cells.add(cell)
+
+    columns = set(spec.columns)
+    for i, row in enumerate(report.rows):
+        check_cell(f"row {i}", row, columns, "columns")
+        for key in spec.metrics:
+            if not (row[key] is None or _is_number(row[key])):
+                raise ValueError(f"row {i}: {key} must be a number or null, got "
+                                 f"{json.dumps(row[key])}")
+    error_keys = {*spec.group_keys, "replication", "seed", "error", "error_type"}
+    for i, error in enumerate(report.errors):
+        check_cell(f"error {i}", error, error_keys, "keys")
+        for key in ("error", "error_type"):
+            if not isinstance(error[key], str):
+                raise ValueError(f"error {i}: {key} must be a string, got "
+                                 f"{json.dumps(error[key])}")
+    spec.check(report)
+    return report
+
+
+def _check_config(config, experiment: str) -> None:
+    """Raise ValueError, naming the section and key, unless `config` is the
+    echo of a scenario that `experiment` runs on: every section and key of a
+    scenario and no other, each value of the default's JSON type and
+    accepted by `ScenarioConfig.validate` and `check_runnable`."""
+    if not isinstance(config, dict):
         raise ValueError("config must be an object")
-    for section, defaults in ScenarioConfig().echo().items():
-        if not isinstance(report.config.get(section), dict):
+    echo = ScenarioConfig().echo()
+    for section, defaults in echo.items():
+        if not isinstance(config.get(section), dict):
             raise ValueError(f"config lacks section {section}")
-        values = report.config[section]
+        values = config[section]
         missing = sorted(defaults.keys() - values.keys())
         if missing:
             raise ValueError(f"config.{section} lacks {', '.join(missing)}")
@@ -502,29 +551,21 @@ def load_report(path) -> MetricsReport:
             if not test(values[key]):
                 raise ValueError(f"config.{section}.{key} must be {name}, "
                                  f"got {json.dumps(values[key])}")
-    # the length first: a huge replication count must not build its seed list
-    if not (isinstance(report.seeds, list)
-            and len(report.seeds) == report.config["simulation"]["replications"]
-            and report.seeds == _replication_seeds(report.config)):
-        raise ValueError("seeds do not follow from the config's seed and replications")
-    columns = set(spec.columns)
-    points = [{k: point[k] for k in spec.group_keys} for point in spec.points(report.config)]
-    for i, row in enumerate(report.rows):
-        if row.keys() != columns:
-            raise ValueError(f"row {i}: columns {sorted(row.keys() ^ columns)} missing or extra")
-        if {k: row[k] for k in spec.group_keys} not in points:
-            raise ValueError(f"row {i}: {', '.join(spec.group_keys)} name no grid point "
-                             f"of the config")
-        for key in ("replication", "seed"):
-            if not _is_integer(row[key]):
-                raise ValueError(f"row {i}: {key} must be an integer, got "
-                                 f"{json.dumps(row[key])}")
-        for key in spec.metrics:
-            if not (row[key] is None or _is_number(row[key])):
-                raise ValueError(f"row {i}: {key} must be a number or null, got "
-                                 f"{json.dumps(row[key])}")
-    spec.check(report)
-    return report
+        extra = sorted(values.keys() - defaults.keys())
+        if extra:
+            raise ValueError(f"config.{section}.{extra[0]} is not a scenario key")
+    extra = sorted(config.keys() - echo.keys())
+    if extra:
+        raise ValueError(f"config.{extra[0]} is not a scenario section")
+    try:
+        cfg = ScenarioConfig.from_echo(config)
+        cfg.validate()
+        check_runnable(cfg, (experiment,))
+    except ScenarioError as exc:
+        # each message opens with the key it is about, unique across sections
+        key = re.match(r"\w+", str(exc)).group()
+        section = next(section for section, values in config.items() if key in values)
+        raise ValueError(f"config.{section}.{exc}") from exc
 
 
 def emit_plots(report: MetricsReport, out_dir: str) -> list[str]:

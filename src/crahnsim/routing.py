@@ -1,17 +1,17 @@
 """AODV-style on-demand routing over a range-limited broadcast MAC abstraction.
 
-The MAC layer is a delay/loss contract: each hop delivers after a uniform
-[1, 5] ms delay, with optional Bernoulli loss. Route requests flood with
-duplicate suppression; a duplicate carrying a strictly better hop count
-updates routes and is re-forwarded, so installed routes converge to minimum
-hop counts on static topologies. The SREQ flood of `discovery` shares the
+The MAC layer is a delay contract: each hop delivers after a uniform
+[1, 5] ms delay. Route requests flood with duplicate suppression; a
+duplicate carrying a strictly better hop count updates routes and is
+re-forwarded, so installed routes converge to minimum hop counts on static
+topologies. The SREQ flood of `discovery` shares the
 arrival step (`AodvNode._flood_arrival`) but is forwarded only on its first
 arrival. `AodvNode.live_route` is the one rule for whether a route is live
 now. `dropped_replies` counts every reply (RREP, or SREP in `discovery`)
 with no live reverse route or whose next hop has left.
 
-`Network.send` (unicast) and `Network.broadcast` differ only in their loss
-draws; both hand the copies they keep to `Network._send_copies`, which puts
+`Network.send` (unicast) and `Network.broadcast` differ only in the
+neighbour check; both hand their copies to `Network._send_copies`, which puts
 no copy on the event queue that its receiver would provably handle as a
 no-op. It asks each receiver's copy test (`AodvNode.copy_tests`: RREQ here,
 SREQ and adverts in `discovery`) and does not schedule a copy the test
@@ -93,12 +93,11 @@ class Network:
     """Owns node positions, the beacon-derived neighbor graph, and message delivery."""
 
     def __init__(self, kernel: Kernel, nodes: list[NodeState],
-                 hop_delay_s: tuple = DEFAULT_HOP_DELAY_S, loss_rate: float = 0.0):
+                 hop_delay_s: tuple = DEFAULT_HOP_DELAY_S):
         self.k = kernel
         self.nodes = {n.id: n for n in nodes}
         self._targets = {n.id: f"n{n.id}" for n in nodes}  # event target label per node
         self.hop_delay_s = hop_delay_s
-        self.loss_rate = loss_rate
         # the in-range matrix of the last refresh, rows and columns in id order
         self._by_id = sorted(self.nodes.values(), key=lambda n: n.id)
         self._ids = np.array([n.id for n in self._by_id])
@@ -116,7 +115,6 @@ class Network:
         # so each value and its place in the stream are those of the scalar
         # draw; the network is the stream's only reader
         self._delays = block_draws(kernel.stream("mac-delay").random, DELAY_BLOCK)
-        self._loss_rng = kernel.stream("mac-loss")
 
     def attach(self, proto: "AodvNode") -> None:
         self.protocols[proto.id] = proto
@@ -143,23 +141,15 @@ class Network:
 
     def send(self, src: int, dst: int, msg) -> bool:
         """Unicast to a current neighbour: False, drawing nothing, if `dst` is
-        not one, else True, whether or not the loss draw spares the copy."""
+        not one, else True."""
         if dst not in self.adjacency.get(src, ()):
             return False
-        if not (self.loss_rate > 0 and self._loss_rng.random() < self.loss_rate):
-            self._send_copies(src, (dst,), msg)
+        self._send_copies(src, (dst,), msg)
         return True
 
     def broadcast(self, src: int, msg) -> None:
-        """Send to each current neighbour that the loss draw spares, in id
-        order. Loss and delay draw from separate streams, so one vector loss
-        draw gives the values of one scalar draw per neighbour."""
-        nbrs = self.adjacency.get(src, ())
-        if self.loss_rate > 0:
-            draws = self._loss_rng.random(len(nbrs))
-            nbrs = [nbr for nbr, r in zip(nbrs, draws.tolist()) if not r < self.loss_rate]
-        if nbrs:
-            self._send_copies(src, nbrs, msg)
+        """Send to each current neighbour, in id order."""
+        self._send_copies(src, self.adjacency.get(src, ()), msg)
 
     def _send_copies(self, src: int, nbrs, msg) -> None:
         """Schedule a copy of `msg` from `src` to each of `nbrs`, in order,

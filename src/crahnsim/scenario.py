@@ -159,6 +159,13 @@ class ScenarioConfig:
         """Every effective parameter, defaults included: {section: {key: value}}."""
         return asdict(self)
 
+    @classmethod
+    def from_echo(cls, echo: dict) -> "ScenarioConfig":
+        """The config whose `echo()` is `echo`; a list stands for a tuple."""
+        return cls(**{f.name: f.type(**{key: tuple(v) if isinstance(v, list) else v
+                                        for key, v in echo[f.name].items()})
+                      for f in fields(cls)})
+
 
 def _convert(name: str, raw: str, default):
     try:
@@ -180,8 +187,10 @@ def _convert(name: str, raw: str, default):
 
 
 def load_scenario(path) -> ScenarioConfig:
-    # no interpolation: a '%' in a value is plain text, rejected by conversion
-    parser = configparser.ConfigParser(interpolation=None)
+    # no interpolation: a '%' in a value is plain text, rejected by conversion;
+    # no default section: no header can be empty, so [DEFAULT] is an unknown
+    # section rather than keys applied to every section
+    parser = configparser.ConfigParser(interpolation=None, default_section="")
     try:
         with open(path, "r", encoding="utf-8") as fh:
             parser.read_file(fh)

@@ -14,6 +14,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from crahnsim.discovery import DiscoveryNode
 from crahnsim.experiments import (EXPERIMENTS, run_discovery_replication,
                                   run_experiment)
 from crahnsim.kernel import Kernel
@@ -25,6 +26,7 @@ from crahnsim.scenario import ScenarioConfig
 from crahnsim.situation import (SituationDb, SituationRecord, decode_situation,
                                 encode_situation, export_situation_table)
 from crahnsim.spectrum import SpectrumParams, SpectrumSim
+from test_discovery import reachability_recorder
 from test_mlp import finite_difference_check
 
 
@@ -138,7 +140,7 @@ def test_criterion_5_policy_dominance(full_runs):
           f"longer (>= 10%), paired win rate {100 * wins:.0f}% (>= 80%)")
 
 
-def test_criterion_6_discovery_latency(full_runs):
+def test_criterion_6_discovery_latency(full_runs, monkeypatch):
     cfg, _, _, _, reports = full_runs
     rows = reports["discovery"].rows
     assert len(rows) == 30
@@ -148,13 +150,16 @@ def test_criterion_6_discovery_latency(full_runs):
         if r["mean_miss_latency_s"] is not None:
             assert r["mean_miss_latency_s"] > 0.0, r
 
-    # connected-component queries resolve before the deadline with zero loss
-    for seed in (3101, 3102, 3103):
-        run = run_discovery_replication(cfg, seed)
-        for res, reachable in run.results:
-            if reachable:
-                assert not res.timed_out
-                assert res.latency_s < 10.0
+    # queries whose provider shares the requester's component when they are
+    # issued resolve before the deadline
+    discover, reachable = reachability_recorder()
+    with monkeypatch.context() as m:
+        m.setattr(DiscoveryNode, "discover", discover)
+        for seed in (3101, 3102, 3103):
+            for res in run_discovery_replication(cfg, seed):
+                if reachable[res.query.query_id]:
+                    assert not res.timed_out
+                    assert res.latency_s < 10.0
 
     # cold-path latency grows with node count at fixed density
     def miss_mean(node_count):
@@ -165,8 +170,7 @@ def test_criterion_6_discovery_latency(full_runs):
                          discovery=replace(cfg.discovery, node_count=node_count))
         vals = []
         for seed in range(30):
-            run = run_discovery_replication(scaled, 4000 + seed)
-            vals.extend(r.latency_s for r, _ in run.results
+            vals.extend(r.latency_s for r in run_discovery_replication(scaled, 4000 + seed)
                         if not r.cache_hit and not r.timed_out)
         return float(np.mean(vals))
 

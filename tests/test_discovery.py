@@ -7,7 +7,7 @@ import pytest
 
 from crahnsim.experiments import run_discovery_replication
 from crahnsim.kernel import Kernel
-from crahnsim.mobility import NodeState
+from crahnsim.mobility import NodeState, connectivity_components
 from crahnsim.routing import Network
 from crahnsim.discovery import (DiscoveryNode, ServiceCacheEntry, ServiceDescriptor,
                                 SrepMsg, SreqMsg)
@@ -20,6 +20,22 @@ def _chain(kernel, count, spacing=100.0, **kwargs):
     net = Network(kernel, nodes)
     protos = {n.id: DiscoveryNode(n.id, net, **kwargs) for n in nodes}
     return net, protos
+
+
+def reachability_recorder():
+    """A stand-in for `DiscoveryNode.discover` that records, at each call,
+    whether the requester and the provider of the service share a component
+    of `node.net.adjacency`; and the dict it fills, {query id: reachable}."""
+    reachable = {}
+    real_discover = DiscoveryNode.discover
+
+    def discover(node, service_id=None, **kwargs):
+        provider = next(p.id for p in node.net.protocols.values() if service_id in p.hosted)
+        comp = next(c for c in connectivity_components(node.net.adjacency) if node.id in c)
+        query = real_discover(node, service_id=service_id, **kwargs)
+        reachable[query.query_id] = provider in comp
+        return query
+    return discover, reachable
 
 
 def test_descriptor_route_must_start_at_provider():
@@ -255,11 +271,13 @@ def test_provider_that_advertised_more_than_it_queried_gets_its_fresh_reverse_ro
 
 
 @pytest.mark.parametrize("seed", [5007, 5019, 5083])
-def test_every_reachable_query_resolves(seed):
+def test_every_reachable_query_resolves(monkeypatch, seed):
     # replication seeds on which a requester's advert-laid routes outrank
     # the reverse routes of its own SREQs unless both share one sequence space
-    run = run_discovery_replication(ScenarioConfig(), seed)
-    reachable = [res for res, reach in run.results if reach]
+    discover, reach = reachability_recorder()
+    monkeypatch.setattr(DiscoveryNode, "discover", discover)
+    results = run_discovery_replication(ScenarioConfig(), seed)
+    reachable = [res for res in results if reach[res.query.query_id]]
     assert reachable and not any(res.timed_out for res in reachable)
 
 

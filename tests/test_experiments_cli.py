@@ -191,6 +191,27 @@ MALFORMED = {
                            r'^row 1: queries must be a number or null, got "x"$'),
     "row-replication-list": (lambda raw: raw["rows"][0].update(replication=[1]),
                              r"^row 0: replication must be an integer, got \[1\]$"),
+    # rows and error entries that name no cell the config runs, or one named before
+    "row-seed": (lambda raw: raw["rows"][0].update(seed=5),
+                 r"^row 0: seed 5 is not replication 0's seed \d+$"),
+    "replications-swapped": (
+        lambda raw: (raw["rows"][0].update(replication=1), raw["rows"][1].update(replication=0)),
+        r"^row 0: seed \d+ is not replication 1's seed \d+$"),
+    "replication-out-of-range": (lambda raw: raw["rows"][1].update(replication=7),
+                                 "^row 1: replication 7 is not one of the config's 2$"),
+    "made-up-error": (lambda raw: raw["errors"].append({"made": "up"}),
+                      r"^error 0: keys \['error', 'error_type', 'made', 'replication', "
+                      r"'seed'\] missing or extra$"),
+    "error-text-number": (  # in place of row 1, the replication failed
+        lambda raw: raw["errors"].append({"replication": 1, "seed": raw["rows"].pop()["seed"],
+                                          "error": 5, "error_type": "RuntimeError"}),
+        "^error 0: error must be a string, got 5$"),
+    "duplicated-row": (lambda raw: raw["rows"].append(dict(raw["rows"][0])),
+                       "^row 2: replication 0 of its grid point is named twice$"),
+    "row-and-error": (
+        lambda raw: raw["errors"].append({"replication": 1, "seed": raw["seeds"][1],
+                                          "error": "boom", "error_type": "RuntimeError"}),
+        "^error 0: replication 1 of its grid point is named twice$"),
 }
 
 
@@ -199,6 +220,51 @@ def test_load_report_rejects_a_malformed_report_naming_the_problem(small_reports
                                                                   case):
     raw = json.loads((small_reports / "discovery_report.json").read_text())
     edit, message = MALFORMED[case]
+    edit(raw)
+    path = tmp_path / "report.json"
+    path.write_text(json.dumps(raw))
+    with pytest.raises(ValueError, match=message):
+        load_report(path)
+
+
+def _config_edit(**sections):
+    """An edit that updates each named section of a report's config."""
+    def edit(raw):
+        for section, values in sections.items():
+            raw["config"][section].update(values)
+    return edit
+
+
+# (report, edit, message): configs the scenario's rules or the experiment refuse
+REFUSED_CONFIGS = {
+    "unknown-key": ("discovery", _config_edit(simulation={"bogus": 1}),
+                    "^config.simulation.bogus is not a scenario key$"),
+    "unknown-section": ("discovery", lambda raw: raw["config"].update(extra={}),
+                        "^config.extra is not a scenario section$"),
+    "negative-sim-time": ("discovery", _config_edit(simulation={"sim_time_s": -1.0}),
+                          "^config.simulation.sim_time_s: must be positive, got -1.0$"),
+    "zero-sim-time": ("discovery", _config_edit(simulation={"sim_time_s": 0}),
+                      "^config.simulation.sim_time_s: must be positive, got 0$"),
+    "unknown-policy": ("discovery", _config_edit(spectrum={"policies": ["bogus"]}),
+                       "^config.spectrum.policies: unknown policy 'bogus'$"),
+    "other-routing": ("discovery", _config_edit(simulation={"routing": "dsr"}),
+                      "^config.simulation.routing: only 'aodv' is supported, got 'dsr'$"),
+    "duplicate-pu-count": ("discovery", _config_edit(spectrum={"pu_counts": [5, 5]}),
+                           "^config.spectrum.pu_counts: duplicate entry 5$"),
+    "detection-too-short": ("detection", _config_edit(simulation={"sim_time_s": 50}),
+                            "^config.simulation.sim_time_s: the detection experiment needs "
+                            "sim_time_s >= 60, got 50$"),
+    "spectrum-sus-never-start": (
+        "spectrum", _config_edit(simulation={"sim_time_s": 120}, spectrum={"su_start_s": 500}),
+        "^config.spectrum.su_start_s: the spectrum experiment needs su_start_s < "
+        "sim_time_s, got 500 >= 120$"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(REFUSED_CONFIGS))
+def test_load_report_checks_its_config_by_the_scenario_rules(small_reports, tmp_path, case):
+    name, edit, message = REFUSED_CONFIGS[case]
+    raw = json.loads((small_reports / f"{name}_report.json").read_text())
     edit(raw)
     path = tmp_path / "report.json"
     path.write_text(json.dumps(raw))

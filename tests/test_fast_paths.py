@@ -42,6 +42,7 @@ from crahnsim.routing import DELAY_BLOCK, AodvNode, DataMsg, Network, Rrep, Rreq
 from crahnsim.scenario import ScenarioConfig
 from crahnsim.spectrum import (EPSILON_DBM_DISTANCE, SpectrumParams, SpectrumSim, SuAssignment,
                                switching_time_metric)
+from test_discovery import reachability_recorder
 
 
 def _rng(seed):
@@ -316,8 +317,6 @@ def test_kernel_trace_matches_dataclass_heap_with_cancels(seed):
 
 def ref_broadcast(net, src, msg):
     for nbr in sorted(net.adjacency.get(src, ())):
-        if net.loss_rate > 0 and net.k.stream("mac-loss").random() < net.loss_rate:
-            continue
         lo, hi = net.hop_delay_s
         delay = float(net.k.stream("mac-delay").uniform(lo, hi))
         net.k.schedule(net.k.now + delay, lambda d=nbr: net._deliver(d, src, msg),
@@ -327,8 +326,6 @@ def ref_broadcast(net, src, msg):
 def ref_send(net, src, dst, msg):
     if dst not in net.adjacency.get(src, ()):
         return False
-    if net.loss_rate > 0 and net.k.stream("mac-loss").random() < net.loss_rate:
-        return True
     lo, hi = net.hop_delay_s
     delay = float(net.k.stream("mac-delay").uniform(lo, hi))
     net.k.schedule(net.k.now + delay, net._deliver, args=(dst, src, msg),
@@ -350,24 +347,23 @@ class Ping:
     pass
 
 
-def _broadcast_run(loss_rate, broadcast, next_delay):
+def _broadcast_run(broadcast, next_delay):
     trace = []
     k = Kernel(seed=21, end=10.0, trace=trace)
     rng = _rng(22)
     nodes = [NodeState(id=i, x=float(rng.uniform(0, 400)), y=float(rng.uniform(0, 400)),
                        radio_range_m=250.0) for i in range(30)]
-    net = Network(k, nodes, loss_rate=loss_rate)
+    net = Network(k, nodes)
     for step in range(20):
         src = step % len(nodes)
         k.schedule(0.01 * step, lambda s=src: broadcast(net, s, Ping()), kind="tx")
     k.run_until(10.0)
-    return trace, next_delay(net), k.stream("mac-loss").random()
+    return trace, next_delay(net)
 
 
-@pytest.mark.parametrize("loss_rate", [0.0, 0.3])
-def test_broadcast_matches_per_neighbour_draws(loss_rate):
-    fast = _broadcast_run(loss_rate, Network.broadcast, next_delay)
-    ref = _broadcast_run(loss_rate, ref_broadcast, ref_next_delay)
+def test_broadcast_matches_per_neighbour_draws():
+    fast = _broadcast_run(Network.broadcast, next_delay)
+    ref = _broadcast_run(ref_broadcast, ref_next_delay)
     assert len(ref[0]) > 100
     assert fast == ref
 
@@ -927,29 +923,20 @@ def _traced_replication(cfg, seed):
 def test_discovery_replication_matches_reference_paths(monkeypatch, seed):
     """The whole replication with every replaced path swapped back in: the
     per-neighbour broadcast that schedules every copy, the edge-loop
-    neighbour graph, union-find components, the two-pass local lookup and
-    isinstance dispatch. Same results; the trace differs only by the
-    suppressed copies, each a no-op in the reference run. Each query's
-    reachable flag is also checked against components computed at issue
-    time, not read from the labels cached per mobility tick. The tick loop
-    is the per-node `step_waypoint` loop, and the adjacency is rebuilt from
-    the edge-loop graph at every refresh."""
+    neighbour graph, the two-pass local lookup and isinstance dispatch. Same
+    results; the trace differs only by the suppressed copies, each a no-op
+    in the reference run. The tick loop is the per-node `step_waypoint`
+    loop, and the adjacency is rebuilt from the edge-loop graph at every
+    refresh. The reference run records whether each query's provider is
+    reachable when it is issued: the scenario has queries of both kinds."""
     cfg = ScenarioConfig()
     cfg.simulation.sim_time_s = 200.0
     cfg.simulation.radio_range_m = 170.0  # sparse enough for unreachable providers
     cfg.discovery.query_count = 60
 
-    at_issue = {}
-    real_discover = DiscoveryNode.discover
-
-    def recording_discover(node, service_id=None, **kwargs):
-        query = real_discover(node, service_id=service_id, **kwargs)
-        comp = next(c for c in ref_connectivity_components(node.net.adjacency) if node.id in c)
-        at_issue[query.query_id] = (service_id, comp)
-        return query
+    recording_discover, reachable = reachability_recorder()
     fast, ref, suppressed, cancelled, noops, duplicates = _flood_runs(
         monkeypatch, _traced_replication(cfg, seed), [
-        (mobility, "connectivity_components", ref_connectivity_components),
         (mobility, "step_nodes", ref_step_nodes),
         (Network, "refresh_beacons", ref_refresh_beacons),
         (AodvNode, "receive", ref_receive),
@@ -957,19 +944,15 @@ def test_discovery_replication_matches_reference_paths(monkeypatch, seed):
         (DiscoveryNode, "lookup_local", ref_lookup_local),
         (DiscoveryNode, "discover", recording_discover)])
 
-    assert fast.providers == ref.providers
-    assert fast.results == ref.results
+    assert fast == ref
     kinds = {kind for _, _, kind in suppressed}
     assert kinds == {"sreqmsg", "advertmsg"}
     assert len(suppressed) > noops / 2  # most no-op deliveries are never scheduled
     assert {kind for _, _, kind in cancelled} <= kinds
     # every copy that arrives as a duplicate is proven a no-op in time
     assert duplicates.get("sreqmsg", 0) == duplicates.get("advertmsg", 0) == 0
-    assert len(ref.results) == len(at_issue) == cfg.discovery.query_count
-    for result, reachable in ref.results:
-        service_id, comp = at_issue[result.query.query_id]
-        assert reachable == (ref.providers[service_id] in comp)
-    flags = [reachable for _, reachable in fast.results]
+    assert len(ref) == len(reachable) == cfg.discovery.query_count
+    flags = [reachable[result.query.query_id] for result in ref]
     assert any(flags) and not all(flags)
 
 
@@ -1193,19 +1176,6 @@ def test_advert_cancelled_by_a_copy_due_earlier(monkeypatch):
     assert suppressed == [("0.004000", "n0", "advertmsg")]
 
 
-class _LossCounter:
-    """Stands in for the MAC loss stream and counts the copies it drops."""
-
-    def __init__(self, gen, rate):
-        self.gen, self.rate, self.lost = gen, rate, 0
-
-    def random(self, size=None):
-        draws = self.gen.random(size)
-        if size is not None:
-            self.lost += int(np.count_nonzero(draws < self.rate))
-        return draws
-
-
 def _run_to_end(build):
     """`build(trace) -> (kernel, network, outcome)` as a `_flood_runs` scenario."""
     def run(trace):
@@ -1216,11 +1186,10 @@ def _run_to_end(build):
 
 
 def _assert_conservation(build):
-    """Every neighbour that a broadcast's loss draw spares is either scheduled
-    or counted in `suppressed_msgs`, and some are suppressed."""
+    """Every neighbour of a broadcast is either scheduled or counted in
+    `suppressed_msgs`, and some are suppressed."""
     k, net, _ = build(None)
     counts = {"copies": 0, "scheduled": 0}
-    net._loss_rng = _LossCounter(net._loss_rng, net.loss_rate)
     real_broadcast, real_schedule = net.broadcast, k.schedule
 
     def broadcast(src, msg):
@@ -1233,8 +1202,7 @@ def _assert_conservation(build):
     net.broadcast, k.schedule = broadcast, schedule
     k.run_until(k.end)
     assert net.suppressed_msgs > 0
-    assert counts["copies"] - net._loss_rng.lost == counts["scheduled"] + net.suppressed_msgs
-    assert (net._loss_rng.lost > 0) == (net.loss_rate > 0)
+    assert counts["copies"] == counts["scheduled"] + net.suppressed_msgs
     # in-flight records are dropped on arrival: only copies due after the end remain
     for p in net.protocols.values():
         due = [copy for copies in p._flood_due.values() for copy in copies]
@@ -1242,11 +1210,11 @@ def _assert_conservation(build):
         assert all(at > k.end for at, *_ in due)
 
 
-def _aodv_flood(seed, loss_rate):
+def _aodv_flood(seed):
     def build(trace):
         k = Kernel(seed=seed, end=8.0, trace=trace)
         nodes = place_uniform(25, Area(700.0, 700.0), _rng(seed))
-        net = Network(k, nodes, loss_rate=loss_rate)
+        net = Network(k, nodes)
         protos = {n.id: AodvNode(n.id, net) for n in nodes}
         rng = _rng(seed + 100)
         for i in range(12):  # overlapping floods from several origins
@@ -1262,23 +1230,22 @@ def _aodv_flood(seed, loss_rate):
     return build
 
 
-@pytest.mark.parametrize("loss_rate", [0.0, 0.3])
 @pytest.mark.parametrize("seed", [1, 2])
-def test_aodv_rreq_floods_match_reference(monkeypatch, seed, loss_rate):
+def test_aodv_rreq_floods_match_reference(monkeypatch, seed):
     fast, ref, suppressed, cancelled, _, duplicates = _flood_runs(
-        monkeypatch, _run_to_end(_aodv_flood(seed, loss_rate)))
+        monkeypatch, _run_to_end(_aodv_flood(seed)))
     assert fast == ref
     assert cancelled and duplicates == {}
     assert suppressed and {kind for _, _, kind in suppressed} == {"rreq"}
     assert any(delivered for _, delivered, _, _ in fast)
-    _assert_conservation(_aodv_flood(seed, loss_rate))
+    _assert_conservation(_aodv_flood(seed))
 
 
-def _discovery_flood(seed, loss_rate):
+def _discovery_flood(seed):
     def build(trace):
         k = Kernel(seed=seed, end=30.0, trace=trace)
         nodes = place_uniform(30, Area(600.0, 600.0), _rng(seed))
-        net = Network(k, nodes, loss_rate=loss_rate)
+        net = Network(k, nodes)
         protos = [DiscoveryNode(n.id, net, advert_interval_s=5.0) for n in nodes]
         for i, p in enumerate(protos[:3]):
             p.host_service(f"svc-{i}")
@@ -1293,16 +1260,15 @@ def _discovery_flood(seed, loss_rate):
     return build
 
 
-@pytest.mark.parametrize("loss_rate", [0.0, 0.3])
-def test_discovery_floods_with_loss_match_reference(monkeypatch, loss_rate):
+def test_discovery_floods_match_reference(monkeypatch):
     fast, ref, suppressed, cancelled, _, duplicates = _flood_runs(
-        monkeypatch, _run_to_end(_discovery_flood(11, loss_rate)))
+        monkeypatch, _run_to_end(_discovery_flood(11)))
     assert fast == ref
     assert cancelled and duplicates == {}
     assert {kind for _, _, kind in suppressed} == {"sreqmsg", "advertmsg"}
     assert any(r.timed_out for r in fast) and any(not r.cache_hit and not r.timed_out
                                                    for r in fast)
-    _assert_conservation(_discovery_flood(11, loss_rate))
+    _assert_conservation(_discovery_flood(11))
 
 
 # -- reference: one kernel event per primary-user toggle ------------------------

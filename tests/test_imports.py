@@ -30,6 +30,9 @@ UNREFERENCED_ON_PURPOSE = {
     "gradients": "criterion 2's finite-difference oracle checks backprop through it",
     "encode_situation": "criterion 8's XML round trip; to be wired into the CLI",
     "decode_situation": "criterion 8's XML round trip; to be wired into the CLI",
+    "connectivity_components": "the tracer patches it as mobility.components; criterion 7 "
+                               "checks it against BFS and the tests' reachability helper "
+                               "uses it",
 }
 
 

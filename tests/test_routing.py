@@ -8,15 +8,15 @@ from crahnsim.mobility import Area, NodeState, place_uniform
 from crahnsim.routing import AodvNode, DataMsg, Network, Rrep
 
 
-def _aodv_network(kernel, nodes, **net_kwargs):
-    net = Network(kernel, nodes, **net_kwargs)
+def _aodv_network(kernel, nodes):
+    net = Network(kernel, nodes)
     return net, {n.id: AodvNode(n.id, net) for n in nodes}
 
 
-def _chain(kernel, count, spacing=100.0, **net_kwargs):
+def _chain(kernel, count, spacing=100.0):
     nodes = [NodeState(id=i, x=i * spacing, y=0.0, radio_range_m=150.0)
              for i in range(count)]
-    return _aodv_network(kernel, nodes, **net_kwargs)
+    return _aodv_network(kernel, nodes)
 
 
 def _bfs_dist(graph, src):
@@ -185,19 +185,6 @@ def test_send_to_a_non_neighbour_is_refused_without_a_delay_draw():
 
     # the neighbour's copy arrives after the same delay either way
     assert run(True) == run(False) != []
-
-
-def test_configured_loss_drops_traffic():
-    k = Kernel(seed=8, end=10.0)
-    net, protos = _chain(k, 2)
-    lossy_k = Kernel(seed=8, end=10.0)
-    lossy_net, lossy_protos = _chain(lossy_k, 2, loss_rate=1.0)
-    protos[0].send_data(1, "ok")
-    lossy_protos[0].send_data(1, "never")
-    k.run_until(10.0)
-    lossy_k.run_until(10.0)
-    assert ("ok", 0) in protos[1].delivered
-    assert lossy_protos[1].delivered == []
 
 
 def test_flood_forward_total_is_bounded():

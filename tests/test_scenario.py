@@ -73,6 +73,15 @@ def test_unknown_section_and_key_rejected(tmp_path):
         _load(tmp_path, "[simulation]\nwarp_speed = 9\n")
 
 
+@pytest.mark.parametrize("text", ["[DEFAULT]\nseed = 3\n",
+                                  "[DEFAULT]\nseed = 3\n\n[detection]\nsensor_count = 12\n"],
+                         ids=["alone", "with-detection"])
+def test_default_section_is_rejected_as_unknown(tmp_path, text):
+    # configparser would otherwise apply its keys to every section, or drop them
+    with pytest.raises(ScenarioError, match=r"^unknown section \[DEFAULT\]$"):
+        _load(tmp_path, text)
+
+
 def test_fixed_model_fields_reject_alternatives(tmp_path):
     with pytest.raises(ScenarioError, match="routing"):
         _load(tmp_path, "[simulation]\nrouting = dsr\n")
