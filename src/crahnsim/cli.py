@@ -2,12 +2,13 @@
 
     crahn-sim run --scenario S --experiment {detection,spectrum,discovery,all}
                   [--seed N] [--replications K] --out DIR
-    crahn-sim validate --scenario S
+    crahn-sim validate --scenario S [--experiment {detection,spectrum,discovery,all}]
     crahn-sim render-situation --db RECORDS.csv --out FILE
 
 `--seed` and `--replications` replace the scenario's values: they are held
 to the scenario's rules before anything is written, and each report's
-`config` records them.
+`config` records them. `validate` applies the checks that `run` makes
+before it runs `--experiment` (default `all`).
 
 Exit codes: 0 ok, 1 configuration error, 2 runtime error (including a `run`
 in which any replication failed; its outputs are still written).
@@ -18,7 +19,7 @@ import csv
 import json
 import sys
 
-from .experiments import EXPERIMENTS, run_experiment
+from .experiments import EXPERIMENTS, check_runnable, experiment_names, run_experiment
 from .scenario import ScenarioError, load_scenario
 from .situation import (SituationDb, SituationRecord, SituationValidationError,
                         situation_table_csv, situation_table_text)
@@ -43,6 +44,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     val_p = sub.add_parser("validate", help="validate a scenario file")
     val_p.add_argument("--scenario", required=True)
+    val_p.add_argument("--experiment", default="all",
+                       choices=list(EXPERIMENTS) + ["all"])
 
     ren_p = sub.add_parser("render-situation",
                            help="render a situation database CSV as a table")
@@ -84,7 +87,7 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     if args.command == "validate":
         try:
-            load_scenario(args.scenario)
+            check_runnable(load_scenario(args.scenario), experiment_names(args.experiment))
         except ScenarioError as exc:
             print(f"invalid scenario: {exc}", file=sys.stderr)
             return 1

@@ -19,6 +19,11 @@ and SREQs take their sequence numbers from the node's one
 `AodvNode.sequence`, so a node's newest route announcement always wins. A
 descriptor is never changed once built, so a result keeps the descriptor it
 was answered with.
+
+A node's records of an advert or a query (`_advert_seen`, `_flood_best`,
+`_replied`) are dropped once no copy or reply of it can read them, at the
+next origination (`DiscoveryNode._forget_floods`): a run's memory is bounded
+by the floods in flight, not by simulated time.
 """
 
 import math
@@ -147,14 +152,69 @@ class DiscoveryNode(AodvNode):
     def advertise(self) -> None:
         """Advertise each hosted service with the node's next sequence
         number; the advertised descriptor becomes the hosted one."""
+        self._forget_floods()
+        now = self.net.k.now
+        bound = now + (self.advert_hops + 1) * self.net.hop_delay_s[1]
         for base, _ in list(self.hosted.values()):
             self.sequence += 1
             desc = ServiceDescriptor(
                 service_id=base.service_id, provider=base.provider,
                 ontology_tag=base.ontology_tag, advertised_route=[self.id],
-                issued_at=self.net.k.now, ttl_s=base.ttl_s, provider_seq=self.sequence)
+                issued_at=now, ttl_s=base.ttl_s, provider_seq=self.sequence)
             self.hosted[desc.service_id] = ServiceCacheEntry(desc, math.inf)
-            self.net.broadcast(self.id, AdvertMsg(descriptor=desc, hops_left=self.advert_hops))
+            msg = AdvertMsg(descriptor=desc, hops_left=self.advert_hops)
+            self.net.open_adverts.append((bound, msg.copy_fields()))
+            self.net.broadcast(self.id, msg)
+
+    def _forget_floods(self) -> None:
+        """Drop, at every node of the network (all `DiscoveryNode`s), the
+        records of each advert and query whose bound has passed: no copy,
+        handler or reply of it can read them again. It runs at each
+        origination, never inside a delivery, so a delivered copy that
+        changes nothing leaves its receiver as it was.
+
+        Let d be the network's longest MAC delay (`hop_delay_s[1]`), so that
+        a message sent at t arrives by t + d.
+
+        - An advert key `(provider, service id, issued_at)` is read by the
+          copy test at each send of a copy and by `_on_advert` at each
+          arrival. The provider sends an advert with `advert_hops`, and a
+          node forwards it only on its first arrival, with `hops_left` one
+          lower, while that stays above 0. So a copy travels at most
+          `advert_hops` hops, and the last arrives by
+          `issued_at + advert_hops * d`.
+        - A query id is read from `_flood_best` (and `_flood_due`) by the
+          copy test and at each SREQ arrival. Likewise an SREQ travels at
+          most `ttl` hops, so the last copy arrives by `issue + ttl * d`.
+          `_replied` is read at each SREP send, which answers an SREQ
+          arrival or relays an SREP arrival at once. So a chain of SREPs,
+          each sent on the arrival of the one before, starts by
+          `issue + ttl * d`. A node sends at most one SREP per query and
+          the requester none, so the chain's senders are distinct, at most
+          N - 1 of N nodes, and its last SREP arrives by
+          `issue + (ttl + N - 1) * d`.
+
+        Each bound here is one hop later than these, so the rounding of the
+        summed delays, far below a hop, cannot carry a read past it. The
+        in-flight records (`_advert_due`, `_flood_due`) need no dropping: a
+        copy leaves them when it is delivered or cancelled. RREQ keys stay.
+        Both FIFOs are in origination order; with the same `advert_hops`
+        and `ttl` at every node, that is bound order. A FIFO is read only
+        at its head, so a bound queued out of order delays the ones behind
+        it and never drops a record early."""
+        now = self.net.k.now
+        nodes = self.net.protocols.values()
+        adverts = self.net.open_adverts
+        while adverts and adverts[0][0] < now:
+            key = adverts.popleft()[1]
+            for node in nodes:
+                node._advert_seen.discard(key)
+        queries = self.net.open_queries
+        while queries and queries[0][0] < now:
+            qid = queries.popleft()[1]
+            for node in nodes:
+                node._flood_best.pop(qid, None)
+                node._replied.discard(qid)
 
     # -- local answers --------------------------------------------------------
 
@@ -186,6 +246,11 @@ class DiscoveryNode(AodvNode):
 
     def discover(self, service_id: Optional[str] = None, ontology_tag: Optional[str] = None,
                  callback: Optional[Callable[[DiscoveryResult], None]] = None) -> ServiceQuery:
+        """Answer a query for `service_id` or `ontology_tag` from this node's
+        own services and cache, else flood an SREQ for it. ValueError, with
+        nothing drawn, scheduled or counted, if both are None."""
+        if service_id is None and ontology_tag is None:
+            raise ValueError("a query needs a service_id or an ontology_tag")
         now = self.net.k.now
         self._next_qid += 1
         qid = self.id * 1_000_000 + self._next_qid
@@ -201,6 +266,9 @@ class DiscoveryNode(AodvNode):
                                          target=f"n{self.id}", kind="query-timeout")
         self.sequence += 1
         self._open_queries[qid] = (query, callback, timeout_id)
+        self._forget_floods()
+        self.net.open_queries.append(
+            (now + (self.ttl + len(self.net.nodes)) * self.net.hop_delay_s[1], qid))
         self._flood_best[qid] = 0
         self.net.broadcast(self.id, SreqMsg(
             query_id=qid, requester=self.id, requester_seq=self.sequence,

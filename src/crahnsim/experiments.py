@@ -387,6 +387,11 @@ EXPERIMENTS = tuple(SPECS)
 _RUNNERS = {name: spec.run for name, spec in SPECS.items()}
 
 
+def experiment_names(which: str) -> tuple[str, ...]:
+    """The experiments that `which`, one experiment's name or "all", runs."""
+    return EXPERIMENTS if which == "all" else (which,)
+
+
 def check_runnable(cfg: ScenarioConfig, names) -> None:
     """Raise ScenarioError if the detection experiment is in `names` and its
     disaster traces would not fit in the simulation, or if the spectrum
@@ -409,7 +414,7 @@ def run_experiment(cfg: ScenarioConfig, which: str, seed: int = None,
     runs and that each report echoes. Raises ScenarioError before anything is
     written if that config is invalid or cannot run one of the experiments
     (`check_runnable`)."""
-    names = EXPERIMENTS if which == "all" else (which,)
+    names = experiment_names(which)
     if any(n not in _RUNNERS for n in names):
         raise ValueError(f"unknown experiment {which!r}")
     overrides = {key: value for key, value in (("seed", seed), ("replications", replications))
@@ -460,10 +465,10 @@ def load_report(path) -> MetricsReport:
     rules and the report's experiment accept; its seeds those of the config.
     Each row holds the experiment's columns, and each error entry the keys
     that a failed replication writes; each names a cell that the config
-    runs, and no cell is named twice: the group keys of a grid point, an
-    integer replication in range, and that replication's seed. Row metrics
-    are numbers or null, error texts strings, and the aggregates those the
-    config and rows give."""
+    runs, and each cell is named exactly once: the group keys of a grid
+    point, an integer replication in range, and that replication's seed.
+    Row metrics are numbers or null, error texts strings, and the
+    aggregates those the config and rows give."""
     with open(path, "r", encoding="utf-8") as fh:
         raw = json.load(fh)
     if not isinstance(raw, dict):
@@ -528,6 +533,12 @@ def load_report(path) -> MetricsReport:
                 raise ValueError(f"error {i}: {key} must be a string, got "
                                  f"{json.dumps(error[key])}")
     spec.check(report)
+    if len(cells) < len(points) * len(seeds):
+        p, rep = next((p, rep) for p in range(len(points)) for rep in range(len(seeds))
+                      if (p, rep) not in cells)
+        keys = ", ".join(f"{k}={v}" for k, v in points[p].items())
+        name = f"grid point {p} ({keys})" if keys else f"grid point {p}"
+        raise ValueError(f"replication {rep} of {name} has neither a row nor an error")
     return report
 
 

@@ -21,7 +21,9 @@ a no-op. The rule is pairwise: copy E makes a later copy L of the same flood
 a no-op if E arrives first and leaves the receiver's duplicate test holding
 for L with nothing left for L to install (`AodvNode._ignores_flood`). The
 proofs rest on state that only moves one way. Duplicate-suppression records
-only grow and their best hop counts only fall; a route's `expires_at` never
+only grow while a copy of their flood can still arrive, and their best hop
+counts only fall (`discovery` drops an advert's or a query's records only
+once no copy or reply of it can read them); a route's `expires_at` never
 falls, since every write sets it to `now + route_lifetime_s`; and while a
 route is not stale its `(dest_sequence, -hop_count)` only rises. A copy of a
 node's own flood is always a no-op: the node recorded hop count 0 for it
@@ -35,6 +37,7 @@ event keeps its id, it does not reorder the events that are left.
 """
 
 import math
+from collections import deque
 from dataclasses import dataclass
 from typing import Optional
 
@@ -111,6 +114,11 @@ class Network:
         self.delivered_msgs = 0
         self.suppressed_msgs = 0  # copies not scheduled: see AodvNode.copy_tests
         self.cancelled_msgs = 0  # copies scheduled, then cancelled as no-ops
+        # (bound, key) of each advert and each query whose records a copy or
+        # reply may still read, in origination order: see
+        # `discovery.DiscoveryNode._forget_floods`
+        self.open_adverts: deque = deque()
+        self.open_queries: deque = deque()
         # `uniform(lo, hi)` is lo + (hi - lo) * random(): numpy's own formula,
         # so each value and its place in the stream are those of the scalar
         # draw; the network is the stream's only reader

@@ -1,10 +1,13 @@
 """Service discovery: adverts, caches, flood-on-miss, gateway lookup."""
 
 import dataclasses
+import math
+from itertools import chain
 
 import numpy as np
 import pytest
 
+from crahnsim import experiments
 from crahnsim.experiments import run_discovery_replication
 from crahnsim.kernel import Kernel
 from crahnsim.mobility import NodeState, connectivity_components
@@ -420,3 +423,161 @@ def test_advertised_routes_are_paths_in_the_neighbor_graph():
             route = entry.descriptor.advertised_route
             for a, b in zip(route, route[1:]):
                 assert b in net.adjacency[a], route
+
+
+def test_discover_without_a_service_id_or_a_tag_changes_nothing():
+    k = Kernel(seed=19, end=50.0)
+    net, protos = _chain(k, 5)
+    protos[4].host_service("svc", ontology_tag="Safety")
+    before = (k.next_id, protos[0]._next_qid, protos[0].sequence,
+              net.delivered_msgs, net.suppressed_msgs, net.cancelled_msgs)
+    with pytest.raises(ValueError, match="service_id or an ontology_tag"):
+        protos[0].discover(callback=lambda result: None)
+    assert (k.next_id, protos[0]._next_qid, protos[0].sequence,
+            net.delivered_msgs, net.suppressed_msgs, net.cancelled_msgs) == before
+    assert not protos[0]._open_queries and not protos[0]._flood_best
+    k.run_until(20.0)
+    assert net.delivered_msgs == 0
+
+
+# -- per-flood records and the bounds that end them -------------------------------
+
+def _flood_heavy(sim_time_s=200.0, query_count=120, advert_hops=2):
+    """The discovery-flood bench scenario, shortened, with two-hop adverts:
+    one replication of 50 mobile nodes."""
+    cfg = ScenarioConfig()
+    cfg.simulation.sim_time_s = sim_time_s
+    cfg.discovery.query_count = query_count
+    cfg.discovery.advert_hops = advert_hops
+    return cfg
+
+
+def _networks(monkeypatch):
+    """The list that each `Network` built from now on is appended to."""
+    nets = []
+    real_init = Network.__init__
+
+    def init(net, *args, **kwargs):
+        real_init(net, *args, **kwargs)
+        nets.append(net)
+    monkeypatch.setattr(Network, "__init__", init)
+    return nets
+
+
+def _record_floods(monkeypatch):
+    """Wrap `discover` and `advertise` to note each flood at its origination:
+    {query id: (issue time, ttl)}, {advert key: advert_hops}, and the list
+    of origination times."""
+    queries, adverts, originations = {}, {}, []
+    real_discover, real_advertise = DiscoveryNode.discover, DiscoveryNode.advertise
+
+    def discover(node, *args, **kwargs):
+        query = real_discover(node, *args, **kwargs)
+        if query.query_id in node._open_queries:
+            queries[query.query_id] = (query.issued_at, node.ttl)
+            originations.append(node.net.k.now)
+        return query
+
+    def advertise(node):
+        real_advertise(node)
+        for desc, _ in node.hosted.values():
+            adverts[(node.id, desc.service_id, desc.issued_at)] = node.advert_hops
+        originations.append(node.net.k.now)
+    monkeypatch.setattr(DiscoveryNode, "discover", discover)
+    monkeypatch.setattr(DiscoveryNode, "advertise", advertise)
+    return queries, adverts, originations
+
+
+@pytest.mark.parametrize("hop_delay_s", [None, (0.005, 0.005)])
+def test_flood_records_are_read_only_until_their_bounds(monkeypatch, hop_delay_s):
+    """The argument behind dropping a flood's records, checked on the reads
+    themselves: with d the longest MAC delay and N the node count, an advert
+    key is read by `issued_at + advert_hops * d`, a query id in
+    `_flood_best` by `issue + ttl * d` and in `_replied` by
+    `issue + (ttl + N - 1) * d`. With every delay equal to d, adverts reach
+    their bound exactly."""
+    if hop_delay_s is not None:
+        monkeypatch.setattr(experiments, "Network",
+                            lambda kernel, nodes: Network(kernel, nodes, hop_delay_s))
+    nets, reads = _networks(monkeypatch), []
+
+    def reading(name, record, key_of):
+        real = getattr(DiscoveryNode, name)
+
+        def read(node, *args):
+            reads.append((record, key_of(*args), node.net.k.now))
+            return real(node, *args)
+        monkeypatch.setattr(DiscoveryNode, name, read)
+    reading("_ignores_advert", "advert", lambda key, at: key)
+    reading("_on_advert", "advert", lambda msg, via: msg.copy_fields())
+    reading("_ignores_flood", "flood", lambda fields, at: fields[0])
+    reading("_flood_arrival", "flood", lambda fields, via: fields[0])
+    reading("_on_sreq", "flood", lambda msg, via: msg.query_id)
+    reading("_send_srep", "replied", lambda srep: srep.query_id)
+    queries, adverts, _ = _record_floods(monkeypatch)
+
+    results = run_discovery_replication(_flood_heavy(), 31)
+    (net,) = nets
+    d, n = net.hop_delay_s[1], len(net.nodes)
+    latest = {}
+    for record, key, at in reads:
+        if record == "advert":
+            late = at - (key[2] + adverts[key] * d)
+        else:
+            issued, ttl = queries[key]
+            late = at - (issued + (ttl if record == "flood" else ttl + n - 1) * d)
+        assert late <= 1e-9, (record, key, at)
+        latest[record] = max(latest.get(record, -math.inf), late)
+    assert latest.keys() == {"advert", "flood", "replied"}
+    assert any(not r.cache_hit and not r.timed_out for r in results)
+    if hop_delay_s is not None:
+        assert latest["advert"] == pytest.approx(0.0, abs=1e-9)
+
+
+def test_dropping_flood_records_changes_no_event(monkeypatch):
+    """The same replication with `_forget_floods` made a no-op: the same
+    events in the same order and the same results, though that run ends
+    holding every record. MAC delays of up to 0.5 s make floods last long
+    enough that other floods start while they are in flight."""
+    monkeypatch.setattr(experiments, "Network",
+                        lambda kernel, nodes: Network(kernel, nodes, (0.1, 0.5)))
+
+    def run():
+        trace = []
+        with monkeypatch.context() as m:
+            m.setattr(experiments, "Kernel",
+                      lambda *args, **kwargs: Kernel(*args, trace=trace, **kwargs))
+            nets = _networks(m)
+            results = run_discovery_replication(_flood_heavy(), 37)
+        held = sum(len(node._advert_seen) + len(node._flood_best) + len(node._replied)
+                   for node in nets[0].protocols.values())
+        return results, trace, held
+
+    results, trace, held = run()
+    monkeypatch.setattr(DiscoveryNode, "_forget_floods", lambda node: None)
+    kept_results, kept_trace, kept = run()
+    assert trace == kept_trace and results == kept_results
+    assert held * 10 < kept, (held, kept)
+
+
+def test_nodes_hold_only_the_records_of_floods_in_flight(monkeypatch):
+    """After a 500 s run of the discovery-flood bench scenario, each node's
+    records name only floods whose bound had not passed at the last flood
+    origination: an advert's `issued_at + (advert_hops + 1) * d`, a query's
+    `issue + (ttl + N) * d`."""
+    nets = _networks(monkeypatch)
+    queries, adverts, originations = _record_floods(monkeypatch)
+    run_discovery_replication(_flood_heavy(500.0, 300, advert_hops=1), 29)
+    (net,) = nets
+    d, n, last = net.hop_delay_s[1], len(net.nodes), originations[-1]
+    assert len(queries) > 100 and len(adverts) > 400
+    held = 0
+    for node in net.protocols.values():
+        for key in chain(node._advert_seen, node._advert_due):
+            held += 1
+            assert key[2] + (adverts[key] + 1) * d >= last, (node.id, key)
+        for qid in chain(node._flood_best, node._flood_due, node._replied):
+            held += 1
+            issued, ttl = queries[qid]
+            assert issued + (ttl + n) * d >= last, (node.id, qid)
+    assert held < 2 * len(net.nodes)

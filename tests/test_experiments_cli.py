@@ -272,6 +272,18 @@ def test_load_report_checks_its_config_by_the_scenario_rules(small_reports, tmp_
         load_report(path)
 
 
+def test_load_report_rejects_a_report_that_lacks_a_cell(small_reports, tmp_path):
+    # both rows have hit latency 0.0: without row 1 the aggregates still match
+    raw = json.loads((small_reports / "discovery_report.json").read_text())
+    assert [row["mean_hit_latency_s"] for row in raw["rows"]] == [0.0, 0.0]
+    del raw["rows"][1]
+    path = tmp_path / "report.json"
+    path.write_text(json.dumps(raw))
+    with pytest.raises(ValueError, match="^replication 1 of grid point 0 has neither a row "
+                                         "nor an error$"):
+        load_report(path)
+
+
 def test_load_report_rejects_a_row_off_the_config_grid(small_reports, tmp_path):
     raw = json.loads((small_reports / "spectrum_report.json").read_text())
     raw["rows"][0]["policy"] = "made-up"
@@ -365,6 +377,17 @@ def test_cli_validate_good_and_bad(small_cfg, tmp_path, capsys):
     bad.write_text("[simulation]\nsim_time_s = -1\n")
     assert main(["validate", "--scenario", str(bad)]) == 1
     assert "sim_time_s" in capsys.readouterr().err
+
+
+def test_cli_validate_applies_the_checks_of_run_for_its_experiment(tmp_path, capsys):
+    scenario = tmp_path / "short.ini"
+    scenario.write_text(SMALL_SCENARIO.replace("sim_time_s = 160", "sim_time_s = 50"))
+    assert main(["validate", "--scenario", str(scenario)]) == 1
+    assert capsys.readouterr().err == (
+        "invalid scenario: sim_time_s: the detection experiment needs sim_time_s >= 60, "
+        "got 50.0\n")
+    assert main(["validate", "--scenario", str(scenario), "--experiment", "discovery"]) == 0
+    assert capsys.readouterr().out == "scenario ok\n"
 
 
 def test_cli_run_writes_report_files(small_cfg, tmp_path):
