@@ -39,7 +39,7 @@ DEFAULT_SERVICE_TTL_S = 30.0
 QUERY_DEADLINE_S = 10.0
 
 
-@dataclass
+@dataclass(slots=True)
 class ServiceDescriptor:
     service_id: str
     provider: int
@@ -61,7 +61,7 @@ class ServiceCacheEntry(NamedTuple):
     expires_at: float  # learned time + descriptor ttl; inf for a hosted service
 
 
-@dataclass
+@dataclass(slots=True)
 class ServiceQuery:
     query_id: int
     requester: int
@@ -71,7 +71,7 @@ class ServiceQuery:
     deadline: float = 0.0
 
 
-@dataclass
+@dataclass(slots=True)
 class AdvertMsg:
     descriptor: ServiceDescriptor
     hops_left: int
@@ -82,7 +82,7 @@ class AdvertMsg:
         return desc.provider, desc.service_id, desc.issued_at
 
 
-@dataclass
+@dataclass(slots=True)
 class SreqMsg:
     query_id: int
     requester: int
@@ -97,7 +97,7 @@ class SreqMsg:
         return self.query_id, self.requester, self.requester_seq, self.hop_count
 
 
-@dataclass
+@dataclass(slots=True)
 class SrepMsg:
     query_id: int
     requester: int
@@ -105,7 +105,7 @@ class SrepMsg:
     dist_to_provider: int
 
 
-@dataclass
+@dataclass(slots=True)
 class DiscoveryResult:
     query: ServiceQuery
     descriptor: Optional[ServiceDescriptor]
@@ -157,12 +157,10 @@ class DiscoveryNode(AodvNode):
         bound = now + (self.advert_hops + 1) * self.net.hop_delay_s[1]
         for base, _ in list(self.hosted.values()):
             self.sequence += 1
-            desc = ServiceDescriptor(
-                service_id=base.service_id, provider=base.provider,
-                ontology_tag=base.ontology_tag, advertised_route=[self.id],
-                issued_at=now, ttl_s=base.ttl_s, provider_seq=self.sequence)
+            desc = ServiceDescriptor(base.service_id, base.provider, base.ontology_tag,
+                                     [self.id], now, base.ttl_s, self.sequence)
             self.hosted[desc.service_id] = ServiceCacheEntry(desc, math.inf)
-            msg = AdvertMsg(descriptor=desc, hops_left=self.advert_hops)
+            msg = AdvertMsg(desc, self.advert_hops)
             self.net.open_adverts.append((bound, msg.copy_fields()))
             self.net.broadcast(self.id, msg)
 
@@ -254,13 +252,12 @@ class DiscoveryNode(AodvNode):
         now = self.net.k.now
         self._next_qid += 1
         qid = self.id * 1_000_000 + self._next_qid
-        query = ServiceQuery(query_id=qid, requester=self.id, service_id=service_id,
-                             ontology_tag=ontology_tag, issued_at=now,
-                             deadline=now + QUERY_DEADLINE_S)
+        query = ServiceQuery(qid, self.id, service_id, ontology_tag, now,
+                             now + QUERY_DEADLINE_S)
         hit = self.lookup_local(service_id, ontology_tag)
         if hit is not None:
             if callback:
-                callback(DiscoveryResult(query, hit, 0.0, cache_hit=True))
+                callback(DiscoveryResult(query, hit, 0.0, True))
             return query
         timeout_id = self.net.k.schedule(query.deadline, self._query_timeout, args=(qid,),
                                          target=f"n{self.id}", kind="query-timeout")
@@ -270,9 +267,8 @@ class DiscoveryNode(AodvNode):
         self.net.open_queries.append(
             (now + (self.ttl + len(self.net.nodes)) * self.net.hop_delay_s[1], qid))
         self._flood_best[qid] = 0
-        self.net.broadcast(self.id, SreqMsg(
-            query_id=qid, requester=self.id, requester_seq=self.sequence,
-            service_id=service_id, ontology_tag=ontology_tag, hop_count=1, ttl=self.ttl))
+        self.net.broadcast(self.id, SreqMsg(qid, self.id, self.sequence, service_id,
+                                            ontology_tag, 1, self.ttl))
         return query
 
     def _query_timeout(self, qid: int) -> None:
@@ -314,18 +310,16 @@ class DiscoveryNode(AodvNode):
         self._advert_seen.add(key)
         self._advert_due.pop(key, None)
         desc = msg.descriptor
-        desc = ServiceDescriptor(
-            service_id=desc.service_id, provider=desc.provider, ontology_tag=desc.ontology_tag,
-            advertised_route=desc.advertised_route + [self.id], issued_at=desc.issued_at,
-            ttl_s=desc.ttl_s, provider_seq=desc.provider_seq)
+        desc = ServiceDescriptor(desc.service_id, desc.provider, desc.ontology_tag,
+                                 desc.advertised_route + [self.id], desc.issued_at,
+                                 desc.ttl_s, desc.provider_seq)
         self.cache[(desc.service_id, desc.provider)] = ServiceCacheEntry(
             desc, self.net.k.now + desc.ttl_s)
         # the carried route doubles as a route to the provider
         self._maybe_install(desc.provider, from_id, len(desc.advertised_route) - 1,
                             desc.provider_seq)
         if msg.hops_left > 1:
-            self.net.broadcast(self.id, AdvertMsg(descriptor=desc,
-                                                  hops_left=msg.hops_left - 1))
+            self.net.broadcast(self.id, AdvertMsg(desc, msg.hops_left - 1))
 
     def _on_sreq(self, msg: SreqMsg, from_id: int) -> None:
         first = msg.query_id not in self._flood_best
@@ -334,15 +328,13 @@ class DiscoveryNode(AodvNode):
             return  # a later copy only improves the reverse route
         desc = self.lookup_local(msg.service_id, msg.ontology_tag)
         if desc is not None:
-            self._send_srep(SrepMsg(
-                query_id=msg.query_id, requester=msg.requester, descriptor=desc,
-                dist_to_provider=len(desc.advertised_route) - 1))
+            self._send_srep(SrepMsg(msg.query_id, msg.requester, desc,
+                                    len(desc.advertised_route) - 1))
             return
         if msg.ttl > 1:
             self.net.broadcast(self.id, SreqMsg(
-                query_id=msg.query_id, requester=msg.requester, requester_seq=msg.requester_seq,
-                service_id=msg.service_id, ontology_tag=msg.ontology_tag,
-                hop_count=msg.hop_count + 1, ttl=msg.ttl - 1))
+                msg.query_id, msg.requester, msg.requester_seq, msg.service_id,
+                msg.ontology_tag, msg.hop_count + 1, msg.ttl - 1))
 
     def _on_srep(self, msg: SrepMsg, from_id: int) -> None:
         dist = msg.dist_to_provider + 1
@@ -356,11 +348,9 @@ class DiscoveryNode(AodvNode):
             self.net.k.cancel(timeout_id)
             if callback:
                 callback(DiscoveryResult(query, msg.descriptor,
-                                         self.net.k.now - query.issued_at, cache_hit=False))
+                                         self.net.k.now - query.issued_at, False))
             return
-        self._send_srep(SrepMsg(
-            query_id=msg.query_id, requester=msg.requester, descriptor=msg.descriptor,
-            dist_to_provider=dist))
+        self._send_srep(SrepMsg(msg.query_id, msg.requester, msg.descriptor, dist))
 
     def _send_srep(self, srep: SrepMsg) -> None:
         """Send an answer or a relayed reply toward the requester, unless

@@ -2,6 +2,7 @@
 
 import math
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -121,8 +122,15 @@ def step_nodes(nodes: list[NodeState], now: float, dt: float, rng: np.random.Gen
             travel = speed * dt
             if travel < dist:
                 frac = travel / dist
-                node.x = min(max(x + (wx - x) * frac, 0.0), width)
-                node.y = min(max(y + (wy - y) * frac, 0.0), height)
+                # `min(max(v, 0.0), w)` without the builtin calls: max keeps
+                # its first argument unless 0.0 > v, min unless w < v, so
+                # -0.0 and NaN come out as they do there
+                x += (wx - x) * frac
+                x = 0.0 if 0.0 > x else x
+                node.x = width if width < x else x
+                y += (wy - y) * frac
+                y = 0.0 if 0.0 > y else y
+                node.y = height if height < y else y
                 continue
         step_waypoint(node, now, dt, rng, area, v_min, v_max, pause_max)
 
@@ -137,21 +145,33 @@ def friis_received_power(tx_power_w: float, gain_tx: float, gain_rx: float,
     return tx_power_w * gain_tx * gain_rx * wavelength_m ** 2 / ((4.0 * math.pi * distance_m) ** 2)
 
 
-def in_range(nodes: list[NodeState]) -> np.ndarray:
+def range_limits(nodes: list[NodeState]) -> np.ndarray:
+    """The n x n squared range limits of `in_range`, in list order:
+    min(r_i, r_j)**2, and -inf on the diagonal, which no squared distance
+    (0.0 or NaN there) is <= to. They depend on the radio ranges only."""
+    rng_m = np.array([n.radio_range_m for n in nodes])
+    limit = np.minimum(rng_m[:, None], rng_m)
+    limit *= limit
+    limit.flat[::len(nodes) + 1] = -np.inf
+    return limit
+
+
+def in_range(nodes: list[NodeState], limits: Optional[np.ndarray] = None) -> np.ndarray:
     """Symmetric, irreflexive n x n matrix, in list order: i and j are in
-    range iff dx*dx + dy*dy <= min(r_i, r_j)**2."""
+    range iff dx*dx + dy*dy <= min(r_i, r_j)**2. `limits` is
+    `range_limits(nodes)`, passed by a caller that keeps it while the ranges
+    stay the same."""
     xs = np.array([n.x for n in nodes])
     ys = np.array([n.y for n in nodes])
-    rng_m = np.array([n.radio_range_m for n in nodes])
     # per axis, not over an (n, n, 2) array: dx*dx + dy*dy is bit for bit the
     # sum of squares along the last axis, and (a - b)**2 == (b - a)**2
     # exactly, so the matrix is symmetric bit for bit
     dx = xs[:, None] - xs
     dy = ys[:, None] - ys
-    limit = np.minimum(rng_m[:, None], rng_m)
-    within = dx * dx + dy * dy <= limit * limit
-    within.flat[::len(nodes) + 1] = False  # the diagonal
-    return within
+    dx *= dx
+    dy *= dy
+    dx += dy
+    return dx <= (range_limits(nodes) if limits is None else limits)
 
 
 def neighbor_graph(nodes: list[NodeState]) -> dict[int, set[int]]:

@@ -45,7 +45,7 @@ import numpy as np
 
 from .kernel import Kernel, block_draws
 # neighbor_graph is not called here; it stays importable for tools that patch it per module
-from .mobility import NodeState, in_range, neighbor_graph  # noqa: F401
+from .mobility import NodeState, in_range, neighbor_graph, range_limits  # noqa: F401
 
 DEFAULT_HOP_DELAY_S = (0.001, 0.005)
 DELAY_BLOCK = 1024  # MAC delay draws taken from the stream at once
@@ -53,7 +53,7 @@ DEFAULT_TTL = 20
 DEFAULT_ROUTE_LIFETIME_S = 30.0
 
 
-@dataclass
+@dataclass(slots=True)
 class RouteEntry:
     destination: int
     next_hop: int
@@ -62,7 +62,7 @@ class RouteEntry:
     expires_at: float
 
 
-@dataclass
+@dataclass(slots=True)
 class Rreq:
     origin: int
     destination: int
@@ -77,7 +77,7 @@ class Rreq:
         return (self.origin, self.broadcast_id), self.origin, self.origin_sequence, self.hop_count
 
 
-@dataclass
+@dataclass(slots=True)
 class Rrep:
     destination: int
     origin: int
@@ -85,7 +85,7 @@ class Rrep:
     hop_count: int  # hops traversed from destination to the receiving node's sender
 
 
-@dataclass
+@dataclass(slots=True)
 class DataMsg:
     origin: int
     destination: int
@@ -105,6 +105,9 @@ class Network:
         self._by_id = sorted(self.nodes.values(), key=lambda n: n.id)
         self._ids = np.array([n.id for n in self._by_id])
         self._within: Optional[np.ndarray] = None
+        # the radio ranges of the last refresh, and their `range_limits`
+        self._ranges: Optional[list[float]] = None
+        self._limits: Optional[np.ndarray] = None
         self.adjacency: dict[int, tuple[int, ...]] = {}
         self.refresh_beacons()
         self.protocols: dict[int, "AodvNode"] = {}
@@ -131,20 +134,28 @@ class Network:
     def refresh_beacons(self) -> None:
         """Rebuild the neighbour rows that changed since the last refresh:
         tuples of neighbour ids in increasing order. The adjacency is a new
-        dict when a row changed and the same dict otherwise."""
-        within = in_range(self._by_id)
+        dict when a row changed and the same dict otherwise. The range
+        limits are rebuilt only when a node's radio range has changed."""
+        by_id = self._by_id
+        ranges = [n.radio_range_m for n in by_id]
+        if ranges != self._ranges:
+            self._ranges, self._limits = ranges, range_limits(by_id)
+        within = in_range(by_id, self._limits)
         prev, self._within = self._within, within
         if prev is None:
-            changed = range(len(within))
+            changed = np.arange(len(within))
             adjacency = {nid: () for nid in self.nodes}
         else:
-            changed = np.logical_or.reduce(within != prev, axis=1).nonzero()[0].tolist()
-            if not changed:
+            changed = np.logical_or.reduce(within != prev, axis=1).nonzero()[0]
+            if not len(changed):
                 return
             adjacency = dict(self.adjacency)
-        ids = self._ids
-        for i in changed:
-            adjacency[self._by_id[i].id] = tuple(ids[within[i]].tolist())
+        # row-major: each changed row's neighbours are contiguous
+        rows, cols = within[changed].nonzero()
+        nbr_ids = self._ids[cols].tolist()
+        ends = np.cumsum(np.bincount(rows, minlength=len(changed))).tolist()
+        for i, start, end in zip(changed.tolist(), [0] + ends[:-1], ends):
+            adjacency[by_id[i].id] = tuple(nbr_ids[start:end])
         self.adjacency = adjacency
 
     def send(self, src: int, dst: int, msg) -> bool:

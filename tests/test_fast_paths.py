@@ -23,22 +23,23 @@ import heapq
 import math
 import warnings
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 import pytest
 
-from crahnsim import experiments, mobility, spectrum
+from crahnsim import discovery, experiments, mobility, routing, spectrum
 from crahnsim.detection import (POLL_PERIOD_S, Deployment, DisasterEvent, NOISE_SIGMA,
                                 SIGNAL_DECAY_M, context_record, deploy, make_training_set,
                                 sensor_magnitudes, train_detector, window_times)
-from crahnsim.discovery import (AdvertMsg, DiscoveryNode, ServiceCacheEntry,
-                                ServiceDescriptor, SreqMsg, SrepMsg)
+from crahnsim.discovery import (AdvertMsg, DiscoveryNode, DiscoveryResult, ServiceCacheEntry,
+                                ServiceDescriptor, ServiceQuery, SreqMsg, SrepMsg)
 from crahnsim.kernel import Kernel, PastTimeError, bounded_draws, draw_uniform
 from crahnsim.mlp import DivergenceError, Mlp, _sigmoid_in_place, gradients, train
 from crahnsim.mobility import (Area, NodeState, connectivity_components, friis_received_power,
                                neighbor_graph, place_uniform, step_nodes, step_waypoint)
-from crahnsim.routing import DELAY_BLOCK, AodvNode, DataMsg, Network, Rrep, Rreq
+from crahnsim.routing import DELAY_BLOCK, AodvNode, DataMsg, Network, RouteEntry, Rrep, Rreq
 from crahnsim.scenario import ScenarioConfig
 from crahnsim.spectrum import (EPSILON_DBM_DISTANCE, SpectrumParams, SpectrumSim, SuAssignment,
                                switching_time_metric)
@@ -573,7 +574,8 @@ def test_neighbor_graph_boundaries(nodes, edges):
 def test_refreshed_rows_match_edge_loop_every_tick(seed):
     """520 ticks of random-waypoint motion over nodes listed out of id order,
     with unequal ranges and some static nodes; every fifth tick moves nobody,
-    and one node's range shrinks halfway. After each refresh the adjacency is
+    and one node's range shrinks halfway; then 9 ticks move nobody while
+    ranges grow and return. After each refresh the adjacency is
     the edge-loop graph with sorted rows, keyed in list order, and a new dict
     exactly when a row changed."""
     rng = _rng(seed)
@@ -583,8 +585,15 @@ def test_refreshed_rows_match_edge_loop_every_tick(seed):
     static = {node.id for node in nodes[::7]}
     net = Network(Kernel(seed=seed), nodes)
     assert net.adjacency == {v: tuple(sorted(row)) for v, row in ref_neighbor_graph(nodes).items()}
+    # ticks after the 520 that move nobody: a range returns to its old value,
+    # grows, grows by one ulp, and returns again
+    low = min(range(2, len(nodes)), key=lambda i: nodes[i].radio_range_m)
+    old1, old_low = nodes[1].radio_range_m, nodes[low].radio_range_m
+    range_changes = {525: (1, old1), 535: (low, 1000.0),
+                     545: (low, np.nextafter(1000.0, 2000.0)), 555: (low, old_low)}
     kept = replaced = kept_after_moves = 0
-    for tick in range(520):
+    replaced_by_range = set()
+    for tick in chain(range(520), range(520, 565, 5)):
         before, expected_before = net.adjacency, dict(net.adjacency)
         if tick % 5:
             for node in nodes:
@@ -592,7 +601,12 @@ def test_refreshed_rows_match_edge_loop_every_tick(seed):
                     step_waypoint(node, float(tick), 1.0, rng, area)
         if tick == 260:
             nodes[1].radio_range_m = 20.0
+        if tick in range_changes:
+            i, radio_range_m = range_changes[tick]
+            nodes[i].radio_range_m = radio_range_m
         net.refresh_beacons()
+        if tick in range_changes and net.adjacency is not before:
+            replaced_by_range.add(tick)
         expected = {v: tuple(sorted(row)) for v, row in ref_neighbor_graph(nodes).items()}
         assert net.adjacency == expected
         assert list(net.adjacency) == [n.id for n in nodes]
@@ -604,6 +618,7 @@ def test_refreshed_rows_match_edge_loop_every_tick(seed):
             assert net.adjacency is not before
             replaced += 1
     assert replaced > 100 and kept > 104 and kept_after_moves > 0
+    assert replaced_by_range == {525, 535, 555}
 
 
 def _node_bits(node):
@@ -618,7 +633,8 @@ def _tick_cases(rng, area, now, dt):
     """Nodes in the states a tick meets: on a leg short of, reaching or
     exactly reaching the waypoint; paused past the tick, until inside it,
     until 1e-13 before its end, until exactly now; with no waypoint, with
-    speed 0, at the area's corners; and random ones."""
+    speed 0, at the area's corners; on legs along a border, from -0.0, or
+    toward a waypoint outside the area; and random ones."""
     w, h = area.width, area.height
     nodes = []
 
@@ -641,6 +657,18 @@ def _tick_cases(rng, area, now, dt):
         add(x, y, speed=5.0, waypoint=(w - x, h - y), has_waypoint=True)
         add(x, y, speed=1.0, waypoint=(x, y), has_waypoint=True)
         add(x, y)
+    # legs along each border, both ways, that end on it: one coordinate
+    # stays exactly 0.0, width or height for the whole leg
+    for x0, y0, x1, y1 in ((3.0, 0.0, w, 0.0), (w - 3.0, 0.0, 0.0, 0.0),
+                           (3.0, h, w, h), (w - 3.0, h, 0.0, h),
+                           (0.0, 3.0, 0.0, h), (0.0, h - 3.0, 0.0, 0.0),
+                           (w, 3.0, w, h), (w, h - 3.0, w, 0.0)):
+        add(x0, y0, speed=4.9, waypoint=(x1, y1), has_waypoint=True)
+    add(-0.0, 40.0, speed=2.0, waypoint=(0.0, h), has_waypoint=True)
+    add(-0.0, 40.0, pause_until=now + 3.5 * dt)
+    # legs toward waypoints outside the area, which the clamp stops at its edges
+    add(4.0, 5.0, speed=3.0, waypoint=(-30.0, h + 40.0), has_waypoint=True)
+    add(w - 4.0, h - 5.0, speed=3.0, waypoint=(w + 30.0, -40.0), has_waypoint=True)
     for _ in range(24):
         add(float(rng.uniform(0, w)), float(rng.uniform(0, h)),
             speed=float(rng.choice([0.0, 1.0, 4.9])),
@@ -678,6 +706,59 @@ def test_tick_loop_matches_per_node_steps(monkeypatch, seed, dt):
         assert 0 < len(calls) < 80 * len(fast) / 2
     else:
         assert len(calls) == 80 * len(fast)
+
+
+# -- records: built positionally on the run path, keyword form as reference ----
+
+_DESCRIPTOR = dict(service_id="s", provider=3, ontology_tag="t", advertised_route=[3, 4],
+                   issued_at=2.5, ttl_s=30.0, provider_seq=7)
+# each record's fields in declaration order, every one set away from its default
+RECORDS = [
+    (RouteEntry, dict(destination=1, next_hop=2, hop_count=3, dest_sequence=4, expires_at=5.5)),
+    (Rreq, dict(origin=1, destination=2, broadcast_id=3, origin_sequence=4, hop_count=5,
+                ttl=6, dest_sequence_known=7)),
+    (Rrep, dict(destination=1, origin=2, dest_sequence=3, hop_count=4)),
+    (DataMsg, dict(origin=1, destination=2, payload="p")),
+    (ServiceDescriptor, _DESCRIPTOR),
+    (ServiceQuery, dict(query_id=1, requester=2, service_id="s", ontology_tag="t",
+                        issued_at=1.5, deadline=11.5)),
+    (AdvertMsg, dict(descriptor=ServiceDescriptor(**_DESCRIPTOR), hops_left=2)),
+    (SreqMsg, dict(query_id=1, requester=2, requester_seq=3, service_id=None,
+                   ontology_tag="t", hop_count=4, ttl=5)),
+    (SrepMsg, dict(query_id=1, requester=2, descriptor=ServiceDescriptor(**_DESCRIPTOR),
+                   dist_to_provider=3)),
+    (DiscoveryResult, dict(query=ServiceQuery(1, 2), descriptor=ServiceDescriptor(**_DESCRIPTOR),
+                           latency_s=0.25, cache_hit=True, timed_out=True)),
+]
+
+
+def test_every_record_of_routing_and_discovery_is_listed():
+    defined = {obj for module in (routing, discovery) for obj in vars(module).values()
+               if dataclasses.is_dataclass(obj) and obj.__module__ == module.__name__}
+    assert defined == {cls for cls, _ in RECORDS}
+
+
+@pytest.mark.parametrize("cls, kwargs", RECORDS, ids=[cls.__name__ for cls, _ in RECORDS])
+def test_record_built_positionally_equals_keyword_form(cls, kwargs):
+    assert [f.name for f in dataclasses.fields(cls)] == list(kwargs)
+    positional, keyword = cls(*kwargs.values()), cls(**kwargs)
+    assert positional == keyword
+    assert [getattr(positional, name) for name in kwargs] == list(kwargs.values())
+    with pytest.raises(AttributeError):
+        positional.not_a_field = 1
+    assert not hasattr(positional, "__dict__")
+
+
+@pytest.mark.parametrize("route, ttl_s, message", [
+    ([4, 3], 30.0, "advertised route must start at the provider"),
+    ([3], 0.0, "service ttl must be positive"),
+    ([3], -1.0, "service ttl must be positive"),
+])
+def test_descriptor_built_positionally_runs_its_checks(route, ttl_s, message):
+    with pytest.raises(ValueError, match=message):
+        ServiceDescriptor(service_id="s", provider=3, advertised_route=route, ttl_s=ttl_s)
+    with pytest.raises(ValueError, match=message):
+        ServiceDescriptor("s", 3, "", route, 0.0, ttl_s, 1)
 
 
 def _random_graph(rng, count, p):
