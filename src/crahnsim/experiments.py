@@ -422,12 +422,13 @@ def run_experiment(cfg: ScenarioConfig, which: str, seed: int = None,
     cfg = replace(cfg, simulation=replace(cfg.simulation, **overrides))
     cfg.validate()
     check_runnable(cfg, names)
+    if out_dir is not None:
+        os.makedirs(out_dir, exist_ok=True)  # fails before any runner starts
     reports = []
     for name in names:
         report = _RUNNERS[name](cfg)
         reports.append(report)
         if out_dir is not None:
-            os.makedirs(out_dir, exist_ok=True)
             _write(os.path.join(out_dir, f"{name}_rows.csv"), report.csv_text())
             _write(os.path.join(out_dir, f"{name}_report.json"), report.to_json())
             emit_plots(report, out_dir)

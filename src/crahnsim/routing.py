@@ -101,14 +101,15 @@ class Network:
         self.nodes = {n.id: n for n in nodes}
         self._targets = {n.id: f"n{n.id}" for n in nodes}  # event target label per node
         self.hop_delay_s = hop_delay_s
-        # the in-range matrix of the last refresh, rows and columns in id order
+        # the in-range matrix of the last refresh, rows and columns in id order;
+        # before the first, no node is in range of another
         self._by_id = sorted(self.nodes.values(), key=lambda n: n.id)
         self._ids = np.array([n.id for n in self._by_id])
-        self._within: Optional[np.ndarray] = None
+        self._within = np.zeros((len(self._by_id),) * 2, dtype=bool)
         # the radio ranges of the last refresh, and their `range_limits`
         self._ranges: Optional[list[float]] = None
         self._limits: Optional[np.ndarray] = None
-        self.adjacency: dict[int, tuple[int, ...]] = {}
+        self.adjacency: dict[int, tuple[int, ...]] = {nid: () for nid in self.nodes}
         self.refresh_beacons()
         self.protocols: dict[int, "AodvNode"] = {}
         # message type -> (event kind, {node id: copy test}), rebuilt after
@@ -142,14 +143,10 @@ class Network:
             self._ranges, self._limits = ranges, range_limits(by_id)
         within = in_range(by_id, self._limits)
         prev, self._within = self._within, within
-        if prev is None:
-            changed = np.arange(len(within))
-            adjacency = {nid: () for nid in self.nodes}
-        else:
-            changed = np.logical_or.reduce(within != prev, axis=1).nonzero()[0]
-            if not len(changed):
-                return
-            adjacency = dict(self.adjacency)
+        changed = np.logical_or.reduce(within != prev, axis=1).nonzero()[0]
+        if not len(changed):
+            return
+        adjacency = dict(self.adjacency)
         # row-major: each changed row's neighbours are contiguous
         rows, cols = within[changed].nonzero()
         nbr_ids = self._ids[cols].tolist()

@@ -9,16 +9,22 @@ score trained online on (hole features -> realized remaining idle time).
 
 A PU's activity does not depend on the SUs, so it is drawn up front as a
 timeline: the PU's sorted toggle times, the first one idle -> transmitting.
-Whether a channel is a hole, since when, and its last n busy durations are
-read from the timeline with `bisect`. The kernel runs a `pu-toggle` event
-only for a transition that changes an outcome: a busy start on a channel an
-SU holds, the close of a warm-up sample still open when SUs start, and an
-idle start while SUs wait. The draws, samples and assignments are bit for bit
-those of one kernel event per toggle; `tests/test_fast_paths.py` keeps that
+PU i draws its durations from its own `pu-activity-{i}` stream. Whether a
+channel is a hole, since when, and its last n busy durations are read from
+the timeline with `bisect`. The kernel runs a `pu-toggle` event only for a
+transition that changes an outcome: a busy start on a channel an SU holds,
+the close of a warm-up sample still open when SUs start, and an idle start
+while SUs wait. The draws, samples and assignments are bit for bit those of
+one kernel event per toggle; `tests/test_fast_paths.py` keeps that
 simulation as reference code and checks it.
+
+Grid points are paired: PU positions (`spectrum-placement`) and scales
+(`pu-params`) are drawn in PU order, SUs are placed from their own
+`su-placement` stream, and timelines come from per-PU streams. So PU i's
+position, scale and timeline, and every SU's position, are the same at every
+PU count of one seed, until the shared `mobility` stream moves the nodes.
 """
 
-import heapq
 import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
@@ -26,7 +32,7 @@ from typing import Optional
 
 import numpy as np
 
-from .kernel import Kernel, block_draws, bounded_draws, draw_uniform
+from .kernel import Kernel, bounded_draws, draw_uniform
 from .mlp import Mlp, train
 # step_waypoint is not called here; it stays importable for tools that patch it per module
 from .mobility import (DEFAULT_PAUSE_MAX_S, DEFAULT_V_MAX, DEFAULT_V_MIN,  # noqa: F401
@@ -69,25 +75,23 @@ class SuAssignment:
 # transmission, toggles at odd indices end one; a toggle at exactly t has
 # happened by t. Busy period j is (times[2j], times[2j + 1]).
 
-def draw_toggle_times(rng: np.random.Generator, scales: list[float],
-                      end: float) -> list[list[float]]:
-    """Each PU's toggle times up to `end`, every duration ~ Exp(the PU's scale).
+def draw_toggle_times(rng: np.random.Generator, scale: float, end: float) -> list[float]:
+    """One PU's toggle times up to `end` inclusive, every duration ~ Exp(scale)
+    drawn from `rng`, the PU's own stream.
 
-    The draws are those of one kernel event per toggle: one per PU in PU
-    order, then one per toggle at or before `end`, in (time, scheduling
-    order), each giving the time from that toggle to the PU's next one.
+    Durations are taken `EXPONENTIAL_BLOCK` at a time, and each block's running
+    sum starts from the last time of the block before, so every time is the
+    sum of the durations before it taken one at a time: the times of
+    `t = t + rng.exponential(scale)` on the same stream.
     """
-    draw = block_draws(rng.standard_exponential, EXPONENTIAL_BLOCK)
-    times: list[list[float]] = [[] for _ in scales]
-    heap = [(0.0 + next(draw) * scale, i, i) for i, scale in enumerate(scales)]
-    heapq.heapify(heap)
-    order = len(scales)
-    while heap and heap[0][0] <= end:
-        t, _, i = heap[0]
-        times[i].append(t)
-        heapq.heapreplace(heap, (t + next(draw) * scales[i], order, i))
-        order += 1
-    return times
+    blocks = []
+    t = 0.0
+    while t <= end:
+        steps = rng.standard_exponential(EXPONENTIAL_BLOCK) * scale
+        blocks.append(np.cumsum(np.concatenate(([t], steps)))[1:])
+        t = blocks[-1][-1]
+    times = np.concatenate(blocks)
+    return times[:np.searchsorted(times, end, side="right")].tolist()
 
 
 def schedule_toggle_times(durations: list[float], end: float) -> list[float]:
@@ -167,9 +171,12 @@ class SpectrumParams:
 class SpectrumSim:
     """Spectrum management on one kernel instance.
 
-    `start` draws every PU's timeline up to the kernel's horizon `Kernel.end`
-    (`pu_schedules`, {pu_id: [idle, busy, idle, ...] durations}, replaces the
-    draws); past the horizon every PU reads as idle. PU i licenses channel i.
+    `start` draws every PU's timeline up to the kernel's horizon `Kernel.end`,
+    PU i's from its own `pu-activity-{i}` stream (`pu_schedules`, {pu_id:
+    [idle, busy, idle, ...] durations}, replaces the draws); past the horizon
+    every PU reads as idle. PU i licenses channel i. SUs are placed from
+    their own `su-placement` stream, so a cell shares its PUs and SUs with
+    every cell of the same seed and more PUs.
 
     Under `mlp-history`, before SUs start, each idle period a PU begins is a
     warm-up sample: its features at the idle start, labeled with the idle time
@@ -200,13 +207,11 @@ class SpectrumSim:
         self.k = kernel
         self.p = params
         self.area = area or Area()
-        place_rng = kernel.stream("spectrum-placement")
-        self.pus = place_uniform(params.pu_count, self.area, place_rng)
-        self.sus = place_uniform(params.su_count, self.area, place_rng,
+        self.pus = place_uniform(params.pu_count, self.area, kernel.stream("spectrum-placement"))
+        self.sus = place_uniform(params.su_count, self.area, kernel.stream("su-placement"),
                                  start_id=params.pu_count)
         scale_rng = kernel.stream("pu-params")
         self.scales = {pu.id: draw_uniform(scale_rng, *params.scale_range) for pu in self.pus}
-        self.activity_rng = kernel.stream("pu-activity")
         # `rng.integers(0, n)` values; `_select_for` is the stream's only reader
         self._choose = bounded_draws(kernel.stream("hole-choice"), HOLE_CHOICE_BLOCK)
         self.model = Mlp.init([params.n_window + 3, HIDDEN_UNITS, 1],
@@ -234,9 +239,10 @@ class SpectrumSim:
 
     def start(self) -> None:
         if self._schedules is None:
-            drawn = draw_toggle_times(self.activity_rng,
-                                      [self.scales[pu.id] for pu in self.pus], self.k.end)
-            self.timelines = {pu.id: times for pu, times in zip(self.pus, drawn)}
+            self.timelines = {
+                pu.id: draw_toggle_times(self.k.stream(f"pu-activity-{pu.id}"),
+                                         self.scales[pu.id], self.k.end)
+                for pu in self.pus}
         else:
             self.timelines = {pu.id: schedule_toggle_times(self._schedules[pu.id], self.k.end)
                               for pu in self.pus}

@@ -401,6 +401,21 @@ def test_cli_run_writes_report_files(small_cfg, tmp_path):
     assert len(report.seeds) == 1
 
 
+def test_cli_run_fails_on_an_unusable_out_dir_before_any_runner(small_cfg, tmp_path,
+                                                                monkeypatch, capsys):
+    out = tmp_path / "taken"
+    out.write_text("a file, not a directory")
+    called = []
+    monkeypatch.setattr(experiments, "_RUNNERS",
+                        {name: lambda cfg, name=name: called.append(name)
+                         for name in experiments._RUNNERS})
+    code = main(["run", "--scenario", str(small_cfg), "--experiment", "detection",
+                 "--out", str(out)])
+    assert code == 2
+    assert called == []
+    assert "run failed" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("replications", [0, -2])
 def test_cli_run_rejects_replications_below_one_before_writing(small_cfg, tmp_path, capsys,
                                                                replications):

@@ -1415,22 +1415,21 @@ def ref_spectrum_holes(channels, logs, t):
 
 
 class RefSpectrumSim:
-    """Every PU toggle is a kernel event that draws the next duration, updates
-    a usage log, opens or closes a warm-up sample and evicts or serves SUs."""
+    """Every PU toggle is a kernel event that draws the next duration from the
+    PU's own stream, updates a usage log, opens or closes a warm-up sample and
+    evicts or serves SUs."""
 
     def __init__(self, kernel, params, pu_schedules=None):
         self.k = kernel
         self.p = params
         self.area = Area()
-        place_rng = kernel.stream("spectrum-placement")
-        self.pus = place_uniform(params.pu_count, self.area, place_rng)
-        self.sus = place_uniform(params.su_count, self.area, place_rng,
+        self.pus = place_uniform(params.pu_count, self.area, kernel.stream("spectrum-placement"))
+        self.sus = place_uniform(params.su_count, self.area, kernel.stream("su-placement"),
                                  start_id=params.pu_count)
         self.channels = [RefChannel(i, self.pus[i].id) for i in range(params.pu_count)]
         self.logs = {pu.id: RefUsageLog(i, params.n_window) for i, pu in enumerate(self.pus)}
         scale_rng = kernel.stream("pu-params")
         self.scales = {pu.id: scale_rng.uniform(*params.scale_range) for pu in self.pus}
-        self.activity_rng = kernel.stream("pu-activity")
         self.choice_rng = kernel.stream("hole-choice")
         self.model = Mlp.init([params.n_window + 3, REF_HIDDEN_UNITS, 1],
                               kernel.stream("scorer-init"), output_activation="identity")
@@ -1460,7 +1459,7 @@ class RefSpectrumSim:
             pos = self._sched_pos[pu_id]
             self._sched_pos[pu_id] = pos + 1
             return seq[pos] if pos < len(seq) else float("inf")
-        return float(self.activity_rng.exponential(self.scales[pu_id]))
+        return float(self.k.stream(f"pu-activity-{pu_id}").exponential(self.scales[pu_id]))
 
     def _schedule_toggle(self, pu_id):
         dur = self._next_duration(pu_id)
@@ -1720,7 +1719,7 @@ def test_spectrum_tie_order_on_hand_schedules():
 
 
 @pytest.mark.parametrize("policy,expected", [
-    ("mlp-history", [(5, 2, 1.0, 41.0), (6, 0, 1.0, 41.0), (5, 3, 41.0, None),
+    ("mlp-history", [(5, 1, 1.0, 41.0), (6, 2, 1.0, 41.0), (5, 3, 41.0, None),
                      (6, 3, 41.0, None)]),
     ("random-baseline", [(5, 2, 1.0, 41.0), (6, 1, 1.0, 41.0), (5, 4, 41.0, 65.5),
                          (6, 3, 41.0, None), (5, 3, 65.5, None)]),
@@ -1730,7 +1729,8 @@ def test_spectrum_two_evictions_at_one_instant_on_hand_schedules(policy, expecte
     mobility grid). Each busy start is its own event, so the SUs reselect one
     after the other at one time with no tick in between, from the holes at
     41: channels 3 and 4. Pinned, as the reference runs tied toggles in
-    another order."""
+    another order. The `mlp-history` picks at 1 were re-pinned when SUs
+    began to be placed from their own stream: the scorer sees them elsewhere."""
     schedule = {0: [41.0, 20.0], 1: [41.0, 25.0], 2: [41.0, 30.0],
                 3: [0.5, 20.0], 4: [0.5, 30.0, 35.0, 10.0]}
     params = SpectrumParams(pu_count=5, su_count=2, policy=policy, su_start_s=1.0)

@@ -21,7 +21,10 @@ x86-64 Linux) and may differ under another numpy build or BLAS. The five
 spectrum entries of `ALL_SHA256` were re-recorded when spectrum cells began
 placing their nodes in the scenario's area (600 m square here) instead of
 the 1000 m default. `SINGLE_POLICY_SHA256` stayed: random-baseline reads no
-position.
+position. Both were re-recorded once more, for a declared change of the
+spectrum draws: each PU draws its durations from its own `pu-activity-{i}`
+stream, not from one stream shared by all PUs in merged time order, and the
+SUs are placed from their own `su-placement` stream, not after the PUs.
 
 A change that is meant to change these numbers must say so and record new
 digests.
@@ -43,7 +46,7 @@ ALL_SHA256 = {
     "discovery_report.json": "ca7084a6232271ff830ca63e5a35bce196d8f970a16e3d8fc918c5fc4ed170c1",
     "discovery_rows.csv": "f3fe904c55f1892654b047cbc17500552a926c4731b2614f6debeeb8279cabd4",
     "fig10_policy_comparison.svg":
-        "e91c019853ef32fdc94625ffedb86c54a467ade53e103ebae0eb05e775caa66f",
+        "5da5310215f01654de8416e9cab13c4bc05e11e24c2e2d86c73dc96e3d9560f3",
     "fig11_data.csv": "16bd18a5582f6aee060740c9673bdc09bf927d96e2b6ea5422d430eeab7d768a",
     "fig11_discovery_latency.svg":
         "2e4f3839de3fec133173315f63fdab3c9e628633e5f979097a3ab9851a4a3cee",
@@ -51,17 +54,17 @@ ALL_SHA256 = {
     "fig8a_false_negative_rate.svg":
         "09d57475b43c1922f7af881eb6fb39d6f5edda3b451a9600c40f4977e62a8157",
     "fig8b_response_time.svg": "dfe315cfd7a19c554d9dddaa29e62de55c86a6fbcdd30ccc569e64e0a21d4369",
-    "fig9_10_data.csv": "9b63b98cfd9dfe8038f52afc841e4dfbfd84e02ab76477c44b38f92489359b02",
-    "fig9_switching_time.svg": "291e4bf2c6861ada39ab9ca3b13905b7d32ca94c4f042375de5851ad84f066ac",
-    "spectrum_report.json": "fee3d56efaab7e4023f628754c759c2a79ba3f876a77f5a7b93dfa8485cbedbf",
-    "spectrum_rows.csv": "fdd97beb51acfb32808af0c2db6dbe4e6fd2a638970bdc55467ca84404eec810",
+    "fig9_10_data.csv": "2c6da18c628e9ab759a87194f6eab9d62ad13b7aea4377c02cf2ddfe35dc56a7",
+    "fig9_switching_time.svg": "a9b3681569eecf285526d184cbb65f185486fb11504deb654c102f56378b3211",
+    "spectrum_report.json": "669ac872bca45e8b68640f000a29800d3428973feadd1685bb829b73fdc1ca23",
+    "spectrum_rows.csv": "f204178e669ccbbb6db3077c575132b0c381343d9838897d488b4ab950617dfb",
 }
 
 SINGLE_POLICY_SHA256 = {
-    "fig9_10_data.csv": "67f3ddec888782464b65cbf91fe30358a530ba86f3e7a971255fbbc14497c0da",
-    "fig9_switching_time.svg": "3e66127d168e4c3817fbba1bf3045200fb43e7ed7c28e245b1fe048823007d21",
-    "spectrum_report.json": "5ccdf2a83e9d30dee87f097449c8fb4d3d74de54b5b8b01d4a32daff280012ee",
-    "spectrum_rows.csv": "80117c96696525245c10a614c05538b0748d212bdfd01e973303898d4cc23770",
+    "fig9_10_data.csv": "89c733dfb240e9f187644c5e6ca62357309d2acc842c07724b7ced26eaa877ff",
+    "fig9_switching_time.svg": "4adec70c1c569228a94f6479c721d41ce45dd241574f03239a09d3961b9022fe",
+    "spectrum_report.json": "fc0d6a00b43856ef7310bbb8ad2ac38b74b15424aa85842ffee9fdd0333ad6d4",
+    "spectrum_rows.csv": "1fa99191759cb08c0b1f5930f7a61a9fc52176056fb12d090a9b94ade317fee9",
 }
 
 

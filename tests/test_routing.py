@@ -187,6 +187,15 @@ def test_send_to_a_non_neighbour_is_refused_without_a_delay_draw():
     assert run(True) == run(False) != []
 
 
+@pytest.mark.parametrize("count", [0, 1, 3])
+def test_isolated_nodes_have_empty_rows(count):
+    nodes = [NodeState(id=i, x=1000.0 * i, y=0.0, radio_range_m=100.0) for i in range(count)]
+    net = Network(Kernel(), nodes)
+    assert net.adjacency == {i: () for i in range(count)}
+    net.refresh_beacons()
+    assert net.adjacency == {i: () for i in range(count)}
+
+
 def test_flood_forward_total_is_bounded():
     rng = np.random.Generator(np.random.PCG64(44))
     k = Kernel(seed=44, end=30.0)

@@ -8,9 +8,9 @@ from crahnsim import experiments, spectrum
 from crahnsim.kernel import Kernel
 from crahnsim.mlp import Mlp, train
 from crahnsim.scenario import ScenarioConfig
-from crahnsim.spectrum import (SpectrumParams, SpectrumSim, SuAssignment,
-                               extract_features, schedule_toggle_times, score_holes,
-                               spectrum_holes, switching_time_metric)
+from crahnsim.spectrum import (EXPONENTIAL_BLOCK, SpectrumParams, SpectrumSim, SuAssignment,
+                               draw_toggle_times, extract_features, schedule_toggle_times,
+                               score_holes, spectrum_holes, switching_time_metric)
 
 
 def _rng(seed):
@@ -58,6 +58,41 @@ def test_reversed_and_overlapping_sessions_rejected():
             schedule_toggle_times(durations, 100.0)
     assert schedule_toggle_times([5.0, 2.0, float("inf"), 1.0], 100.0) == [5.0, 7.0]
     assert schedule_toggle_times([5.0, 2.0, 90.0, 4.0], 97.0) == [5.0, 7.0, 97.0]
+
+
+def test_drawn_times_carry_across_blocks_as_one_duration_at_a_time_sums():
+    times = draw_toggle_times(_rng(11), 0.2, 1000.0)
+    ref, t, expected = _rng(11), 0.0, []
+    while True:
+        t = t + float(ref.exponential(0.2))
+        if t > 1000.0:
+            break
+        expected.append(t)
+    assert len(times) > 4 * EXPONENTIAL_BLOCK  # five blocks, four carries
+    assert times == expected
+    # the cut is inclusive: a time equal to `end` is the last one kept
+    for last in (EXPONENTIAL_BLOCK - 1, EXPONENTIAL_BLOCK, 2500):
+        assert draw_toggle_times(_rng(11), 0.2, times[last]) == times[:last + 1]
+
+
+@pytest.mark.parametrize("policy", ["mlp-history", "random-baseline"])
+def test_cells_with_more_pus_share_the_first_pus_and_every_su(policy):
+    """A grid point differs from the next in its PU count only: PU i draws
+    its timeline from its own stream and SUs are placed from theirs."""
+    cells = []
+    for pu_count in (5, 25):
+        kernel = Kernel(seed=13, end=500.0)
+        sim = SpectrumSim(kernel, SpectrumParams(pu_count=pu_count, su_count=4, policy=policy))
+        sim.start()
+        cells.append(sim)
+    few, many = cells
+    for pu in few.pus:
+        other = many.pus[pu.id]
+        assert (pu.x, pu.y) == (other.x, other.y)
+        assert few.scales[pu.id] == many.scales[pu.id]
+        assert few.timelines[pu.id] == many.timelines[pu.id]
+        assert few.timelines[pu.id]
+    assert [(su.x, su.y) for su in few.sus] == [(su.x, su.y) for su in many.sus]
 
 
 def test_holes_empty_when_all_pus_transmit():
