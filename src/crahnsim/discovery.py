@@ -1,6 +1,7 @@
-"""Service discovery: periodic advertisements carrying routes, local caches,
-flood-on-miss resolution that piggybacks route establishment, and gateway
-discovery (discovery of a `gateway` service). Runs on top of the AODV layer.
+"""Service discovery: periodic advertisements carrying hop counts, local
+caches, flood-on-miss resolution that piggybacks route establishment, and
+gateway discovery (discovery of a `gateway` service). Runs on top of the AODV
+layer.
 The resolution flood (SREQ) shares the RREQ arrival step
 (`AodvNode._flood_arrival`): every copy installs or improves the reverse
 route toward the requester, so the reply also installs a usable route toward
@@ -16,9 +17,11 @@ A node sends at most one SREP per query: once `Network.send` has accepted
 its answer or a relayed reply, it drops later SREPs of that query (counted in
 `duplicate_replies`) after learning their route to the provider. Adverts
 and SREQs take their sequence numbers from the node's one
-`AodvNode.sequence`, so a node's newest route announcement always wins. A
-descriptor is never changed once built, so a result keeps the descriptor it
-was answered with.
+`AodvNode.sequence`, so a node's newest route announcement always wins. An
+advert's one `ServiceDescriptor` is shared by every node that caches it or
+answers with it, and each keeps its own hop count to the provider beside it
+(`ServiceCacheEntry.hops`), as an AODV route entry does. A descriptor is
+never changed, so a result keeps the descriptor it was answered with.
 
 A node's records of an advert or a query (`_advert_seen`, `_flood_best`,
 `_replied`) are dropped once no copy or reply of it can read them, at the
@@ -27,7 +30,7 @@ by the floods in flight, not by simulated time.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import chain
 from typing import Callable, NamedTuple, Optional
 
@@ -44,7 +47,6 @@ class ServiceDescriptor:
     service_id: str
     provider: int
     ontology_tag: str = ""
-    advertised_route: list[int] = field(default_factory=list)  # provider outward
     issued_at: float = 0.0
     ttl_s: float = DEFAULT_SERVICE_TTL_S
     provider_seq: int = 1
@@ -52,12 +54,11 @@ class ServiceDescriptor:
     def __post_init__(self):
         if self.ttl_s <= 0:
             raise ValueError("service ttl must be positive")
-        if self.advertised_route and self.advertised_route[0] != self.provider:
-            raise ValueError("advertised route must start at the provider")
 
 
 class ServiceCacheEntry(NamedTuple):
     descriptor: ServiceDescriptor
+    hops: int  # this node's distance to the provider; 0 for a hosted service
     expires_at: float  # learned time + descriptor ttl; inf for a hosted service
 
 
@@ -74,6 +75,7 @@ class ServiceQuery:
 @dataclass(slots=True)
 class AdvertMsg:
     descriptor: ServiceDescriptor
+    hop_count: int  # hops from the provider to the receiver of this copy
     hops_left: int
 
     def copy_fields(self) -> tuple:
@@ -141,7 +143,7 @@ class DiscoveryNode(AodvNode):
     def host_service(self, service_id: str, ontology_tag: str = "") -> None:
         self.hosted[service_id] = ServiceCacheEntry(ServiceDescriptor(
             service_id=service_id, provider=self.id, ontology_tag=ontology_tag,
-            advertised_route=[self.id], ttl_s=self.service_ttl_s), math.inf)
+            ttl_s=self.service_ttl_s), 0, math.inf)
 
     def start_advertising(self) -> None:
         self.advertise()
@@ -155,12 +157,12 @@ class DiscoveryNode(AodvNode):
         self._forget_floods()
         now = self.net.k.now
         bound = now + (self.advert_hops + 1) * self.net.hop_delay_s[1]
-        for base, _ in list(self.hosted.values()):
+        for base, _, _ in list(self.hosted.values()):
             self.sequence += 1
             desc = ServiceDescriptor(base.service_id, base.provider, base.ontology_tag,
-                                     [self.id], now, base.ttl_s, self.sequence)
-            self.hosted[desc.service_id] = ServiceCacheEntry(desc, math.inf)
-            msg = AdvertMsg(desc, self.advert_hops)
+                                     now, base.ttl_s, self.sequence)
+            self.hosted[desc.service_id] = ServiceCacheEntry(desc, 0, math.inf)
+            msg = AdvertMsg(desc, 1, self.advert_hops)
             self.net.open_adverts.append((bound, msg.copy_fields()))
             self.net.broadcast(self.id, msg)
 
@@ -217,16 +219,17 @@ class DiscoveryNode(AodvNode):
     # -- local answers --------------------------------------------------------
 
     def lookup_local(self, service_id: Optional[str] = None,
-                     ontology_tag: Optional[str] = None) -> Optional[ServiceDescriptor]:
-        """The answer this node holds for a query, or None: the best of its
+                     ontology_tag: Optional[str] = None) -> Optional[ServiceCacheEntry]:
+        """The entry this node answers a query with, or None: the best of its
         hosted services and unexpired cache entries that match, ranked by
-        exact service id before ontology tag, then fewest route hops, then
-        lowest provider, then hosted before cached and cache order. A hosted
-        service never expires and has a one-hop route, so it outranks any
-        cached service matched the same way. Sends zero network messages."""
+        exact service id before ontology tag, then fewest hops, then lowest
+        provider, then hosted before cached and cache order. A hosted service
+        never expires and is 0 hops away, so it outranks any cached service
+        matched the same way. Sends zero network messages."""
         now = self.net.k.now
         best, best_key = None, None
-        for desc, expires_at in chain(self.hosted.values(), self.cache.values()):
+        for entry in chain(self.hosted.values(), self.cache.values()):
+            desc, hops, expires_at = entry
             if service_id is not None and desc.service_id == service_id:
                 rank = 0
             elif ontology_tag is not None and desc.ontology_tag == ontology_tag:
@@ -235,9 +238,9 @@ class DiscoveryNode(AodvNode):
                 continue
             if expires_at <= now:
                 continue
-            key = (rank, len(desc.advertised_route), desc.provider)
+            key = (rank, hops, desc.provider)
             if best_key is None or key < best_key:
-                best, best_key = desc, key
+                best, best_key = entry, key
         return best
 
     # -- discovery ------------------------------------------------------------
@@ -257,7 +260,7 @@ class DiscoveryNode(AodvNode):
         hit = self.lookup_local(service_id, ontology_tag)
         if hit is not None:
             if callback:
-                callback(DiscoveryResult(query, hit, 0.0, True))
+                callback(DiscoveryResult(query, hit.descriptor, 0.0, True))
             return query
         timeout_id = self.net.k.schedule(query.deadline, self._query_timeout, args=(qid,),
                                          target=f"n{self.id}", kind="query-timeout")
@@ -309,27 +312,22 @@ class DiscoveryNode(AodvNode):
             return
         self._advert_seen.add(key)
         self._advert_due.pop(key, None)
-        desc = msg.descriptor
-        desc = ServiceDescriptor(desc.service_id, desc.provider, desc.ontology_tag,
-                                 desc.advertised_route + [self.id], desc.issued_at,
-                                 desc.ttl_s, desc.provider_seq)
+        desc, hops = msg.descriptor, msg.hop_count
         self.cache[(desc.service_id, desc.provider)] = ServiceCacheEntry(
-            desc, self.net.k.now + desc.ttl_s)
-        # the carried route doubles as a route to the provider
-        self._maybe_install(desc.provider, from_id, len(desc.advertised_route) - 1,
-                            desc.provider_seq)
+            desc, hops, self.net.k.now + desc.ttl_s)
+        # the advert doubles as a route to the provider
+        self._maybe_install(desc.provider, from_id, hops, desc.provider_seq)
         if msg.hops_left > 1:
-            self.net.broadcast(self.id, AdvertMsg(desc, msg.hops_left - 1))
+            self.net.broadcast(self.id, AdvertMsg(desc, hops + 1, msg.hops_left - 1))
 
     def _on_sreq(self, msg: SreqMsg, from_id: int) -> None:
         first = msg.query_id not in self._flood_best
         self._flood_arrival(msg.copy_fields(), from_id)
         if not first:
             return  # a later copy only improves the reverse route
-        desc = self.lookup_local(msg.service_id, msg.ontology_tag)
-        if desc is not None:
-            self._send_srep(SrepMsg(msg.query_id, msg.requester, desc,
-                                    len(desc.advertised_route) - 1))
+        hit = self.lookup_local(msg.service_id, msg.ontology_tag)
+        if hit is not None:
+            self._send_srep(SrepMsg(msg.query_id, msg.requester, hit.descriptor, hit.hops))
             return
         if msg.ttl > 1:
             self.net.broadcast(self.id, SreqMsg(

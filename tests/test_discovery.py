@@ -41,9 +41,7 @@ def reachability_recorder():
     return discover, reachable
 
 
-def test_descriptor_route_must_start_at_provider():
-    with pytest.raises(ValueError):
-        ServiceDescriptor(service_id="s", provider=3, advertised_route=[4, 3])
+def test_descriptor_ttl_must_be_positive():
     with pytest.raises(ValueError):
         ServiceDescriptor(service_id="s", provider=3, ttl_s=0.0)
 
@@ -55,9 +53,43 @@ def test_advert_propagates_route_two_hops():
     protos[0].advertise()
     k.run_until(1.0)
     entry_c = protos[2].cache[("rescue-112", 0)]
-    assert entry_c.descriptor.advertised_route == [0, 1, 2]
+    assert entry_c.hops == 2
+    assert (protos[2].routes[0].next_hop, protos[2].routes[0].hop_count) == (1, 2)
     # hop budget exhausted before the fourth node
     assert ("rescue-112", 0) not in protos[3].cache
+
+
+def test_advert_and_its_answers_share_the_providers_descriptor(monkeypatch):
+    built = []
+    real_post_init = ServiceDescriptor.__post_init__
+
+    def post_init(desc):
+        built.append(desc)
+        real_post_init(desc)
+    monkeypatch.setattr(ServiceDescriptor, "__post_init__", post_init)
+    k = Kernel(seed=22, end=50.0)
+    net, protos = _chain(k, 4, advert_hops=2)
+    protos[0].host_service("rescue-112", ontology_tag="Safety")
+    protos[0].host_service("medic-7", ontology_tag="Safety")
+    built.clear()
+    protos[0].advertise()
+    k.run_until(1.0)
+    hosted = {sid: entry.descriptor for sid, entry in protos[0].hosted.items()}
+    # one descriptor per hosted service and advert round, shared by every cache
+    assert len(built) == 2 and {id(d) for d in built} == {id(d) for d in hosted.values()}
+    for node in (1, 2):
+        for sid, desc in hosted.items():
+            assert protos[node].cache[(sid, 0)].descriptor is desc
+    assert not protos[3].cache
+    # node 3's query is answered by node 2's cache with that same object
+    results = []
+    protos[3].discover("medic-7", callback=results.append)
+    k.run_until(2.0)
+    (res,) = results
+    assert not res.cache_hit and not res.timed_out
+    assert res.descriptor is hosted["medic-7"]
+    assert protos[3].routes[0].hop_count == 3
+    assert len(built) == len(hosted)
 
 
 def test_isolated_provider_populates_no_cache():
@@ -87,11 +119,11 @@ def test_lookup_prefers_fewer_route_hops():
     k = Kernel(seed=3, end=50.0)
     net, protos = _chain(k, 3)
     node = protos[2]
-    near = ServiceDescriptor(service_id="svc", provider=1, advertised_route=[1, 2])
-    far = ServiceDescriptor(service_id="svc", provider=0, advertised_route=[0, 1, 2])
-    node.cache[("svc", 0)] = ServiceCacheEntry(far, expires_at=30.0)
-    node.cache[("svc", 1)] = ServiceCacheEntry(near, expires_at=30.0)
-    assert node.lookup_local("svc").provider == 1
+    near = ServiceDescriptor(service_id="svc", provider=1)
+    far = ServiceDescriptor(service_id="svc", provider=0)
+    node.cache[("svc", 0)] = ServiceCacheEntry(far, hops=2, expires_at=30.0)
+    node.cache[("svc", 1)] = ServiceCacheEntry(near, hops=1, expires_at=30.0)
+    assert node.lookup_local("svc").descriptor is near
 
 
 def test_ontology_tag_is_a_fallback_match():
@@ -151,7 +183,7 @@ def test_sreq_gets_the_answer_the_node_gives_itself():
 def test_srep_without_reverse_route_is_counted_dropped():
     k = Kernel(seed=13, end=10.0)
     net, protos = _chain(k, 3)
-    desc = ServiceDescriptor(service_id="svc", provider=2, advertised_route=[2])
+    desc = ServiceDescriptor(service_id="svc", provider=2)
     protos[1]._on_srep(SrepMsg(query_id=1, requester=9, descriptor=desc,
                                dist_to_provider=0), from_id=2)
     assert protos[1].dropped_replies == 1
@@ -165,7 +197,7 @@ def test_srep_whose_next_hop_moved_away_is_counted_dropped():
     assert protos[1].routes[0].next_hop == 0 and protos[1].dropped_replies == 0
     net.nodes[0].x = -1000.0  # the reverse route's next hop leaves range
     net.refresh_beacons()
-    desc = ServiceDescriptor(service_id="svc", provider=2, advertised_route=[2])
+    desc = ServiceDescriptor(service_id="svc", provider=2)
     scheduled = k.next_id
     protos[1]._on_srep(SrepMsg(query_id=query.query_id, requester=0, descriptor=desc,
                                dist_to_provider=0), from_id=2)
@@ -184,18 +216,18 @@ def _open_query_with_relay(seed):
     return k, net, protos, query
 
 
-def _srep(query, provider, route):
-    desc = ServiceDescriptor(service_id="svc", provider=provider, advertised_route=route)
+def _srep(query, provider, hops):
+    desc = ServiceDescriptor(service_id="svc", provider=provider)
     return SrepMsg(query_id=query.query_id, requester=query.requester, descriptor=desc,
-                   dist_to_provider=len(route) - 1)
+                   dist_to_provider=hops)
 
 
 def test_relay_sends_one_srep_per_query_and_still_learns_routes():
     k, net, protos, query = _open_query_with_relay(17)
     scheduled = k.next_id
-    protos[1]._on_srep(_srep(query, 2, [2]), from_id=2)
+    protos[1]._on_srep(_srep(query, 2, 0), from_id=2)
     assert k.next_id == scheduled + 1
-    protos[1]._on_srep(_srep(query, 5, [5, 4, 3]), from_id=2)
+    protos[1]._on_srep(_srep(query, 5, 2), from_id=2)
     assert k.next_id == scheduled + 1
     assert (protos[1].duplicate_replies, protos[1].dropped_replies) == (1, 0)
     assert protos[1].routes[5].next_hop == 2  # learned before the reply was dropped
@@ -210,7 +242,7 @@ def test_node_that_answered_relays_no_srep_of_the_query():
     k.run_until(1.0)
     assert [r.descriptor.provider for r in results] == [1]
     scheduled = k.next_id
-    protos[1]._on_srep(_srep(query, 2, [2]), from_id=2)
+    protos[1]._on_srep(_srep(query, 2, 0), from_id=2)
     assert k.next_id == scheduled
     assert protos[1].duplicate_replies == 1
 
@@ -219,12 +251,12 @@ def test_relay_whose_first_srep_was_refused_relays_the_next():
     k, net, protos, query = _open_query_with_relay(19)
     net.nodes[0].x = -1000.0  # the reverse route's next hop leaves range
     net.refresh_beacons()
-    protos[1]._on_srep(_srep(query, 2, [2]), from_id=2)
+    protos[1]._on_srep(_srep(query, 2, 0), from_id=2)
     assert protos[1].dropped_replies == 1
     net.nodes[0].x = 0.0
     net.refresh_beacons()
     scheduled = k.next_id
-    protos[1]._on_srep(_srep(query, 2, [2]), from_id=2)
+    protos[1]._on_srep(_srep(query, 2, 0), from_id=2)
     assert k.next_id == scheduled + 1
     assert (protos[1].duplicate_replies, protos[1].dropped_replies) == (0, 1)
 
@@ -407,7 +439,23 @@ def test_later_replies_after_first_win_are_ignored():
     assert len(results) == 1
 
 
-def test_advertised_routes_are_paths_in_the_neighbor_graph():
+def test_advertised_routes_are_paths_in_the_neighbor_graph(monkeypatch):
+    """A recorder on `_on_advert` rebuilds, hop by hop, the path each
+    accepted advert copy took from its provider, checking each hop against
+    the adjacency at delivery. Each copy carries the hops its path has
+    taken, and each cache entry's hop count is its path's length minus one."""
+    paths = {}  # (advert key, node id) -> path from the provider to the node
+    real_on_advert = DiscoveryNode._on_advert
+
+    def on_advert(node, msg, from_id):
+        key = msg.copy_fields()
+        if key[0] != node.id and key not in node._advert_seen:
+            assert node.id in node.net.adjacency[from_id], (key, from_id, node.id)
+            sent = [key[0]] if from_id == key[0] else paths[(key, from_id)]
+            assert msg.hop_count == len(sent), (key, sent)
+            paths[(key, node.id)] = sent + [node.id]
+        real_on_advert(node, msg, from_id)
+    monkeypatch.setattr(DiscoveryNode, "_on_advert", on_advert)
     rng = np.random.Generator(np.random.PCG64(13))
     k = Kernel(seed=13, end=50.0)
     from crahnsim.mobility import Area, place_uniform
@@ -418,11 +466,14 @@ def test_advertised_routes_are_paths_in_the_neighbor_graph():
         protos[pid].host_service(f"svc-{pid}")
         protos[pid].start_advertising()
     k.run_until(25.0)
+    hops = []
     for proto in protos.values():
         for entry in proto.cache.values():
-            route = entry.descriptor.advertised_route
-            for a, b in zip(route, route[1:]):
-                assert b in net.adjacency[a], route
+            desc = entry.descriptor
+            path = paths[((desc.provider, desc.service_id, desc.issued_at), proto.id)]
+            assert entry.hops == len(path) - 1, (proto.id, path)
+            hops.append(entry.hops)
+    assert set(hops) == {1, 2}
 
 
 def test_discover_without_a_service_id_or_a_tag_changes_nothing():
@@ -480,7 +531,7 @@ def _record_floods(monkeypatch):
 
     def advertise(node):
         real_advertise(node)
-        for desc, _ in node.hosted.values():
+        for desc, *_ in node.hosted.values():
             adverts[(node.id, desc.service_id, desc.issued_at)] = node.advert_hops
         originations.append(node.net.k.now)
     monkeypatch.setattr(DiscoveryNode, "discover", discover)

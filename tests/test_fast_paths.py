@@ -494,16 +494,16 @@ def ref_connectivity_components(graph):
 
 def ref_lookup_local(node, service_id=None, ontology_tag=None):
     """Hosted services, which never expire, then the live cache: exact id
-    matches first, tag matches only if there are none; the first of fewest
-    route hops and lowest provider."""
+    matches first, tag matches only if there are none; the first entry of
+    fewest hops and lowest provider."""
     now = node.net.k.now
-    live = [e.descriptor for e in node.hosted.values()]
-    live += [e.descriptor for e in node.cache.values() if e.expires_at > now]
+    live = list(node.hosted.values())
+    live += [e for e in node.cache.values() if e.expires_at > now]
     for predicate in ((lambda d: service_id is not None and d.service_id == service_id),
                       (lambda d: ontology_tag is not None and d.ontology_tag == ontology_tag)):
-        hits = [d for d in live if predicate(d)]
+        hits = [e for e in live if predicate(e.descriptor)]
         if hits:
-            return min(hits, key=lambda d: (len(d.advertised_route), d.provider))
+            return min(hits, key=lambda e: (e.hops, e.descriptor.provider))
     return None
 
 
@@ -710,8 +710,8 @@ def test_tick_loop_matches_per_node_steps(monkeypatch, seed, dt):
 
 # -- records: built positionally on the run path, keyword form as reference ----
 
-_DESCRIPTOR = dict(service_id="s", provider=3, ontology_tag="t", advertised_route=[3, 4],
-                   issued_at=2.5, ttl_s=30.0, provider_seq=7)
+_DESCRIPTOR = dict(service_id="s", provider=3, ontology_tag="t", issued_at=2.5, ttl_s=30.0,
+                   provider_seq=7)
 # each record's fields in declaration order, every one set away from its default
 RECORDS = [
     (RouteEntry, dict(destination=1, next_hop=2, hop_count=3, dest_sequence=4, expires_at=5.5)),
@@ -722,7 +722,9 @@ RECORDS = [
     (ServiceDescriptor, _DESCRIPTOR),
     (ServiceQuery, dict(query_id=1, requester=2, service_id="s", ontology_tag="t",
                         issued_at=1.5, deadline=11.5)),
-    (AdvertMsg, dict(descriptor=ServiceDescriptor(**_DESCRIPTOR), hops_left=2)),
+    (ServiceCacheEntry, dict(descriptor=ServiceDescriptor(**_DESCRIPTOR), hops=2,
+                             expires_at=32.5)),
+    (AdvertMsg, dict(descriptor=ServiceDescriptor(**_DESCRIPTOR), hop_count=2, hops_left=1)),
     (SreqMsg, dict(query_id=1, requester=2, requester_seq=3, service_id=None,
                    ontology_tag="t", hop_count=4, ttl=5)),
     (SrepMsg, dict(query_id=1, requester=2, descriptor=ServiceDescriptor(**_DESCRIPTOR),
@@ -732,15 +734,24 @@ RECORDS = [
 ]
 
 
+def _field_names(cls) -> list:
+    """The fields of a dataclass or a NamedTuple, in declaration order."""
+    if issubclass(cls, tuple):
+        return list(cls._fields)
+    return [f.name for f in dataclasses.fields(cls)]
+
+
 def test_every_record_of_routing_and_discovery_is_listed():
     defined = {obj for module in (routing, discovery) for obj in vars(module).values()
-               if dataclasses.is_dataclass(obj) and obj.__module__ == module.__name__}
+               if (dataclasses.is_dataclass(obj)
+                   or isinstance(obj, type) and issubclass(obj, tuple) and hasattr(obj, "_fields"))
+               and obj.__module__ == module.__name__}
     assert defined == {cls for cls, _ in RECORDS}
 
 
 @pytest.mark.parametrize("cls, kwargs", RECORDS, ids=[cls.__name__ for cls, _ in RECORDS])
 def test_record_built_positionally_equals_keyword_form(cls, kwargs):
-    assert [f.name for f in dataclasses.fields(cls)] == list(kwargs)
+    assert _field_names(cls) == list(kwargs)
     positional, keyword = cls(*kwargs.values()), cls(**kwargs)
     assert positional == keyword
     assert [getattr(positional, name) for name in kwargs] == list(kwargs.values())
@@ -749,16 +760,12 @@ def test_record_built_positionally_equals_keyword_form(cls, kwargs):
     assert not hasattr(positional, "__dict__")
 
 
-@pytest.mark.parametrize("route, ttl_s, message", [
-    ([4, 3], 30.0, "advertised route must start at the provider"),
-    ([3], 0.0, "service ttl must be positive"),
-    ([3], -1.0, "service ttl must be positive"),
-])
-def test_descriptor_built_positionally_runs_its_checks(route, ttl_s, message):
-    with pytest.raises(ValueError, match=message):
-        ServiceDescriptor(service_id="s", provider=3, advertised_route=route, ttl_s=ttl_s)
-    with pytest.raises(ValueError, match=message):
-        ServiceDescriptor("s", 3, "", route, 0.0, ttl_s, 1)
+@pytest.mark.parametrize("ttl_s", [0.0, -1.0])
+def test_descriptor_built_positionally_runs_its_checks(ttl_s):
+    with pytest.raises(ValueError, match="service ttl must be positive"):
+        ServiceDescriptor(service_id="s", provider=3, ttl_s=ttl_s)
+    with pytest.raises(ValueError, match="service ttl must be positive"):
+        ServiceDescriptor("s", 3, "", 0.0, ttl_s, 1)
 
 
 def _random_graph(rng, count, p):
@@ -784,9 +791,9 @@ def test_components_match_union_find(seed):
 
 
 def test_lookup_local_matches_two_pass():
-    """Random hosted services and caches with expired entries, route-length
-    ties between providers, ties on (route length, provider) between services
-    of one tag, and tag-only hits; the very same descriptor must come back."""
+    """Random hosted services and caches with expired entries, hop-count
+    ties between providers, ties on (hops, provider) between services of one
+    tag, and tag-only hits; the very same entry must come back."""
     rng = _rng(41)
     seen = {"expired-skipped": 0, "tag-only": 0, "tie": 0, "none": 0, "hosted": 0,
             "cached-id-over-hosted-tag": 0}
@@ -800,13 +807,12 @@ def test_lookup_local_matches_two_pass():
         for _ in range(int(rng.integers(0, 25))):
             provider = int(rng.integers(1, 5))
             sid = f"svc-{int(rng.integers(0, 6))}"
-            desc = ServiceDescriptor(
-                service_id=sid, provider=provider, ontology_tag=f"tag-{int(rng.integers(0, 3))}",
-                advertised_route=[provider] + [9] * int(rng.integers(0, 3)),
-                ttl_s=float(rng.choice([5.0, 30.0])))
+            tag, hops = f"tag-{int(rng.integers(0, 3))}", int(rng.integers(0, 3))
+            desc = ServiceDescriptor(service_id=sid, provider=provider, ontology_tag=tag,
+                                     ttl_s=float(rng.choice([5.0, 30.0])))
             node.cache[(sid, provider)] = ServiceCacheEntry(
-                descriptor=desc, expires_at=float(rng.integers(0, 40)) + desc.ttl_s)
-        hosted = [e.descriptor for e in node.hosted.values()]
+                descriptor=desc, hops=hops, expires_at=float(rng.integers(0, 40)) + desc.ttl_s)
+        hosted = list(node.hosted.values())
         for _ in range(12):
             k.now = float(rng.integers(0, 50))
             sid = [None, "svc-0", "svc-3", "svc-5", "missing"][int(rng.integers(0, 5))]
@@ -819,13 +825,14 @@ def test_lookup_local_matches_two_pass():
             if ref is None:
                 seen["none"] += 1
                 continue
-            seen["tag-only"] += ref.service_id != sid
-            seen["hosted"] += any(ref is d for d in hosted)
+            seen["tag-only"] += ref.descriptor.service_id != sid
+            seen["hosted"] += any(ref is e for e in hosted)
             seen["cached-id-over-hosted-tag"] += (
-                ref.provider != 0 and any(d.ontology_tag == tag for d in hosted))
-            key = (len(ref.advertised_route), ref.provider)
+                ref.descriptor.provider != 0
+                and any(e.descriptor.ontology_tag == tag for e in hosted))
+            key = (ref.hops, ref.descriptor.provider)
             seen["tie"] += sum(
-                (len(e.descriptor.advertised_route), e.descriptor.provider) == key
+                (e.hops, e.descriptor.provider) == key
                 and e.expires_at > k.now and e.descriptor.ontology_tag == tag
                 for e in node.cache.values()) > 1
     assert min(seen.values()) > 5, seen
@@ -840,8 +847,7 @@ def _node_state(node):
              dict(node._flood_best), node.sequence, node.net.k._next_id]
     if isinstance(node, DiscoveryNode):
         state += [frozenset(node._advert_seen),
-                  {key: (e.expires_at, e.descriptor.issued_at,
-                         tuple(e.descriptor.advertised_route))
+                  {key: (e.expires_at, e.descriptor.issued_at, e.hops)
                    for key, e in node.cache.items()},
                   {qid: timeout for qid, (_, _, timeout) in node._open_queries.items()},
                   frozenset(node._replied)]
@@ -1050,9 +1056,8 @@ def _rreq(hops, ttl):
 
 
 def _advert(hops, hops_left):
-    desc = ServiceDescriptor(service_id="svc", provider=7,
-                             advertised_route=[7] + [9] * (hops - 1))
-    return AdvertMsg(descriptor=desc, hops_left=hops_left)
+    desc = ServiceDescriptor(service_id="svc", provider=7)
+    return AdvertMsg(descriptor=desc, hop_count=hops, hops_left=hops_left)
 
 
 def _line_run(copies, route_lifetime_s=30.0, make=_sreq):

@@ -26,13 +26,24 @@ spectrum draws: each PU draws its durations from its own `pu-activity-{i}`
 stream, not from one stream shared by all PUs in merged time order, and the
 SUs are placed from their own `su-placement` stream, not after the PUs.
 
+`DISCOVERY_TRACE_SHA256` pins the kernel trace (time, event id, target and
+kind of every event run) of one discovery replication with the
+`discovery-flood` benchmark settings, at replication seed 29000. Output
+digests see the order of events only through aggregates; this pin sees it
+event by event, so a refactor of discovery that claims to keep event order
+is checked by it. Like the discovery digests, it does not depend on the
+platform.
+
 A change that is meant to change these numbers must say so and record new
-digests.
+digests; a declared change of discovery's events re-pins the trace too.
 """
 
+import functools
 import hashlib
 
+from crahnsim import experiments
 from crahnsim.experiments import run_experiment
+from crahnsim.kernel import Kernel
 from crahnsim.scenario import ScenarioConfig
 
 GOLDEN_SHA256 = {
@@ -59,6 +70,9 @@ ALL_SHA256 = {
     "spectrum_report.json": "669ac872bca45e8b68640f000a29800d3428973feadd1685bb829b73fdc1ca23",
     "spectrum_rows.csv": "f204178e669ccbbb6db3077c575132b0c381343d9838897d488b4ab950617dfb",
 }
+
+DISCOVERY_TRACE_EVENTS = 21861
+DISCOVERY_TRACE_SHA256 = "9179e352f5ff9fdc847a007d5f15a0b74e2642376512261462834b89f0e654d7"
 
 SINGLE_POLICY_SHA256 = {
     "fig9_10_data.csv": "89c733dfb240e9f187644c5e6ca62357309d2acc842c07724b7ced26eaa877ff",
@@ -118,3 +132,15 @@ def test_short_scenario_of_all_experiments_matches_golden_digests(tmp_path):
 def test_single_policy_spectrum_draws_fig9_only(tmp_path):
     run_experiment(_short_scenario(("random-baseline",)), "spectrum", out_dir=str(tmp_path))
     assert _digests(tmp_path) == SINGLE_POLICY_SHA256
+
+
+def test_discovery_replication_matches_golden_trace(monkeypatch):
+    log = []
+    monkeypatch.setattr(experiments, "Kernel", functools.partial(Kernel, trace=log))
+    cfg = ScenarioConfig()
+    cfg.simulation.replications = 1
+    cfg.discovery.query_count = 300
+    cfg.discovery.advert_hops = 1
+    experiments.run_discovery_replication(cfg, 29000)
+    assert len(log) == DISCOVERY_TRACE_EVENTS
+    assert hashlib.sha256("\n".join(log).encode()).hexdigest() == DISCOVERY_TRACE_SHA256
