@@ -45,8 +45,11 @@ class DisasterEvent:
 
 
 def detect(record: np.ndarray, model: Mlp) -> int:
-    """The detector's code for one context record."""
-    return DISASTER_HAPPENED if model.classify_binary(record) else DISASTER_NOT_HAPPENED
+    """The detector's code for one context record: whether the model's one
+    sigmoid output for it exceeds 0.5, the rule `train_detector` validates."""
+    if model.predict(record[np.newaxis])[0, 0] > 0.5:
+        return DISASTER_HAPPENED
+    return DISASTER_NOT_HAPPENED
 
 
 # -- deployment ---------------------------------------------------------------

@@ -295,9 +295,7 @@ def run_discovery_replication(cfg: ScenarioConfig, seed: int) -> list:
     sim_time = sim.sim_time_s
     kernel = Kernel(seed=seed, end=sim_time)
     nodes = place_uniform(dc.node_count, area, kernel.stream("discovery-placement"))
-    for node in nodes:
-        node.radio_range_m = sim.radio_range_m
-    net = Network(kernel, nodes)
+    net = Network(kernel, nodes, sim.radio_range_m)
     protos = {node.id: DiscoveryNode(node.id, net,
                                      advert_interval_s=dc.advert_interval_s,
                                      advert_hops=dc.advert_hops,

@@ -165,8 +165,7 @@ class Kernel:
             self.now = at
             if trace is not None:
                 trace.append(f"{at:.6f},{eid},{target},{kind}")
-            if fn is not None:
-                fn(*args)
+            fn(*args)
             executed += 1
         self.now = t_end
         return executed

@@ -96,30 +96,14 @@ class Mlp:
     def predict(self, x) -> np.ndarray:
         """Outputs for raw feature rows: a batch (rows x features) or a stack
         of batches (... x rows x features), each slice as if predicted alone.
-        Unlike `forward`, no finiteness check: on each spectrum selection it
-        would add about 2.7 us to a 16 us call (one SU's 5 rows of 8
-        features) or a 19 us call (five SUs'); 2-vCPU Xeon, Python 3.11,
-        numpy 2.4."""
+        No finiteness check: on each spectrum selection it would add about
+        2.7 us to a 16 us call (one SU's 5 rows of 8 features) or a 19 us
+        call (five SUs'); 2-vCPU Xeon, Python 3.11, numpy 2.4."""
         x = np.asarray(x, dtype=float)
         if x.ndim < 2 or x.shape[-1] != self.weights[0].shape[0]:
             raise ValueError(
                 f"expected rows of {self.weights[0].shape[0]} features, got shape {x.shape}")
         return self._forward_acts(self._standardize(x))[-1]
-
-    def forward(self, features) -> np.ndarray:
-        """Outputs for one raw feature vector."""
-        x = np.asarray(features, dtype=float)
-        if x.ndim != 1:
-            raise ValueError(f"expected one feature vector, got shape {x.shape}")
-        if not np.isfinite(x).all():
-            raise ValueError("non-finite feature value")
-        return self.predict(x[None, :])[0]
-
-    def classify_binary(self, features) -> bool:
-        """Whether the single sigmoid output for one feature vector exceeds 0.5."""
-        if self.weights[-1].shape[1] != 1 or self.output_activation != "sigmoid":
-            raise ValueError("binary classification needs a single sigmoid output")
-        return bool(self.forward(features)[0] > 0.5)
 
 
 # -- lockstep stacks ------------------------------------------------------------

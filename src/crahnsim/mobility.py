@@ -31,11 +31,8 @@ class NodeState:
     x: float
     y: float
     speed: float = 0.0
-    waypoint: tuple[float, float] = (0.0, 0.0)
+    waypoint: Optional[tuple[float, float]] = None  # None: no leg in progress
     pause_until: float = 0.0
-    tx_power_w: float = 0.1
-    radio_range_m: float = DEFAULT_RADIO_RANGE_M
-    has_waypoint: bool = False
 
     def distance_to(self, other: "NodeState") -> float:
         return math.hypot(self.x - other.x, self.y - other.y)
@@ -70,13 +67,11 @@ def step_waypoint(node: NodeState, now: float, dt: float, rng: np.random.Generat
             node.waypoint = (draw_uniform(rng, 0.0, area.width),
                              draw_uniform(rng, 0.0, area.height))
             node.speed = draw_uniform(rng, v_min, v_max)
-            node.has_waypoint = True
             continue
-        if not node.has_waypoint:
+        if node.waypoint is None:
             node.waypoint = (draw_uniform(rng, 0.0, area.width),
                              draw_uniform(rng, 0.0, area.height))
             node.speed = draw_uniform(rng, v_min, v_max)
-            node.has_waypoint = True
         if node.speed <= 0:
             break
         wx, wy = node.waypoint
@@ -89,7 +84,7 @@ def step_waypoint(node: NodeState, now: float, dt: float, rng: np.random.Generat
             t += used
             remaining -= used
             node.pause_until = t + draw_uniform(rng, 0.0, pause_max)
-            node.has_waypoint = False
+            node.waypoint = None
         else:
             frac = travel / dist
             node.x += (wx - node.x) * frac
@@ -115,7 +110,7 @@ def step_nodes(nodes: list[NodeState], now: float, dt: float, rng: np.random.Gen
     hypot = math.hypot
     for node in nodes:
         speed = node.speed
-        if inline and node.has_waypoint and speed > 0 and not now < node.pause_until:
+        if inline and node.waypoint is not None and speed > 0 and not now < node.pause_until:
             wx, wy = node.waypoint
             x, y = node.x, node.y
             dist = hypot(wx - x, wy - y)
@@ -145,22 +140,9 @@ def friis_received_power(tx_power_w: float, gain_tx: float, gain_rx: float,
     return tx_power_w * gain_tx * gain_rx * wavelength_m ** 2 / ((4.0 * math.pi * distance_m) ** 2)
 
 
-def range_limits(nodes: list[NodeState]) -> np.ndarray:
-    """The n x n squared range limits of `in_range`, in list order:
-    min(r_i, r_j)**2, and -inf on the diagonal, which no squared distance
-    (0.0 or NaN there) is <= to. They depend on the radio ranges only."""
-    rng_m = np.array([n.radio_range_m for n in nodes])
-    limit = np.minimum(rng_m[:, None], rng_m)
-    limit *= limit
-    limit.flat[::len(nodes) + 1] = -np.inf
-    return limit
-
-
-def in_range(nodes: list[NodeState], limits: Optional[np.ndarray] = None) -> np.ndarray:
-    """Symmetric, irreflexive n x n matrix, in list order: i and j are in
-    range iff dx*dx + dy*dy <= min(r_i, r_j)**2. `limits` is
-    `range_limits(nodes)`, passed by a caller that keeps it while the ranges
-    stay the same."""
+def in_range(nodes: list[NodeState], radio_range_m: float) -> np.ndarray:
+    """Symmetric, irreflexive n x n matrix, in list order: i != j are in
+    range iff dx*dx + dy*dy <= radio_range_m * radio_range_m."""
     xs = np.array([n.x for n in nodes])
     ys = np.array([n.y for n in nodes])
     # per axis, not over an (n, n, 2) array: dx*dx + dy*dy is bit for bit the
@@ -171,13 +153,18 @@ def in_range(nodes: list[NodeState], limits: Optional[np.ndarray] = None) -> np.
     dx *= dx
     dy *= dy
     dx += dy
-    return dx <= (range_limits(nodes) if limits is None else limits)
+    within = dx <= radio_range_m * radio_range_m
+    within.flat[::len(nodes) + 1] = False
+    return within
 
 
-def neighbor_graph(nodes: list[NodeState]) -> dict[int, set[int]]:
-    """Symmetric, irreflexive adjacency: edge iff within both radios' range."""
+def neighbor_graph(nodes: list[NodeState],
+                   radio_range_m: float = DEFAULT_RADIO_RANGE_M) -> dict[int, set[int]]:
+    """Symmetric, irreflexive adjacency of `in_range`: edge iff the two
+    nodes are within `radio_range_m` of each other."""
     ids = np.array([n.id for n in nodes])
-    rows, cols = np.nonzero(in_range(nodes))  # row-major: each row's neighbours are contiguous
+    # row-major: each row's neighbours are contiguous
+    rows, cols = np.nonzero(in_range(nodes, radio_range_m))
     nbr_ids = ids[cols].tolist()
     ends = np.cumsum(np.bincount(rows, minlength=len(nodes))).tolist()
     return {n.id: set(nbr_ids[start:end])

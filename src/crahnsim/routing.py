@@ -45,7 +45,7 @@ import numpy as np
 
 from .kernel import Kernel, block_draws
 # neighbor_graph is not called here; it stays importable for tools that patch it per module
-from .mobility import NodeState, in_range, neighbor_graph, range_limits  # noqa: F401
+from .mobility import DEFAULT_RADIO_RANGE_M, NodeState, in_range, neighbor_graph  # noqa: F401
 
 DEFAULT_HOP_DELAY_S = (0.001, 0.005)
 DELAY_BLOCK = 1024  # MAC delay draws taken from the stream at once
@@ -93,22 +93,24 @@ class DataMsg:
 
 
 class Network:
-    """Owns node positions, the beacon-derived neighbor graph, and message delivery."""
+    """Owns node positions, the beacon-derived neighbor graph, and message
+    delivery. Every node has the run's one radio range, `radio_range_m`:
+    two nodes are neighbours iff they are within it of each other
+    (`mobility.in_range`)."""
 
     def __init__(self, kernel: Kernel, nodes: list[NodeState],
+                 radio_range_m: float = DEFAULT_RADIO_RANGE_M,
                  hop_delay_s: tuple = DEFAULT_HOP_DELAY_S):
         self.k = kernel
         self.nodes = {n.id: n for n in nodes}
         self._targets = {n.id: f"n{n.id}" for n in nodes}  # event target label per node
+        self.radio_range_m = radio_range_m
         self.hop_delay_s = hop_delay_s
         # the in-range matrix of the last refresh, rows and columns in id order;
         # before the first, no node is in range of another
         self._by_id = sorted(self.nodes.values(), key=lambda n: n.id)
         self._ids = np.array([n.id for n in self._by_id])
         self._within = np.zeros((len(self._by_id),) * 2, dtype=bool)
-        # the radio ranges of the last refresh, and their `range_limits`
-        self._ranges: Optional[list[float]] = None
-        self._limits: Optional[np.ndarray] = None
         self.adjacency: dict[int, tuple[int, ...]] = {nid: () for nid in self.nodes}
         self.refresh_beacons()
         self.protocols: dict[int, "AodvNode"] = {}
@@ -135,13 +137,8 @@ class Network:
     def refresh_beacons(self) -> None:
         """Rebuild the neighbour rows that changed since the last refresh:
         tuples of neighbour ids in increasing order. The adjacency is a new
-        dict when a row changed and the same dict otherwise. The range
-        limits are rebuilt only when a node's radio range has changed."""
-        by_id = self._by_id
-        ranges = [n.radio_range_m for n in by_id]
-        if ranges != self._ranges:
-            self._ranges, self._limits = ranges, range_limits(by_id)
-        within = in_range(by_id, self._limits)
+        dict when a row changed and the same dict otherwise."""
+        within = in_range(self._by_id, self.radio_range_m)
         prev, self._within = self._within, within
         changed = np.logical_or.reduce(within != prev, axis=1).nonzero()[0]
         if not len(changed):
@@ -151,8 +148,8 @@ class Network:
         rows, cols = within[changed].nonzero()
         nbr_ids = self._ids[cols].tolist()
         ends = np.cumsum(np.bincount(rows, minlength=len(changed))).tolist()
-        for i, start, end in zip(changed.tolist(), [0] + ends[:-1], ends):
-            adjacency[by_id[i].id] = tuple(nbr_ids[start:end])
+        for nid, start, end in zip(self._ids[changed].tolist(), [0] + ends[:-1], ends):
+            adjacency[nid] = tuple(nbr_ids[start:end])
         self.adjacency = adjacency
 
     def send(self, src: int, dst: int, msg) -> bool:

@@ -49,6 +49,7 @@ EXPONENTIAL_BLOCK = 1024  # activity draws taken from the stream at once
 HOLE_CHOICE_BLOCK = 256  # 32-bit words taken from the `hole-choice` stream at once
 MOBILE_STEP_S = 5.0  # mobility tick
 WAVELENGTH_M = 0.125  # carrier wavelength for the PU signal at the SU
+PU_TX_POWER_W = 0.1  # every PU's transmit power
 # scorer: hidden units, sample buffer, epochs of the first fit and of each refit
 HIDDEN_UNITS = 8
 BUFFER_CAP = 400
@@ -264,7 +265,7 @@ class SpectrumSim:
         dbm = self._dbm.get((pu.id, su.id))
         if dbm is None:
             d = max(pu.distance_to(su), EPSILON_DBM_DISTANCE)
-            p_w = friis_received_power(pu.tx_power_w, 1.0, 1.0, WAVELENGTH_M, d)
+            p_w = friis_received_power(PU_TX_POWER_W, 1.0, 1.0, WAVELENGTH_M, d)
             dbm = self._dbm[pu.id, su.id] = 10.0 * math.log10(p_w * 1000.0)
         return dbm
 

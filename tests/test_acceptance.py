@@ -85,7 +85,7 @@ def test_criterion_2_mlp_gradients_and_xor():
     for seed in range(10):
         model = Mlp.init([2, 4, 1], _rng(seed))
         train(model, xor_x, xor_y, learning_rate=1.5, epochs=2000)
-        correct = sum(model.classify_binary(row) == (t > 0.5)
+        correct = sum((model.predict(row[np.newaxis])[0, 0] > 0.5) == (t > 0.5)
                       for row, t in zip(xor_x, xor_y[:, 0]))
         assert correct >= 3, seed
     print("[PASS] criterion 2: 20 nets gradcheck < 1e-4; XOR >= 3/4 on 10 seeds")

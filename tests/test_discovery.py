@@ -18,9 +18,8 @@ from crahnsim.scenario import ScenarioConfig
 
 
 def _chain(kernel, count, spacing=100.0, **kwargs):
-    nodes = [NodeState(id=i, x=i * spacing, y=0.0, radio_range_m=150.0)
-             for i in range(count)]
-    net = Network(kernel, nodes)
+    nodes = [NodeState(id=i, x=i * spacing, y=0.0) for i in range(count)]
+    net = Network(kernel, nodes, 150.0)
     protos = {n.id: DiscoveryNode(n.id, net, **kwargs) for n in nodes}
     return net, protos
 
@@ -94,9 +93,8 @@ def test_advert_and_its_answers_share_the_providers_descriptor(monkeypatch):
 
 def test_isolated_provider_populates_no_cache():
     k = Kernel(seed=1, end=50.0)
-    nodes = [NodeState(id=0, x=0.0, y=0.0, radio_range_m=150.0),
-             NodeState(id=1, x=900.0, y=0.0, radio_range_m=150.0)]
-    net = Network(k, nodes)
+    nodes = [NodeState(id=0, x=0.0, y=0.0), NodeState(id=1, x=900.0, y=0.0)]
+    net = Network(k, nodes, 150.0)
     protos = {n.id: DiscoveryNode(n.id, net) for n in nodes}
     protos[0].host_service("svc")
     protos[0].advertise()
@@ -282,11 +280,11 @@ def test_provider_that_advertised_more_than_it_queried_gets_its_fresh_reverse_ro
     # node 2 and must replace the advert route (adverts and SREQs share one
     # sequence space), or node 3's answer goes to node 1, out of range
     k = Kernel(seed=21, end=40.0)
-    nodes = [NodeState(id=0, x=0.0, y=0.0, radio_range_m=150.0),
-             NodeState(id=1, x=100.0, y=0.0, radio_range_m=150.0),
-             NodeState(id=2, x=100.0, y=500.0, radio_range_m=150.0),
-             NodeState(id=3, x=200.0, y=0.0, radio_range_m=150.0)]
-    net = Network(k, nodes)
+    nodes = [NodeState(id=0, x=0.0, y=0.0),
+             NodeState(id=1, x=100.0, y=0.0),
+             NodeState(id=2, x=100.0, y=500.0),
+             NodeState(id=3, x=200.0, y=0.0)]
+    net = Network(k, nodes, 150.0)
     protos = {n.id: DiscoveryNode(n.id, net, advert_hops=2) for n in nodes}
     protos[0].host_service("svc-a")
     protos[3].host_service("svc-b")
@@ -414,10 +412,10 @@ def test_nearer_of_two_gateways_wins_across_seeds():
 
 def test_partitioned_network_times_out():
     k = Kernel(seed=10, end=50.0)
-    nodes = [NodeState(id=0, x=0.0, y=0.0, radio_range_m=150.0),
-             NodeState(id=1, x=100.0, y=0.0, radio_range_m=150.0),
-             NodeState(id=2, x=900.0, y=900.0, radio_range_m=150.0)]
-    net = Network(k, nodes)
+    nodes = [NodeState(id=0, x=0.0, y=0.0),
+             NodeState(id=1, x=100.0, y=0.0),
+             NodeState(id=2, x=900.0, y=900.0)]
+    net = Network(k, nodes, 150.0)
     protos = {n.id: DiscoveryNode(n.id, net) for n in nodes}
     protos[2].host_service("gateway")
     results = []
@@ -549,7 +547,7 @@ def test_flood_records_are_read_only_until_their_bounds(monkeypatch, hop_delay_s
     their bound exactly."""
     if hop_delay_s is not None:
         monkeypatch.setattr(experiments, "Network",
-                            lambda kernel, nodes: Network(kernel, nodes, hop_delay_s))
+                            lambda kernel, nodes, r: Network(kernel, nodes, r, hop_delay_s))
     nets, reads = _networks(monkeypatch), []
 
     def reading(name, record, key_of):
@@ -591,7 +589,7 @@ def test_dropping_flood_records_changes_no_event(monkeypatch):
     holding every record. MAC delays of up to 0.5 s make floods last long
     enough that other floods start while they are in flight."""
     monkeypatch.setattr(experiments, "Network",
-                        lambda kernel, nodes: Network(kernel, nodes, (0.1, 0.5)))
+                        lambda kernel, nodes, r: Network(kernel, nodes, r, (0.1, 0.5)))
 
     def run():
         trace = []

@@ -23,26 +23,29 @@ import heapq
 import math
 import warnings
 from dataclasses import dataclass, field
-from itertools import chain
 from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from crahnsim import discovery, experiments, mobility, routing, spectrum
-from crahnsim.detection import (POLL_PERIOD_S, Deployment, DisasterEvent, NOISE_SIGMA,
-                                SIGNAL_DECAY_M, context_record, deploy, make_training_set,
-                                sensor_magnitudes, train_detector, window_times)
+from crahnsim.detection import (DISASTER_HAPPENED, POLL_PERIOD_S, Deployment, DisasterEvent,
+                                NOISE_SIGMA, SIGNAL_DECAY_M, context_record, deploy, detect,
+                                make_training_set, sensor_magnitudes, train_detector,
+                                window_times)
 from crahnsim.discovery import (AdvertMsg, DiscoveryNode, DiscoveryResult, ServiceCacheEntry,
                                 ServiceDescriptor, ServiceQuery, SreqMsg, SrepMsg)
 from crahnsim.kernel import Kernel, PastTimeError, bounded_draws, draw_uniform
 from crahnsim.mlp import DivergenceError, Mlp, _sigmoid_in_place, gradients, train
 from crahnsim.mobility import (Area, NodeState, connectivity_components, friis_received_power,
-                               neighbor_graph, place_uniform, step_nodes, step_waypoint)
+                               in_range, neighbor_graph, place_uniform, step_nodes,
+                               step_waypoint)
 from crahnsim.routing import DELAY_BLOCK, AodvNode, DataMsg, Network, RouteEntry, Rrep, Rreq
 from crahnsim.scenario import ScenarioConfig
-from crahnsim.spectrum import (EPSILON_DBM_DISTANCE, SpectrumParams, SpectrumSim, SuAssignment,
-                               switching_time_metric)
+from crahnsim.spectrum import (EPSILON_DBM_DISTANCE, PU_TX_POWER_W, SpectrumParams, SpectrumSim,
+                               SuAssignment, switching_time_metric)
 from test_discovery import reachability_recorder
 
 
@@ -352,9 +355,9 @@ def _broadcast_run(broadcast, next_delay):
     trace = []
     k = Kernel(seed=21, end=10.0, trace=trace)
     rng = _rng(22)
-    nodes = [NodeState(id=i, x=float(rng.uniform(0, 400)), y=float(rng.uniform(0, 400)),
-                       radio_range_m=250.0) for i in range(30)]
-    net = Network(k, nodes)
+    nodes = [NodeState(id=i, x=float(rng.uniform(0, 400)), y=float(rng.uniform(0, 400)))
+             for i in range(30)]
+    net = Network(k, nodes, 250.0)
     for step in range(20):
         src = step % len(nodes)
         k.schedule(0.01 * step, lambda s=src: broadcast(net, s, Ping()), kind="tx")
@@ -375,9 +378,9 @@ def _mac_run(hop_delay_s, send, broadcast, next_delay):
     draw the network would take."""
     k = Kernel(seed=23, end=10.0)
     rng = _rng(24)
-    nodes = [NodeState(id=i, x=float(rng.uniform(0, 400)), y=float(rng.uniform(0, 400)),
-                       radio_range_m=200.0) for i in range(20)]
-    net = Network(k, nodes, hop_delay_s=hop_delay_s)
+    nodes = [NodeState(id=i, x=float(rng.uniform(0, 400)), y=float(rng.uniform(0, 400)))
+             for i in range(20)]
+    net = Network(k, nodes, 200.0, hop_delay_s=hop_delay_s)
     arrivals = []
     net._deliver = lambda dst, src, msg: arrivals.append((k.now, dst, src, type(msg).__name__))
     for step in range(40):
@@ -405,8 +408,8 @@ def _block_run(sends, send, broadcast, next_delay):
     a unicast, on a complete graph of 12 nodes; every arrival time, and the
     next delay draw the network would take."""
     k = Kernel(seed=25, end=1.0)
-    nodes = [NodeState(id=i, x=float(i), y=0.0, radio_range_m=50.0) for i in range(12)]
-    net = Network(k, nodes)
+    nodes = [NodeState(id=i, x=float(i), y=0.0) for i in range(12)]
+    net = Network(k, nodes, 50.0)
     arrivals = []
     net._deliver = lambda dst, src, msg: arrivals.append((k.now, dst, src))
     for i in range(sends):
@@ -444,15 +447,13 @@ def test_copy_tests_of_a_node_attached_after_a_broadcast_are_asked():
 # -- reference: edge-loop neighbour graph, union-find components, two-pass
 # -- local lookup, isinstance dispatch ------------------------------------------
 
-def ref_neighbor_graph(nodes):
+def ref_neighbor_graph(nodes, radio_range_m):
     adj = {n.id: set() for n in nodes}
     if len(nodes) < 2:
         return adj
     pos = np.array([[n.x, n.y] for n in nodes])
-    rng_m = np.array([n.radio_range_m for n in nodes])
     d2 = np.sum((pos[:, None, :] - pos[None, :, :]) ** 2, axis=2)
-    limit = np.minimum(rng_m[:, None], rng_m[None, :]) ** 2
-    ii, jj = np.nonzero(np.triu(d2 <= limit, k=1))
+    ii, jj = np.nonzero(np.triu(d2 <= radio_range_m ** 2, k=1))
     for i, j in zip(ii.tolist(), jj.tolist()):
         adj[nodes[i].id].add(nodes[j].id)
         adj[nodes[j].id].add(nodes[i].id)
@@ -461,7 +462,7 @@ def ref_neighbor_graph(nodes):
 
 def ref_refresh_beacons(net):
     """A new adjacency at every refresh: the edge-loop graph, rows sorted."""
-    graph = ref_neighbor_graph(list(net.nodes.values()))
+    graph = ref_neighbor_graph(list(net.nodes.values()), net.radio_range_m)
     net.adjacency = {v: tuple(sorted(row)) for v, row in graph.items()}
 
 
@@ -528,86 +529,95 @@ def ref_app_receive(node, msg, from_id):
 
 
 def _scattered_nodes(rng, count, side=600.0):
-    """Nodes with non-contiguous ids in shuffled order and unequal radio ranges."""
+    """Nodes with non-contiguous ids in shuffled order."""
     ids = rng.choice(10 * count + 10, size=count, replace=False).tolist()
-    return [NodeState(id=int(i), x=float(rng.uniform(0, side)), y=float(rng.uniform(0, side)),
-                      radio_range_m=float(rng.uniform(40.0, 300.0))) for i in ids]
+    return [NodeState(id=int(i), x=float(rng.uniform(0, side)), y=float(rng.uniform(0, side)))
+            for i in ids]
+
+
+SCATTERED_RANGE_M = 150.0  # on `_scattered_nodes`, neither an empty nor a complete graph
 
 
 @pytest.mark.parametrize("count", [0, 1, 2, 3, 17, 60])
 @pytest.mark.parametrize("seed", range(4))
 def test_neighbor_graph_matches_edge_loop(seed, count):
     nodes = _scattered_nodes(_rng(seed), count)
-    got, ref = neighbor_graph(nodes), ref_neighbor_graph(nodes)
+    got = neighbor_graph(nodes, SCATTERED_RANGE_M)
+    ref = ref_neighbor_graph(nodes, SCATTERED_RANGE_M)
     assert got == ref
     assert list(got) == [n.id for n in nodes]
     if count == 60:
         assert 0 < sum(map(len, got.values())) < 60 * 59  # neither empty nor complete
 
 
-@pytest.mark.parametrize("nodes, edges", [
-    # 3-4-5: d**2 == 25 == min(r)**2 exactly, so in range; just short of it, not
-    ([NodeState(id=0, x=0.0, y=0.0, radio_range_m=5.0),
-      NodeState(id=1, x=3.0, y=4.0, radio_range_m=7.0),
-      NodeState(id=2, x=-3.0, y=-4.0, radio_range_m=np.nextafter(5.0, 0.0))],
-     {(0, 1)}),
+_PAIR_345 = [NodeState(id=0, x=0.0, y=0.0), NodeState(id=1, x=3.0, y=4.0)]
+
+
+@pytest.mark.parametrize("nodes, radio_range_m, edges", [
+    # 3-4-5: d**2 == 25 == r**2 exactly, so in range; one ulp short of it, not
+    (_PAIR_345, 5.0, {(0, 1)}),
+    (_PAIR_345, np.nextafter(5.0, 0.0), set()),
     # coincident nodes, and a third in range of neither
-    ([NodeState(id=5, x=10.0, y=20.0, radio_range_m=1.0),
-      NodeState(id=6, x=10.0, y=20.0, radio_range_m=1.0),
-      NodeState(id=7, x=12.0, y=20.0, radio_range_m=1.0)],
-     {(5, 6)}),
+    ([NodeState(id=5, x=10.0, y=20.0), NodeState(id=6, x=10.0, y=20.0),
+      NodeState(id=7, x=12.0, y=20.0)],
+     1.0, {(5, 6)}),
     # unsorted, non-contiguous ids
-    ([NodeState(id=40, x=0.0, y=0.0, radio_range_m=10.0),
-      NodeState(id=3, x=6.0, y=8.0, radio_range_m=10.0),
-      NodeState(id=17, x=0.0, y=10.0, radio_range_m=10.0),
-      NodeState(id=8, x=100.0, y=0.0, radio_range_m=300.0)],
-     {(40, 3), (40, 17), (3, 17)}),
+    ([NodeState(id=40, x=0.0, y=0.0), NodeState(id=3, x=6.0, y=8.0),
+      NodeState(id=17, x=0.0, y=10.0), NodeState(id=8, x=100.0, y=0.0)],
+     10.0, {(40, 3), (40, 17), (3, 17)}),
+    # no node, one node, two nodes
+    ([], 10.0, set()),
+    ([NodeState(id=4, x=1.0, y=1.0)], 10.0, set()),
+    ([NodeState(id=9, x=1.0, y=1.0), NodeState(id=2, x=1.0, y=11.0)], 10.0, {(9, 2)}),
 ])
-def test_neighbor_graph_boundaries(nodes, edges):
-    got = neighbor_graph(nodes)
-    assert got == ref_neighbor_graph(nodes)
+def test_neighbor_graph_boundaries(nodes, radio_range_m, edges):
+    got = neighbor_graph(nodes, radio_range_m)
+    assert got == ref_neighbor_graph(nodes, radio_range_m)
     assert list(got) == [n.id for n in nodes]
     assert {(a, b) for a, nbrs in got.items() for b in nbrs} == edges | {(b, a) for a, b in edges}
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(st.integers(-6, 6), st.integers(-6, 6)), max_size=12),
+       st.integers(0, 9).map(float) | st.floats(0.0, 20.0))
+def test_in_range_matches_pairwise_loop_on_a_grid(points, radio_range_m):
+    """Integer-grid positions, so that pairs exactly at the range (3-4-5,
+    or along an axis) and coincident pairs occur."""
+    nodes = [NodeState(id=i, x=float(x), y=float(y)) for i, (x, y) in enumerate(points)]
+    got = in_range(nodes, radio_range_m)
+    r2 = radio_range_m * radio_range_m
+    expected = [[i != j and (xi - xj) ** 2 + (yi - yj) ** 2 <= r2
+                 for j, (xj, yj) in enumerate(points)] for i, (xi, yi) in enumerate(points)]
+    assert got.shape == (len(points),) * 2
+    assert got.tolist() == expected
 
 
 @pytest.mark.parametrize("seed", range(3))
 def test_refreshed_rows_match_edge_loop_every_tick(seed):
     """520 ticks of random-waypoint motion over nodes listed out of id order,
-    with unequal ranges and some static nodes; every fifth tick moves nobody,
-    and one node's range shrinks halfway; then 9 ticks move nobody while
-    ranges grow and return. After each refresh the adjacency is
-    the edge-loop graph with sorted rows, keyed in list order, and a new dict
-    exactly when a row changed."""
+    with some static nodes; every fifth tick moves nobody. After each
+    refresh the adjacency is the edge-loop graph with sorted rows, keyed in
+    list order, and a new dict exactly when a row changed."""
     rng = _rng(seed)
     area = Area(500.0, 500.0)
     nodes = _scattered_nodes(rng, 40, side=500.0)
     assert [n.id for n in nodes] != sorted(n.id for n in nodes)
     static = {node.id for node in nodes[::7]}
-    net = Network(Kernel(seed=seed), nodes)
-    assert net.adjacency == {v: tuple(sorted(row)) for v, row in ref_neighbor_graph(nodes).items()}
-    # ticks after the 520 that move nobody: a range returns to its old value,
-    # grows, grows by one ulp, and returns again
-    low = min(range(2, len(nodes)), key=lambda i: nodes[i].radio_range_m)
-    old1, old_low = nodes[1].radio_range_m, nodes[low].radio_range_m
-    range_changes = {525: (1, old1), 535: (low, 1000.0),
-                     545: (low, np.nextafter(1000.0, 2000.0)), 555: (low, old_low)}
+    net = Network(Kernel(seed=seed), nodes, SCATTERED_RANGE_M)
+
+    def ref_rows():
+        graph = ref_neighbor_graph(nodes, SCATTERED_RANGE_M)
+        return {v: tuple(sorted(row)) for v, row in graph.items()}
+    assert net.adjacency == ref_rows()
     kept = replaced = kept_after_moves = 0
-    replaced_by_range = set()
-    for tick in chain(range(520), range(520, 565, 5)):
+    for tick in range(520):
         before, expected_before = net.adjacency, dict(net.adjacency)
         if tick % 5:
             for node in nodes:
                 if node.id not in static:
                     step_waypoint(node, float(tick), 1.0, rng, area)
-        if tick == 260:
-            nodes[1].radio_range_m = 20.0
-        if tick in range_changes:
-            i, radio_range_m = range_changes[tick]
-            nodes[i].radio_range_m = radio_range_m
         net.refresh_beacons()
-        if tick in range_changes and net.adjacency is not before:
-            replaced_by_range.add(tick)
-        expected = {v: tuple(sorted(row)) for v, row in ref_neighbor_graph(nodes).items()}
+        expected = ref_rows()
         assert net.adjacency == expected
         assert list(net.adjacency) == [n.id for n in nodes]
         if expected == expected_before:
@@ -618,7 +628,6 @@ def test_refreshed_rows_match_edge_loop_every_tick(seed):
             assert net.adjacency is not before
             replaced += 1
     assert replaced > 100 and kept > 104 and kept_after_moves > 0
-    assert replaced_by_range == {525, 535, 555}
 
 
 def _node_bits(node):
@@ -640,22 +649,21 @@ def _tick_cases(rng, area, now, dt):
 
     def add(x, y, **kw):
         nodes.append(NodeState(id=len(nodes), x=x, y=y, **kw))
-    add(10.0, 10.0, speed=1.5, waypoint=(400.0, 300.0), has_waypoint=True)
-    add(10.0, 10.0, speed=4.0, waypoint=(11.0, 12.0), has_waypoint=True)
-    add(0.0, 0.0, speed=2.0, waypoint=(2.0 * dt, 0.0), has_waypoint=True)  # travel == dist
-    add(5.0, 5.0, speed=3.0, waypoint=(5.0, 5.0), has_waypoint=True)  # dist 0
+    add(10.0, 10.0, speed=1.5, waypoint=(400.0, 300.0))
+    add(10.0, 10.0, speed=4.0, waypoint=(11.0, 12.0))
+    add(0.0, 0.0, speed=2.0, waypoint=(2.0 * dt, 0.0))  # travel == dist
+    add(5.0, 5.0, speed=3.0, waypoint=(5.0, 5.0))  # dist 0
     add(50.0, 60.0, pause_until=now + 3.5 * dt)
     add(50.0, 60.0, pause_until=now + 0.4 * dt)
     add(50.0, 60.0, pause_until=now + dt - 1e-13)
     add(50.0, 60.0, pause_until=now)
-    add(50.0, 60.0, speed=2.0, waypoint=(0.0, 0.0), has_waypoint=True,
-        pause_until=now + 0.5 * dt)
+    add(50.0, 60.0, speed=2.0, waypoint=(0.0, 0.0), pause_until=now + 0.5 * dt)
     add(70.0, 80.0)
     add(70.0, 80.0, speed=2.5)
-    add(70.0, 80.0, speed=0.0, waypoint=(300.0, 300.0), has_waypoint=True)
+    add(70.0, 80.0, speed=0.0, waypoint=(300.0, 300.0))
     for x, y in ((0.0, 0.0), (w, 0.0), (0.0, h), (w, h)):
-        add(x, y, speed=5.0, waypoint=(w - x, h - y), has_waypoint=True)
-        add(x, y, speed=1.0, waypoint=(x, y), has_waypoint=True)
+        add(x, y, speed=5.0, waypoint=(w - x, h - y))
+        add(x, y, speed=1.0, waypoint=(x, y))
         add(x, y)
     # legs along each border, both ways, that end on it: one coordinate
     # stays exactly 0.0, width or height for the whole leg
@@ -663,17 +671,17 @@ def _tick_cases(rng, area, now, dt):
                            (3.0, h, w, h), (w - 3.0, h, 0.0, h),
                            (0.0, 3.0, 0.0, h), (0.0, h - 3.0, 0.0, 0.0),
                            (w, 3.0, w, h), (w, h - 3.0, w, 0.0)):
-        add(x0, y0, speed=4.9, waypoint=(x1, y1), has_waypoint=True)
-    add(-0.0, 40.0, speed=2.0, waypoint=(0.0, h), has_waypoint=True)
+        add(x0, y0, speed=4.9, waypoint=(x1, y1))
+    add(-0.0, 40.0, speed=2.0, waypoint=(0.0, h))
     add(-0.0, 40.0, pause_until=now + 3.5 * dt)
     # legs toward waypoints outside the area, which the clamp stops at its edges
-    add(4.0, 5.0, speed=3.0, waypoint=(-30.0, h + 40.0), has_waypoint=True)
-    add(w - 4.0, h - 5.0, speed=3.0, waypoint=(w + 30.0, -40.0), has_waypoint=True)
+    add(4.0, 5.0, speed=3.0, waypoint=(-30.0, h + 40.0))
+    add(w - 4.0, h - 5.0, speed=3.0, waypoint=(w + 30.0, -40.0))
     for _ in range(24):
-        add(float(rng.uniform(0, w)), float(rng.uniform(0, h)),
-            speed=float(rng.choice([0.0, 1.0, 4.9])),
-            waypoint=(float(rng.uniform(0, w)), float(rng.uniform(0, h))),
-            has_waypoint=bool(rng.random() < 0.7),
+        x, y = float(rng.uniform(0, w)), float(rng.uniform(0, h))
+        speed = float(rng.choice([0.0, 1.0, 4.9]))
+        waypoint = (float(rng.uniform(0, w)), float(rng.uniform(0, h)))
+        add(x, y, speed=speed, waypoint=waypoint if rng.random() < 0.7 else None,
             pause_until=now + float(rng.choice([-1.0, 0.0, 0.3, 2.0])) * dt)
     return nodes
 
@@ -947,7 +955,8 @@ def _flood_runs(monkeypatch, run, ref_patches=()):
         def marking_test(node, fields, at):
             if not test(node, fields, at):
                 return False
-            marks.append(node.net.k.schedule(at, None, target=f"n{node.id}", kind=sending[-1]))
+            marks.append(node.net.k.schedule(at, lambda: None, target=f"n{node.id}",
+                                             kind=sending[-1]))
             return True
         return marking_test
 
@@ -1069,10 +1078,9 @@ def _line_run(copies, route_lifetime_s=30.0, make=_sreq):
     the flood and the hop counts it forwarded."""
     def run(trace):
         k = Kernel(seed=5, end=1.0, trace=trace)
-        nodes = [NodeState(id=0, x=0.0, y=0.0, radio_range_m=250.0),
-                 NodeState(id=1, x=-200.0, y=0.0, radio_range_m=250.0),
-                 NodeState(id=2, x=200.0, y=0.0, radio_range_m=250.0)]
-        net = Network(k, nodes)
+        nodes = [NodeState(id=0, x=0.0, y=0.0), NodeState(id=1, x=-200.0, y=0.0),
+                 NodeState(id=2, x=200.0, y=0.0)]
+        net = Network(k, nodes, 250.0)
         protos = [DiscoveryNode(n.id, net, route_lifetime_s=route_lifetime_s) for n in nodes]
         forwarded = []
         real_broadcast = net.broadcast
@@ -1410,7 +1418,7 @@ def ref_extract_features(log, t):
 
 def ref_received_dbm(pu, su, wavelength_m):
     d = max(pu.distance_to(su), EPSILON_DBM_DISTANCE)
-    p_w = friis_received_power(pu.tx_power_w, 1.0, 1.0, wavelength_m, d)
+    p_w = friis_received_power(PU_TX_POWER_W, 1.0, 1.0, wavelength_m, d)
     return 10.0 * math.log10(p_w * 1000.0)
 
 
@@ -2099,7 +2107,7 @@ def test_train_warm_starts_from_the_previous_call(activation):
 
 
 @pytest.mark.parametrize("features", [3, 9, 15])
-def test_one_row_slices_equal_classify_binary(features):
+def test_one_row_slices_equal_one_row_predict(features):
     rng = _rng(features)
     model = Mlp.init([features, 8, 1], rng, output_activation="sigmoid")
     model.feat_mean = rng.normal(0.0, 1.0, features)
@@ -2110,8 +2118,9 @@ def test_one_row_slices_equal_classify_binary(features):
     out = model.predict(rows[:, np.newaxis, :])
     assert out.shape == (400, 1, 1)
     for row, got in zip(rows, out):
-        assert _same_bits(got[0], model.forward(row))
-    assert (out[:, 0, 0] > 0.5).tolist() == [model.classify_binary(row) for row in rows]
+        assert _same_bits(got[0], model.predict(row[np.newaxis])[0])
+    verdicts = [detect(row, model) == DISASTER_HAPPENED for row in rows]
+    assert (out[:, 0, 0] > 0.5).tolist() == verdicts
 
 
 def test_detector_validation_equals_classifying_each_row():
@@ -2121,7 +2130,7 @@ def test_detector_validation_equals_classifying_each_row():
     trained = train_detector([_rng(10), _rng(11)], [_rng(20), _rng(21)], xs, ys, epochs=30)
     for (model, stats), x, y, split_seed in zip(trained, xs, ys, (20, 21)):
         va = _rng(split_seed).permutation(len(x))[int(0.8 * len(x)):]
-        verdicts = [model.classify_binary(row) for row in x[va]]
+        verdicts = [detect(row, model) == DISASTER_HAPPENED for row in x[va]]
         assert stats["val_accuracy"] == float(np.mean(
             np.array(verdicts) == (y[va][:, 0] > 0.5)))
 

@@ -163,7 +163,7 @@ def test_every_matches_hand_written_schedule(start, end, expected, pending):
 
     def tick():
         # an event the handler schedules takes its id before the next run's
-        k.schedule(k.now + 0.5, None, kind="child")
+        k.schedule(k.now + 0.5, lambda: None, kind="child")
     assert k.every(3.0, tick, target="t", kind="tick") == 1
     k.run_until(end)
     assert trace == expected

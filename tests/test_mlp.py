@@ -1,10 +1,11 @@
-"""MLP correctness: forward arithmetic, gradient checks, training fixtures."""
+"""MLP correctness: predict arithmetic, gradient checks, training fixtures."""
 
 import copy
 
 import numpy as np
 import pytest
 
+from crahnsim.detection import DISASTER_NOT_HAPPENED, detect
 from crahnsim.mlp import (DivergenceError, Mlp, _batch_loss, _sigmoid_in_place, gradients,
                          train)
 
@@ -30,15 +31,16 @@ def _zero_model(sizes, activation="sigmoid"):
 
 def test_zero_model_outputs_half():
     m = _zero_model([3, 4, 2])
-    assert np.allclose(m.forward([1.0, -2.0, 0.5]), 0.5)
+    assert np.allclose(m.predict([[1.0, -2.0, 0.5]]), 0.5)
 
 
 def test_zero_model_classifies_not_happened_on_tie():
     m = _zero_model([3, 4, 1])
-    assert m.classify_binary([0.3, 0.1, -0.7]) is False
+    assert m.predict([[0.3, 0.1, -0.7]])[0, 0] == 0.5
+    assert detect(np.array([0.3, 0.1, -0.7]), m) == DISASTER_NOT_HAPPENED
 
 
-def test_forward_matches_hand_matrix_arithmetic():
+def test_predict_matches_hand_matrix_arithmetic():
     m = _zero_model([2, 2, 1])
     m.weights[0] = np.array([[0.5, -1.0], [0.25, 0.75]])
     m.biases[0] = np.array([0.1, -0.2])
@@ -47,27 +49,17 @@ def test_forward_matches_hand_matrix_arithmetic():
     x = np.array([1.0, 2.0])
     h = 1.0 / (1.0 + np.exp(-(x @ m.weights[0] + m.biases[0])))
     expected = 1.0 / (1.0 + np.exp(-(h @ m.weights[1] + m.biases[1])))
-    assert np.allclose(m.forward(x), expected, atol=1e-12)
+    assert np.allclose(m.predict(x[None, :])[0], expected, atol=1e-12)
 
 
 def test_sigmoid_output_always_in_open_unit_interval():
     m = Mlp.init([4, 6, 3], _rng(3))
     for seed in range(20):
-        out = m.forward(_rng(seed).normal(0, 5, 4))
+        out = m.predict(_rng(seed).normal(0, 5, (1, 4)))
         assert np.all(out > 0) and np.all(out < 1)
 
 
-def test_forward_input_validation():
-    m = Mlp.init([3, 4, 1], _rng(0))
-    with pytest.raises(ValueError):
-        m.forward([1.0, 2.0])
-    with pytest.raises(ValueError):
-        m.forward([1.0, np.nan, 2.0])
-    with pytest.raises(ValueError):
-        m.forward([[1.0, 2.0, 3.0]])
-
-
-def test_predict_is_forward_row_by_row():
+def test_predict_is_one_row_predict_row_by_row():
     m = Mlp.init([3, 4, 2], _rng(1))
     m.feat_mean = np.array([0.5, -1.0, 2.0])
     m.feat_std = np.array([2.0, 0.5, 1.0])
@@ -75,7 +67,7 @@ def test_predict_is_forward_row_by_row():
     out = m.predict(x)
     assert out.shape == (5, 2)
     for row, got in zip(x, out):
-        assert np.allclose(m.forward(row), got, atol=1e-12)
+        assert np.allclose(m.predict(row[None, :])[0], got, atol=1e-12)
     with pytest.raises(ValueError, match="rows of 3 features"):
         m.predict(x[:, :2])
     with pytest.raises(ValueError, match="rows of 3 features"):
@@ -157,7 +149,7 @@ XOR_Y = np.array([[0.0], [1.0], [1.0], [0.0]])
 def _xor_correct(seed):
     model = Mlp.init([2, 4, 1], _rng(seed))
     train(model, XOR_X, XOR_Y, learning_rate=1.5, epochs=2000)
-    pred = [model.classify_binary(row) for row in XOR_X]
+    pred = [model.predict(row[np.newaxis])[0, 0] > 0.5 for row in XOR_X]
     return sum(p == (t > 0.5) for p, t in zip(pred, XOR_Y[:, 0]))
 
 
@@ -247,12 +239,12 @@ def test_divergence_error_names_the_epoch():
 def test_hidden_unit_permutation_leaves_output_unchanged():
     model = Mlp.init([3, 5, 2], _rng(12))
     x = _rng(13).normal(0, 1, 3)
-    base = model.forward(x)
+    base = model.predict(x[None, :])
     perm = _rng(14).permutation(5)
     model.weights[0] = model.weights[0][:, perm]
     model.biases[0] = model.biases[0][perm]
     model.weights[1] = model.weights[1][perm, :]
-    assert np.allclose(model.forward(x), base, atol=1e-12)
+    assert np.allclose(model.predict(x[None, :]), base, atol=1e-12)
 
 
 def test_init_validation():
@@ -284,9 +276,8 @@ def test_forward_pass_runs_once_per_predict_and_once_per_epoch(monkeypatch):
     model = Mlp.init([2, 4, 1], _rng(0))
     model.predict(XOR_X)
     model.predict(XOR_X[:1])
-    model.forward(XOR_X[2])
     model.predict(np.stack([XOR_X, XOR_X[::-1], XOR_X]))
-    assert calls == [(4,), (1,), (1,), (3, 4)]
+    assert calls == [(4,), (1,), (3, 4)]
     calls.clear()
     train(model, XOR_X, XOR_Y, learning_rate=0.5, epochs=7)
     assert calls == [[4]] * 7

@@ -5,9 +5,9 @@ import math
 import numpy as np
 import pytest
 
-from crahnsim.mobility import (Area, NodeState, connectivity_components,
-                               friis_received_power, neighbor_graph,
-                               place_uniform, step_waypoint)
+from crahnsim.mobility import (DEFAULT_RADIO_RANGE_M, Area, NodeState,
+                               connectivity_components, friis_received_power,
+                               neighbor_graph, place_uniform, step_waypoint)
 
 
 def _rng(seed):
@@ -16,16 +16,14 @@ def _rng(seed):
 
 def test_exact_arrival_on_hand_geometry():
     # (0,0) -> (3,4) is 5 m; at 5 m/s one second lands exactly on the waypoint
-    node = NodeState(id=0, x=0.0, y=0.0, speed=5.0, waypoint=(3.0, 4.0),
-                     has_waypoint=True)
+    node = NodeState(id=0, x=0.0, y=0.0, speed=5.0, waypoint=(3.0, 4.0))
     step_waypoint(node, 0.0, 1.0, _rng(1), Area())
     assert node.x == pytest.approx(3.0, abs=1e-9)
     assert node.y == pytest.approx(4.0, abs=1e-9)
 
 
 def test_partial_leg_moves_proportionally():
-    node = NodeState(id=0, x=0.0, y=0.0, speed=5.0, waypoint=(30.0, 40.0),
-                     has_waypoint=True)
+    node = NodeState(id=0, x=0.0, y=0.0, speed=5.0, waypoint=(30.0, 40.0))
     step_waypoint(node, 0.0, 1.0, _rng(1), Area())
     assert math.hypot(node.x, node.y) == pytest.approx(5.0, abs=1e-9)
 
@@ -103,15 +101,9 @@ def test_neighbor_graph_matches_pairwise_distance_oracle():
             if a.id == b.id:
                 assert b.id not in adj[a.id]
                 continue
-            within = a.distance_to(b) <= min(a.radio_range_m, b.radio_range_m)
+            within = a.distance_to(b) <= DEFAULT_RADIO_RANGE_M
             assert (b.id in adj[a.id]) == within
             assert (b.id in adj[a.id]) == (a.id in adj[b.id])
-
-
-def test_asymmetric_ranges_use_the_smaller_radio():
-    a = NodeState(id=0, x=0, y=0, radio_range_m=300.0)
-    b = NodeState(id=1, x=200.0, y=0, radio_range_m=100.0)
-    assert neighbor_graph([a, b]) == {0: set(), 1: set()}
 
 
 def _bfs_components(graph):

@@ -4,19 +4,18 @@ import numpy as np
 import pytest
 
 from crahnsim.kernel import Kernel
-from crahnsim.mobility import Area, NodeState, place_uniform
+from crahnsim.mobility import DEFAULT_RADIO_RANGE_M, Area, NodeState, place_uniform
 from crahnsim.routing import AodvNode, DataMsg, Network, Rrep
 
 
-def _aodv_network(kernel, nodes):
-    net = Network(kernel, nodes)
+def _aodv_network(kernel, nodes, radio_range_m=DEFAULT_RADIO_RANGE_M):
+    net = Network(kernel, nodes, radio_range_m)
     return net, {n.id: AodvNode(n.id, net) for n in nodes}
 
 
 def _chain(kernel, count, spacing=100.0):
-    nodes = [NodeState(id=i, x=i * spacing, y=0.0, radio_range_m=150.0)
-             for i in range(count)]
-    return _aodv_network(kernel, nodes)
+    nodes = [NodeState(id=i, x=i * spacing, y=0.0) for i in range(count)]
+    return _aodv_network(kernel, nodes, 150.0)
 
 
 def _bfs_dist(graph, src):
@@ -56,9 +55,8 @@ def test_destination_receives_rreq_with_bfs_hop_count():
 
 def test_ttl_one_never_reaches_a_two_hop_destination():
     k = Kernel(seed=2, end=10.0)
-    nodes = [NodeState(id=i, x=i * 100.0, y=0.0, radio_range_m=150.0)
-             for i in range(4)]
-    net = Network(k, nodes)
+    nodes = [NodeState(id=i, x=i * 100.0, y=0.0) for i in range(4)]
+    net = Network(k, nodes, 150.0)
     protos = {n.id: AodvNode(n.id, net, ttl=1) for n in nodes}
     protos[0].send_data(3, "x")
     k.run_until(10.0)
@@ -79,9 +77,9 @@ def test_duplicate_rreq_with_no_better_hops_not_reforwarded():
 
 def test_grid_corner_to_corner_equals_bfs():
     k = Kernel(seed=4, end=20.0)
-    nodes = [NodeState(id=5 * r + c, x=100.0 * c, y=100.0 * r, radio_range_m=120.0)
+    nodes = [NodeState(id=5 * r + c, x=100.0 * c, y=100.0 * r)
              for r in range(5) for c in range(5)]
-    net, protos = _aodv_network(k, nodes)
+    net, protos = _aodv_network(k, nodes, 120.0)
     protos[0].send_data(24, "z")
     k.run_until(20.0)
     dist = _bfs_dist(net.adjacency, 0)
@@ -189,8 +187,8 @@ def test_send_to_a_non_neighbour_is_refused_without_a_delay_draw():
 
 @pytest.mark.parametrize("count", [0, 1, 3])
 def test_isolated_nodes_have_empty_rows(count):
-    nodes = [NodeState(id=i, x=1000.0 * i, y=0.0, radio_range_m=100.0) for i in range(count)]
-    net = Network(Kernel(), nodes)
+    nodes = [NodeState(id=i, x=1000.0 * i, y=0.0) for i in range(count)]
+    net = Network(Kernel(), nodes, 100.0)
     assert net.adjacency == {i: () for i in range(count)}
     net.refresh_beacons()
     assert net.adjacency == {i: () for i in range(count)}

@@ -353,7 +353,7 @@ def test_spectrum_cells_move_nodes_at_the_scenario_speeds(monkeypatch, tmp_path)
     monkeypatch.setattr(experiments, "SpectrumSim", RecordingSim)
     experiments.run_experiment(cfg, "spectrum", out_dir=str(tmp_path))
     (sim,) = sims
-    assert all(n.has_waypoint and n.speed == 12.0 for n in sim.pus + sim.sus)
+    assert all(n.waypoint is not None and n.speed == 12.0 for n in sim.pus + sim.sus)
 
 
 def test_default_scenario_speeds_are_the_spectrum_defaults():
