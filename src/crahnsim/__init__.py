@@ -1,8 +1,7 @@
 """Deterministic discrete-event simulator of a CRAHN-based disaster-response
 system: MLP disaster detection over a clustered sensor field, learned
-spectrum-hole selection, AODV-backed service discovery (gateway discovery is
-discovery of a `gateway` service), and XML situation interchange, with a
-seeded experiment harness."""
+spectrum-hole selection, AODV-backed service discovery, and XML situation
+interchange, with a seeded experiment harness."""
 
 import os
 

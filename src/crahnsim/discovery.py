@@ -1,7 +1,6 @@
 """Service discovery: periodic advertisements carrying hop counts, local
-caches, flood-on-miss resolution that piggybacks route establishment, and
-gateway discovery (discovery of a `gateway` service). Runs on top of the AODV
-layer.
+caches, and flood-on-miss resolution that piggybacks route establishment.
+Runs on top of the AODV layer.
 The resolution flood (SREQ) shares the RREQ arrival step
 (`AodvNode._flood_arrival`): every copy installs or improves the reverse
 route toward the requester, so the reply also installs a usable route toward

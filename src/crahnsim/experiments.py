@@ -17,7 +17,7 @@ from .kernel import Kernel, draw_uniform, named_stream, stream_seed
 # step_waypoint is not called here; it stays importable for tools that patch it per module
 from .mobility import Area, place_uniform, step_waypoint  # noqa: F401
 from .routing import Network
-from .scenario import ScenarioConfig, ScenarioError
+from .scenario import ScenarioConfig, ScenarioError, is_integer, is_number
 from .spectrum import SpectrumParams, SpectrumSim
 from .svgplot import line_chart
 
@@ -433,30 +433,6 @@ def run_experiment(cfg: ScenarioConfig, which: str, seed: int = None,
     return reports
 
 
-def _is_integer(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-def _is_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
-
-
-# JSON type of a config value, by its default's type: (name, name of a list, test)
-_JSON_TYPES = {int: ("an integer", "a list of integers", _is_integer),
-               float: ("a number", "a list of numbers", _is_number),
-               str: ("a string", "a list of strings", lambda value: isinstance(value, str))}
-
-
-def _config_type(default) -> tuple[str, Callable]:
-    """(name, test) of the JSON values that stand for a config value whose
-    default is `default`: a float's may be integers, a tuple's are lists."""
-    if isinstance(default, tuple):
-        _, name, test = _JSON_TYPES[type(default[0])]
-        return name, lambda value: isinstance(value, list) and all(map(test, value))
-    name, _, test = _JSON_TYPES[type(default)]
-    return name, test
-
-
 def load_report(path) -> MetricsReport:
     """Load a report JSON and verify it against its own config: it must hold
     every field of a report; its config exactly the sections and keys of a
@@ -502,7 +478,7 @@ def load_report(path) -> MetricsReport:
             raise ValueError(f"{name}: {', '.join(spec.group_keys)} name no grid point "
                              f"of the config")
         for key in ("replication", "seed"):
-            if not _is_integer(entry[key]):
+            if not is_integer(entry[key]):
                 raise ValueError(f"{name}: {key} must be an integer, got "
                                  f"{json.dumps(entry[key])}")
         rep, seed = entry["replication"], entry["seed"]
@@ -521,7 +497,7 @@ def load_report(path) -> MetricsReport:
     for i, row in enumerate(report.rows):
         check_cell(f"row {i}", row, columns, "columns")
         for key in spec.metrics:
-            if not (row[key] is None or _is_number(row[key])):
+            if not (row[key] is None or is_number(row[key])):
                 raise ValueError(f"row {i}: {key} must be a number or null, got "
                                  f"{json.dumps(row[key])}")
     error_keys = {*spec.group_keys, "replication", "seed", "error", "error_type"}
@@ -544,8 +520,8 @@ def load_report(path) -> MetricsReport:
 def _check_config(config, experiment: str) -> None:
     """Raise ValueError, naming the section and key, unless `config` is the
     echo of a scenario that `experiment` runs on: every section and key of a
-    scenario and no other, each value of the default's JSON type and
-    accepted by `ScenarioConfig.validate` and `check_runnable`."""
+    scenario and no other, and values (a list standing for a tuple) that
+    `ScenarioConfig.validate`, types included, and `check_runnable` accept."""
     if not isinstance(config, dict):
         raise ValueError("config must be an object")
     echo = ScenarioConfig().echo()
@@ -556,11 +532,6 @@ def _check_config(config, experiment: str) -> None:
         missing = sorted(defaults.keys() - values.keys())
         if missing:
             raise ValueError(f"config.{section} lacks {', '.join(missing)}")
-        for key, default in defaults.items():
-            name, test = _config_type(default)
-            if not test(values[key]):
-                raise ValueError(f"config.{section}.{key} must be {name}, "
-                                 f"got {json.dumps(values[key])}")
         extra = sorted(values.keys() - defaults.keys())
         if extra:
             raise ValueError(f"config.{section}.{extra[0]} is not a scenario key")

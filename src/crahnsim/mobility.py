@@ -51,93 +51,75 @@ def place_uniform(count: int, area: Area, rng: np.random.Generator,
 def step_waypoint(node: NodeState, now: float, dt: float, rng: np.random.Generator,
                   area: Area, v_min: float = DEFAULT_V_MIN, v_max: float = DEFAULT_V_MAX,
                   pause_max: float = DEFAULT_PAUSE_MAX_S) -> NodeState:
-    """Advance one random-waypoint step."""
-    if dt <= 0:
-        raise ValueError("dt must be positive")
-    remaining = dt
-    t = now
-    while remaining > 1e-12:
-        if t < node.pause_until:
-            wait = min(node.pause_until - t, remaining)
-            t += wait
-            remaining -= wait
-            if remaining <= 1e-12:
-                break
-            # pause over: draw the next leg
-            node.waypoint = (draw_uniform(rng, 0.0, area.width),
-                             draw_uniform(rng, 0.0, area.height))
-            node.speed = draw_uniform(rng, v_min, v_max)
-            continue
-        if node.waypoint is None:
-            node.waypoint = (draw_uniform(rng, 0.0, area.width),
-                             draw_uniform(rng, 0.0, area.height))
-            node.speed = draw_uniform(rng, v_min, v_max)
-        if node.speed <= 0:
-            break
-        wx, wy = node.waypoint
-        dist = math.hypot(wx - node.x, wy - node.y)
-        travel = node.speed * remaining
-        if travel >= dist:
-            # arrive exactly, then pause
-            node.x, node.y = wx, wy
-            used = dist / node.speed
-            t += used
-            remaining -= used
-            node.pause_until = t + draw_uniform(rng, 0.0, pause_max)
-            node.waypoint = None
-        else:
-            frac = travel / dist
-            node.x += (wx - node.x) * frac
-            node.y += (wy - node.y) * frac
-            remaining = 0.0
-    node.x = min(max(node.x, 0.0), area.width)
-    node.y = min(max(node.y, 0.0), area.height)
+    """`step_nodes` on one node."""
+    step_nodes([node], now, dt, rng, area, v_min, v_max, pause_max)
     return node
 
 
 def step_nodes(nodes: list[NodeState], now: float, dt: float, rng: np.random.Generator,
                area: Area, v_min: float = DEFAULT_V_MIN, v_max: float = DEFAULT_V_MAX,
                pause_max: float = DEFAULT_PAUSE_MAX_S) -> None:
-    """One mobility tick: `step_waypoint` on each node, in list order.
-
-    A node moving on its leg that does not reach the waypoint within `dt`
-    draws nothing; it advances inline, by `step_waypoint`'s own arithmetic.
-    Every other node (paused, arriving, without a waypoint, speed 0) goes
-    through `step_waypoint`, so positions and draws are bit for bit those of
-    calling it on every node."""
+    """One random-waypoint tick of `dt` seconds from `now`, node by node in
+    list order, all drawing from `rng`. A node without a leg draws a
+    waypoint in the area and a speed in [v_min, v_max]; on arrival it stands
+    on the waypoint and draws a pause in [0, pause_max], and when the pause
+    ends within the tick it draws its next leg. A node with speed 0 stays
+    put. Each node ends the tick clamped to the area."""
+    if dt <= 0:
+        raise ValueError("dt must be positive")
     width, height = area.width, area.height
-    inline = dt > 1e-12
     hypot = math.hypot
     for node in nodes:
-        speed = node.speed
-        if inline and node.waypoint is not None and speed > 0 and not now < node.pause_until:
+        x, y = node.x, node.y
+        remaining = dt
+        t = now
+        while remaining > 1e-12:
+            if t < node.pause_until:
+                wait = min(node.pause_until - t, remaining)
+                t += wait
+                remaining -= wait
+                if remaining <= 1e-12:
+                    break
+                node.waypoint = None  # pause over: the next leg is drawn below
+            if node.waypoint is None:
+                node.waypoint = (draw_uniform(rng, 0.0, width), draw_uniform(rng, 0.0, height))
+                node.speed = draw_uniform(rng, v_min, v_max)
+                continue
+            speed = node.speed
+            if speed <= 0:
+                break
             wx, wy = node.waypoint
-            x, y = node.x, node.y
             dist = hypot(wx - x, wy - y)
-            travel = speed * dt
+            travel = speed * remaining
             if travel < dist:
                 frac = travel / dist
-                # `min(max(v, 0.0), w)` without the builtin calls: max keeps
-                # its first argument unless 0.0 > v, min unless w < v, so
-                # -0.0 and NaN come out as they do there
                 x += (wx - x) * frac
-                x = 0.0 if 0.0 > x else x
-                node.x = width if width < x else x
                 y += (wy - y) * frac
-                y = 0.0 if 0.0 > y else y
-                node.y = height if height < y else y
-                continue
-        step_waypoint(node, now, dt, rng, area, v_min, v_max, pause_max)
+                break
+            # arrive exactly, then pause
+            x, y = wx, wy
+            used = dist / speed
+            t += used
+            remaining -= used
+            node.pause_until = t + draw_uniform(rng, 0.0, pause_max)
+            node.waypoint = None
+        # `min(max(v, 0.0), w)` without the builtin calls: max keeps its first
+        # argument unless 0.0 > v, min unless w < v, so -0.0 and NaN come out
+        # as they do there
+        x = 0.0 if 0.0 > x else x
+        node.x = width if width < x else x
+        y = 0.0 if 0.0 > y else y
+        node.y = height if height < y else y
 
 
-def friis_received_power(tx_power_w: float, gain_tx: float, gain_rx: float,
-                         wavelength_m: float, distance_m: float) -> float:
-    """Free-space received power: Pt*Gt*Gr*lambda^2 / ((4*pi*d)^2)."""
+def friis_received_power(tx_power_w: float, wavelength_m: float, distance_m: float) -> float:
+    """Free-space received power between unit-gain antennas:
+    Pt*lambda^2 / ((4*pi*d)^2)."""
     if distance_m <= 0:
         raise ValueError("distance must be positive (free-space singularity at 0)")
     if wavelength_m <= 0:
         raise ValueError("wavelength must be positive")
-    return tx_power_w * gain_tx * gain_rx * wavelength_m ** 2 / ((4.0 * math.pi * distance_m) ** 2)
+    return tx_power_w * wavelength_m ** 2 / ((4.0 * math.pi * distance_m) ** 2)
 
 
 def in_range(nodes: list[NodeState], radio_range_m: float) -> np.ndarray:
@@ -162,13 +144,18 @@ def neighbor_graph(nodes: list[NodeState],
                    radio_range_m: float = DEFAULT_RADIO_RANGE_M) -> dict[int, set[int]]:
     """Symmetric, irreflexive adjacency of `in_range`: edge iff the two
     nodes are within `radio_range_m` of each other."""
-    ids = np.array([n.id for n in nodes])
+    rows = neighbor_rows(in_range(nodes, radio_range_m), np.array([n.id for n in nodes]))
+    return {n.id: set(row) for n, row in zip(nodes, rows)}
+
+
+def neighbor_rows(within: np.ndarray, ids: np.ndarray) -> list[list[int]]:
+    """Row i of the boolean matrix `within` as a list: `ids[j]` for each true
+    `within[i, j]`, in column order."""
     # row-major: each row's neighbours are contiguous
-    rows, cols = np.nonzero(in_range(nodes, radio_range_m))
+    rows, cols = within.nonzero()
     nbr_ids = ids[cols].tolist()
-    ends = np.cumsum(np.bincount(rows, minlength=len(nodes))).tolist()
-    return {n.id: set(nbr_ids[start:end])
-            for n, start, end in zip(nodes, [0] + ends[:-1], ends)}
+    ends = np.cumsum(np.bincount(rows, minlength=len(within))).tolist()
+    return [nbr_ids[start:end] for start, end in zip([0] + ends[:-1], ends)]
 
 
 def connectivity_components(graph: dict[int, set[int]]) -> list[set[int]]:

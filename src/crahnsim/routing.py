@@ -45,7 +45,8 @@ import numpy as np
 
 from .kernel import Kernel, block_draws
 # neighbor_graph is not called here; it stays importable for tools that patch it per module
-from .mobility import DEFAULT_RADIO_RANGE_M, NodeState, in_range, neighbor_graph  # noqa: F401
+from .mobility import (DEFAULT_RADIO_RANGE_M, NodeState, in_range, neighbor_graph,  # noqa: F401
+                       neighbor_rows)
 
 DEFAULT_HOP_DELAY_S = (0.001, 0.005)
 DELAY_BLOCK = 1024  # MAC delay draws taken from the stream at once
@@ -144,12 +145,9 @@ class Network:
         if not len(changed):
             return
         adjacency = dict(self.adjacency)
-        # row-major: each changed row's neighbours are contiguous
-        rows, cols = within[changed].nonzero()
-        nbr_ids = self._ids[cols].tolist()
-        ends = np.cumsum(np.bincount(rows, minlength=len(changed))).tolist()
-        for nid, start, end in zip(self._ids[changed].tolist(), [0] + ends[:-1], ends):
-            adjacency[nid] = tuple(nbr_ids[start:end])
+        rows = neighbor_rows(within[changed], self._ids)
+        for nid, row in zip(self._ids[changed].tolist(), rows):
+            adjacency[nid] = tuple(row)
         self.adjacency = adjacency
 
     def send(self, src: int, dst: int, msg) -> bool:

@@ -73,6 +73,34 @@ class DiscoveryConfig:
     service_ttl_s: float = DEFAULT_SERVICE_TTL_S
 
 
+def is_integer(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+# by the type of a key's default: (what a value must be, what a tuple of
+# values must be, the test of one value)
+_TYPES = {int: ("an integer", "a tuple of integers", is_integer),
+          float: ("a number", "a tuple of numbers", is_number),
+          str: ("a string", "a tuple of strings", lambda value: isinstance(value, str))}
+
+
+def _type_problem(value, default):
+    """What is wrong with the type of `value` for a key whose default is
+    `default`, or None: a float's value may be an integer, a tuple's is a
+    tuple of its first entry's type."""
+    if isinstance(default, tuple):
+        _, name, test = _TYPES[type(default[0])]
+        fits = isinstance(value, tuple) and all(map(test, value))
+    else:
+        name, _, test = _TYPES[type(default)]
+        fits = test(value)
+    return None if fits else f"must be {name}, got {value!r}"
+
+
 # per-key rules: each returns what is wrong with a value, or None
 
 def _positive(value):
@@ -126,12 +154,15 @@ class ScenarioConfig:
     discovery: DiscoveryConfig = field(default_factory=DiscoveryConfig)
 
     def validate(self) -> None:
-        """Each key in turn: finite, no repeated entry, its own rule; then the
-        rules that relate keys."""
+        """Each key in turn: the type of its default, finite, no repeated
+        entry, its own rule; then the rules that relate keys."""
         for section in fields(self):
             block = getattr(self, section.name)
             for f in fields(block):
                 value = getattr(block, f.name)
+                problem = _type_problem(value, f.default)
+                if problem is not None:
+                    raise ScenarioError(f"{f.name}: {problem}")
                 if isinstance(value, float) and not math.isfinite(value):
                     raise ScenarioError(f"{f.name}: must be finite, got {value}")
                 if isinstance(value, tuple):

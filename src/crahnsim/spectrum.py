@@ -265,7 +265,7 @@ class SpectrumSim:
         dbm = self._dbm.get((pu.id, su.id))
         if dbm is None:
             d = max(pu.distance_to(su), EPSILON_DBM_DISTANCE)
-            p_w = friis_received_power(PU_TX_POWER_W, 1.0, 1.0, WAVELENGTH_M, d)
+            p_w = friis_received_power(PU_TX_POWER_W, WAVELENGTH_M, d)
             dbm = self._dbm[pu.id, su.id] = 10.0 * math.log10(p_w * 1000.0)
         return dbm
 

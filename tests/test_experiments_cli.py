@@ -173,17 +173,17 @@ MALFORMED = {
     # values of the wrong type, named with their field
     "config-replications-string": (
         lambda raw: raw["config"]["simulation"].update(replications="2"),
-        r'^config.simulation.replications must be an integer, got "2"$'),
+        r"^config.simulation.replications: must be an integer, got '2'$"),
     "config-replications-null": (
         lambda raw: raw["config"]["simulation"].update(replications=None),
-        "^config.simulation.replications must be an integer, got null$"),
+        "^config.simulation.replications: must be an integer, got None$"),
     "config-seed-string": (lambda raw: raw["config"]["simulation"].update(seed="7"),
-                           r'^config.simulation.seed must be an integer, got "7"$'),
+                           r"^config.simulation.seed: must be an integer, got '7'$"),
     "config-bool-for-a-number": (lambda raw: raw["config"]["simulation"].update(sim_time_s=True),
-                                 "^config.simulation.sim_time_s must be a number, got true$"),
+                                 "^config.simulation.sim_time_s: must be a number, got True$"),
     "config-list-of-strings": (
         lambda raw: raw["config"]["detection"].update(cluster_counts=["1", "2"]),
-        r'^config.detection.cluster_counts must be a list of integers, got \["1", "2"\]$'),
+        r"^config.detection.cluster_counts: must be a tuple of integers, got \('1', '2'\)$"),
     "row-hit-latency-string": (lambda raw: raw["rows"][0].update(mean_hit_latency_s="x"),
                                r'^row 0: mean_hit_latency_s must be a number or null, '
                                r'got "x"$'),

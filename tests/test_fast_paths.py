@@ -4,11 +4,11 @@ The reference functions below are the scalar, one-record-at-a-time and
 per-neighbour forms: sensor synthesis one instant and one sensor at a time,
 per-cluster reduction over Python lists, an `order=True` dataclass event
 heap, one MAC delay draw per copy from the stream itself, a beacon refresh
-that rebuilds every neighbour row, `step_waypoint` on every node of a
-mobility tick, a spectrum simulation with one kernel event per
-primary-user toggle, MLP passes that allocate a new array per operation,
-and numpy's own scalar `Generator.uniform`, `Generator.integers` and
-`Generator.choice` calls. The fast paths must give the same floats, the same
+that rebuilds every neighbour row, a random-waypoint step of one node at a
+time (`ref_step_waypoint`) for every node of a mobility tick, a spectrum
+simulation with one kernel event per primary-user toggle, MLP passes that
+allocate a new array per operation, and numpy's own scalar
+`Generator.uniform`, `Generator.integers` and `Generator.choice` calls. The fast paths must give the same floats, the same
 draw order and the same event trace.
 
 The MLP passes also run on stacks (several SUs' hole batches through the
@@ -39,9 +39,9 @@ from crahnsim.discovery import (AdvertMsg, DiscoveryNode, DiscoveryResult, Servi
                                 ServiceDescriptor, ServiceQuery, SreqMsg, SrepMsg)
 from crahnsim.kernel import Kernel, PastTimeError, bounded_draws, draw_uniform
 from crahnsim.mlp import DivergenceError, Mlp, _sigmoid_in_place, gradients, train
-from crahnsim.mobility import (Area, NodeState, connectivity_components, friis_received_power,
-                               in_range, neighbor_graph, place_uniform, step_nodes,
-                               step_waypoint)
+from crahnsim.mobility import (DEFAULT_PAUSE_MAX_S, DEFAULT_V_MAX, DEFAULT_V_MIN, Area,
+                               NodeState, connectivity_components, friis_received_power,
+                               in_range, neighbor_graph, place_uniform, step_nodes)
 from crahnsim.routing import DELAY_BLOCK, AodvNode, DataMsg, Network, RouteEntry, Rrep, Rreq
 from crahnsim.scenario import ScenarioConfig
 from crahnsim.spectrum import (EPSILON_DBM_DISTANCE, PU_TX_POWER_W, SpectrumParams, SpectrumSim,
@@ -466,9 +466,56 @@ def ref_refresh_beacons(net):
     net.adjacency = {v: tuple(sorted(row)) for v, row in graph.items()}
 
 
+def ref_step_waypoint(node: NodeState, now: float, dt: float, rng: np.random.Generator,
+                      area: Area, v_min: float = DEFAULT_V_MIN, v_max: float = DEFAULT_V_MAX,
+                      pause_max: float = DEFAULT_PAUSE_MAX_S) -> NodeState:
+    """Advance one random-waypoint step."""
+    if dt <= 0:
+        raise ValueError("dt must be positive")
+    remaining = dt
+    t = now
+    while remaining > 1e-12:
+        if t < node.pause_until:
+            wait = min(node.pause_until - t, remaining)
+            t += wait
+            remaining -= wait
+            if remaining <= 1e-12:
+                break
+            # pause over: draw the next leg
+            node.waypoint = (draw_uniform(rng, 0.0, area.width),
+                             draw_uniform(rng, 0.0, area.height))
+            node.speed = draw_uniform(rng, v_min, v_max)
+            continue
+        if node.waypoint is None:
+            node.waypoint = (draw_uniform(rng, 0.0, area.width),
+                             draw_uniform(rng, 0.0, area.height))
+            node.speed = draw_uniform(rng, v_min, v_max)
+        if node.speed <= 0:
+            break
+        wx, wy = node.waypoint
+        dist = math.hypot(wx - node.x, wy - node.y)
+        travel = node.speed * remaining
+        if travel >= dist:
+            # arrive exactly, then pause
+            node.x, node.y = wx, wy
+            used = dist / node.speed
+            t += used
+            remaining -= used
+            node.pause_until = t + draw_uniform(rng, 0.0, pause_max)
+            node.waypoint = None
+        else:
+            frac = travel / dist
+            node.x += (wx - node.x) * frac
+            node.y += (wy - node.y) * frac
+            remaining = 0.0
+    node.x = min(max(node.x, 0.0), area.width)
+    node.y = min(max(node.y, 0.0), area.height)
+    return node
+
+
 def ref_step_nodes(nodes, now, dt, rng, area, *args):
     for node in nodes:
-        step_waypoint(node, now, dt, rng, area, *args)
+        ref_step_waypoint(node, now, dt, rng, area, *args)
 
 
 def ref_connectivity_components(graph):
@@ -610,12 +657,11 @@ def test_refreshed_rows_match_edge_loop_every_tick(seed):
         return {v: tuple(sorted(row)) for v, row in graph.items()}
     assert net.adjacency == ref_rows()
     kept = replaced = kept_after_moves = 0
+    moving = [node for node in nodes if node.id not in static]
     for tick in range(520):
         before, expected_before = net.adjacency, dict(net.adjacency)
         if tick % 5:
-            for node in nodes:
-                if node.id not in static:
-                    step_waypoint(node, float(tick), 1.0, rng, area)
+            step_nodes(moving, float(tick), 1.0, rng, area)
         net.refresh_beacons()
         expected = ref_rows()
         assert net.adjacency == expected
@@ -686,23 +732,17 @@ def _tick_cases(rng, area, now, dt):
     return nodes
 
 
-@pytest.mark.parametrize("dt", [1.0, 5.0, 1e-13])
+@pytest.mark.parametrize("dt", [1.0, 5.0, 1e-13, 0.3, 2.5])
 @pytest.mark.parametrize("seed", range(3))
-def test_tick_loop_matches_per_node_steps(monkeypatch, seed, dt):
-    """`step_nodes` against `step_waypoint` on every node, over 80 ticks:
-    every field bit for bit and the stream state after each tick, and the
-    next draw at the end. Some nodes advance inline, others do not."""
+def test_tick_loop_matches_per_node_steps(seed, dt):
+    """`step_nodes` against `ref_step_waypoint` on every node, over 80
+    ticks: every field bit for bit and the stream state after each tick, and
+    the next draw at the end."""
     area = Area(400.0, 300.0)
     now = 7.0
     fast = _tick_cases(_rng(seed), area, now, dt)
     ref = _tick_cases(_rng(seed), area, now, dt)
     fast_rng, ref_rng = _rng(seed + 10), _rng(seed + 10)
-    calls = []
-
-    def counting_step(node, *args):
-        calls.append(node.id)
-        return step_waypoint(node, *args)
-    monkeypatch.setattr(mobility, "step_waypoint", counting_step)
     for tick in range(80):
         step_nodes(fast, now, dt, fast_rng, area, 1.0, 5.0, 10.0)
         ref_step_nodes(ref, now, dt, ref_rng, area, 1.0, 5.0, 10.0)
@@ -710,10 +750,45 @@ def test_tick_loop_matches_per_node_steps(monkeypatch, seed, dt):
         assert fast_rng.bit_generator.state == ref_rng.bit_generator.state
         now += dt
     assert fast_rng.random() == ref_rng.random()
-    if dt > 1e-12:
-        assert 0 < len(calls) < 80 * len(fast) / 2
-    else:
-        assert len(calls) == 80 * len(fast)
+
+
+def _coordinate(side):
+    """On a border, at -0.0, inside the area or outside it."""
+    return st.sampled_from([0.0, -0.0, side]) | st.floats(-50.0, side + 50.0)
+
+
+@st.composite
+def _lone_nodes(draw):
+    """(node, now, dt, area): a node on or outside the borders or at -0.0,
+    with speed 0 or not, with no waypoint, one in or outside the area or one
+    a tick's travel away, and a pause that ends before the tick, at its
+    start, inside it, 1e-13 before its end, or after it."""
+    area = Area(draw(st.sampled_from([100.0, 400.0])), draw(st.sampled_from([100.0, 300.0])))
+    dt = draw(st.sampled_from([1.0, 5.0, 1e-13, 0.3, 2.5]) | st.floats(1e-3, 10.0))
+    now = draw(st.sampled_from([0.0, 7.0]) | st.floats(0.0, 1000.0))
+    pause_until = draw(st.sampled_from([now - dt, now, now + 0.4 * dt, now + dt - 1e-13,
+                                        now + 3.5 * dt])
+                       | st.floats(-2.0, 3.0).map(lambda k: now + k * dt))
+    x, y = draw(_coordinate(area.width)), draw(_coordinate(area.height))
+    speed = draw(st.sampled_from([0.0, 2.5]) | st.floats(0.0, 6.0))
+    waypoint = draw(st.none() | st.tuples(_coordinate(area.width), _coordinate(area.height))
+                    | st.just((x + speed * dt, y)))
+    node = NodeState(id=0, x=x, y=y, speed=speed, waypoint=waypoint, pause_until=pause_until)
+    return node, now, dt, area
+
+
+@settings(max_examples=500, deadline=None)
+@given(_lone_nodes(), st.integers(0, 2**32 - 1))
+def test_tick_of_a_lone_node_matches_reference(case, seed):
+    """One `step_nodes` tick of one node against `ref_step_waypoint`: every
+    field bit for bit and the stream state."""
+    node, now, dt, area = case
+    ref = dataclasses.replace(node)
+    fast_rng, ref_rng = _rng(seed), _rng(seed)
+    step_nodes([node], now, dt, fast_rng, area)
+    ref_step_waypoint(ref, now, dt, ref_rng, area)
+    assert _node_bits(node) == _node_bits(ref)
+    assert fast_rng.bit_generator.state == ref_rng.bit_generator.state
 
 
 # -- records: built positionally on the run path, keyword form as reference ----
@@ -1021,7 +1096,7 @@ def test_discovery_replication_matches_reference_paths(monkeypatch, seed):
     per-neighbour broadcast that schedules every copy, the edge-loop
     neighbour graph, the two-pass local lookup and isinstance dispatch. Same
     results; the trace differs only by the suppressed copies, each a no-op
-    in the reference run. The tick loop is the per-node `step_waypoint`
+    in the reference run. The tick loop is the per-node `ref_step_waypoint`
     loop, and the adjacency is rebuilt from the edge-loop graph at every
     refresh. The reference run records whether each query's provider is
     reachable when it is issued: the scenario has queries of both kinds."""
@@ -1418,7 +1493,7 @@ def ref_extract_features(log, t):
 
 def ref_received_dbm(pu, su, wavelength_m):
     d = max(pu.distance_to(su), EPSILON_DBM_DISTANCE)
-    p_w = friis_received_power(PU_TX_POWER_W, 1.0, 1.0, wavelength_m, d)
+    p_w = friis_received_power(PU_TX_POWER_W, wavelength_m, d)
     return 10.0 * math.log10(p_w * 1000.0)
 
 
@@ -1483,7 +1558,7 @@ class RefSpectrumSim:
     def _mobility_step(self):
         rng = self.k.stream("mobility")
         for node in self.pus + self.sus:
-            step_waypoint(node, self.k.now, REF_MOBILE_STEP_S, rng, self.area)
+            ref_step_waypoint(node, self.k.now, REF_MOBILE_STEP_S, rng, self.area)
         if self.k.now + REF_MOBILE_STEP_S <= self.k.end:
             self.k.schedule(self.k.now + REF_MOBILE_STEP_S, self._mobility_step,
                             kind="mobility")

@@ -33,6 +33,8 @@ UNREFERENCED_ON_PURPOSE = {
     "connectivity_components": "the tracer patches it as mobility.components; criterion 7 "
                                "checks it against BFS and the tests' reachability helper "
                                "uses it",
+    "step_waypoint": "the tracer patches it by name in mobility, experiments and spectrum "
+                     "(mobility.step_waypoint)",
 }
 
 

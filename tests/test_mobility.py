@@ -7,7 +7,7 @@ import pytest
 
 from crahnsim.mobility import (DEFAULT_RADIO_RANGE_M, Area, NodeState,
                                connectivity_components, friis_received_power,
-                               neighbor_graph, place_uniform, step_waypoint)
+                               neighbor_graph, place_uniform, step_nodes, step_waypoint)
 
 
 def _rng(seed):
@@ -65,23 +65,29 @@ def test_nonpositive_dt_rejected():
         step_waypoint(NodeState(id=0, x=0, y=0), 0.0, 0.0, _rng(1), Area())
 
 
+@pytest.mark.parametrize("dt", [0.0, -1.0])
+def test_nonpositive_dt_rejected_without_nodes(dt):
+    with pytest.raises(ValueError, match="dt must be positive"):
+        step_nodes([], 3.0, dt, _rng(1), Area())
+
+
 def test_friis_inverse_square_law():
-    near = friis_received_power(0.1, 1.0, 1.0, 0.125, 100.0)
-    far = friis_received_power(0.1, 1.0, 1.0, 0.125, 200.0)
+    near = friis_received_power(0.1, 0.125, 100.0)
+    far = friis_received_power(0.1, 0.125, 200.0)
     assert near / far == pytest.approx(4.0, rel=1e-12)
 
 
 def test_friis_hand_value():
     expected = 0.1 * 0.125 ** 2 / ((4.0 * math.pi * 100.0) ** 2)
-    got = friis_received_power(0.1, 1.0, 1.0, 0.125, 100.0)
+    got = friis_received_power(0.1, 0.125, 100.0)
     assert got == pytest.approx(expected, rel=1e-12)
     assert got == pytest.approx(9.89e-10, rel=1e-3)
 
 
 def test_friis_singularity_and_monotonicity():
     with pytest.raises(ValueError):
-        friis_received_power(0.1, 1.0, 1.0, 0.125, 0.0)
-    powers = [friis_received_power(0.1, 1.0, 1.0, 0.125, d)
+        friis_received_power(0.1, 0.125, 0.0)
+    powers = [friis_received_power(0.1, 0.125, d)
               for d in (1.0, 10.0, 50.0, 250.0, 1000.0)]
     assert all(a > b for a, b in zip(powers, powers[1:]))
 

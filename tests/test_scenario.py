@@ -7,6 +7,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from crahnsim.experiments import run_experiment
 from crahnsim.scenario import MAX_TICKS, ScenarioConfig, ScenarioError, load_scenario
 from crahnsim.spectrum import POLICIES
 
@@ -247,3 +248,38 @@ def test_invalid_numeric_value_is_rejected_naming_the_key(tmp_path, data):
     with pytest.raises(ScenarioError) as err:
         _load(tmp_path, f"[{_SECTION_OF[key]}]\n{key} = {raw}\n")
     assert key in str(err.value).split(":")[0]
+
+
+# values set in code rather than read from a file: `validate` checks that each
+# has its default's type, and names the key
+@pytest.mark.parametrize("section,key,value,message", [
+    ("detection", "cluster_counts", [1, 1], r"must be a tuple of integers, got \[1, 1\]"),
+    ("discovery", "query_count", True, "must be an integer, got True"),
+    ("simulation", "sim_time_s", "500", "must be a number, got '500'"),
+    ("simulation", "replications", 2.0, "must be an integer, got 2.0"),
+    ("simulation", "routing", None, "must be a string, got None"),
+    ("spectrum", "pu_counts", (5, 10.0), r"must be a tuple of integers, got \(5, 10.0\)"),
+    ("spectrum", "policies", ("random-baseline", 1),
+     r"must be a tuple of strings, got \('random-baseline', 1\)"),
+])
+def test_value_of_another_type_is_rejected_naming_the_key(section, key, value, message):
+    cfg = ScenarioConfig()
+    setattr(getattr(cfg, section), key, value)
+    with pytest.raises(ScenarioError, match=rf"^{key}: {message}$"):
+        cfg.validate()
+
+
+@pytest.mark.parametrize("key", sorted(_SECTION_OF))
+def test_every_key_rejects_a_bool(key):
+    cfg = ScenarioConfig()
+    setattr(getattr(cfg, _SECTION_OF[key]), key, True)
+    with pytest.raises(ScenarioError, match=rf"^{key}: must be .*, got True$"):
+        cfg.validate()
+
+
+def test_run_refuses_a_list_for_a_tuple_before_writing(tmp_path):
+    cfg = ScenarioConfig()
+    cfg.detection.cluster_counts = [1, 2]
+    with pytest.raises(ScenarioError, match="^cluster_counts: must be a tuple of integers"):
+        run_experiment(cfg, "detection", replications=1, out_dir=str(tmp_path / "out"))
+    assert not (tmp_path / "out").exists()
