@@ -15,17 +15,12 @@ in which any replication failed; its outputs are still written).
 """
 
 import argparse
-import csv
 import json
 import sys
 
 from .experiments import EXPERIMENTS, check_runnable, experiment_names, run_experiment
 from .scenario import ScenarioError, load_scenario
-from .situation import (SituationDb, SituationRecord, SituationValidationError,
-                        situation_table_csv, situation_table_text)
-
-RECORD_FIELDS = ["latitude", "longitude", "situation", "timestamp",
-                 "short_message", "long_message", "ontology"]
+from .situation import load_situation_db, situation_table_csv, situation_table_text
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -53,34 +48,6 @@ def _build_parser() -> argparse.ArgumentParser:
     ren_p.add_argument("--out", required=True)
     ren_p.add_argument("--format", default="text", choices=["text", "csv"])
     return parser
-
-
-def _load_situation_db(path: str) -> SituationDb:
-    db = SituationDb()
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None or [f for f in RECORD_FIELDS[:5]
-                                         if f not in reader.fieldnames]:
-            raise SituationValidationError(
-                "header", f"situation db CSV needs columns {RECORD_FIELDS[:5]}")
-        for row in reader:
-            line = f"line {reader.line_num}"
-            # a short row reads its missing fields as None, a long one keeps
-            # the extra fields under the key None
-            if None in row or None in row.values():
-                raise SituationValidationError(
-                    line, f"row does not have the header's {len(reader.fieldnames)} fields")
-            try:
-                record = SituationRecord(
-                    latitude=float(row["latitude"]), longitude=float(row["longitude"]),
-                    situation=row["situation"], timestamp=row["timestamp"],
-                    short_message=row["short_message"],
-                    long_message=row.get("long_message") or "",
-                    ontology=row.get("ontology") or "")
-            except ValueError as exc:  # a bad number or a SituationValidationError
-                raise SituationValidationError(line, str(exc)) from exc
-            db.upsert(record)
-    return db
 
 
 def main(argv=None) -> int:
@@ -117,7 +84,7 @@ def main(argv=None) -> int:
         return 0
     if args.command == "render-situation":
         try:
-            db = _load_situation_db(args.db)
+            db = load_situation_db(args.db)
         except (OSError, ValueError) as exc:
             print(f"cannot load situation db: {exc}", file=sys.stderr)
             return 1

@@ -128,7 +128,6 @@ class DiscoveryNode(AodvNode):
         self.cache: dict[tuple, ServiceCacheEntry] = {}  # (service_id, provider)
         self._advert_seen: set[tuple] = set()
         self._advert_due: dict[tuple, tuple] = {}  # advert key -> (at, event id) of first copy
-        self._next_qid = 0
         self._open_queries: dict[int, tuple] = {}  # query id -> (query, callback, timeout id)
         self._replied: set[int] = set()  # query ids of the SREPs `send` accepted from here
         self.duplicate_replies = 0  # SREPs not sent: this node already sent one for the query
@@ -248,14 +247,18 @@ class DiscoveryNode(AodvNode):
                  callback: Optional[Callable[[DiscoveryResult], None]] = None) -> ServiceQuery:
         """Answer a query for `service_id` or `ontology_tag` from this node's
         own services and cache, else flood an SREQ for it. ValueError, with
-        nothing drawn, scheduled or counted, if both are None."""
+        nothing drawn, scheduled or counted, if both are None. Queries are
+        numbered 1, 2, ... across the network in issue order. A flooded query
+        that no reply resolves times out `QUERY_DEADLINE_S` after its issue,
+        or at the kernel's horizon `Kernel.end` if that is sooner, so every
+        query ends within the run."""
         if service_id is None and ontology_tag is None:
             raise ValueError("a query needs a service_id or an ontology_tag")
         now = self.net.k.now
-        self._next_qid += 1
-        qid = self.id * 1_000_000 + self._next_qid
+        self.net.queries_issued += 1
+        qid = self.net.queries_issued
         query = ServiceQuery(qid, self.id, service_id, ontology_tag, now,
-                             now + QUERY_DEADLINE_S)
+                             min(now + QUERY_DEADLINE_S, self.net.k.end))
         hit = self.lookup_local(service_id, ontology_tag)
         if hit is not None:
             if callback:

@@ -126,6 +126,8 @@ class Network:
         # `discovery.DiscoveryNode._forget_floods`
         self.open_adverts: deque = deque()
         self.open_queries: deque = deque()
+        # queries issued by `DiscoveryNode.discover`; each takes the count as its id
+        self.queries_issued = 0
         # `uniform(lo, hi)` is lo + (hi - lo) * random(): numpy's own formula,
         # so each value and its place in the stream are those of the scalar
         # draw; the network is the stream's only reader

@@ -16,14 +16,17 @@ The wire format is a fixed-order XML document:
     </XML>
 
 Timestamps are DDMMYYYYhhmmss. Encoding is canonical (byte-stable); decoding
-is whitespace-insensitive and also accepts a bare `<?xml>` prologue.
+is whitespace-insensitive and also accepts a bare `<?xml>` prologue. One
+table of (record field, element) pairs lists, for both, the elements after
+<Location>. Records are checked once, when made, and frozen
+(`SituationRecord`); `load_situation_db` reads a database's CSV form.
 """
 
 import csv
 import io
 import re
 import xml.etree.ElementTree as ET
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
 from datetime import datetime
 
 SITUATION_VALUES = ("Red", "Yellow", "Green")
@@ -61,8 +64,11 @@ def parse_timestamp(ts: str) -> datetime:
         raise SituationValidationError("timestamp", f"invalid calendar date-time {ts!r}") from exc
 
 
-@dataclass
+@dataclass(frozen=True)
 class SituationRecord:
+    """A checked situation message. The coordinates are rounded to the wire's
+    seven decimals and every field is checked once, on creation; a record
+    cannot change afterwards, so one that exists is valid."""
     latitude: float
     longitude: float
     situation: str
@@ -72,11 +78,8 @@ class SituationRecord:
     ontology: str = ""
 
     def __post_init__(self):
-        self.latitude = _norm7(self.latitude)
-        self.longitude = _norm7(self.longitude)
-        self.validate()
-
-    def validate(self) -> None:
+        object.__setattr__(self, "latitude", _norm7(self.latitude))
+        object.__setattr__(self, "longitude", _norm7(self.longitude))
         if not -90.0 <= self.latitude <= 90.0:
             raise SituationValidationError("latitude", f"out of range: {self.latitude}")
         if not -180.0 <= self.longitude <= 180.0:
@@ -96,9 +99,16 @@ class SituationRecord:
         return parse_timestamp(self.timestamp)
 
 
+# (record field, XML element) of each element after <Location>, in wire order.
+# Every element is mandatory but one, which is left out when empty.
+_ELEMENTS = (("situation", "Situation"), ("timestamp", "TimeStamp"),
+             ("short_message", "ShortMessage"), ("long_message", "LongMessage"),
+             ("ontology", "Ontology"))
+_OMITTED_WHEN_EMPTY = "long_message"
+
+
 def encode_situation(record: SituationRecord) -> bytes:
-    """Canonical byte encoding; LongMessage omitted when empty."""
-    record.validate()
+    """Canonical byte encoding."""
     lines = [
         '<?xml version="1.0" encoding="UTF-8"?>',
         "<XML>",
@@ -106,18 +116,20 @@ def encode_situation(record: SituationRecord) -> bytes:
         f"    <Latitude>{record.latitude:.7f}</Latitude>",
         f"    <Longitude>{record.longitude:.7f}</Longitude>",
         "  </Location>",
-        f"  <Situation>{record.situation}</Situation>",
-        f"  <TimeStamp>{record.timestamp}</TimeStamp>",
-        f"  <ShortMessage>{_escape(record.short_message)}</ShortMessage>",
     ]
-    if record.long_message:
-        lines.append(f"  <LongMessage>{_escape(record.long_message)}</LongMessage>")
-    lines.append(f"  <Ontology>{_escape(record.ontology)}</Ontology>")
+    for name, tag in _ELEMENTS:
+        value = getattr(record, name)
+        if value or name != _OMITTED_WHEN_EMPTY:
+            lines.append(f"  <{tag}>{_escape(value)}</{tag}>")
     lines.append("</XML>")
     return ("\n".join(lines) + "\n").encode("utf-8")
 
 
-_MANDATORY = ("Location", "Situation", "TimeStamp", "ShortMessage", "Ontology")
+def _element_text(parent: ET.Element, tag: str) -> str:
+    el = parent.find(tag)
+    if el is None:
+        raise SituationValidationError(tag, "missing mandatory element")
+    return (el.text or "").strip()
 
 
 def decode_situation(data: bytes) -> SituationRecord:
@@ -130,35 +142,19 @@ def decode_situation(data: bytes) -> SituationRecord:
         raise SituationParseError(f"malformed markup: {exc}") from exc
     if root.tag != "XML":
         raise SituationParseError(f"expected root <XML>, got <{root.tag}>")
-
-    def grab(parent, tag):
-        el = parent.find(tag)
-        if el is None:
-            raise SituationValidationError(tag, "missing mandatory element")
-        return (el.text or "").strip()
-
-    for tag in _MANDATORY:
-        if root.find(tag) is None:
-            raise SituationValidationError(tag, "missing mandatory element")
     loc = root.find("Location")
-    lat_text = grab(loc, "Latitude")
-    lon_text = grab(loc, "Longitude")
+    if loc is None:
+        raise SituationValidationError("Location", "missing mandatory element")
+    texts = {name: _element_text(root, tag) for name, tag in _ELEMENTS
+             if name != _OMITTED_WHEN_EMPTY or root.find(tag) is not None}
+    lat_text = _element_text(loc, "Latitude")
+    lon_text = _element_text(loc, "Longitude")
     try:
         lat = float(lat_text)
         lon = float(lon_text)
     except ValueError as exc:
         raise SituationValidationError("Location", f"non-numeric coordinate: {exc}") from exc
-    long_el = root.find("LongMessage")
-    long_message = (long_el.text or "").strip() if long_el is not None else ""
-    return SituationRecord(
-        latitude=lat,
-        longitude=lon,
-        situation=grab(root, "Situation"),
-        timestamp=grab(root, "TimeStamp"),
-        short_message=grab(root, "ShortMessage"),
-        long_message=long_message,
-        ontology=grab(root, "Ontology"),
-    )
+    return SituationRecord(latitude=lat, longitude=lon, **texts)
 
 
 @dataclass
@@ -167,7 +163,6 @@ class SituationDb:
 
     def upsert(self, record: SituationRecord) -> bool:
         """Insert, or replace only when the incoming timestamp is strictly newer."""
-        record.validate()
         key = record.location_key()
         existing = self.records.get(key)
         if existing is None or record.sort_time() > existing.sort_time():
@@ -177,6 +172,37 @@ class SituationDb:
 
     def __len__(self):
         return len(self.records)
+
+
+def load_situation_db(path: str) -> SituationDb:
+    """The database of a CSV file with a header row and one record a row.
+    Its columns are the record's fields, read by name: those without a
+    default are required, and the coordinates are read with `float`. A bad
+    header, row or field raises ValueError; a row's message names its line."""
+    columns = fields(SituationRecord)
+    required = [col.name for col in columns if col.default is MISSING]
+    db = SituationDb()
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.DictReader(fh)
+        if reader.fieldnames is None or [name for name in required
+                                         if name not in reader.fieldnames]:
+            raise SituationValidationError(
+                "header", f"situation db CSV needs columns {required}")
+        for row in reader:
+            line = f"line {reader.line_num}"
+            # a short row reads its missing fields as None, a long one keeps
+            # the extra fields under the key None
+            if None in row or None in row.values():
+                raise SituationValidationError(
+                    line, f"row does not have the header's {len(reader.fieldnames)} fields")
+            try:
+                record = SituationRecord(**{
+                    col.name: float(row[col.name]) if col.type is float else row[col.name]
+                    for col in columns if col.name in row})
+            except ValueError as exc:  # a bad number or a SituationValidationError
+                raise SituationValidationError(line, str(exc)) from exc
+            db.upsert(record)
+    return db
 
 
 def export_situation_table(db: SituationDb) -> list[tuple[str, str, str, str]]:

@@ -478,16 +478,47 @@ def test_discover_without_a_service_id_or_a_tag_changes_nothing():
     k = Kernel(seed=19, end=50.0)
     net, protos = _chain(k, 5)
     protos[4].host_service("svc", ontology_tag="Safety")
-    before = (k.next_id, protos[0]._next_qid, protos[0].sequence,
+    before = (k.next_id, net.queries_issued, protos[0].sequence,
               net.delivered_msgs, net.suppressed_msgs, net.cancelled_msgs)
     with pytest.raises(ValueError, match="service_id or an ontology_tag"):
         protos[0].discover(callback=lambda result: None)
-    assert (k.next_id, protos[0]._next_qid, protos[0].sequence,
+    assert (k.next_id, net.queries_issued, protos[0].sequence,
             net.delivered_msgs, net.suppressed_msgs, net.cancelled_msgs) == before
     assert not protos[0]._open_queries and not protos[0]._flood_best
     k.run_until(20.0)
     assert net.delivered_msgs == 0
 
+
+
+def test_query_ids_run_in_issue_order_across_nodes(monkeypatch):
+    issued = []
+    real_discover = DiscoveryNode.discover
+
+    def discover(node, *args, **kwargs):
+        query = real_discover(node, *args, **kwargs)
+        issued.append((node.id, query.query_id))
+        return query
+    monkeypatch.setattr(DiscoveryNode, "discover", discover)
+    cfg = ScenarioConfig()
+    results = run_discovery_replication(cfg, 5007)
+    ids = list(range(1, cfg.discovery.query_count + 1))
+    assert [qid for _, qid in issued] == ids
+    assert len({node for node, _ in issued}) > 1
+    assert sorted(res.query.query_id for res in results) == ids
+
+
+def test_every_query_ends_by_the_horizon():
+    # sim_time_s below 100: queries issued in the last 10 s time out at
+    # the horizon, not QUERY_DEADLINE_S after their issue
+    cfg = ScenarioConfig()
+    cfg.simulation.sim_time_s = 50.0
+    cfg.simulation.radio_range_m = 20.0
+    cfg.simulation.replications = 3
+    (report,) = experiments.run_experiment(cfg, "discovery")
+    assert len(report.rows) == 3 and not report.errors
+    for row in report.rows:
+        assert row["queries"] == cfg.discovery.query_count, row
+        assert row["cache_hits"] + row["misses_resolved"] + row["timeouts"] == row["queries"]
 
 # -- per-flood records and the bounds that end them -------------------------------
 

@@ -598,3 +598,48 @@ def test_cli_render_situation_names_the_line_of_a_bad_field(tmp_path, capsys, ro
     assert main(["render-situation", "--db", str(db), "--out", str(out)]) == 1
     assert capsys.readouterr().err == f"cannot load situation db: line 3: {message}\n"
     assert not out.exists()
+
+
+# quoted commas; LF, CR and CRLF inside quoted fields and a CRLF row end; a
+# location given three times (an older record, then a newer one, at other
+# spellings of the same rounded coordinates); non-ASCII text; the optional
+# columns absent
+RENDER_DB = (
+    "latitude,longitude,situation,timestamp,short_message\n"
+    '24.8614620,67.0099390,Red,20052015201820,"Injured, trapped"\n'
+    '24.8615620,67.0039390,Green,20052015200820,"line one\nline two"\n'
+    '24.8614220,67.0094390,Yellow,20052015200720,"cr\ronly"\r\n'
+    '-1.5,2.25,Red,21052015000000,"crlf\r\nend"\n'
+    "24.86146204,67.00993896,Yellow,19052015000000,older at a repeated location\n"
+    "24.861462,67.009939,Green,21052015101010,newer at a repeated location\n"
+    '0,0,Red,01012020000000,"need ""cranes"", fast"\n'
+    "10,20,Yellow,02012020000000,Überschwemmung\n")
+
+RENDERED = {
+    "text": (
+        "Location                Situation  TimeStamp       ShortMessage\n"
+        "10.0000000, 20.0000000  Yellow     02012020000000  Überschwemmung\n"
+        '0.0000000, 0.0000000    Red        01012020000000  need "cranes", fast\n'
+        "24.8614620, 67.0099390  Green      21052015101010  newer at a repeated location\n"
+        "-1.5000000, 2.2500000   Red        21052015000000  crlf\r\nend\n"
+        "24.8615620, 67.0039390  Green      20052015200820  line one\nline two\n"
+        "24.8614220, 67.0094390  Yellow     20052015200720  cr\ronly\n"),
+    "csv": (
+        "location,situation,timestamp,short_message\n"
+        '"10.0000000, 20.0000000",Yellow,02012020000000,Überschwemmung\n'
+        '"0.0000000, 0.0000000",Red,01012020000000,"need ""cranes"", fast"\n'
+        '"24.8614620, 67.0099390",Green,21052015101010,newer at a repeated location\n'
+        '"-1.5000000, 2.2500000",Red,21052015000000,"crlf\r\nend"\n'
+        '"24.8615620, 67.0039390",Green,20052015200820,"line one\nline two"\n'
+        '"24.8614220, 67.0094390",Yellow,20052015200720,"cr\ronly"\n'),
+}
+
+
+@pytest.mark.parametrize("fmt", sorted(RENDERED))
+def test_cli_render_situation_output_is_pinned(tmp_path, fmt):
+    db = tmp_path / "db.csv"
+    db.write_bytes(RENDER_DB.encode("utf-8"))
+    out = tmp_path / f"table.{fmt}"
+    assert main(["render-situation", "--db", str(db), "--out", str(out),
+                 "--format", fmt]) == 0
+    assert out.read_bytes() == RENDERED[fmt].encode("utf-8")

@@ -1,6 +1,8 @@
 """XML situation codec, per-node situation database, and table export."""
 
 import csv
+import dataclasses
+import hashlib
 import io
 import itertools
 from datetime import datetime
@@ -212,3 +214,35 @@ def test_stored_timestamp_is_monotone_over_upserts(records):
         stored = db.records[key].sort_time()
         assert key not in last or stored >= last[key]
         last[key] = stored
+
+
+# `&`, `<` and `>`, non-ASCII text, coordinates that round, and empty long
+# messages and ontologies; the digest of their encodings is that of the
+# hand-written encoder that the element table replaced
+PINNED_RECORDS = [
+    SituationRecord(24.8614220, 67.0094390, "Red", "20052015201820",
+                    "Injured Persons in critical condition",
+                    "Injured Persons in critical condition stucked. Immediate help required.",
+                    "Safety"),
+    SituationRecord(-33.86785, 151.20732, "Yellow", "01012020000000", "", "", ""),
+    SituationRecord(0.123456789, -0.987654321, "Green", "31122099235959",
+                    "fish & chips <hot> > cold", "", "R&D <ops>"),
+    SituationRecord(-90.0, 180.0, "Red", "29022024120000", "Überschwemmung, Straße gesperrt",
+                    "洪水 — évacuation & «aide» <urgent>", ""),
+    SituationRecord(90.0, -180.0, "Green", "15061999063000", "a&b", "<LongMessage>", "&amp;"),
+]
+
+
+def test_encoding_bytes_are_pinned():
+    data = b"".join(encode_situation(rec) for rec in PINNED_RECORDS)
+    assert hashlib.sha256(data).hexdigest() == (
+        "c61fc758bd202291af8b636446b28ba7490cb5a95459139b14c896503e0e2da3")
+
+
+def test_record_is_frozen():
+    rec = TABLE_ROWS[0]
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        rec.situation = "Blue"
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        rec.latitude = 95.0
+    assert (rec.situation, rec.latitude) == ("Red", 24.8614620)
